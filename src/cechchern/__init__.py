@@ -1,126 +1,25 @@
-"""Exact Chern character cocycles from transition-function data on a cover."""
+"""Exact Chern character cocycles from transition-function data on a cover.
+
+The package root exports the exact-algebra entry points and the manifest
+loader; everything else is imported from its module.
+"""
 
 from .scalars import GaussianRational
 from .poly import Polynomial, poly_gcd
-from .ratfunc import RationalFunction, rf_normalize
+from .ratfunc import RationalFunction
 from .exprparse import ExprError, parse_expr
-from .linalg import RFMatrix, SingularMatrixError, matrix_inverse
-from .forms import (
-    Chart,
-    ConnectionMatrix,
-    HoloForm,
-    MatrixForm,
-    apply_connection,
-    partial_d,
-    pullback,
-    trace_form,
-    wedge,
-)
-from .cech import (
-    CechCochain,
-    Cover,
-    CoverError,
-    FormalSection,
-    ProductLevelCover,
-    UPolyCochain,
-    cech_delta,
-    tot_to_cech,
-    total_differential,
-    u_truncate,
-    validate_chain_map,
-)
-from .fiber import (
-    integrate_fiber,
-    level_forget,
-    lift_tuple,
-    recover_steps,
-    step_positions,
-    verify_bijection,
-    verify_integration_identities,
-)
-from .chern import (
-    BundlePathData,
-    BundleVertexData,
-    ch_nerve_simplex,
-    tot_ch_simplex,
-    tot_ch_simplex_via_ez,
-    tot_ch_table,
-    tot_ch_vertex,
-    validate_bundle_data,
-    verify_face_sum_vanishing,
-)
-from .bg import (
-    BGMapData,
-    EquivariantBundleData,
-    FiniteGroup,
-    beta,
-    equivariant_check,
-    gamma,
-    iota,
-    universal_chern,
-    verify_square,
-)
+from .linalg import RFMatrix, SingularMatrixError
 from .manifest import Manifest, ManifestError
-from .report import CheckItem, Report
 
 __all__ = [
     "GaussianRational",
     "Polynomial",
     "poly_gcd",
     "RationalFunction",
-    "rf_normalize",
     "ExprError",
     "parse_expr",
     "RFMatrix",
     "SingularMatrixError",
-    "matrix_inverse",
-    "Chart",
-    "ConnectionMatrix",
-    "HoloForm",
-    "MatrixForm",
-    "apply_connection",
-    "partial_d",
-    "pullback",
-    "trace_form",
-    "wedge",
-    "CechCochain",
-    "Cover",
-    "CoverError",
-    "FormalSection",
-    "ProductLevelCover",
-    "UPolyCochain",
-    "cech_delta",
-    "tot_to_cech",
-    "total_differential",
-    "u_truncate",
-    "validate_chain_map",
-    "integrate_fiber",
-    "level_forget",
-    "lift_tuple",
-    "recover_steps",
-    "step_positions",
-    "verify_bijection",
-    "verify_integration_identities",
-    "BundlePathData",
-    "BundleVertexData",
-    "ch_nerve_simplex",
-    "tot_ch_simplex",
-    "tot_ch_simplex_via_ez",
-    "tot_ch_table",
-    "tot_ch_vertex",
-    "validate_bundle_data",
-    "verify_face_sum_vanishing",
-    "BGMapData",
-    "EquivariantBundleData",
-    "FiniteGroup",
-    "beta",
-    "equivariant_check",
-    "gamma",
-    "iota",
-    "universal_chern",
-    "verify_square",
     "Manifest",
     "ManifestError",
-    "CheckItem",
-    "Report",
 ]

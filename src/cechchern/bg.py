@@ -81,10 +81,6 @@ class BGMapData:
         return vertical * horizontal
 
 
-def beta(h: BGMapData) -> BundlePathData:
-    return h.beta()
-
-
 def gamma(h: BGMapData, max_tuple_len: Optional[int] = None) -> CechCochain:
     """The closed even cochain on the multi-level cover.
 
@@ -131,7 +127,7 @@ def iota(
         gen_sign = -1 if (ell * (ell - 1) // 2) % 2 else 1
         for g in nondegenerate_generators(n, ell):
             js = g.indices
-            slices: Dict[int, Dict[Tuple, HoloForm]] = {}
+            entries = []
             for t in base.all_tuples(max_level + 1):
                 q = len(t) - 1
                 acc: Dict[int, HoloForm] = {}
@@ -144,14 +140,8 @@ def iota(
                     m = (q + ell + comp.degree()) // 2
                     term = comp if step_sign(steps) > 0 else -comp
                     acc[m] = acc[m] + term if m in acc else term
-                for m, form in acc.items():
-                    if gen_sign < 0:
-                        form = -form
-                    if not form.is_zero:
-                        slices.setdefault(m, {})[t] = form
-            table[g] = UPolyCochain(
-                base, {m: CechCochain(base, comps) for m, comps in slices.items()}
-            )
+                entries.extend((m, t, form if gen_sign > 0 else -form) for m, form in acc.items())
+            table[g] = UPolyCochain.from_forms(base, entries)
     return table
 
 

@@ -113,7 +113,23 @@ def _value_degree(value) -> int:
     return value.degree()
 
 
-class Cover:
+class _CoverBase:
+    """Anchors and restriction shared by both kinds of cover; a subclass
+    supplies chart_of_index and pull_to_chart."""
+
+    def anchor(self, t) -> Chart:
+        return self.chart_of_index(t[0])
+
+    def restrict(self, value, small: Tuple, big: Tuple):
+        """Restrict a component from tuple small to a supertuple big."""
+        if isinstance(value, FormalSection):
+            return value
+        if not set(small) <= set(big):
+            raise CoverError(f"{small} is not a sub-tuple of {big}")
+        return self.pull_to_chart(value, small[0], big[0])
+
+
+class Cover(_CoverBase):
     """A finite chart cover with declared nonempty overlaps.
 
     change_maps[(a, b)] expresses the coordinates of chart a in the
@@ -171,9 +187,6 @@ class Cover:
     def max_tuple_len(self) -> int:
         return max((len(t) for t in self.declared), default=0)
 
-    def anchor(self, t) -> Chart:
-        return self.chart_of_index(t[0])
-
     def chart_of_index(self, i) -> Chart:
         return self.charts[i]
 
@@ -191,22 +204,6 @@ class Cover:
         if src == dst:
             return value
         return value.pullback(self.chart_of_index(dst), self.change_map(src, dst))
-
-    def restrict(self, value, small: Tuple, big: Tuple):
-        """Restrict a component from tuple small to a supertuple big."""
-        if isinstance(value, FormalSection):
-            return value
-        if not set(small) <= set(big):
-            raise CoverError(f"{small} is not a sub-tuple of {big}")
-        return self.pull_to_chart(value, self._anchor_index(small), self._anchor_index(big))
-
-    def _anchor_index(self, t):
-        return t[0]
-
-    def zero_value(self, t, formal: bool, form_degree: int = 0):
-        if formal:
-            return FormalSection(form_degree, {})
-        return HoloForm.zero(self.anchor(t))
 
     def validate(self) -> Report:
         report = Report()
@@ -242,7 +239,7 @@ class Cover:
         return report
 
 
-class ProductLevelCover:
+class ProductLevelCover(_CoverBase):
     """The cover with k+1 labelled copies of a base cover.
 
     Indices are pairs (level, base) ordered lexicographically; a tuple is
@@ -279,24 +276,11 @@ class ProductLevelCover:
             out.extend(self.tuples_of_length(r))
         return out
 
-    def anchor(self, t) -> Chart:
-        return self.base.chart_of_index(t[0][1])
-
     def chart_of_index(self, i) -> Chart:
         return self.base.chart_of_index(i[1])
 
     def pull_to_chart(self, value: HoloForm, src, dst) -> HoloForm:
         return self.base.pull_to_chart(value, src[1], dst[1])
-
-    def restrict(self, value, small, big):
-        if isinstance(value, FormalSection):
-            return value
-        return self.base.pull_to_chart(value, small[0][1], big[0][1])
-
-    def zero_value(self, t, formal: bool, form_degree: int = 0):
-        if formal:
-            return FormalSection(form_degree, {})
-        return HoloForm.zero(self.anchor(t))
 
 
 class CechCochain:
@@ -326,9 +310,6 @@ class CechCochain:
 
     def cech_degrees(self) -> set:
         return {len(t) - 1 for t in self.components}
-
-    def total_degrees(self) -> set:
-        return {len(t) - 1 + _value_degree(v) for t, v in self.components.items()}
 
     def __add__(self, other: "CechCochain") -> "CechCochain":
         comps = dict(self.components)
@@ -380,10 +361,6 @@ class CechCochain:
 
     def __repr__(self):
         return f"CechCochain({len(self.components)} components)"
-
-
-def cech_delta(c: CechCochain) -> CechCochain:
-    return c.delta()
 
 
 def total_differential(c: CechCochain, d_a: Optional[Callable] = None) -> CechCochain:
@@ -467,7 +444,18 @@ class UPolyCochain:
 
     @staticmethod
     def single(cover, m: int, cochain: CechCochain) -> "UPolyCochain":
+        """Tensor a pure-form-degree cochain with u^m and apply the truncation."""
         return UPolyCochain(cover, {m: cochain})
+
+    @staticmethod
+    def from_forms(cover, entries: Iterable[Tuple[int, Tuple, object]]) -> "UPolyCochain":
+        """Collect (u-power, tuple, value) entries into slices; zero values
+        are skipped."""
+        slices: Dict[int, Dict[Tuple, object]] = {}
+        for m, t, v in entries:
+            if not v.is_zero:
+                slices.setdefault(m, {})[t] = v
+        return UPolyCochain(cover, {m: CechCochain(cover, comps) for m, comps in slices.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -519,11 +507,6 @@ class UPolyCochain:
 
 def _flatkey(x):
     return x if isinstance(x, tuple) else (x,)
-
-
-def u_truncate(cochain: CechCochain, m: int) -> UPolyCochain:
-    """Tensor a pure-form-degree cochain with u^m and apply the truncation."""
-    return UPolyCochain.single(cochain.cover, m, cochain)
 
 
 ChainMapTable = Dict[Generator, UPolyCochain]

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .cech import CechCochain, Cover, UPolyCochain
-from .forms import ConnectionMatrix, HoloForm, MatrixForm, apply_connection, trace_form
+from .cech import Cover, UPolyCochain
+from .forms import ConnectionMatrix, HoloForm, MatrixForm, apply_connection
 from .linalg import RFMatrix
 from .fiber import step_positions
 from .report import Report
@@ -301,7 +301,7 @@ class NerveInstance:
         prod = self.segment_inverse(face[0], face[-1])
         for m in reversed(range(ell)):
             prod = prod * self.segment_nabla(face[m], face[m + 1])
-        return ell, trace_form(prod)
+        return ell, prod.trace()
 
     def boundary_sum(self, face: Tuple[int, ...]) -> HoloForm:
         """The image of the alternating face sum of e_face."""
@@ -310,16 +310,6 @@ class NerveInstance:
             _, form = self.face_value(face[:j] + face[j + 1:])
             acc = acc - form if j % 2 else acc + form
         return acc
-
-
-def ch_nerve_simplex(
-    morphisms: Sequence[MatrixForm],
-    connections: Sequence[ConnectionMatrix],
-    face: Tuple[int, ...],
-) -> Tuple[int, HoloForm]:
-    """The form assigned to one face of a composable sequence; see
-    NerveInstance.face_value."""
-    return NerveInstance(morphisms, connections).face_value(face)
 
 
 def verify_face_sum_vanishing(
@@ -359,37 +349,12 @@ def _word_trace(
     prod = inverse
     for m, a_src, a_dst in reversed(word):
         prod = prod * apply_connection(m, a_src, a_dst)
-    return trace_form(prod)
+    return prod.trace()
 
 
 def tot_ch_vertex(data: BundleVertexData, max_level: Optional[int] = None) -> UPolyCochain:
-    """The degree-0 cocycle: rank on vertices and the trace words on tuples."""
-    cover = data.cover
-    if max_level is None:
-        max_level = cover.max_tuple_len() - 1
-    slices: Dict[int, Dict[Tuple, HoloForm]] = {}
-    for t in cover.all_tuples(max_level + 1):
-        ell = len(t) - 1
-        anchor = t[0]
-        if ell == 0:
-            form = HoloForm.constant(cover.charts[anchor], data.rank)
-        else:
-            word = []
-            for m in range(ell):
-                a, b = t[m], t[m + 1]
-                word.append(
-                    (
-                        data.transition_form(a, b, anchor),
-                        data.connection_in(a, anchor),
-                        data.connection_in(b, anchor),
-                    )
-                )
-            form = _word_trace(word)
-        if not form.is_zero:
-            slices.setdefault(ell, {})[t] = form
-    return UPolyCochain(
-        cover, {m: CechCochain(cover, comps) for m, comps in slices.items()}
-    )
+    """The degree-0 cocycle: Tot(Ch) of the one-level path at the vertex e_0."""
+    return tot_ch_simplex(BundlePathData([data], {}), Generator((0,), 0), max_level)
 
 
 def tot_ch_simplex(
@@ -413,7 +378,7 @@ def tot_ch_simplex(
     js = generator.indices
     p = generator.dim
     global_sign = -1 if (p * (p - 1) // 2) % 2 else 1
-    slices: Dict[int, Dict[Tuple, HoloForm]] = {}
+    entries = []
     for t in cover.all_tuples(max_level + 1):
         ell = len(t) - 1
         anchor = t[0]
@@ -423,17 +388,11 @@ def tot_ch_simplex(
         else:
             acc = HoloForm.zero(chart)
             for steps in step_positions(p, ell):
-                word = _simplex_word(data, js, t, steps, anchor)
-                term = _word_trace(word)
-                if sum(steps) % 2:
-                    term = -term
-                acc = acc + term
+                term = _word_trace(_simplex_word(data, js, t, steps, anchor))
+                acc = acc - term if sum(steps) % 2 else acc + term
             form = acc if global_sign > 0 else -acc
-        if not form.is_zero:
-            slices.setdefault(ell + p, {})[t] = form
-    return UPolyCochain(
-        cover, {m: CechCochain(cover, comps) for m, comps in slices.items()}
-    )
+        entries.append((ell + p, t, form))
+    return UPolyCochain.from_forms(cover, entries)
 
 
 def _simplex_word(
@@ -455,8 +414,8 @@ def _simplex_word(
             word.append(
                 (
                     data.intertwiner_form(hi, lo, t[pos], anchor),
-                    _level_connection(data, lo, t[pos], anchor),
-                    _level_connection(data, hi, t[pos], anchor),
+                    data.levels[lo].connection_in(t[pos], anchor),
+                    data.levels[hi].connection_in(t[pos], anchor),
                 )
             )
             level += 1
@@ -466,17 +425,13 @@ def _simplex_word(
             word.append(
                 (
                     data.levels[j].transition_form(a, b, anchor),
-                    _level_connection(data, j, a, anchor),
-                    _level_connection(data, j, b, anchor),
+                    data.levels[j].connection_in(a, anchor),
+                    data.levels[j].connection_in(b, anchor),
                 )
             )
     if len(word) != ell + p:
         raise AssertionError("staircase word has the wrong length")
     return word
-
-
-def _level_connection(data: BundlePathData, level: int, i: int, anchor: int) -> ConnectionMatrix:
-    return data.levels[level].connection_in(i, anchor)
 
 
 def tot_ch_table(data: BundlePathData, max_level: Optional[int] = None) -> Dict[Generator, UPolyCochain]:
@@ -504,7 +459,7 @@ def tot_ch_simplex_via_ez(
     js = generator.indices
     p = generator.dim
     tot_sign = -1 if (p * (p - 1) // 2) % 2 else 1
-    slices: Dict[int, Dict[Tuple, HoloForm]] = {}
+    entries = []
     for t in cover.all_tuples(max_level + 1):
         ell = len(t) - 1
         anchor = t[0]
@@ -515,7 +470,7 @@ def tot_ch_simplex_via_ez(
             acc = HoloForm.zero(chart)
             for mu, nu, sign in shuffles(p, ell):
                 morphisms = []
-                connections = [_level_connection(data, js[0], t[0], anchor)]
+                connections = [data.levels[js[0]].connection_in(t[0], anchor)]
                 li = ti = 0
                 for step in range(p + ell):
                     if step in mu:
@@ -526,20 +481,13 @@ def tot_ch_simplex_via_ez(
                         a, b = t[ti], t[ti + 1]
                         morphisms.append(data.levels[js[li]].transition_form(a, b, anchor))
                         ti += 1
-                    connections.append(_level_connection(data, js[li], t[ti], anchor))
-                upow, term = ch_nerve_simplex(
-                    morphisms, connections, tuple(range(p + ell + 1))
+                    connections.append(data.levels[js[li]].connection_in(t[ti], anchor))
+                upow, term = NerveInstance(morphisms, connections).face_value(
+                    tuple(range(p + ell + 1))
                 )
-                assert upow == p + ell
+                if upow != p + ell:
+                    raise AssertionError("staircase face has the wrong u-power")
                 acc = acc + (term if sign > 0 else -term)
             form = acc if tot_sign > 0 else -acc
-        if not form.is_zero:
-            slices.setdefault(ell + p, {})[t] = form
-    return UPolyCochain(
-        cover, {m: CechCochain(cover, comps) for m, comps in slices.items()}
-    )
-
-
-def validate_bundle_data(data) -> Report:
-    """Validate vertex or path data: cocycle, invertibility, intertwining."""
-    return data.validate()
+        entries.append((ell + p, t, form))
+    return UPolyCochain.from_forms(cover, entries)

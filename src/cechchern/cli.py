@@ -16,7 +16,7 @@ import time
 from typing import Optional
 
 from .bg import equivariant_check, gamma, iota, verify_square
-from .cech import CoverError, validate_chain_map
+from .cech import CoverError, Cover, FormalSection, UPolyCochain, validate_chain_map
 from .chern import tot_ch_table, tot_ch_vertex
 from .exprparse import ExprError
 from .fiber import (
@@ -24,7 +24,6 @@ from .fiber import (
     verify_bijection,
     verify_integration_identities,
 )
-from .cech import Cover, FormalSection
 from .manifest import Manifest, ManifestError
 from .ratfunc import RationalFunction
 from .report import Report
@@ -234,15 +233,9 @@ def run(
 def _u_graded(cochain):
     """Embed an even cochain into the u-graded complex: a piece of total
     degree 2d lands at u^d."""
-    from .cech import CechCochain, UPolyCochain
-
-    slices = {}
-    for t, v in cochain.components.items():
-        m = (len(t) - 1 + v.degree()) // 2
-        slices.setdefault(m, {})[t] = v
-    return UPolyCochain(
+    return UPolyCochain.from_forms(
         cochain.cover,
-        {m: CechCochain(cochain.cover, comps) for m, comps in slices.items()},
+        (((len(t) - 1 + v.degree()) // 2, t, v) for t, v in cochain.components.items()),
     )
 
 

@@ -24,6 +24,10 @@ from .scalars import I as IMAG_UNIT
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
+# Each parenthesis level costs a handful of interpreter frames; past this
+# depth the parser stops with an ExprError before Python's recursion limit.
+MAX_NESTING = 100
+
 
 class ExprError(ValueError):
     """Syntax or scoping error in an expression, with source position."""
@@ -59,6 +63,7 @@ class _Parser:
         self.variables = set(variables)
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -162,8 +167,12 @@ class _Parser:
                 return RationalFunction.variable(val)
             raise ExprError(f"unknown variable {val!r}", pos)
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExprError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ExprError(f"unexpected token {val or 'end of input'!r}", pos)
 

@@ -122,10 +122,6 @@ class HoloForm:
             raise ValueError(f"mixed-degree form: degrees {sorted(ds)}")
         return ds.pop()
 
-    @property
-    def is_pure(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def coefficient(self, idx: IndexTuple) -> RationalFunction:
         return self.terms.get(tuple(idx), RationalFunction.zero())
 
@@ -260,19 +256,6 @@ def form_str(form: HoloForm) -> str:
             body = f"{body}*{wedge}"
         pieces.append(body)
     return " + ".join(pieces)
-
-
-def partial_d(form: HoloForm) -> HoloForm:
-    """Function-style alias for the holomorphic exterior derivative."""
-    return form.d()
-
-
-def wedge(a: HoloForm, b: HoloForm) -> HoloForm:
-    return a.wedge(b)
-
-
-def pullback(form: HoloForm, target: Chart, mapping: Mapping[str, RationalFunction]) -> HoloForm:
-    return form.pullback(target, mapping)
 
 
 class MatrixForm:
@@ -452,7 +435,3 @@ def apply_connection(f: MatrixForm, a_src: ConnectionMatrix, a_dst: ConnectionMa
     if a_src.chart != f.chart or a_dst.chart != f.chart:
         raise ChartMismatchError("connections and morphism must share a chart")
     return f.d() + a_dst.matrix * f - f * a_src.matrix
-
-
-def trace_form(m: MatrixForm) -> HoloForm:
-    return m.trace()

@@ -192,8 +192,3 @@ def _det(grid) -> RationalFunction:
         term = grid[i][0] * _det(minor)
         total = total + (term if i % 2 == 0 else -term)
     return total
-
-
-def matrix_inverse(m: RFMatrix) -> RFMatrix:
-    """Function-style alias: exact inverse of a square invertible matrix."""
-    return m.inverse()

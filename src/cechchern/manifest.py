@@ -8,6 +8,7 @@ action maps and lifts in the coordinates of their own chart.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Dict, Optional, Tuple
 
@@ -23,16 +24,28 @@ class ManifestError(ValueError):
     pass
 
 
+def _located(build):
+    """Turn malformed input met while building into a ManifestError that
+    names the manifest."""
+
+    @functools.wraps(build)
+    def located(self, *args, **kwargs):
+        try:
+            return build(self, *args, **kwargs)
+        except ManifestError:
+            raise
+        except (KeyError, TypeError, ValueError, IndexError) as err:
+            detail = f"missing key {err}" if isinstance(err, KeyError) else err
+            raise ManifestError(f"{self.source}: {detail}") from err
+
+    return located
+
+
 class Manifest:
     def __init__(self, raw: dict, source: str = "<memory>"):
         self.raw = raw
         self.source = source
-        try:
-            self.cover = self._build_cover()
-        except (KeyError, TypeError, ValueError) as err:
-            if isinstance(err, ManifestError):
-                raise
-            raise ManifestError(f"{source}: {err}") from err
+        self.cover = self._build_cover()
         self.run = dict(raw.get("run", {}))
 
     @staticmethod
@@ -48,6 +61,7 @@ class Manifest:
 
     # -- cover ------------------------------------------------------------------
 
+    @_located
     def _build_cover(self) -> Cover:
         raw = self.raw
         if "charts" not in raw:
@@ -128,26 +142,18 @@ class Manifest:
             raise ManifestError(f"{self.source}: missing 'bundle' section")
         return int(bundle["rank"])
 
+    @_located
     def vertex_data(self) -> BundleVertexData:
-        bundle = self.raw.get("bundle")
-        if not bundle:
-            raise ManifestError(f"{self.source}: missing 'bundle' section")
-        rank = int(bundle["rank"])
-        levels = bundle.get("levels")
-        if levels:
-            trans = self._parse_transitions(levels[0].get("transitions", {}))
-        else:
-            trans = self._parse_transitions(bundle.get("transitions", {}))
+        rank = self.bundle_rank()
+        bundle = self.raw["bundle"]
+        first = (bundle.get("levels") or [bundle])[0]
+        trans = self._parse_transitions(first.get("transitions", {}))
         conns = self._parse_connections(bundle.get("connections"), rank)
-        try:
-            return BundleVertexData(self.cover, rank, trans, conns)
-        except ValueError as err:
-            raise ManifestError(f"{self.source}: {err}") from err
+        return BundleVertexData(self.cover, rank, trans, conns)
 
-    def _intertwiners(self, bundle, n_levels: int) -> Dict[Tuple[int, int], RFMatrix]:
-        raw_inter = bundle.get("intertwiners", {})
+    def _intertwiners(self, bundle) -> Dict[Tuple[int, int], RFMatrix]:
         out = {}
-        for level_key, per_chart in raw_inter.items():
+        for level_key, per_chart in bundle.get("intertwiners", {}).items():
             p = int(level_key)
             for chart_key, entries in per_chart.items():
                 i = int(chart_key)
@@ -157,11 +163,10 @@ class Manifest:
                 )
         return out
 
+    @_located
     def path_data(self) -> BundlePathData:
-        bundle = self.raw.get("bundle")
-        if not bundle:
-            raise ManifestError(f"{self.source}: missing 'bundle' section")
-        rank = int(bundle["rank"])
+        rank = self.bundle_rank()
+        bundle = self.raw["bundle"]
         levels_raw = bundle.get("levels")
         if not levels_raw:
             # a vertex manifest is a path of length zero
@@ -170,42 +175,25 @@ class Manifest:
         for entry in levels_raw:
             trans = self._parse_transitions(entry.get("transitions", {}))
             conns = self._parse_connections(entry.get("connections"), rank)
-            try:
-                levels.append(BundleVertexData(self.cover, rank, trans, conns))
-            except ValueError as err:
-                raise ManifestError(f"{self.source}: {err}") from err
-        inter = self._intertwiners(bundle, len(levels_raw))
-        try:
-            return BundlePathData(levels, inter)
-        except ValueError as err:
-            raise ManifestError(f"{self.source}: {err}") from err
+            levels.append(BundleVertexData(self.cover, rank, trans, conns))
+        return BundlePathData(levels, self._intertwiners(bundle))
 
+    @_located
     def bg_data(self) -> BGMapData:
-        bundle = self.raw.get("bundle")
-        if not bundle:
-            raise ManifestError(f"{self.source}: missing 'bundle' section")
-        rank = int(bundle["rank"])
-        levels_raw = bundle.get("levels")
-        if levels_raw:
-            level_transitions = [
-                self._parse_transitions(entry.get("transitions", {})) for entry in levels_raw
-            ]
-        else:
-            level_transitions = [self._parse_transitions(bundle.get("transitions", {}))]
-        inter = self._intertwiners(bundle, len(level_transitions))
-        try:
-            return BGMapData(self.cover, rank, level_transitions, inter)
-        except ValueError as err:
-            raise ManifestError(f"{self.source}: {err}") from err
+        rank = self.bundle_rank()
+        bundle = self.raw["bundle"]
+        level_transitions = [
+            self._parse_transitions(entry.get("transitions", {}))
+            for entry in bundle.get("levels") or [bundle]
+        ]
+        return BGMapData(self.cover, rank, level_transitions, self._intertwiners(bundle))
 
+    @_located
     def equivariant_data(self) -> EquivariantBundleData:
         group_raw = self.raw.get("group")
         if not group_raw:
             raise ManifestError(f"{self.source}: missing 'group' section")
-        bundle = self.raw.get("bundle")
-        if not bundle:
-            raise ManifestError(f"{self.source}: missing 'bundle' section")
-        rank = int(bundle["rank"])
+        rank = self.bundle_rank()
         table = {}
         for key, val in group_raw["table"].items():
             a, b = [p.strip() for p in str(key).split(",")]
@@ -227,12 +215,10 @@ class Manifest:
                 lifts[(g, i)] = self._parse_matrix(
                     entries, chart.coordinates, f"lift of {g} on chart {i}"
                 )
-        conns = self._parse_connections(bundle.get("connections"), rank)
-        try:
-            return EquivariantBundleData(self.cover, rank, group, action, lifts, conns)
-        except (KeyError, ValueError) as err:
-            raise ManifestError(f"{self.source}: {err}") from err
+        conns = self._parse_connections(self.raw["bundle"].get("connections"), rank)
+        return EquivariantBundleData(self.cover, rank, group, action, lifts, conns)
 
+    @_located
     def max_level(self, override: Optional[int] = None) -> Optional[int]:
         if override is not None:
             return override

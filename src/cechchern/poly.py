@@ -104,11 +104,6 @@ class Polynomial:
     def is_monomial(self) -> bool:
         return len(self.terms) <= 1
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, var: str) -> int:
         if var not in self.variables:
             return 0
@@ -365,7 +360,8 @@ def _primitive(p: Polynomial, var: str) -> Polynomial:
     cs = _as_univariate(p, var)
     cont = _content(cs)
     q = divexact(p, cont)
-    assert q is not None
+    if q is None:
+        raise AssertionError("content does not divide the polynomial")
     return q
 
 

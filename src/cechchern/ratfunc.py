@@ -176,7 +176,8 @@ def _normalize(num: Polynomial, den: Polynomial):
     if not g.is_one:
         qn = divexact(num, g)
         qd = divexact(den, g)
-        assert qn is not None and qd is not None
+        if qn is None or qd is None:
+            raise AssertionError("gcd does not divide numerator and denominator")
         num, den = qn, qd
     lc = den.leading_coeff()
     if not lc.is_one:
@@ -206,11 +207,6 @@ def _poly_substitute(p: Polynomial, mapping: Mapping[str, RationalFunction]) -> 
                 term = term * powers[key]
         out = out + term
     return out
-
-
-def rf_normalize(f: RationalFunction) -> RationalFunction:
-    """Idempotent re-normalization (values are already canonical)."""
-    return RationalFunction(f.num, f.den)
 
 
 def rf_str(f: RationalFunction) -> str:

@@ -44,10 +44,6 @@ class GaussianRational:
     def is_one(self) -> bool:
         return self.re == 1 and not self.im
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 

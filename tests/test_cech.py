@@ -11,11 +11,10 @@ from cechchern.cech import (
     Cover,
     CoverError,
     FormalSection,
-    cech_delta,
     tot_differential,
     tot_to_cech,
+    UPolyCochain,
     total_differential,
-    u_truncate,
     validate_chain_map,
 )
 from cechchern.forms import Chart, HoloForm
@@ -88,7 +87,7 @@ def test_delta_squared_zero_exhaustive():
         for degree in range(0, n - 1):
             for fdeg in range(4):
                 c = formal_cochain(cover, degree, rng, form_degree=fdeg)
-                assert cech_delta(cech_delta(c)).is_zero
+                assert c.delta().delta().is_zero
 
 
 def test_restrict_functorial_on_towers():
@@ -211,17 +210,17 @@ def test_u_truncate():
     omega = CechCochain(
         flat, {(0,): HoloForm(two_form_chart, {(0, 1): parse_expr("1", [])})}
     )
-    assert not u_truncate(omega, 1).is_zero  # k=2 <= 2m=2
-    assert u_truncate(omega, 0).is_zero  # k=2 > 0
+    assert not UPolyCochain.single(flat, 1, omega).is_zero  # k=2 <= 2m=2
+    assert UPolyCochain.single(flat, 0, omega).is_zero  # k=2 > 0
     const = CechCochain(flat, {(0,): HoloForm.constant(two_form_chart, 3)})
-    assert not u_truncate(const, 0).is_zero
+    assert not UPolyCochain.single(flat, 0, const).is_zero
     three = CechCochain(
         flat, {(0,): HoloForm(two_form_chart, {(0,): parse_expr("z", ["z"])}).wedge(
             HoloForm.d_coord(two_form_chart, "w")
         ).wedge(HoloForm.function(two_form_chart, parse_expr("1", [])))}
     )
     # degree-2 form at m=1 survives; at m=0 it is truncated away
-    assert u_truncate(three, 1).slices
+    assert UPolyCochain.single(flat, 1, three).slices
 
 
 def test_validate_chain_map_constant_and_flipped():

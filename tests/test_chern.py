@@ -10,12 +10,11 @@ from cechchern.chern import (
     BundleDataError,
     BundlePathData,
     BundleVertexData,
-    ch_nerve_simplex,
+    NerveInstance,
     tot_ch_simplex,
     tot_ch_simplex_via_ez,
     tot_ch_table,
     tot_ch_vertex,
-    validate_bundle_data,
     verify_face_sum_vanishing,
 )
 from cechchern.forms import Chart, ConnectionMatrix, HoloForm, MatrixForm
@@ -53,13 +52,13 @@ def line_bundle(cover, *gtexts):
 def test_validate_vertex_data_examples():
     # O(n) on CP1: two charts, no triple condition
     data = line_bundle(cp1_cover(), "z^3")
-    assert validate_bundle_data(data).ok
+    assert data.validate().ok
     # broken cocycle on a 3-chart cover: z * z != z^3
     cover = cstar_cover(3)
     data = BundleVertexData(
         cover, 1, {(0, 1): mono("z"), (1, 2): mono("z"), (0, 2): mono("z^3")}
     )
-    report = validate_bundle_data(data)
+    report = data.validate()
     assert not report.ok
     assert any("(0, 1, 2)" in item.witness for item in report.failures())
 
@@ -104,15 +103,15 @@ def test_ch_nerve_examples():
     zero1 = ConnectionMatrix.zero(chart, 1)
     f = MatrixForm.from_rfmatrix(chart, mono("z"))
     # rank 1, f = z, A = 0: tr(f^-1 df) u = dz/z u
-    upow, form = ch_nerve_simplex([f], [zero1, zero1], (0, 1))
+    upow, form = NerveInstance([f], [zero1, zero1]).face_value((0, 1))
     assert upow == 1
     assert form == HoloForm(chart, {(0,): parse_expr("1/z", ["z"])})
     # l = 0 face: the constant rank
-    upow, form = ch_nerve_simplex([f], [zero1, zero1], (0,))
+    upow, form = NerveInstance([f], [zero1, zero1]).face_value((0,))
     assert upow == 0 and form == HoloForm.constant(chart, 1)
     # l = 2 body on a one-variable chart: a 2-form, identically zero
     g = MatrixForm.from_rfmatrix(chart, mono("z^2"))
-    upow, form = ch_nerve_simplex([f, g], [zero1] * 3, (0, 1, 2))
+    upow, form = NerveInstance([f, g], [zero1] * 3).face_value((0, 1, 2))
     assert upow == 2 and form.is_zero
 
 
@@ -216,7 +215,7 @@ def test_tot_ch_vertex_closed_on_three_charts():
             {(0, 1): g01, (1, 2): g12, (0, 2): g12 * g01},
             {i: rand_connection2(rng, cover.charts[i]) for i in range(3)},
         )
-        assert validate_bundle_data(data).ok
+        assert data.validate().ok
         coc = tot_ch_vertex(data)
         assert coc.delta().is_zero
 

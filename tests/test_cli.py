@@ -138,7 +138,7 @@ def test_json_report_deterministic():
     assert a["ok"] is True
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     assert main(["--mode", "vertex", "--manifest", str(FIXTURES / "o3_cp1.json")]) == 0
     assert main(["--mode", "vertex", "--manifest", str(FIXTURES / "broken_cocycle.json")]) == 1
     assert main(["--mode", "vertex", "--manifest", str(tmp_path / "nope.json")]) == 2
@@ -151,6 +151,42 @@ def test_main_exit_codes(tmp_path):
     target = tmp_path / "incomplete.json"
     target.write_text(json.dumps(incomplete))
     assert main(["--mode", "vertex", "--manifest", str(target)]) == 2
+    # malformed bundle sections exit 2 with a message naming the manifest
+    deep = "(" * 3000 + "z" + ")" * 3000
+    for section, value in (
+        ("bundle", {"rank": 1, "transitions": {"a,b": [["z"]]}}),
+        ("bundle", {"rank": "x", "transitions": {"0,1": [["z^3"]]}}),
+        ("bundle", {"rank": 1, "transitions": {"0,7": [["z^3"]]}}),
+        ("bundle", {"rank": 1, "transitions": {"0,1": [[deep]]}}),
+        ("run", {"max_level": "x"}),
+    ):
+        malformed = json.loads((FIXTURES / "o3_cp1.json").read_text())
+        malformed[section] = value
+        target = tmp_path / "malformed.json"
+        target.write_text(json.dumps(malformed))
+        capsys.readouterr()
+        assert main(["--mode", "vertex", "--manifest", str(target)]) == 2, value
+        assert str(target) in capsys.readouterr().err
+
+
+GOLDEN = FIXTURES / "golden"
+
+
+@pytest.mark.parametrize(
+    "mode, name",
+    [("vertex", "o3_cp1"), ("simplex", "cstar_one_simplex"),
+     ("gamma", "cstar_one_simplex"), ("iota", "cstar_one_simplex")],
+)
+def test_golden_artifacts(tmp_path, mode, name):
+    out = io.StringIO()
+    artifact = tmp_path / "artifact.txt"
+    assert run(mode, str(FIXTURES / f"{name}.json"), output=str(artifact), out=out) == 0
+    report = "".join(
+        line for line in out.getvalue().splitlines(keepends=True)
+        if not line.startswith("elapsed:")
+    )
+    assert report == (GOLDEN / f"{mode}_{name}.report.txt").read_text()
+    assert artifact.read_bytes() == (GOLDEN / f"{mode}_{name}.artifact.txt").read_bytes()
 
 
 def test_serde_multicoordinate_roundtrip():

@@ -16,7 +16,6 @@ from cechchern import (
     RationalFunction,
     parse_expr,
     poly_gcd,
-    rf_normalize,
 )
 from cechchern.poly import divexact
 from cechchern.ratfunc import rf_str
@@ -144,13 +143,17 @@ def test_rf_normalize_examples():
     assert h.is_zero and h.den.is_one and h.variables == ()
 
 
+def renormalized(f):
+    return RationalFunction(f.num, f.den)
+
+
 def test_rf_normalize_idempotent_and_multiplicative():
     rng = random.Random(5)
     for _ in range(40):
         a = RationalFunction(rand_poly(rng, nterms=2), rand_poly(rng, nterms=1) + Polynomial.one())
         b = RationalFunction(rand_poly(rng, nterms=2), rand_poly(rng, nterms=1) + Polynomial.one())
-        assert rf_normalize(a) == a
-        assert rf_normalize(a) * rf_normalize(b) == rf_normalize(a * b)
+        assert renormalized(a) == a
+        assert renormalized(a) * renormalized(b) == renormalized(a * b)
 
 
 def test_rf_field_axioms_random():
@@ -202,6 +205,16 @@ def test_parse_errors_report_position():
         rf("q + 1", ["z"])
     with pytest.raises(ExprError):
         rf("z ^ w", ["z", "w"])
+
+
+def test_parse_nesting_bound():
+    from cechchern.exprparse import MAX_NESTING
+
+    deep = "(" * MAX_NESTING + "z" + ")" * MAX_NESTING
+    assert rf(deep, ["z"]) == rf("z", ["z"])
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ExprError, match="nested deeper"):
+            rf("(" * depth + "z" + ")" * depth, ["z"])
 
 
 def test_parse_serialize_roundtrip_random():
