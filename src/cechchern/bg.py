@@ -2,14 +2,15 @@
 gamma / iota / beta, plus the finite-group equivariant checks.
 
 A multi-level transition datum (n+1 cocycle families g^(p) plus
-intertwiners f^p) determines transitions between any two slots
-(level, chart) of the (n+1)-fold cover: horizontal moves use the active
-level's cocycle, vertical moves compose intertwiners, and the
-square-commutation law makes the result path-independent.  gamma applies
-the bare trace word with the operator d (no connection) to those slot
-transitions; iota integrates over the fiber and attaches u-powers; beta
-interprets the same data as product bundles with the flat local
-connections, feeding the closed-formula cocycles.
+intertwiners f^p, held in a BundlePathData) determines transitions
+between any two slots (level, chart) of the (n+1)-fold cover: horizontal
+moves use the active level's cocycle, vertical moves compose
+intertwiners, and the square-commutation law makes the result
+path-independent.  gamma applies the bare trace word with the operator d
+(no connection) to those slot transitions; iota forgets levels and
+integrates over the fiber, attaching u-powers; beta forgets the
+connections, rebuilding the levels as product bundles with the flat local
+connections that feed the closed-formula cocycles.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .chern import (
     _word_trace,
     tot_ch_table,
 )
-from .fiber import lift_tuple, step_positions, step_sign
+from .fiber import integrate_fiber, level_forget
 from .forms import Chart, ConnectionMatrix, HoloForm, MatrixForm
 from .linalg import RFMatrix
 from .ratfunc import RationalFunction
@@ -31,58 +32,33 @@ from .report import Report
 from .simplicial import Generator, nondegenerate_generators
 
 
-class BGMapData:
-    """n+1 transition families plus intertwiners, no connection choices.
-
-    This is exactly the data of a simplicial map into the classifying
-    object; beta() equips it with the flat local connections.
-    """
-
-    def __init__(
-        self,
-        cover: Cover,
-        rank: int,
-        level_transitions: Sequence[Mapping[Tuple[int, int], RFMatrix]],
-        intertwiners: Optional[Mapping[Tuple[int, int], RFMatrix]] = None,
-    ):
-        levels = [BundleVertexData(cover, rank, dict(t)) for t in level_transitions]
-        self._path = BundlePathData(levels, dict(intertwiners or {}))
-        self.cover = cover
-        self.rank = rank
-
-    @property
-    def n(self) -> int:
-        return self._path.n
-
-    def validate(self) -> Report:
-        return self._path.validate()
-
-    def beta(self) -> BundlePathData:
-        """Product bundles with the flat connection on every level."""
-        return self._path
-
-    def slot_transition_form(self, x, y, anchor: int) -> MatrixForm:
-        """The frame change from slot x = (level a, chart i) to slot
-        y = (level b, chart j), a <= b, in the given anchor chart."""
-        (a, i), (b, j) = x, y
-        if b < a:
-            raise ValueError("slot transitions go to weakly higher levels")
-        horizontal = self._path.levels[a].transition_form(i, j, anchor) if i != j else None
-        vertical = (
-            self._path.intertwiner_form(b, a, j, anchor) if b > a else None
-        )
-        if horizontal is None and vertical is None:
-            chart = self.cover.charts[anchor]
-            return MatrixForm.identity(chart, self.rank)
-        if horizontal is None:
-            return vertical
-        if vertical is None:
-            return horizontal
-        return vertical * horizontal
+def beta(h: BundlePathData) -> BundlePathData:
+    """Product bundles with the flat connection on every level: the
+    transitions and intertwiners of h on fresh levels with no connections."""
+    levels = [BundleVertexData(h.cover, h.rank, v.transitions) for v in h.levels]
+    return BundlePathData(levels, h.intertwiners)
 
 
-def gamma(h: BGMapData, max_tuple_len: Optional[int] = None) -> CechCochain:
-    """The closed even cochain on the multi-level cover.
+def slot_transition_form(h: BundlePathData, x, y, anchor: int) -> MatrixForm:
+    """The frame change from slot x = (level a, chart i) to slot
+    y = (level b, chart j), a <= b, in the given anchor chart."""
+    (a, i), (b, j) = x, y
+    if b < a:
+        raise ValueError("slot transitions go to weakly higher levels")
+    horizontal = h.levels[a].transition_form(i, j, anchor) if i != j else None
+    vertical = h.intertwiner_form(b, a, j, anchor) if b > a else None
+    if horizontal is None and vertical is None:
+        return MatrixForm.identity(h.cover.charts[anchor], h.rank)
+    if horizontal is None:
+        return vertical
+    if vertical is None:
+        return horizontal
+    return vertical * horizontal
+
+
+def gamma(h: BundlePathData, max_tuple_len: Optional[int] = None) -> CechCochain:
+    """The closed even cochain on the multi-level cover; reads only the
+    transitions and intertwiners of h, never its connections.
 
     Component on a slot tuple T: tr(H(T_0,T_r)^{-1} dH(T_{r-1},T_r) ^ ... ^
     dH(T_0,T_1)), Čech degree r, form degree r.
@@ -99,7 +75,7 @@ def gamma(h: BGMapData, max_tuple_len: Optional[int] = None) -> CechCochain:
             continue
         zero = ConnectionMatrix.zero(chart, h.rank)
         word = [
-            (h.slot_transition_form(t[m], t[m + 1], anchor), zero, zero)
+            (slot_transition_form(h, t[m], t[m + 1], anchor), zero, zero)
             for m in range(len(t) - 1)
         ]
         form = _word_trace(word)
@@ -112,42 +88,41 @@ def iota(
     c: CechCochain, max_level: Optional[int] = None
 ) -> Dict[Generator, UPolyCochain]:
     """Integrate a closed even cochain on the multi-level cover down to a
-    chain-map table over the normalized chains of the level simplex."""
+    chain-map table over the normalized chains of the level simplex.
+
+    The entry of e_{j_0..j_p} forgets every level outside j_0..j_p and
+    integrates over the p-step fiber, with sign (-1)^(p(p-1)/2).
+    """
     if not isinstance(c.cover, ProductLevelCover):
         raise ValueError("iota expects a cochain on a product-level cover")
+    # one piece per form degree, so that every integrated value is pure
+    pieces: Dict[int, Dict[Tuple, HoloForm]] = {}
     for t, v in c.components.items():
         if (len(t) - 1 + v.degree()) % 2:
             raise ValueError(f"component on {t} has odd total degree")
+        pieces.setdefault(v.degree(), {})[t] = v
     n = c.cover.k
     base = c.cover.base
     if max_level is None:
         max_level = base.max_tuple_len() - 1
     table: Dict[Generator, UPolyCochain] = {}
     for ell in range(n + 1):
-        gen_sign = -1 if (ell * (ell - 1) // 2) % 2 else 1
         for g in nondegenerate_generators(n, ell):
-            js = g.indices
-            entries = []
-            for t in base.all_tuples(max_level + 1):
-                q = len(t) - 1
-                acc: Dict[int, HoloForm] = {}
-                for steps in step_positions(ell, q):
-                    lifted = lift_tuple(t, steps)
-                    relabeled = tuple((js[lvl], i) for lvl, i in lifted)
-                    comp = c.component(relabeled)
-                    if comp is None:
-                        continue
-                    m = (q + ell + comp.degree()) // 2
-                    term = comp if step_sign(steps) > 0 else -comp
-                    acc[m] = acc[m] + term if m in acc else term
-                entries.extend((m, t, form if gen_sign > 0 else -form) for m, form in acc.items())
-            table[g] = UPolyCochain.from_forms(base, entries)
+            entry = UPolyCochain.zero(base)
+            longest = max_level + ell + 1
+            for comps in pieces.values():
+                mu = CechCochain(c.cover, {t: v for t, v in comps.items() if len(t) <= longest})
+                for j in reversed(range(n + 1)):
+                    if j not in g.indices:
+                        mu = level_forget(mu, j)
+                entry = entry + UPolyCochain.from_even(integrate_fiber(mu, ell), ell)
+            table[g] = entry.scale(-1) if (ell * (ell - 1) // 2) % 2 else entry
     return table
 
 
-def verify_square(h: BGMapData, max_level: Optional[int] = None) -> Report:
+def verify_square(h: BundlePathData, max_level: Optional[int] = None) -> Report:
     """Exact equality of the two routes: integrate-the-closed-cochain versus
-    the closed-formula cocycles of the flat-connection bundle data."""
+    the closed-formula cocycles of beta(h), which share no memo with h."""
     report = Report()
     validation = h.validate()
     report.add("square.data_valid", validation.ok, "" if validation.ok else validation.to_text())
@@ -157,7 +132,7 @@ def verify_square(h: BGMapData, max_level: Optional[int] = None) -> Report:
         max_level = h.cover.max_tuple_len() - 1
     closed = gamma(h, max_tuple_len=max_level + h.n + 1)
     left = iota(closed, max_level)
-    right = tot_ch_table(h.beta(), max_level)
+    right = tot_ch_table(beta(h), max_level)
     for g in sorted(right, key=lambda g: (g.dim, g.indices)):
         diff = left[g] - right[g]
         witness = ""
@@ -215,12 +190,13 @@ class FiniteGroup:
         self.table = {tuple(k): v for k, v in table.items()}
         if identity not in self.elements:
             raise ValueError("identity not among elements")
+        for a in self.elements:
+            for b in self.elements:
+                if self.table.get((a, b)) not in self.elements:
+                    raise ValueError(f"multiplication table entry ({a},{b}) is missing or not an element")
 
     def mul(self, a: str, b: str) -> str:
-        try:
-            return self.table[(a, b)]
-        except KeyError:
-            raise ValueError(f"multiplication table missing ({a},{b})") from None
+        return self.table[(a, b)]
 
     def validate(self) -> Report:
         report = Report()
@@ -283,6 +259,12 @@ class EquivariantBundleData:
                 else:
                     self.action[(g, i)] = dict(action[(g, i)])
                     self.lifts[(g, i)] = lifts[(g, i)]
+                missing = set(chart.coordinates) - set(self.action[(g, i)])
+                if missing:
+                    raise ValueError(f"action of {g} on chart {i} misses coordinates {sorted(missing)}")
+                lift = self.lifts[(g, i)]
+                if lift.rows != rank or lift.cols != rank:
+                    raise ValueError(f"lift of {g} on chart {i} is not {rank} x {rank}")
         self.connections = {}
         for i in range(cover.n_charts):
             if connections and i in connections:

@@ -107,12 +107,6 @@ class FormalSection:
         return " + ".join(f"{c}*{s}" for s, c in sorted(self.terms.items(), key=lambda kv: repr(kv[0])))
 
 
-def _value_degree(value) -> int:
-    if isinstance(value, FormalSection):
-        return value.form_degree
-    return value.degree()
-
-
 class _CoverBase:
     """Anchors and restriction shared by both kinds of cover; a subclass
     supplies chart_of_index and pull_to_chart."""
@@ -156,11 +150,6 @@ class Cover(_CoverBase):
                 declared.update(combinations(t, r))
         self.declared = declared
         self.change_maps = {tuple(k): dict(v) for k, v in (change_maps or {}).items()}
-
-    @staticmethod
-    def complete(charts: List[Chart], change_maps=None) -> "Cover":
-        n = len(charts)
-        return Cover(charts, [tuple(range(n))], change_maps)
 
     @staticmethod
     def formal(n_indices: int) -> "Cover":
@@ -301,10 +290,6 @@ class CechCochain:
     def is_zero(self) -> bool:
         return not self.components
 
-    @property
-    def is_formal(self) -> bool:
-        return any(isinstance(v, FormalSection) for v in self.components.values())
-
     def component(self, t: Tuple):
         return self.components.get(tuple(t))
 
@@ -339,7 +324,6 @@ class CechCochain:
         """Čech differential: alternating sum of restricted face components."""
         lengths = {len(t) + 1 for t in self.components}
         out: Dict[Tuple, object] = {}
-        formal = self.is_formal
         for r in lengths:
             for t in self.cover.tuples_of_length(r):
                 acc = None
@@ -370,7 +354,7 @@ def total_differential(c: CechCochain, d_a: Optional[Callable] = None) -> CechCo
         return out
     extra = {}
     for t, v in c.components.items():
-        total = len(t) - 1 + _value_degree(v)
+        total = len(t) - 1 + v.degree()
         image = v.map_generators(d_a) if isinstance(v, FormalSection) else d_a(v)
         if image.is_zero:
             continue
@@ -388,7 +372,7 @@ def tot_to_cech(c: CechCochain) -> CechCochain:
     """
 
     def flip(t, v):
-        d = len(t) - 1 + _value_degree(v)
+        d = len(t) - 1 + v.degree()
         return -v if (d * (d + 1) // 2) % 2 else v
 
     return c.map_values(flip)
@@ -398,7 +382,7 @@ def tot_differential(c: CechCochain, d_a: Optional[Callable] = None) -> CechCoch
     """The differential on the total complex: d(c) = d_A(c) - (-1)^{|c|} delta(c)."""
     pieces: Dict[int, Dict[Tuple, object]] = {}
     for t, v in c.components.items():
-        d = len(t) - 1 + _value_degree(v)
+        d = len(t) - 1 + v.degree()
         pieces.setdefault(d, {})[t] = v
     result = CechCochain(c.cover, {})
     for d, comps in pieces.items():
@@ -432,7 +416,7 @@ class UPolyCochain:
             comps = {
                 t: v
                 for t, v in sl.components.items()
-                if _value_degree(v) <= 2 * m
+                if v.degree() <= 2 * m
             }
             if comps:
                 clean[m] = CechCochain(cover, comps)
@@ -456,6 +440,18 @@ class UPolyCochain:
             if not v.is_zero:
                 slices.setdefault(m, {})[t] = v
         return UPolyCochain(cover, {m: CechCochain(cover, comps) for m, comps in slices.items()})
+
+    @staticmethod
+    def from_even(cochain: CechCochain, shift: int = 0) -> "UPolyCochain":
+        """Embed an even cochain into the u-graded complex: a component of
+        total degree 2d (Čech degree + form degree + shift) lands at u^d."""
+        entries = []
+        for t, v in cochain.components.items():
+            total = len(t) - 1 + v.degree() + shift
+            if total % 2:
+                raise ValueError(f"component on {t} has odd total degree")
+            entries.append((total // 2, t, v))
+        return UPolyCochain.from_forms(cochain.cover, entries)
 
     @property
     def is_zero(self) -> bool:
@@ -512,7 +508,7 @@ def _flatkey(x):
 ChainMapTable = Dict[Generator, UPolyCochain]
 
 
-def validate_chain_map(table: ChainMapTable, d_a: Optional[Callable] = None) -> Report:
+def validate_chain_map(table: ChainMapTable) -> Report:
     """Check T(d e) = D(T e) for every generator in the table.
 
     With the forms presheaf (internal differential zero) D is the Čech
@@ -545,14 +541,7 @@ def validate_chain_map(table: ChainMapTable, d_a: Optional[Callable] = None) -> 
         for j in range(g.dim + 1):
             face = table[g.face(j)]
             lhs = lhs + (face.scale(-1) if j % 2 else face)
-        if d_a is None:
-            rhs = table[g].delta()
-        else:
-            rhs = UPolyCochain(
-                cover,
-                {m: total_differential(sl, d_a) for m, sl in table[g].slices.items()},
-            )
-        diff = lhs - rhs
+        diff = lhs - table[g].delta()
         witness = ""
         if not diff.is_zero:
             t, m, v = diff.items()[0]

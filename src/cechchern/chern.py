@@ -56,6 +56,9 @@ class BundleVertexData:
         for (a, b), m in list(trans.items()):
             if (b, a) not in trans:
                 trans[(b, a)] = m.inverse()
+        for pair in cover.tuples_of_length(2):
+            if pair not in trans:
+                raise BundleDataError(f"no transition for declared overlap {pair}")
         self.transitions = trans
         conns: Dict[int, ConnectionMatrix] = {}
         for i in range(cover.n_charts):
@@ -469,24 +472,19 @@ def tot_ch_simplex_via_ez(
         else:
             acc = HoloForm.zero(chart)
             for mu, nu, sign in shuffles(p, ell):
-                morphisms = []
-                connections = [data.levels[js[0]].connection_in(t[0], anchor)]
+                word = []
                 li = ti = 0
                 for step in range(p + ell):
+                    src = data.levels[js[li]].connection_in(t[ti], anchor)
                     if step in mu:
                         lo, hi = js[li], js[li + 1]
-                        morphisms.append(data.intertwiner_form(hi, lo, t[ti], anchor))
+                        m = data.intertwiner_form(hi, lo, t[ti], anchor)
                         li += 1
                     else:
-                        a, b = t[ti], t[ti + 1]
-                        morphisms.append(data.levels[js[li]].transition_form(a, b, anchor))
+                        m = data.levels[js[li]].transition_form(t[ti], t[ti + 1], anchor)
                         ti += 1
-                    connections.append(data.levels[js[li]].connection_in(t[ti], anchor))
-                upow, term = NerveInstance(morphisms, connections).face_value(
-                    tuple(range(p + ell + 1))
-                )
-                if upow != p + ell:
-                    raise AssertionError("staircase face has the wrong u-power")
+                    word.append((m, src, data.levels[js[li]].connection_in(t[ti], anchor)))
+                term = _word_trace(word)
                 acc = acc + (term if sign > 0 else -term)
             form = acc if tot_sign > 0 else -acc
         entries.append((ell + p, t, form))

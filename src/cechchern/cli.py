@@ -177,17 +177,10 @@ def run(
                 report.add("vertex.delta_closed", closed)
                 _residue_check(manifest, data, cocycle, report)
                 artifact_text = cochain_to_text(cocycle)
-        elif mode == "simplex":
+        elif mode in ("simplex", "gamma", "iota"):
             data = manifest.path_data()
             report.extend(data.validate())
-            if report.ok:
-                table = tot_ch_table(data, level)
-                report.extend(validate_chain_map(table))
-                artifact_text = table_to_text(table)
-        elif mode == "gamma":
-            data = manifest.bg_data()
-            report.extend(data.validate())
-            if report.ok:
+            if report.ok and mode == "gamma":
                 closed = gamma(data)
                 report.add("gamma.delta_closed", closed.delta().is_zero)
                 even = all(
@@ -195,24 +188,17 @@ def run(
                 )
                 report.add("gamma.even_degree", even)
                 if even:
-                    artifact_text = cochain_to_text(_u_graded(closed))
-        elif mode == "iota":
-            data = manifest.bg_data()
-            report.extend(data.validate())
-            if report.ok:
-                closed = gamma(data)
-                table = iota(closed, level)
+                    artifact_text = cochain_to_text(UPolyCochain.from_even(closed))
+            elif report.ok:
+                table = tot_ch_table(data, level) if mode == "simplex" else iota(gamma(data), level)
                 report.extend(validate_chain_map(table))
                 artifact_text = table_to_text(table)
         elif mode == "square":
-            data = manifest.bg_data()
+            data = manifest.path_data()
             report.extend(verify_square(data, level))
         elif mode == "equivariant":
             data = manifest.equivariant_data()
-            word_bound = manifest.run.get("word_bound")
-            report.extend(
-                equivariant_check(data, int(word_bound) if word_bound else None)
-            )
+            report.extend(equivariant_check(data, manifest.word_bound()))
         else:
             raise ManifestError(f"unknown mode {mode!r}")
     elapsed = time.monotonic() - start
@@ -228,15 +214,6 @@ def run(
         out.write(report.to_text() + "\n")
         out.write(f"elapsed: {elapsed:.3f}s\n")
     return 0 if report.ok else 1
-
-
-def _u_graded(cochain):
-    """Embed an even cochain into the u-graded complex: a piece of total
-    degree 2d lands at u^d."""
-    return UPolyCochain.from_forms(
-        cochain.cover,
-        (((len(t) - 1 + v.degree()) // 2, t, v) for t, v in cochain.components.items()),
-    )
 
 
 def _residue_check(manifest, data, cocycle, report):

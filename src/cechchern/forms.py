@@ -14,7 +14,7 @@ nabla(f) = d(f) + A_dst * f - f * A_src.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .linalg import RFMatrix
 from .ratfunc import RationalFunction
@@ -347,14 +347,6 @@ class MatrixForm:
                 row.append(acc)
             out.append(row)
         return MatrixForm(self.chart, out)
-
-    def scale(self, c) -> "MatrixForm":
-        return MatrixForm(self.chart, [[e.scale(c) for e in row] for row in self.entries])
-
-    def map_entries(self, fn: Callable[[HoloForm], HoloForm]) -> "MatrixForm":
-        grid = [[fn(e) for e in row] for row in self.entries]
-        chart = grid[0][0].chart if grid and grid[0] else self.chart
-        return MatrixForm(chart, grid)
 
     def d(self) -> "MatrixForm":
         return MatrixForm(self.chart, [[e.d() for e in row] for row in self.entries])

@@ -140,9 +140,6 @@ class RFMatrix:
             raise ValueError("trace of a non-square matrix")
         return sum((self.entries[i][i] for i in range(self.rows)), RationalFunction.zero())
 
-    def substitute(self, mapping) -> "RFMatrix":
-        return self.map_entries(lambda e: e.substitute(mapping))
-
     @property
     def is_identity(self) -> bool:
         if not self.is_square:

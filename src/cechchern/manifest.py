@@ -12,7 +12,7 @@ import functools
 import json
 from typing import Dict, Optional, Tuple
 
-from .bg import BGMapData, EquivariantBundleData, FiniteGroup
+from .bg import EquivariantBundleData, FiniteGroup
 from .cech import Cover
 from .chern import BundlePathData, BundleVertexData
 from .exprparse import ExprError, parse_expr
@@ -34,7 +34,7 @@ def _located(build):
             return build(self, *args, **kwargs)
         except ManifestError:
             raise
-        except (KeyError, TypeError, ValueError, IndexError) as err:
+        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as err:
             detail = f"missing key {err}" if isinstance(err, KeyError) else err
             raise ManifestError(f"{self.source}: {detail}") from err
 
@@ -46,7 +46,7 @@ class Manifest:
         self.raw = raw
         self.source = source
         self.cover = self._build_cover()
-        self.run = dict(raw.get("run", {}))
+        self.run = self._run_section()
 
     @staticmethod
     def load(path: str) -> "Manifest":
@@ -58,6 +58,13 @@ class Manifest:
         except json.JSONDecodeError as err:
             raise ManifestError(f"manifest is not valid JSON: {err}") from err
         return Manifest(raw, source=path)
+
+    @_located
+    def _run_section(self) -> dict:
+        run = self.raw.get("run", {})
+        if not isinstance(run, dict):
+            raise ManifestError(f"{self.source}: 'run' must be an object")
+        return run
 
     # -- cover ------------------------------------------------------------------
 
@@ -142,51 +149,41 @@ class Manifest:
             raise ManifestError(f"{self.source}: missing 'bundle' section")
         return int(bundle["rank"])
 
-    @_located
-    def vertex_data(self) -> BundleVertexData:
-        rank = self.bundle_rank()
+    def _level_entries(self) -> list:
+        """The raw levels of the bundle; a single-level bundle is its own
+        level 0, with its connections on `bundle`."""
         bundle = self.raw["bundle"]
-        first = (bundle.get("levels") or [bundle])[0]
-        trans = self._parse_transitions(first.get("transitions", {}))
-        conns = self._parse_connections(bundle.get("connections"), rank)
+        levels = bundle.get("levels")
+        if not levels:
+            return [bundle]
+        if "connections" in bundle:
+            raise ManifestError(
+                f"{self.source}: a bundle with 'levels' keeps its connections on each level"
+            )
+        return levels
+
+    def _level(self, entry, rank: int) -> BundleVertexData:
+        trans = self._parse_transitions(entry.get("transitions", {}))
+        conns = self._parse_connections(entry.get("connections"), rank)
         return BundleVertexData(self.cover, rank, trans, conns)
 
-    def _intertwiners(self, bundle) -> Dict[Tuple[int, int], RFMatrix]:
-        out = {}
-        for level_key, per_chart in bundle.get("intertwiners", {}).items():
-            p = int(level_key)
-            for chart_key, entries in per_chart.items():
-                i = int(chart_key)
-                chart = self.cover.charts[i]
-                out[(p, i)] = self._parse_matrix(
-                    entries, chart.coordinates, f"intertwiner level {p} chart {i}"
-                )
-        return out
+    @_located
+    def vertex_data(self) -> BundleVertexData:
+        return self._level(self._level_entries()[0], self.bundle_rank())
 
     @_located
     def path_data(self) -> BundlePathData:
         rank = self.bundle_rank()
-        bundle = self.raw["bundle"]
-        levels_raw = bundle.get("levels")
-        if not levels_raw:
-            # a vertex manifest is a path of length zero
-            return BundlePathData([self.vertex_data()], {})
-        levels = []
-        for entry in levels_raw:
-            trans = self._parse_transitions(entry.get("transitions", {}))
-            conns = self._parse_connections(entry.get("connections"), rank)
-            levels.append(BundleVertexData(self.cover, rank, trans, conns))
-        return BundlePathData(levels, self._intertwiners(bundle))
-
-    @_located
-    def bg_data(self) -> BGMapData:
-        rank = self.bundle_rank()
-        bundle = self.raw["bundle"]
-        level_transitions = [
-            self._parse_transitions(entry.get("transitions", {}))
-            for entry in bundle.get("levels") or [bundle]
-        ]
-        return BGMapData(self.cover, rank, level_transitions, self._intertwiners(bundle))
+        levels = [self._level(entry, rank) for entry in self._level_entries()]
+        intertwiners = {}
+        for level_key, per_chart in self.raw["bundle"].get("intertwiners", {}).items():
+            p = int(level_key)
+            for chart_key, entries in per_chart.items():
+                i = int(chart_key)
+                intertwiners[(p, i)] = self._parse_matrix(
+                    entries, self.cover.charts[i].coordinates, f"intertwiner level {p} chart {i}"
+                )
+        return BundlePathData(levels, intertwiners)
 
     @_located
     def equivariant_data(self) -> EquivariantBundleData:
@@ -215,7 +212,7 @@ class Manifest:
                 lifts[(g, i)] = self._parse_matrix(
                     entries, chart.coordinates, f"lift of {g} on chart {i}"
                 )
-        conns = self._parse_connections(self.raw["bundle"].get("connections"), rank)
+        conns = self._parse_connections(self._level_entries()[0].get("connections"), rank)
         return EquivariantBundleData(self.cover, rank, group, action, lifts, conns)
 
     @_located
@@ -224,3 +221,9 @@ class Manifest:
             return override
         value = self.run.get("max_level")
         return int(value) if value is not None else None
+
+    @_located
+    def word_bound(self) -> Optional[int]:
+        """The equivariant word-length bound; absent or 0 means the group order."""
+        value = self.run.get("word_bound")
+        return int(value) if value else None

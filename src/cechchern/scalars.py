@@ -44,9 +44,6 @@ class GaussianRational:
     def is_one(self) -> bool:
         return self.re == 1 and not self.im
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def inverse(self) -> "GaussianRational":
         n = self.re * self.re + self.im * self.im
         if not n:

@@ -19,19 +19,6 @@ from .exprparse import parse_expr
 from .forms import Chart, HoloForm
 
 
-def form_to_text(form: HoloForm) -> str:
-    if form.is_zero:
-        return "0"
-    pieces = []
-    for idx in sorted(form.terms, key=lambda t: (len(t), t)):
-        coeff = form.terms[idx]
-        body = f"({coeff})"
-        if idx:
-            body += "*" + "^".join("d" + form.chart.coordinates[i] for i in idx)
-        pieces.append(body)
-    return " + ".join(pieces)
-
-
 def _split_top_level(text: str, sep: str) -> List[str]:
     parts = []
     depth = 0
@@ -97,7 +84,7 @@ def _tuple_to_text(t: Tuple) -> str:
 def cochain_to_text(c: UPolyCochain) -> str:
     lines = []
     for t, m, form in c.items():
-        lines.append(f"{_tuple_to_text(t)} | u^{m} | {form_to_text(form)}")
+        lines.append(f"{_tuple_to_text(t)} | u^{m} | {form}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -9,7 +9,7 @@ import random
 import time
 
 from cechchern import RFMatrix, parse_expr
-from cechchern.bg import BGMapData, EquivariantBundleData, FiniteGroup, equivariant_check, gamma, verify_square
+from cechchern.bg import EquivariantBundleData, FiniteGroup, equivariant_check, gamma, verify_square
 from cechchern.cech import Cover
 from cechchern.chern import (
     BundlePathData,
@@ -224,7 +224,7 @@ def test_acceptance_6_commuting_square():
     detail = []
     # (a) the O(k) vertex instances on CP^1
     for k in (-2, 1, 3):
-        h = BGMapData(cp1_cover(), 1, [{(0, 1): mono(f"z^{k}")}])
+        h = BundlePathData([BundleVertexData(cp1_cover(), 1, {(0, 1): mono(f"z^{k}")})], {})
         report = verify_square(h)
         if not report.ok:
             ok = False
@@ -232,10 +232,11 @@ def test_acceptance_6_commuting_square():
     # (b) the C^* one-simplex instances with monomial intertwiners
     cover = cstar_cover(2)
     for k0, k1, m in [(3, 1, 2), (2, -1, 0), (-1, 2, 1)]:
-        h = BGMapData(
-            cover,
-            1,
-            [{(0, 1): mono(f"z^{k0}")}, {(0, 1): mono(f"z^{k1}")}],
+        h = BundlePathData(
+            [
+                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k0}")}),
+                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k1}")}),
+            ],
             {(1, 0): mono(f"z^{m + k0 - k1}"), (1, 1): mono(f"z^{m}")},
         )
         report = verify_square(h)
@@ -402,7 +403,7 @@ def test_acceptance_9_gamma_closedness():
             for b in range(a + 1, n_charts):
                 acc = gens[(b - 1, b)] * acc
                 full[(a, b)] = acc
-        h = BGMapData(cover, 2, [full])
+        h = BundlePathData([BundleVertexData(cover, 2, full)], {})
         if not gamma(h).delta().is_zero:
             ok = False
             detail.append(f"trial {trial}")

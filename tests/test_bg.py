@@ -6,9 +6,9 @@ import pytest
 
 from cechchern import RFMatrix, parse_expr
 from cechchern.bg import (
-    BGMapData,
     EquivariantBundleData,
     FiniteGroup,
+    beta,
     equivariant_check,
     gamma,
     iota,
@@ -17,7 +17,7 @@ from cechchern.bg import (
     verify_square,
 )
 from cechchern.cech import Cover, ProductLevelCover, validate_chain_map
-from cechchern.chern import tot_ch_table, tot_ch_vertex
+from cechchern.chern import BundlePathData, BundleVertexData, tot_ch_table, tot_ch_vertex
 from cechchern.forms import Chart, ConnectionMatrix, HoloForm, MatrixForm
 from cechchern.simplicial import Generator
 
@@ -90,7 +90,7 @@ def test_universal_chern_two_argument_pullback_matches_gamma():
     t01 = RFMatrix([[parse_expr("z^2*w", ["z", "w"])]])
     t12 = RFMatrix([[parse_expr("z*w^-1", ["z", "w"])]])
     t02 = t12 * t01
-    h = BGMapData(cover, 1, [{(0, 1): t01, (1, 2): t12, (0, 2): t02}])
+    h = BundlePathData([BundleVertexData(cover, 1, {(0, 1): t01, (1, 2): t12, (0, 2): t02})], {})
     c = gamma(h)
     target = c.component((((0, 0)), ((0, 1)), ((0, 2))))
     # the simplicial map sends a point to (g_{j0,j1}, g_{j1,j2}) with the
@@ -137,7 +137,7 @@ def vertex_bg(cover, gtexts):
     pairs = [t for t in cover.all_tuples() if len(t) == 2]
     for pair, g in zip(pairs, gtexts):
         trans[pair] = mono(g)
-    return BGMapData(cover, 1, [trans])
+    return BundlePathData([BundleVertexData(cover, 1, trans)], {})
 
 
 def test_gamma_components_gl1():
@@ -171,17 +171,18 @@ def test_gamma_closed_randomized_gl2():
                 for b in range(a + 1, n_charts):
                     acc = gens[(b - 1, b)] * acc
                     full[(a, b)] = acc
-            h = BGMapData(cover, 2, [full])
+            h = BundlePathData([BundleVertexData(cover, 2, full)], {})
             assert h.validate().ok
             assert gamma(h).delta().is_zero
 
 
 def test_gamma_on_levels_uses_intertwiners():
     cover = cstar_cover(2)
-    h = BGMapData(
-        cover,
-        1,
-        [{(0, 1): mono("z^3")}, {(0, 1): mono("z")}],
+    h = BundlePathData(
+        [
+            BundleVertexData(cover, 1, {(0, 1): mono("z^3")}),
+            BundleVertexData(cover, 1, {(0, 1): mono("z")}),
+        ],
         {(1, 0): mono("z^2"), (1, 1): mono("1")},
     )
     assert h.validate().ok
@@ -197,10 +198,11 @@ def test_gamma_on_levels_uses_intertwiners():
 
 def test_iota_vertex_slice_and_chain_map():
     cover = cstar_cover(2)
-    h = BGMapData(
-        cover,
-        1,
-        [{(0, 1): mono("z^3")}, {(0, 1): mono("z")}],
+    h = BundlePathData(
+        [
+            BundleVertexData(cover, 1, {(0, 1): mono("z^3")}),
+            BundleVertexData(cover, 1, {(0, 1): mono("z")}),
+        ],
         {(1, 0): mono("z^2"), (1, 1): mono("1")},
     )
     c = gamma(h)
@@ -228,6 +230,25 @@ def test_iota_detects_non_closed_input():
     assert not report.ok
 
 
+def test_iota_keeps_form_degrees_apart():
+    # two lifts of one base pair carry forms of degree 0 and 2: they land
+    # at different u-powers instead of being added together
+    from cechchern.cech import CechCochain
+
+    charts = [Chart(f"U{i}", ("w", "z")) for i in range(2)]
+    ident = {"w": parse_expr("w", ["w"]), "z": parse_expr("z", ["z"])}
+    cover = Cover(charts, [(0, 1)], {(0, 1): ident, (1, 0): ident})
+    plc = ProductLevelCover(cover, 1)
+    low = {((0, 0), (0, 1), (1, 1)): HoloForm.constant(charts[0], 1)}
+    dwdz = HoloForm.d_coord(charts[0], "w").wedge(HoloForm.d_coord(charts[0], "z"))
+    high = {((0, 0), (1, 0), (1, 1)): dwdz}
+    both = iota(CechCochain(plc, {**low, **high}))
+    edge = Generator((0, 1), 1)
+    assert both[edge] == iota(CechCochain(plc, low))[edge] + iota(CechCochain(plc, high))[edge]
+    assert both[edge].component((0, 1), 1) == HoloForm.constant(charts[0], -1)
+    assert both[edge].component((0, 1), 2) == dwdz
+
+
 def test_iota_rejects_odd_degree():
     cover = cstar_cover(2)
     plc = ProductLevelCover(cover, 0)
@@ -249,7 +270,7 @@ def test_square_on_line_bundles():
         h = vertex_bg(cp1_cover(), [f"z^{k}"])
         report = verify_square(h)
         assert report.ok, report.to_text()
-        coc = tot_ch_vertex(h.beta().levels[0])
+        coc = tot_ch_vertex(beta(h).levels[0])
         assert coc.component((0, 1), 1) == HoloForm(
             h.cover.charts[0], {(0,): parse_expr(f"{k}/z", ["z"])}
         )
@@ -259,10 +280,11 @@ def test_square_on_cstar_one_simplex():
     # two-chart C^* cover, monomial levels and intertwiners
     cover = cstar_cover(2)
     for k0, k1, m in [(3, 1, 2), (2, -1, 0), (-2, 2, 1)]:
-        h = BGMapData(
-            cover,
-            1,
-            [{(0, 1): mono(f"z^{k0}")}, {(0, 1): mono(f"z^{k1}")}],
+        h = BundlePathData(
+            [
+                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k0}")}),
+                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k1}")}),
+            ],
             {(1, 0): mono(f"z^{m + k0 - k1}"), (1, 1): mono(f"z^{m}")},
         )
         report = verify_square(h)
@@ -271,15 +293,16 @@ def test_square_on_cstar_one_simplex():
 
 def test_square_identity_data():
     cover = cstar_cover(2)
-    h = BGMapData(
-        cover,
-        2,
-        [{(0, 1): RFMatrix.identity(2)}, {(0, 1): RFMatrix.identity(2)}],
+    h = BundlePathData(
+        [
+            BundleVertexData(cover, 2, {(0, 1): RFMatrix.identity(2)}),
+            BundleVertexData(cover, 2, {(0, 1): RFMatrix.identity(2)}),
+        ],
         {(1, 0): RFMatrix.identity(2), (1, 1): RFMatrix.identity(2)},
     )
     report = verify_square(h)
     assert report.ok
-    table = tot_ch_table(h.beta())
+    table = tot_ch_table(beta(h))
     for g, entry in table.items():
         if g.dim == 0:
             assert sorted(entry.slices) == [0]
@@ -289,19 +312,21 @@ def test_square_identity_data():
 
 def test_square_locates_perturbed_data():
     cover = cstar_cover(2)
-    h = BGMapData(
-        cover,
-        1,
-        [{(0, 1): mono("z^3")}, {(0, 1): mono("z")}],
+    h = BundlePathData(
+        [
+            BundleVertexData(cover, 1, {(0, 1): mono("z^3")}),
+            BundleVertexData(cover, 1, {(0, 1): mono("z")}),
+        ],
         {(1, 0): mono("z^2"), (1, 1): mono("1")},
     )
     good = verify_square(h)
     assert good.ok
     # perturb one intertwiner so the intertwining law breaks
-    bad = BGMapData(
-        cover,
-        1,
-        [{(0, 1): mono("z^3")}, {(0, 1): mono("z")}],
+    bad = BundlePathData(
+        [
+            BundleVertexData(cover, 1, {(0, 1): mono("z^3")}),
+            BundleVertexData(cover, 1, {(0, 1): mono("z")}),
+        ],
         {(1, 0): mono("z^5"), (1, 1): mono("1")},
     )
     report = verify_square(bad)
@@ -313,10 +338,11 @@ def test_square_cross_chart_intertwiners():
     # slot transition and every closed-formula word crosses charts
     cover = cp1_cover()
     for a, b, m in [(3, 1, 2), (2, 0, -1)]:
-        h = BGMapData(
-            cover,
-            1,
-            [{(0, 1): mono(f"z^{a}")}, {(0, 1): mono(f"z^{b}")}],
+        h = BundlePathData(
+            [
+                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{a}")}),
+                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{b}")}),
+            ],
             {
                 (1, 0): RFMatrix([[parse_expr(f"z^{m}", ["z"])]]),
                 (1, 1): RFMatrix([[parse_expr(f"w^{a - b - m}", ["w"])]]),
@@ -334,14 +360,57 @@ def test_square_gl2_gauge_family():
         f0 = rand_gl2_monomial(rng)
         f1 = rand_gl2_monomial(rng)
         g1 = f1 * g * f0.inverse()
-        h = BGMapData(
-            cover,
-            2,
-            [{(0, 1): g}, {(0, 1): g1}],
+        h = BundlePathData(
+            [
+                BundleVertexData(cover, 2, {(0, 1): g}),
+                BundleVertexData(cover, 2, {(0, 1): g1}),
+            ],
             {(1, 0): f0, (1, 1): f1},
         )
         report = verify_square(h)
         assert report.ok, report.to_text()
+
+
+def connected_one_simplex():
+    """The C^* one-simplex with a nonzero connection on every chart of both levels."""
+    cover = cstar_cover(2)
+
+    def conns(*texts):
+        out = {}
+        for i, text in enumerate(texts):
+            chart = cover.charts[i]
+            a = HoloForm.d_coord(chart, "z").scale(parse_expr(text, ["z"]))
+            out[i] = ConnectionMatrix(chart, MatrixForm(chart, [[a]]))
+        return out
+
+    return BundlePathData(
+        [
+            BundleVertexData(cover, 1, {(0, 1): mono("z^3")}, conns("1/z", "z")),
+            BundleVertexData(cover, 1, {(0, 1): mono("z")}, conns("z^2", "2")),
+        ],
+        {(1, 0): mono("z^2"), (1, 1): mono("1")},
+    )
+
+
+def test_beta_rebuilds_levels_without_connections():
+    h = connected_one_simplex()
+    flat = beta(h)
+    assert all(new is not old for new in flat.levels for old in h.levels)
+    assert all(
+        c.matrix.is_zero for level in flat.levels for c in level.connections.values()
+    )
+    assert not h.levels[0].connections[0].matrix.is_zero
+    assert [v.transitions for v in flat.levels] == [v.transitions for v in h.levels]
+    assert flat.intertwiners == h.intertwiners
+
+
+def test_square_ignores_connections_of_the_input():
+    # gamma reads no connection and beta forgets them, so the square holds
+    # although the closed formula on h itself sees the connections
+    h = connected_one_simplex()
+    report = verify_square(h)
+    assert report.ok, report.to_text()
+    assert tot_ch_table(h) != tot_ch_table(beta(h))
 
 
 # -- equivariance ------------------------------------------------------------------------

@@ -83,15 +83,14 @@ def test_run_simplex_square_iota_modes():
 
 def test_gamma_artifact_roundtrips(tmp_path):
     from cechchern.bg import gamma
-    from cechchern.cech import ProductLevelCover
-    from cechchern.cli import _u_graded
+    from cechchern.cech import ProductLevelCover, UPolyCochain
 
     out = io.StringIO()
     artifact = tmp_path / "gamma.txt"
     code = run("gamma", str(FIXTURES / "cstar_one_simplex.json"), output=str(artifact), out=out)
     assert code == 0
     man = Manifest.load(str(FIXTURES / "cstar_one_simplex.json"))
-    closed = _u_graded(gamma(man.bg_data()))
+    closed = UPolyCochain.from_even(gamma(man.path_data()))
     cover = ProductLevelCover(man.cover, 1)
     text = artifact.read_text()
     assert "((0,0),(0,1))" in text
@@ -108,6 +107,15 @@ def test_run_equivariant_modes():
     assert code == 1
     assert "nabla(phi_s)" in out.getvalue()
     assert "z^2" in out.getvalue()
+
+
+def test_word_bound_zero_means_group_order():
+    raw = json.loads((FIXTURES / "z2_equivariant.json").read_text())
+    assert Manifest(raw).word_bound() is None
+    raw["run"] = {"word_bound": 0}
+    assert Manifest(raw).word_bound() is None
+    raw["run"] = {"word_bound": "3"}
+    assert Manifest(raw).word_bound() == 3
 
 
 def test_run_selftest_mode():
@@ -159,6 +167,8 @@ def test_main_exit_codes(tmp_path, capsys):
         ("bundle", {"rank": 1, "transitions": {"0,7": [["z^3"]]}}),
         ("bundle", {"rank": 1, "transitions": {"0,1": [[deep]]}}),
         ("run", {"max_level": "x"}),
+        ("bundle", {"rank": 1, "transitions": [["z^3"]]}),
+        ("run", 5),
     ):
         malformed = json.loads((FIXTURES / "o3_cp1.json").read_text())
         malformed[section] = value
@@ -167,26 +177,98 @@ def test_main_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["--mode", "vertex", "--manifest", str(target)]) == 2, value
         assert str(target) in capsys.readouterr().err
+    # connections sit on each level once 'levels' is given, never on both
+    both = json.loads((FIXTURES / "cstar_one_simplex.json").read_text())
+    both["bundle"]["connections"] = {"0": [[{"z": "1/z"}]]}
+    target = tmp_path / "both.json"
+    target.write_text(json.dumps(both))
+    for mode in ("vertex", "simplex", "square"):
+        capsys.readouterr()
+        assert main(["--mode", mode, "--manifest", str(target)]) == 2, mode
+        assert "connections on each level" in capsys.readouterr().err
+    bound = json.loads((FIXTURES / "z2_equivariant.json").read_text())
+    bound["run"] = {"word_bound": "x"}
+    target = tmp_path / "bound.json"
+    target.write_text(json.dumps(bound))
+    assert main(["--mode", "equivariant", "--manifest", str(target)]) == 2
+
+
+def _structure_mutations():
+    """Every non-root object/array node of three fixtures, each replaced by
+    one of five malformed values."""
+
+    def nodes(value, path=()):
+        if isinstance(value, (dict, list)):
+            if path:
+                yield path
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            for key, child in items:
+                yield from nodes(child, path + (key,))
+
+    cases = []
+    for name, mode in (("o3_cp1", "vertex"), ("cstar_one_simplex", "square"),
+                       ("z2_equivariant", "equivariant")):
+        raw = json.loads((FIXTURES / f"{name}.json").read_text())
+        for path in nodes(raw):
+            for value in ([], {}, 0, "x", None):
+                label = "/".join(map(str, path)) + "=" + json.dumps(value)
+                cases.append(pytest.param(name, mode, path, value, id=f"{name}:{label}"))
+    return cases
+
+
+STRUCTURE_MUTATIONS = _structure_mutations()
+
+
+def test_structure_mutation_count():
+    assert len(STRUCTURE_MUTATIONS) == 325
+
+
+@pytest.mark.parametrize("name, mode, path, value", STRUCTURE_MUTATIONS)
+def test_structure_mutations_exit_0_or_2(tmp_path, capsys, name, mode, path, value):
+    # a malformed structure is a manifest defect (exit 2), never a traceback
+    # and never a failed theorem (exit 1)
+    raw = json.loads((FIXTURES / f"{name}.json").read_text())
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    target = tmp_path / "mutated.json"
+    target.write_text(json.dumps(raw))
+    code = main(["--mode", mode, "--manifest", str(target)])
+    assert code in (0, 2), capsys.readouterr().out
+    if code == 2:
+        assert str(target) in capsys.readouterr().err
 
 
 GOLDEN = FIXTURES / "golden"
 
 
 @pytest.mark.parametrize(
-    "mode, name",
-    [("vertex", "o3_cp1"), ("simplex", "cstar_one_simplex"),
-     ("gamma", "cstar_one_simplex"), ("iota", "cstar_one_simplex")],
+    "mode, name, code",
+    [pytest.param(mode, name, code, id=f"{mode}-{name}" if name else mode)
+     for mode, name, code in (
+         ("vertex", "o3_cp1", 0), ("simplex", "cstar_one_simplex", 0),
+         ("gamma", "cstar_one_simplex", 0), ("iota", "cstar_one_simplex", 0),
+         ("square", "cstar_one_simplex", 0), ("equivariant", "z2_equivariant", 0),
+         ("equivariant", "z2_equivariant_control", 1), ("selftest", None, 0))],
 )
-def test_golden_artifacts(tmp_path, mode, name):
+def test_golden_artifacts(tmp_path, mode, name, code):
+    # square, equivariant and selftest write no artifact: only the report is pinned
     out = io.StringIO()
     artifact = tmp_path / "artifact.txt"
-    assert run(mode, str(FIXTURES / f"{name}.json"), output=str(artifact), out=out) == 0
+    manifest = str(FIXTURES / f"{name}.json") if name else None
+    assert run(mode, manifest, output=str(artifact), out=out) == code
     report = "".join(
         line for line in out.getvalue().splitlines(keepends=True)
         if not line.startswith("elapsed:")
     )
-    assert report == (GOLDEN / f"{mode}_{name}.report.txt").read_text()
-    assert artifact.read_bytes() == (GOLDEN / f"{mode}_{name}.artifact.txt").read_bytes()
+    stem = f"{mode}_{name}" if name else mode
+    assert report == (GOLDEN / f"{stem}.report.txt").read_text()
+    golden_artifact = GOLDEN / f"{stem}.artifact.txt"
+    if golden_artifact.exists():
+        assert artifact.read_bytes() == golden_artifact.read_bytes()
+    else:
+        assert not artifact.exists()
 
 
 def test_serde_multicoordinate_roundtrip():

@@ -1,6 +1,8 @@
-"""Package hygiene: no library assert statements, and a loadable package root."""
+"""Package hygiene: no library assert statements, a loadable package root, and
+the names the benchmark imports."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import cechchern
@@ -22,3 +24,35 @@ def test_no_assert_statements_in_library():
 def test_package_root_exports_resolve():
     for name in cechchern.__all__:
         assert getattr(cechchern, name) is not None, name
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark is run from outside the package: every name it takes
+    # from cechchern must survive a refactor of the library
+    missing = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cechchern"):
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{a.name}"
+                            for a in node.names if not hasattr(module, a.name)]
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.startswith("cechchern"):
+                        aliases[a.asname or a.name] = importlib.import_module(a.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases
+                    and not hasattr(aliases[node.value.id], node.attr)):
+                missing.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert not missing, missing
+
+
+def test_manifest_keeps_benchmark_methods():
+    for name in ("load", "path_data", "max_level"):
+        assert callable(getattr(cechchern.Manifest, name, None)), name
