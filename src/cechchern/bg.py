@@ -22,10 +22,11 @@ from .chern import (
     BundlePathData,
     BundleVertexData,
     _word_trace,
+    chart_connections,
     tot_ch_table,
 )
 from .fiber import integrate_fiber, level_forget
-from .forms import Chart, ConnectionMatrix, HoloForm, MatrixForm
+from .forms import Chart, ConnectionMatrix, HoloForm, MatrixForm, apply_connection
 from .linalg import RFMatrix
 from .ratfunc import RationalFunction
 from .report import Report
@@ -265,12 +266,7 @@ class EquivariantBundleData:
                 lift = self.lifts[(g, i)]
                 if lift.rows != rank or lift.cols != rank:
                     raise ValueError(f"lift of {g} on chart {i} is not {rank} x {rank}")
-        self.connections = {}
-        for i in range(cover.n_charts):
-            if connections and i in connections:
-                self.connections[i] = connections[i]
-            else:
-                self.connections[i] = ConnectionMatrix.zero(cover.charts[i], rank)
+        self.connections = chart_connections(cover, rank, connections)
 
     def act_pullback(self, value, g: str, i: int):
         """Pull a form/matrix on chart i back along the action of g."""
@@ -303,27 +299,17 @@ class EquivariantBundleData:
                     lift_hg = MatrixForm.from_rfmatrix(chart, self.lifts[(hg, i)])
                     if not (pulled * lift_h - lift_hg).is_zero:
                         bad_lifts.append((h, g, i))
-        report.add(
-            "equivariant.action_composition",
-            not bad_action,
-            "" if not bad_action else f"violated at {bad_action}",
-        )
-        report.add(
-            "equivariant.lift_composition",
-            not bad_lifts,
-            "" if not bad_lifts else f"violated at {bad_lifts}",
-        )
+        report.check("equivariant.action_composition", bad_action, "violated at {}")
+        report.check("equivariant.lift_composition", bad_lifts, "violated at {}")
         invertible = all(not m.det().is_zero for m in self.lifts.values())
         report.add("equivariant.lifts_invertible", invertible)
         return report
 
     def nabla_phi(self, g: str, i: int) -> MatrixForm:
         """The invariance defect d(phi_g) + (rho_g^* A) phi_g - phi_g A."""
-        chart = self.cover.charts[i]
-        phi = MatrixForm.from_rfmatrix(chart, self.lifts[(g, i)])
-        a = self.connections[i].matrix
-        pulled_a = self.act_pullback(a, g, i)
-        return phi.d() + pulled_a * phi - phi * a
+        phi = MatrixForm.from_rfmatrix(self.cover.charts[i], self.lifts[(g, i)])
+        a = self.connections[i]
+        return apply_connection(phi, a, self.act_pullback(a, g, i))
 
     def word_component(self, word: Sequence[str], i: int) -> HoloForm:
         """The trace word of the action lifts along a group word, over one
@@ -337,9 +323,7 @@ class EquivariantBundleData:
             phi = MatrixForm.from_rfmatrix(chart, self.lifts[(g, i)])
             h = self.act_pullback(phi, prefix, i)
             prefix = self.group.mul(prefix, g)
-            conn_next = ConnectionMatrix(
-                chart, self.act_pullback(a0.matrix, prefix, i)
-            )
+            conn_next = self.act_pullback(a0, prefix, i)
             entries.append((h, conn_prev, conn_next))
             conn_prev = conn_next
         return _word_trace(entries)
@@ -362,27 +346,27 @@ def equivariant_check(data: EquivariantBundleData, word_bound: Optional[int] = N
                     if not defect[r, c].is_zero
                 )
                 defects.append((g, i, witness))
-    report.add(
+    report.check(
         "equivariant.connection_invariant",
-        not defects,
-        "" if not defects else "; ".join(f"nabla(phi_{g}) on chart {i}: {w}" for g, i, w in defects),
+        "; ".join(f"nabla(phi_{g}) on chart {i}: {w}" for g, i, w in defects),
+        "{}",
     )
     if word_bound is None:
         word_bound = len(data.group.elements)
+    # a word with an identity letter is a degenerate simplex: its component
+    # is zero, so only words in the other elements are evaluated
     words: List[Tuple[str, ...]] = [()]
     nonzero = []
     for _ in range(word_bound):
-        words = [w + (g,) for w in words for g in data.group.elements]
+        words = [w + (g,) for w in words for g in nontrivial]
         for w in words:
             for i in range(data.cover.n_charts):
                 form = data.word_component(w, i)
                 if not form.is_zero:
                     nonzero.append((w, i, str(form)))
     if not defects:
-        report.add(
-            "equivariant.positive_components_zero",
-            not nonzero,
-            "" if not nonzero else f"first: word {nonzero[0][0]} chart {nonzero[0][1]}: {nonzero[0][2]}",
+        report.check(
+            "equivariant.positive_components_zero", nonzero, "first: word {0[0][0]} chart {0[0][1]}: {0[0][2]}"
         )
     else:
         report.add(

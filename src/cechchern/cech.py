@@ -19,6 +19,7 @@ from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .forms import Chart, HoloForm
+from .linalg import RFMatrix
 from .ratfunc import RationalFunction
 from .report import Report
 from .scalars import GaussianRational, ZERO
@@ -128,7 +129,10 @@ class Cover(_CoverBase):
 
     change_maps[(a, b)] expresses the coordinates of chart a in the
     coordinates of chart b, and is used to pull components back to anchor
-    charts when restriction lowers the minimal index.
+    charts when restriction lowers the minimal index.  Each map must join
+    charts of one dimension with a Jacobian determinant that is not
+    identically zero, so that pulling back never sends a nonzero function
+    to zero.
     """
 
     def __init__(
@@ -150,6 +154,15 @@ class Cover(_CoverBase):
                 declared.update(combinations(t, r))
         self.declared = declared
         self.change_maps = {tuple(k): dict(v) for k, v in (change_maps or {}).items()}
+        for (a, b), m in self.change_maps.items():
+            src, dst = self.charts[a].coordinates, self.charts[b].coordinates
+            if len(src) != len(dst):
+                raise CoverError(f"change map {a}->{b} joins charts of dimensions {len(src)} and {len(dst)}")
+            if set(src) - set(m):
+                raise CoverError(f"change map {a}->{b} missing coordinates {sorted(set(src) - set(m))}")
+            jacobian = [[m[u].derivative(v) for v in dst] for u in src]
+            if src and RFMatrix(jacobian).det().is_zero:
+                raise CoverError(f"change map {a}->{b} is degenerate: its Jacobian determinant vanishes")
 
     @staticmethod
     def formal(n_indices: int) -> "Cover":
@@ -188,8 +201,9 @@ class Cover(_CoverBase):
             raise CoverError(f"missing change map from chart {a} to chart {b}")
         return self.change_maps[key]
 
-    def pull_to_chart(self, value: HoloForm, src, dst) -> HoloForm:
-        """Re-express a form on chart index src in the chart of index dst."""
+    def pull_to_chart(self, value, src, dst):
+        """Re-express a form, a matrix of forms or a connection on chart
+        index src in the chart of index dst."""
         if src == dst:
             return value
         return value.pullback(self.chart_of_index(dst), self.change_map(src, dst))
@@ -206,25 +220,20 @@ class Cover(_CoverBase):
                     self.change_map(a, t[0])
                 except CoverError:
                     missing.append((a, t[0]))
-        report.add(
-            "cover.change_maps_present",
-            not missing,
-            "" if not missing else f"missing pairs {sorted(set(missing))}",
-        )
+        report.check("cover.change_maps_present", sorted(set(missing)), "missing pairs {}")
+        # a -> b -> c must agree with a -> c, and a -> b -> a with the identity
         bad = []
         for (a, b), m in sorted(self.change_maps.items()):
             for (b2, c), m2 in sorted(self.change_maps.items()):
-                if b2 != b or (a, c) not in self.change_maps:
+                if b2 != b or (a != c and (a, c) not in self.change_maps):
                     continue
-                direct = self.change_maps[(a, c)]
-                composed = {v: expr.substitute(m2) for v, expr in m.items()}
-                if any(direct[v] != composed[v] for v in direct):
+                direct = self.change_map(a, c)
+                try:
+                    if any(direct[v] != m[v].substitute(m2) for v in self.charts[a].coordinates):
+                        bad.append((a, b, c))
+                except ZeroDivisionError:
                     bad.append((a, b, c))
-        report.add(
-            "cover.change_maps_compose",
-            not bad,
-            "" if not bad else f"inconsistent triples {bad}",
-        )
+        report.check("cover.change_maps_compose", bad, "inconsistent triples {}")
         return report
 
 
@@ -526,11 +535,7 @@ def validate_chain_map(table: ChainMapTable) -> Report:
     n = ambient.pop()
     expected = {g for ell in range(n + 1) for g in nondegenerate_generators(n, ell)}
     missing = expected - set(table)
-    report.add(
-        "chain_map.complete_table",
-        not missing,
-        "" if not missing else f"missing generators {sorted(g.indices for g in missing)}",
-    )
+    report.check("chain_map.complete_table", sorted(g.indices for g in missing), "missing generators {}")
     if missing:
         return report
     for g in sorted(expected, key=lambda g: (g.dim, g.indices)):

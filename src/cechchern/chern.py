@@ -31,6 +31,22 @@ class BundleDataError(ValueError):
     pass
 
 
+def chart_connections(
+    cover: Cover, rank: int, connections: Optional[Mapping[int, ConnectionMatrix]] = None
+) -> Dict[int, ConnectionMatrix]:
+    """One connection per chart, the trivial one where none is given; each
+    must have the bundle's rank and live on its own chart."""
+    conns = {}
+    for i, chart in enumerate(cover.charts):
+        c = (connections or {}).get(i) or ConnectionMatrix.zero(chart, rank)
+        if c.rank != rank:
+            raise BundleDataError(f"connection on chart {i} has wrong rank")
+        if c.chart != chart:
+            raise BundleDataError(f"connection on chart {i} lives on the wrong chart")
+        conns[i] = c
+    return conns
+
+
 class BundleVertexData:
     """Rank-r transition data with per-chart holomorphic connections."""
 
@@ -60,18 +76,7 @@ class BundleVertexData:
             if pair not in trans:
                 raise BundleDataError(f"no transition for declared overlap {pair}")
         self.transitions = trans
-        conns: Dict[int, ConnectionMatrix] = {}
-        for i in range(cover.n_charts):
-            if connections and i in connections:
-                c = connections[i]
-                if c.rank != rank:
-                    raise BundleDataError(f"connection on chart {i} has wrong rank")
-                if c.chart != cover.charts[i]:
-                    raise BundleDataError(f"connection on chart {i} lives on the wrong chart")
-                conns[i] = c
-            else:
-                conns[i] = ConnectionMatrix.zero(cover.charts[i], rank)
-        self.connections = conns
+        self.connections = chart_connections(cover, rank, connections)
         # anchored transitions and connections are pure lookups; memoize
         self._tform_cache: Dict[Tuple[int, int, int], MatrixForm] = {}
         self._conn_cache: Dict[Tuple[int, int], ConnectionMatrix] = {}
@@ -89,22 +94,15 @@ class BundleVertexData:
         """The transition as a degree-0 matrix form in a given anchor chart."""
         key = (a, b, anchor)
         if key not in self._tform_cache:
-            m = self.transition(a, b)
             src = min(a, b)
-            form = MatrixForm.from_rfmatrix(self.cover.charts[src], m)
-            self._tform_cache[key] = _pull_matrix(self.cover, form, src, anchor)
+            form = MatrixForm.from_rfmatrix(self.cover.charts[src], self.transition(a, b))
+            self._tform_cache[key] = self.cover.pull_to_chart(form, src, anchor)
         return self._tform_cache[key]
 
     def connection_in(self, i: int, anchor: int) -> ConnectionMatrix:
-        if i == anchor:
-            return self.connections[i]
         key = (i, anchor)
         if key not in self._conn_cache:
-            a = self.connections[i]
-            self._conn_cache[key] = ConnectionMatrix(
-                self.cover.charts[anchor],
-                a.matrix.pullback(self.cover.charts[anchor], self.cover.change_map(i, anchor)),
-            )
+            self._conn_cache[key] = self.cover.pull_to_chart(self.connections[i], i, anchor)
         return self._conn_cache[key]
 
     def validate(self) -> Report:
@@ -113,22 +111,14 @@ class BundleVertexData:
         for (a, b), m in sorted(self.transitions.items()):
             if m.det().is_zero:
                 bad_inv.append((a, b))
-        report.add(
-            "bundle.transitions_invertible",
-            not bad_inv,
-            "" if not bad_inv else f"singular at {bad_inv}",
-        )
+        report.check("bundle.transitions_invertible", bad_inv, "singular at {}")
         bad_pairs = []
         for (a, b) in sorted(self.transitions):
             if a < b:
                 prod = self.transitions[(b, a)] * self.transitions[(a, b)]
                 if not prod.is_identity:
                     bad_pairs.append((a, b))
-        report.add(
-            "bundle.inverse_pairs",
-            not bad_pairs,
-            "" if not bad_pairs else f"g_ba * g_ab != 1 at {bad_pairs}",
-        )
+        report.check("bundle.inverse_pairs", bad_pairs, "g_ba * g_ab != 1 at {}")
         bad_triples = []
         for t in self.cover.all_tuples():
             if len(t) != 3:
@@ -140,11 +130,7 @@ class BundleVertexData:
             gac = self.transition_form(a, c, anchor)
             if not (gbc * gab - gac).is_zero:
                 bad_triples.append(t)
-        report.add(
-            "bundle.cocycle",
-            not bad_triples,
-            "" if not bad_triples else f"violated at {bad_triples}",
-        )
+        report.check("bundle.cocycle", bad_triples, "violated at {}")
         return report
 
 
@@ -197,9 +183,8 @@ class BundlePathData:
     def intertwiner_form(self, p_hi: int, p_lo: int, i: int, anchor: int) -> MatrixForm:
         key = (p_hi, p_lo, i, anchor)
         if key not in self._iform_cache:
-            m = self.intertwiner_range(p_hi, p_lo, i)
-            form = MatrixForm.from_rfmatrix(self.cover.charts[i], m)
-            self._iform_cache[key] = _pull_matrix(self.cover, form, i, anchor)
+            form = MatrixForm.from_rfmatrix(self.cover.charts[i], self.intertwiner_range(p_hi, p_lo, i))
+            self._iform_cache[key] = self.cover.pull_to_chart(form, i, anchor)
         return self._iform_cache[key]
 
     def validate(self) -> Report:
@@ -212,11 +197,7 @@ class BundlePathData:
         for (p, i), f in sorted(self.intertwiners.items()):
             if f.det().is_zero:
                 bad_f.append((p, i))
-        report.add(
-            "path.intertwiners_invertible",
-            not bad_f,
-            "" if not bad_f else f"singular at {bad_f}",
-        )
+        report.check("path.intertwiners_invertible", bad_f, "singular at {}")
         bad_squares = []
         for p in range(1, self.n + 1):
             for t in self.cover.all_tuples():
@@ -230,18 +211,8 @@ class BundlePathData:
                 g_hi = self.levels[p].transition_form(a, b, anchor)
                 if not (f_b * g_lo - g_hi * f_a).is_zero:
                     bad_squares.append((p, a, b))
-        report.add(
-            "path.intertwining",
-            not bad_squares,
-            "" if not bad_squares else f"violated at (level, a, b) = {bad_squares}",
-        )
+        report.check("path.intertwining", bad_squares, "violated at (level, a, b) = {}")
         return report
-
-
-def _pull_matrix(cover: Cover, form: MatrixForm, src: int, dst: int) -> MatrixForm:
-    if src == dst:
-        return form
-    return form.pullback(cover.charts[dst], cover.change_map(src, dst))
 
 
 # -- the presheaf-level Chern character (composable morphisms on one chart) ------------
@@ -325,11 +296,7 @@ def verify_face_sum_vanishing(
     if len(face) < 2:
         raise ValueError("need a face of length at least 2")
     acc = NerveInstance(morphisms, connections).boundary_sum(face)
-    report.add(
-        f"face_sum.face{list(face)}",
-        acc.is_zero,
-        "" if acc.is_zero else f"residual {acc}",
-    )
+    report.check(f"face_sum.face{list(face)}", acc, "residual {}")
     return report
 
 

@@ -68,13 +68,11 @@ def step_sign(steps: Step) -> int:
     return -1 if sum(steps) % 2 else 1
 
 
-def integrate_fiber(mu: CechCochain, k: int, base_cover: Optional[Cover] = None) -> CechCochain:
+def integrate_fiber(mu: CechCochain, k: int) -> CechCochain:
     """Integration over the fiber: Čech degree drops by k, form degree kept."""
-    cover = base_cover
-    if cover is None:
-        if not isinstance(mu.cover, ProductLevelCover):
-            raise ValueError("mu must live on a product-level cover")
-        cover = mu.cover.base
+    if not isinstance(mu.cover, ProductLevelCover):
+        raise ValueError("mu must live on a product-level cover")
+    cover = mu.cover.base
     lengths = sorted({len(t) - k for t in mu.components if len(t) > k})
     out: Dict[Tuple, object] = {}
     for r in lengths:

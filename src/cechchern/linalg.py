@@ -64,13 +64,7 @@ class RFMatrix:
         )
 
     def __sub__(self, other: "RFMatrix") -> "RFMatrix":
-        self._shape_match(other)
-        return RFMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, RFMatrix):

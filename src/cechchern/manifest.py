@@ -87,11 +87,6 @@ class Manifest:
             exprs = {}
             for coord, text in cm["exprs"].items():
                 exprs[coord] = self._parse(text, target.coordinates)
-            missing = set(charts[src].coordinates) - set(exprs)
-            if missing:
-                raise ManifestError(
-                    f"{self.source}: change map {src}->{dst} missing coordinates {sorted(missing)}"
-                )
             change[(src, dst)] = exprs
         return Cover(charts, overlaps, change)
 

@@ -110,6 +110,13 @@ class Polynomial:
         i = self.variables.index(var)
         return max((e[i] for e in self.terms), default=0)
 
+    def coefficients_in(self, var: str) -> Dict[int, GaussianRational]:
+        """The coefficients of a polynomial in var alone, keyed by power."""
+        extra = set(self.variables) - {var}
+        if extra:
+            raise ValueError(f"polynomial depends on extra variables {sorted(extra)}")
+        return {(e[0] if e else 0): c for e, c in self.terms.items()}
+
     def sorted_exponents(self) -> list:
         """Exponents in descending graded-lex order (leading term first)."""
         return sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
@@ -301,15 +308,6 @@ def divexact(a: Polynomial, b: Polynomial) -> Polynomial | None:
 
 def _univariate_gcd(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
     # Plain Euclid over the field Q(i).
-    x = Polynomial.variable(var)
-
-    def coeffs(p: Polynomial) -> Dict[int, GaussianRational]:
-        i = p.variables.index(var) if var in p.variables else None
-        out: Dict[int, GaussianRational] = {}
-        for e, c in p.terms.items():
-            out[e[i] if i is not None else 0] = c
-        return out
-
     def remainder(u: Dict[int, GaussianRational], v: Dict[int, GaussianRational]):
         dv = max(v)
         inv = v[dv].inverse()
@@ -326,13 +324,10 @@ def _univariate_gcd(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
                     u.pop(key, None)
         return u
 
-    ca, cb = coeffs(a), coeffs(b)
+    ca, cb = a.coefficients_in(var), b.coefficients_in(var)
     while cb:
         ca, cb = cb, remainder(ca, cb)
-    out = Polynomial.zero()
-    for k, c in ca.items():
-        out = out + (x ** k).scale(c)
-    return out.monic()
+    return Polynomial.make((var,), {(k,): c for k, c in ca.items()}).monic()
 
 
 def _as_univariate(p: Polynomial, var: str) -> Dict[int, Polynomial]:

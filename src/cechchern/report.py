@@ -25,6 +25,11 @@ class Report:
     def add(self, name: str, ok: bool, witness: str = ""):
         self.items.append(CheckItem(name, bool(ok), witness))
 
+    def check(self, name: str, failures, what: str):
+        """Add a check that passes when `failures` is empty (or zero); a
+        failure's witness is `what` with `failures` filled into its `{}`."""
+        self.add(name, not failures, what.format(failures) if failures else "")
+
     def extend(self, other: "Report"):
         self.items.extend(other.items)
 

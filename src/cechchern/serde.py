@@ -47,33 +47,16 @@ def text_to_form(text: str, chart: Chart) -> HoloForm:
         return HoloForm.zero(chart)
     out = HoloForm.zero(chart)
     for piece in _split_top_level(text, " + "):
-        piece = piece.strip()
-        if not piece.startswith("("):
+        head, *wedge = _split_top_level(piece.strip(), "*")
+        if not (head.startswith("(") and head.endswith(")")) or len(wedge) > 1:
             raise ValueError(f"bad form component {piece!r}")
-        depth = 0
-        close = -1
-        for i, ch in enumerate(piece):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    close = i
-                    break
-        coeff = parse_expr(piece[1:close], list(chart.coordinates))
-        rest = piece[close + 1:].strip()
-        idx: Tuple[int, ...] = ()
-        if rest:
-            if not rest.startswith("*"):
-                raise ValueError(f"bad wedge part {rest!r}")
-            names = rest[1:].split("^")
-            indices = []
-            for name in names:
-                if not name.startswith("d"):
-                    raise ValueError(f"bad wedge factor {name!r}")
-                indices.append(chart.index_of(name[1:]))
-            idx = tuple(indices)
-        out = out + HoloForm(chart, {idx: coeff})
+        coeff = parse_expr(head[1:-1], list(chart.coordinates))
+        indices = []
+        for name in wedge[0].split("^") if wedge else ():
+            if not name.startswith("d"):
+                raise ValueError(f"bad wedge factor {name!r}")
+            indices.append(chart.index_of(name[1:]))
+        out = out + HoloForm(chart, {tuple(indices): coeff})
     return out
 
 

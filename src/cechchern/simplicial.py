@@ -12,9 +12,9 @@ The shuffle sign is sgn(mu, nu) = (-1)^(mu_1 + (mu_2 - 1) + ... + (mu_p - p + 1)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,20 @@ class Chain:
     def zero() -> "Chain":
         return Chain({})
 
-    def __add__(self, other: "Chain") -> "Chain":
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            s = out.get(g, 0) + c
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
+    @staticmethod
+    def sum(terms: Iterable[Tuple[object, int]]) -> "Chain":
+        """The chain of a stream of (generator, coefficient) terms, collected once."""
+        out: Dict = {}
+        for g, c in terms:
+            out[g] = out.get(g, 0) + c
         return Chain(out)
+
+    def linear(self, fn: Callable[[object], "Chain"]) -> "Chain":
+        """The image under the linear extension of a map on generators."""
+        return Chain.sum((h, c * k) for g, c in self.coeffs.items() for h, k in fn(g).coeffs.items())
+
+    def __add__(self, other: "Chain") -> "Chain":
+        return Chain.sum(chain(self.coeffs.items(), other.coeffs.items()))
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self + other.scale(-1)
@@ -125,30 +130,14 @@ def nondegenerate_generators(n: int, ell: int) -> List[Generator]:
 
 def boundary(g) -> Chain:
     """Alternating face sum; degenerate faces of product cells are dropped."""
-    if isinstance(g, Generator):
-        if g.dim == 0:
-            return Chain.zero()
-        out = Chain.zero()
-        for j in range(len(g.indices)):
-            out = out + Chain.of(g.face(j), -1 if j % 2 else 1)
-        return out
-    if isinstance(g, ProductGenerator):
-        if g.dim == 0:
-            return Chain.zero()
-        out = Chain.zero()
-        for j in range(g.dim + 1):
-            face = g.face(j)
-            if face is not None:
-                out = out + Chain.of(face, -1 if j % 2 else 1)
-        return out
-    raise TypeError(f"unsupported generator {g!r}")
+    if not isinstance(g, (Generator, ProductGenerator)):
+        raise TypeError(f"unsupported generator {g!r}")
+    faces = (g.face(j) for j in range(g.dim + 1)) if g.dim else ()
+    return Chain.sum((face, -1 if j % 2 else 1) for j, face in enumerate(faces) if face is not None)
 
 
 def boundary_chain(ch: Chain) -> Chain:
-    out = Chain.zero()
-    for g, c in ch.coeffs.items():
-        out = out + boundary(g).scale(c)
-    return out
+    return ch.linear(boundary)
 
 
 def shuffles(p: int, q: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
@@ -212,7 +201,7 @@ def ez_map(left: Generator, right: Generator) -> Chain:
     positions, producing the staircase (s_nu e_J, s_mu e_I).
     """
     p, q = left.dim, right.dim
-    out = Chain.zero()
+    terms = []
     for mu, nu, sign in shuffles(p, q):
         lpath = [left.indices[0]]
         rpath = [right.indices[0]]
@@ -224,51 +213,38 @@ def ez_map(left: Generator, right: Generator) -> Chain:
                 ri += 1
             lpath.append(left.indices[li])
             rpath.append(right.indices[ri])
-        out = out + Chain.of(
-            ProductGenerator(tuple(lpath), tuple(rpath), left.ambient, right.ambient), sign
-        )
-    return out
+        terms.append((ProductGenerator(tuple(lpath), tuple(rpath), left.ambient, right.ambient), sign))
+    return Chain.sum(terms)
 
 
 def aw_map(g: ProductGenerator) -> Chain:
     """Alexander-Whitney: front face of the left path (x) back face of the right."""
-    out = Chain.zero()
-    r = g.dim
-    for s in range(r + 1):
+    terms = []
+    for s in range(g.dim + 1):
         front = g.left[: s + 1]
         back = g.right[s:]
         if len(set(front)) != len(front) or len(set(back)) != len(back):
             continue  # degenerate tensor factor: zero in normalized chains
-        out = out + Chain.of(
-            (Generator(front, g.left_ambient), Generator(back, g.right_ambient))
-        )
-    return out
+        terms.append(((Generator(front, g.left_ambient), Generator(back, g.right_ambient)), 1))
+    return Chain.sum(terms)
 
 
 def aw_chain(ch: Chain) -> Chain:
-    out = Chain.zero()
-    for g, c in ch.coeffs.items():
-        out = out + aw_map(g).scale(c)
-    return out
+    return ch.linear(aw_map)
 
 
 def tensor_boundary(pair: Tuple[Generator, Generator]) -> Chain:
     """Koszul boundary on N (x) N: d(a (x) b) = da (x) b + (-1)^dim(a) a (x) db."""
     a, b = pair
-    out = Chain.zero()
-    for g, c in boundary(a).coeffs.items():
-        out = out + Chain.of((g, b), c)
     sign = -1 if a.dim % 2 else 1
-    for g, c in boundary(b).coeffs.items():
-        out = out + Chain.of((a, g), sign * c)
-    return out
+    return Chain.sum(chain(
+        (((g, b), c) for g, c in boundary(a).coeffs.items()),
+        (((a, g), sign * c) for g, c in boundary(b).coeffs.items()),
+    ))
 
 
 def tensor_boundary_chain(ch: Chain) -> Chain:
-    out = Chain.zero()
-    for pair, c in ch.coeffs.items():
-        out = out + tensor_boundary(pair).scale(c)
-    return out
+    return ch.linear(tensor_boundary)
 
 
 def brute_force_shuffle_sign(mu: Iterable[int], nu: Iterable[int]) -> int:

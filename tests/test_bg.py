@@ -499,6 +499,32 @@ def test_equivariant_two_dimensional_swap_action():
     assert not item.ok
 
 
+@pytest.mark.parametrize("name", ["z2_equivariant", "z2_equivariant_control"])
+def test_words_with_an_identity_letter_vanish(name):
+    # such a word is a degenerate simplex of the action groupoid's nerve:
+    # nabla of the identity lift is zero, so equivariant_check may skip it
+    from itertools import product
+    from pathlib import Path
+
+    from cechchern import Manifest
+
+    data = Manifest.load(str(Path(__file__).parent / "fixtures" / f"{name}.json")).equivariant_data()
+    words = [w for n in range(1, 5) for w in product(["e", "s"], repeat=n) if "e" in w]
+    assert len(words) == 26
+    assert all(data.word_component(w, 0).is_zero for w in words)
+
+
+def test_equivariant_data_checks_its_connections():
+    cover = cstar_chart_cover()
+    other = Chart("N", ("z",))
+    a = HoloForm.d_coord(other, "z")
+    wrong_chart = {0: ConnectionMatrix(other, MatrixForm(other, [[a]]))}
+    wrong_rank = {0: ConnectionMatrix.zero(cover.charts[0], 2)}
+    for conns, message in ((wrong_chart, "wrong chart"), (wrong_rank, "wrong rank")):
+        with pytest.raises(ValueError, match=message):
+            EquivariantBundleData(cover, 1, z2_group(), inversion_action(), {("s", 0): mono("1")}, conns)
+
+
 def test_equivariant_trivial_group():
     cover = cstar_chart_cover()
     group = FiniteGroup(["e"], "e", {("e", "e"): "e"})

@@ -26,6 +26,9 @@ def test_laurent_coefficient_oracle():
     assert laurent_coefficient(g, "z", -2) == GaussianRational(-2)
     assert laurent_coefficient(g, "z", -1) == GaussianRational(3)
     assert laurent_coefficient(parse_expr("z^2", ["z"]), "z", -1) == GaussianRational(0)
+    for text in ("w/z", "z/(z + w)"):
+        with pytest.raises(ValueError, match="extra variables"):
+            laurent_coefficient(parse_expr(text, ["z", "w"]), "z", -1)
 
 
 def test_manifest_loads_and_builds():
@@ -191,6 +194,30 @@ def test_main_exit_codes(tmp_path, capsys):
     target = tmp_path / "bound.json"
     target.write_text(json.dumps(bound))
     assert main(["--mode", "equivariant", "--manifest", str(target)]) == 2
+    # change maps that are degenerate or fail to invert each other are a
+    # manifest defect: exit 2, never a failed theorem or a traceback
+    for name, modes, edit in (
+        ("o3_cp1", ["vertex"], lambda raw: raw["change_maps"][0]["exprs"].update(w="0")),
+        ("o3_cp1", ["vertex"], lambda raw: raw["change_maps"][1]["exprs"].update(z="0")),
+        ("cstar_one_simplex", ["vertex", "simplex", "square", "gamma", "iota"],
+         lambda raw: raw["change_maps"][0]["exprs"].update(z="0")),
+        ("cstar_one_simplex", ["vertex", "simplex", "square", "gamma", "iota"],
+         lambda raw: raw["change_maps"][1]["exprs"].update(z="0")),
+        ("o3_cp1", ["vertex"], lambda raw: raw["change_maps"][1]["exprs"].update(z="2/w")),
+        ("o3_cp1", ["vertex"], lambda raw: raw.update(
+            change_maps=[{"chart": 1, "in_chart": 0, "exprs": {"w": "0"}}])),
+        ("o3_cp1", ["vertex"], lambda raw: (
+            raw.update(change_maps=[{"chart": 1, "in_chart": 0, "exprs": {"w": "0"}}]),
+            raw["bundle"].update(connections={"1": [[{"w": "1/w"}]]}))),
+    ):
+        degenerate = json.loads((FIXTURES / f"{name}.json").read_text())
+        edit(degenerate)
+        target = tmp_path / "degenerate.json"
+        target.write_text(json.dumps(degenerate))
+        for mode in modes:
+            capsys.readouterr()
+            assert main(["--mode", mode, "--manifest", str(target)]) == 2, (degenerate, mode)
+            assert str(target) in capsys.readouterr().err
 
 
 def _structure_mutations():
@@ -250,7 +277,11 @@ GOLDEN = FIXTURES / "golden"
          ("vertex", "o3_cp1", 0), ("simplex", "cstar_one_simplex", 0),
          ("gamma", "cstar_one_simplex", 0), ("iota", "cstar_one_simplex", 0),
          ("square", "cstar_one_simplex", 0), ("equivariant", "z2_equivariant", 0),
-         ("equivariant", "z2_equivariant_control", 1), ("selftest", None, 0))],
+         ("equivariant", "z2_equivariant_control", 1), ("selftest", None, 0),
+         # the first (valid, twin) pair of seed 1 of each benchmark workload
+         ("simplex", "simplex_gl2", 0), ("simplex", "simplex_gl2_twin", 1),
+         ("square", "square_rat", 0), ("square", "square_rat_twin", 1),
+         ("equivariant", "equivariant_z2", 0), ("equivariant", "equivariant_z2_twin", 1))],
 )
 def test_golden_artifacts(tmp_path, mode, name, code):
     # square, equivariant and selftest write no artifact: only the report is pinned
