@@ -57,18 +57,20 @@ def slot_transition_form(h: BundlePathData, x, y, anchor: int) -> MatrixForm:
     return vertical * horizontal
 
 
-def gamma(h: BundlePathData, max_tuple_len: Optional[int] = None) -> CechCochain:
+def gamma(h: BundlePathData, max_level: Optional[int] = None) -> CechCochain:
     """The closed even cochain on the multi-level cover; reads only the
     transitions and intertwiners of h, never its connections.
 
     Component on a slot tuple T: tr(H(T_0,T_r)^{-1} dH(T_{r-1},T_r) ^ ... ^
-    dH(T_0,T_1)), Čech degree r, form degree r.
+    dH(T_0,T_1)), Čech degree r, form degree r.  Only the tuples that
+    iota(., max_level) can read are built: at most max_level + n + 1 slots,
+    and no more than a lift of the longest declared base tuple has.
     """
     cover = ProductLevelCover(h.cover, h.n)
-    if max_tuple_len is None:
-        max_tuple_len = h.cover.max_tuple_len() + h.n
+    top = h.cover.max_tuple_len() - 1
+    max_level = top if max_level is None else min(max_level, top)
     comps: Dict[Tuple, HoloForm] = {}
-    for t in cover.all_tuples(max_tuple_len):
+    for t in cover.all_tuples(max_level + h.n + 1):
         anchor = t[0][1]
         chart = h.cover.charts[anchor]
         if len(t) == 1:
@@ -129,10 +131,7 @@ def verify_square(h: BundlePathData, max_level: Optional[int] = None) -> Report:
     report.add("square.data_valid", validation.ok, "" if validation.ok else validation.to_text())
     if not validation.ok:
         return report
-    if max_level is None:
-        max_level = h.cover.max_tuple_len() - 1
-    closed = gamma(h, max_tuple_len=max_level + h.n + 1)
-    left = iota(closed, max_level)
+    left = iota(gamma(h, max_level), max_level)
     right = tot_ch_table(beta(h), max_level)
     for g in sorted(right, key=lambda g: (g.dim, g.indices)):
         diff = left[g] - right[g]

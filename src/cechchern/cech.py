@@ -15,15 +15,15 @@ full strength, independent of geometry.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .forms import Chart, HoloForm
+from .forms import Chart, HoloForm, collect
 from .linalg import RFMatrix
 from .ratfunc import RationalFunction
 from .report import Report
-from .scalars import GaussianRational, ZERO
-from .simplicial import Generator, nondegenerate_generators
+from .scalars import GaussianRational
+from .simplicial import Generator, boundary, nondegenerate_generators
 
 
 class CoverError(ValueError):
@@ -65,14 +65,7 @@ class FormalSection:
             return self
         if self.form_degree != other.form_degree:
             raise ValueError("adding formal sections of different form degrees")
-        terms = dict(self.terms)
-        for sym, c in other.terms.items():
-            s = terms.get(sym, ZERO) + c
-            if s:
-                terms[sym] = s
-            else:
-                terms.pop(sym, None)
-        return FormalSection(self.form_degree, terms)
+        return FormalSection(self.form_degree, collect(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other: "FormalSection") -> "FormalSection":
         return self + (-other)
@@ -155,6 +148,8 @@ class Cover(_CoverBase):
         self.declared = declared
         self.change_maps = {tuple(k): dict(v) for k, v in (change_maps or {}).items()}
         for (a, b), m in self.change_maps.items():
+            if not (0 <= a < len(self.charts) and 0 <= b < len(self.charts)):
+                raise CoverError(f"change map {a}->{b} names a chart outside 0..{len(self.charts) - 1}")
             src, dst = self.charts[a].coordinates, self.charts[b].coordinates
             if len(src) != len(dst):
                 raise CoverError(f"change map {a}->{b} joins charts of dimensions {len(src)} and {len(dst)}")
@@ -305,18 +300,13 @@ class CechCochain:
     def cech_degrees(self) -> set:
         return {len(t) - 1 for t in self.components}
 
+    @staticmethod
+    def sum(cover, terms: Iterable[Tuple[Tuple, object]]) -> "CechCochain":
+        """The cochain of a stream of (tuple, value) terms, collected once."""
+        return CechCochain(cover, collect(terms))
+
     def __add__(self, other: "CechCochain") -> "CechCochain":
-        comps = dict(self.components)
-        for t, v in other.components.items():
-            if t in comps:
-                s = comps[t] + v
-                if s.is_zero:
-                    del comps[t]
-                else:
-                    comps[t] = s
-            else:
-                comps[t] = v
-        return CechCochain(self.cover, comps)
+        return CechCochain.sum(self.cover, chain(self.components.items(), other.components.items()))
 
     def __sub__(self, other: "CechCochain") -> "CechCochain":
         return self + other.scale(-1)
@@ -329,25 +319,24 @@ class CechCochain:
             return NotImplemented
         return self.components == other.components
 
+    def delta_at(self, t: Tuple):
+        """The component of the Čech differential on t: the alternating sum
+        of the face components restricted to t; None when no face has one."""
+        acc = None
+        for j in range(len(t)):
+            face = t[:j] + t[j + 1:]
+            comp = self.components.get(face)
+            if comp is not None:
+                val = self.cover.restrict(comp, face, t)
+                val = -val if j % 2 else val
+                acc = val if acc is None else acc + val
+        return acc
+
     def delta(self) -> "CechCochain":
-        """Čech differential: alternating sum of restricted face components."""
+        """Čech differential: the face sum on every tuple one longer."""
         lengths = {len(t) + 1 for t in self.components}
-        out: Dict[Tuple, object] = {}
-        for r in lengths:
-            for t in self.cover.tuples_of_length(r):
-                acc = None
-                for j in range(len(t)):
-                    face = t[:j] + t[j + 1:]
-                    comp = self.components.get(face)
-                    if comp is None:
-                        continue
-                    val = self.cover.restrict(comp, face, t)
-                    if j % 2:
-                        val = -val
-                    acc = val if acc is None else acc + val
-                if acc is not None and not acc.is_zero:
-                    out[t] = acc
-        return CechCochain(self.cover, out)
+        tuples = [t for r in lengths for t in self.cover.tuples_of_length(r)]
+        return CechCochain(self.cover, {t: v for t in tuples if (v := self.delta_at(t)) is not None})
 
     def map_values(self, fn) -> "CechCochain":
         return CechCochain(self.cover, {t: fn(t, v) for t, v in self.components.items()})
@@ -356,21 +345,26 @@ class CechCochain:
         return f"CechCochain({len(self.components)} components)"
 
 
+def _total_degree(t: Tuple, v) -> int:
+    return len(t) - 1 + v.degree()
+
+
+def apply_d_a(c: CechCochain, d_a: Optional[Callable]) -> CechCochain:
+    """The internal differential on every component: d_A given on
+    generators for formal sections, on values for forms; None is d_A = 0."""
+    if d_a is None:
+        return CechCochain(c.cover, {})
+    return c.map_values(lambda t, v: v.map_generators(d_a) if isinstance(v, FormalSection) else d_a(v))
+
+
+def _negate_even(c: CechCochain) -> CechCochain:
+    """-(-1)^{|v|} v on every component v of total degree |v|."""
+    return c.map_values(lambda t, v: v if _total_degree(t, v) % 2 else -v)
+
+
 def total_differential(c: CechCochain, d_a: Optional[Callable] = None) -> CechCochain:
     """D(c) = delta(c) - (-1)^{|c|} d_A(c); for the forms presheaf d_A = 0."""
-    out = c.delta()
-    if d_a is None:
-        return out
-    extra = {}
-    for t, v in c.components.items():
-        total = len(t) - 1 + v.degree()
-        image = v.map_generators(d_a) if isinstance(v, FormalSection) else d_a(v)
-        if image.is_zero:
-            continue
-        if total % 2 == 0:
-            image = -image
-        extra[t] = image
-    return out + CechCochain(c.cover, extra)
+    return c.delta() + apply_d_a(_negate_even(c), d_a)
 
 
 def tot_to_cech(c: CechCochain) -> CechCochain:
@@ -381,7 +375,7 @@ def tot_to_cech(c: CechCochain) -> CechCochain:
     """
 
     def flip(t, v):
-        d = len(t) - 1 + v.degree()
+        d = _total_degree(t, v)
         return -v if (d * (d + 1) // 2) % 2 else v
 
     return c.map_values(flip)
@@ -389,23 +383,7 @@ def tot_to_cech(c: CechCochain) -> CechCochain:
 
 def tot_differential(c: CechCochain, d_a: Optional[Callable] = None) -> CechCochain:
     """The differential on the total complex: d(c) = d_A(c) - (-1)^{|c|} delta(c)."""
-    pieces: Dict[int, Dict[Tuple, object]] = {}
-    for t, v in c.components.items():
-        d = len(t) - 1 + v.degree()
-        pieces.setdefault(d, {})[t] = v
-    result = CechCochain(c.cover, {})
-    for d, comps in pieces.items():
-        piece = CechCochain(c.cover, comps)
-        term = piece.delta().scale(-1 if d % 2 == 0 else 1)
-        if d_a is not None:
-            images = {}
-            for t, v in comps.items():
-                image = v.map_generators(d_a) if isinstance(v, FormalSection) else d_a(v)
-                if not image.is_zero:
-                    images[t] = image
-            term = term + CechCochain(c.cover, images)
-        result = result + term
-    return result
+    return apply_d_a(c, d_a) + _negate_even(c).delta()
 
 
 class UPolyCochain:
@@ -436,11 +414,6 @@ class UPolyCochain:
         return UPolyCochain(cover, {})
 
     @staticmethod
-    def single(cover, m: int, cochain: CechCochain) -> "UPolyCochain":
-        """Tensor a pure-form-degree cochain with u^m and apply the truncation."""
-        return UPolyCochain(cover, {m: cochain})
-
-    @staticmethod
     def from_forms(cover, entries: Iterable[Tuple[int, Tuple, object]]) -> "UPolyCochain":
         """Collect (u-power, tuple, value) entries into slices; zero values
         are skipped."""
@@ -456,7 +429,7 @@ class UPolyCochain:
         total degree 2d (Čech degree + form degree + shift) lands at u^d."""
         entries = []
         for t, v in cochain.components.items():
-            total = len(t) - 1 + v.degree() + shift
+            total = _total_degree(t, v) + shift
             if total % 2:
                 raise ValueError(f"component on {t} has odd total degree")
             entries.append((total // 2, t, v))
@@ -465,9 +438,6 @@ class UPolyCochain:
     @property
     def is_zero(self) -> bool:
         return not self.slices
-
-    def slice(self, m: int) -> Optional[CechCochain]:
-        return self.slices.get(m)
 
     def u_powers(self) -> List[int]:
         return sorted(self.slices)
@@ -486,10 +456,7 @@ class UPolyCochain:
         return out
 
     def __add__(self, other: "UPolyCochain") -> "UPolyCochain":
-        slices = dict(self.slices)
-        for m, sl in other.slices.items():
-            slices[m] = slices[m] + sl if m in slices else sl
-        return UPolyCochain(self.cover, slices)
+        return UPolyCochain(self.cover, collect(chain(self.slices.items(), other.slices.items())))
 
     def __sub__(self, other: "UPolyCochain") -> "UPolyCochain":
         return self + other.scale(-1)
@@ -541,11 +508,9 @@ def validate_chain_map(table: ChainMapTable) -> Report:
     for g in sorted(expected, key=lambda g: (g.dim, g.indices)):
         if g.dim == 0:
             continue
-        cover = table[g].cover
-        lhs = UPolyCochain.zero(cover)
-        for j in range(g.dim + 1):
-            face = table[g.face(j)]
-            lhs = lhs + (face.scale(-1) if j % 2 else face)
+        lhs = UPolyCochain.zero(table[g].cover)
+        for face, c in boundary(g).coeffs.items():
+            lhs = lhs + table[face] if c > 0 else lhs - table[face]
         diff = lhs - table[g].delta()
         witness = ""
         if not diff.is_zero:

@@ -24,7 +24,7 @@ from .forms import ConnectionMatrix, HoloForm, MatrixForm, apply_connection
 from .linalg import RFMatrix
 from .fiber import step_positions
 from .report import Report
-from .simplicial import Generator, nondegenerate_generators, shuffles
+from .simplicial import Generator, boundary, nondegenerate_generators, shuffles
 
 
 class BundleDataError(ValueError):
@@ -280,9 +280,9 @@ class NerveInstance:
     def boundary_sum(self, face: Tuple[int, ...]) -> HoloForm:
         """The image of the alternating face sum of e_face."""
         acc = HoloForm.zero(self.chart)
-        for j in range(len(face)):
-            _, form = self.face_value(face[:j] + face[j + 1:])
-            acc = acc - form if j % 2 else acc + form
+        for g, c in boundary(Generator(tuple(face), self.k)).coeffs.items():
+            _, form = self.face_value(g.indices)
+            acc = acc + form if c > 0 else acc - form
         return acc
 
 

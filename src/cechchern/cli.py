@@ -174,7 +174,7 @@ def run(
                 if even:
                     artifact_text = cochain_to_text(UPolyCochain.from_even(closed))
             elif report.ok:
-                table = tot_ch_table(data, level) if mode == "simplex" else iota(gamma(data), level)
+                table = tot_ch_table(data, level) if mode == "simplex" else iota(gamma(data, level), level)
                 report.extend(validate_chain_map(table))
                 artifact_text = table_to_text(table)
         elif mode == "square":

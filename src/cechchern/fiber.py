@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .cech import CechCochain, Cover, FormalSection, ProductLevelCover
+from .cech import CechCochain, Cover, FormalSection, ProductLevelCover, apply_d_a
 from .report import Report
 
 Step = Tuple[int, ...]
@@ -68,26 +68,30 @@ def step_sign(steps: Step) -> int:
     return -1 if sum(steps) % 2 else 1
 
 
+def _step_sum(cover: Cover, bases, k: int, value_at: Callable[[Lifted], object]) -> CechCochain:
+    """The cochain on cover whose component on each base tuple is the sum,
+    over its k-step positions s, of (-1)^(s_1+...+s_k) value_at(lifted
+    tuple); value_at returns None where there is nothing to add."""
+    out = {}
+    for base in bases:
+        acc = None
+        for steps in step_positions(k, len(base) - 1):
+            val = value_at(lift_tuple(base, steps))
+            if val is not None:
+                val = -val if step_sign(steps) < 0 else val
+                acc = val if acc is None else acc + val
+        if acc is not None:
+            out[base] = acc
+    return CechCochain(cover, out)
+
+
 def integrate_fiber(mu: CechCochain, k: int) -> CechCochain:
     """Integration over the fiber: Čech degree drops by k, form degree kept."""
     if not isinstance(mu.cover, ProductLevelCover):
         raise ValueError("mu must live on a product-level cover")
     cover = mu.cover.base
     lengths = sorted({len(t) - k for t in mu.components if len(t) > k})
-    out: Dict[Tuple, object] = {}
-    for r in lengths:
-        for base in cover.tuples_of_length(r):
-            acc = None
-            for steps in step_positions(k, r - 1):
-                comp = mu.components.get(lift_tuple(base, steps))
-                if comp is None:
-                    continue
-                if step_sign(steps) < 0:
-                    comp = -comp
-                acc = comp if acc is None else acc + comp
-            if acc is not None and not acc.is_zero:
-                out[base] = acc
-    return CechCochain(cover, out)
+    return _step_sum(cover, [t for r in lengths for t in cover.tuples_of_length(r)], k, mu.component)
 
 
 def level_forget(mu: CechCochain, j: int) -> CechCochain:
@@ -211,26 +215,7 @@ def _integrate_delta(mu: CechCochain, k: int, q: int) -> CechCochain:
     Čech differential only ever gets read on lifted tuples, so the global
     cochain never needs materializing."""
     base = mu.cover.base
-    out: Dict[Tuple, object] = {}
-    for t in base.tuples_of_length(q + 2):
-        acc = None
-        for steps in step_positions(k, q + 1):
-            lifted = lift_tuple(t, steps)
-            face_sum = None
-            for ell in range(len(lifted)):
-                comp = mu.components.get(lifted[:ell] + lifted[ell + 1:])
-                if comp is None:
-                    continue
-                val = -comp if ell % 2 else comp
-                face_sum = val if face_sum is None else face_sum + val
-            if face_sum is None:
-                continue
-            if step_sign(steps) < 0:
-                face_sum = -face_sum
-            acc = face_sum if acc is None else acc + face_sum
-        if acc is not None and not acc.is_zero:
-            out[t] = acc
-    return CechCochain(base, out)
+    return _step_sum(base, base.tuples_of_length(q + 2), k, mu.delta_at)
 
 
 def verify_integration_identities(
@@ -252,12 +237,9 @@ def verify_integration_identities(
     if q < 0:
         raise ValueError("mu sits below Čech degree k")
     if d_a is not None:
-        lhs = integrate_fiber(
-            mu.map_values(lambda t, v: v.map_generators(d_a)), k
-        )
-        rhs = integrate_fiber(mu, k).map_values(lambda t, v: v.map_generators(d_a))
-        match = lhs == rhs
-        report.add("integration.internal_differential", match)
+        lhs = integrate_fiber(apply_d_a(mu, d_a), k)
+        rhs = apply_d_a(integrate_fiber(mu, k), d_a)
+        report.add("integration.internal_differential", lhs == rhs)
     lhs = _integrate_delta(mu, k, q)
     rhs = integrate_fiber(mu, k).delta().scale(-1 if k % 2 else 1)
     # the level-forgetting correction exists only when there is a level to drop

@@ -14,7 +14,8 @@ nabla(f) = d(f) + A_dst * f - f * A_src.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .linalg import RFMatrix
 from .ratfunc import RationalFunction
@@ -39,6 +40,15 @@ class Chart:
 
 class ChartMismatchError(ValueError):
     pass
+
+
+def collect(terms: Iterable[Tuple[object, object]]) -> Dict:
+    """Add a stream of (key, value) terms once per key; a key whose terms
+    cancel keeps its zero, for the constructor of the result to drop."""
+    out: Dict = {}
+    for key, value in terms:
+        out[key] = out[key] + value if key in out else value
+    return out
 
 
 def _merge_wedge(a: IndexTuple, b: IndexTuple):
@@ -104,6 +114,11 @@ class HoloForm:
     def d_coord(chart: Chart, coordinate: str) -> "HoloForm":
         return HoloForm(chart, {(chart.index_of(coordinate),): RationalFunction.one()})
 
+    @staticmethod
+    def sum(chart: Chart, terms: Iterable[Tuple[IndexTuple, RationalFunction]]) -> "HoloForm":
+        """The form of a stream of (index tuple, coefficient) terms, collected once."""
+        return HoloForm(chart, collect(terms))
+
     # -- queries ------------------------------------------------------------------
 
     @property
@@ -135,14 +150,7 @@ class HoloForm:
 
     def __add__(self, other: "HoloForm") -> "HoloForm":
         self._check_chart(other)
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = terms.get(idx, RationalFunction.zero()) + c
-            if s.is_zero:
-                terms.pop(idx, None)
-            else:
-                terms[idx] = s
-        return HoloForm(self.chart, terms)
+        return HoloForm.sum(self.chart, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "HoloForm") -> "HoloForm":
         return self + (-other)
@@ -159,41 +167,20 @@ class HoloForm:
 
     def wedge(self, other: "HoloForm") -> "HoloForm":
         self._check_chart(other)
-        out: Dict[IndexTuple, RationalFunction] = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                merged, sign = _merge_wedge(ia, ib)
-                if merged is None:
-                    continue
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                s = out.get(merged, RationalFunction.zero()) + c
-                if s.is_zero:
-                    out.pop(merged, None)
-                else:
-                    out[merged] = s
-        return HoloForm(self.chart, out)
+        return HoloForm.sum(self.chart, _wedge_terms(self, other))
 
     def d(self) -> "HoloForm":
         """The holomorphic exterior derivative (coefficient-wise d)."""
-        out: Dict[IndexTuple, RationalFunction] = {}
+        terms = []
         for idx, c in self.terms.items():
             for j, coord in enumerate(self.chart.coordinates):
                 if j in idx:
                     continue
                 dc = c.derivative(coord)
-                if dc.is_zero:
-                    continue
-                merged, sign = _merge_wedge((j,), idx)
-                if sign < 0:
-                    dc = -dc
-                s = out.get(merged, RationalFunction.zero()) + dc
-                if s.is_zero:
-                    out.pop(merged, None)
-                else:
-                    out[merged] = s
-        return HoloForm(self.chart, out)
+                if not dc.is_zero:
+                    merged, sign = _merge_wedge((j,), idx)
+                    terms.append((merged, dc if sign > 0 else -dc))
+        return HoloForm.sum(self.chart, terms)
 
     def pullback(self, target: Chart, mapping: Mapping[str, RationalFunction]) -> "HoloForm":
         """Pull back along the rational map target -> self.chart.
@@ -206,22 +193,17 @@ class HoloForm:
             if coord not in mapping:
                 raise ValueError(f"pullback map missing coordinate {coord!r}")
             subs[coord] = mapping[coord]
-        d_images = {}
-        for coord in self.chart.coordinates:
-            img = HoloForm.zero(target)
-            expr = subs[coord]
-            for j, tcoord in enumerate(target.coordinates):
-                dc = expr.derivative(tcoord)
-                if not dc.is_zero:
-                    img = img + HoloForm(target, {(j,): dc})
-            d_images[coord] = img
-        out = HoloForm.zero(target)
+        d_images = {
+            coord: HoloForm(target, {(j,): expr.derivative(v) for j, v in enumerate(target.coordinates)})
+            for coord, expr in subs.items()
+        }
+        terms = []
         for idx, c in self.terms.items():
             term = HoloForm.function(target, c.substitute(subs))
             for i in idx:
                 term = term.wedge(d_images[self.chart.coordinates[i]])
-            out = out + term
-        return out
+            terms.extend(term.terms.items())
+        return HoloForm.sum(target, terms)
 
     # -- equality / display -----------------------------------------------------------
 
@@ -256,6 +238,16 @@ def form_str(form: HoloForm) -> str:
             body = f"{body}*{wedge}"
         pieces.append(body)
     return " + ".join(pieces)
+
+
+def _wedge_terms(a: HoloForm, b: HoloForm):
+    """The (index tuple, coefficient) terms of a ^ b, before collection."""
+    for ia, ca in a.terms.items():
+        for ib, cb in b.terms.items():
+            merged, sign = _merge_wedge(ia, ib)
+            if merged is not None:
+                c = ca * cb
+                yield merged, c if sign > 0 else -c
 
 
 class MatrixForm:
@@ -336,16 +328,15 @@ class MatrixForm:
             raise ChartMismatchError("matrix product across charts")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        z = HoloForm.zero(self.chart)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k].wedge(other.entries[k][j])
-                row.append(acc)
-            out.append(row)
+        out = [
+            [
+                HoloForm.sum(self.chart, chain.from_iterable(
+                    _wedge_terms(self.entries[i][k], other.entries[k][j]) for k in range(self.cols)
+                ))
+                for j in range(other.cols)
+            ]
+            for i in range(self.rows)
+        ]
         return MatrixForm(self.chart, out)
 
     def d(self) -> "MatrixForm":
@@ -359,10 +350,8 @@ class MatrixForm:
     def trace(self) -> HoloForm:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix of forms")
-        acc = HoloForm.zero(self.chart)
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
+        diagonal = (self.entries[i][i].terms.items() for i in range(self.rows))
+        return HoloForm.sum(self.chart, chain.from_iterable(diagonal))
 
     @property
     def is_zero(self) -> bool:

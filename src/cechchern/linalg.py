@@ -129,11 +129,6 @@ class RFMatrix:
         inv = d.inverse()
         return self.adjugate().map_entries(lambda e: e * inv)
 
-    def trace(self) -> RationalFunction:
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), RationalFunction.zero())
-
     @property
     def is_identity(self) -> bool:
         if not self.is_square:

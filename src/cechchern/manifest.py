@@ -81,14 +81,22 @@ class Manifest:
             overlaps = [tuple(range(len(charts)))]
         change = {}
         for cm in raw.get("change_maps", []):
-            src = int(cm["chart"])
-            dst = int(cm["in_chart"])
-            target = charts[dst]
+            src = self._chart_index(cm["chart"], len(charts))
+            dst = self._chart_index(cm["in_chart"], len(charts))
             exprs = {}
             for coord, text in cm["exprs"].items():
-                exprs[coord] = self._parse(text, target.coordinates)
+                exprs[coord] = self._parse(text, charts[dst].coordinates)
             change[(src, dst)] = exprs
         return Cover(charts, overlaps, change)
+
+    def _chart_index(self, key, n_charts: int) -> int:
+        """A chart index read from the manifest: an integer in 0..n_charts-1."""
+        if isinstance(key, bool) or not isinstance(key, (int, str)):
+            raise ManifestError(f"{self.source}: chart index {key!r} is not an integer")
+        i = int(key)
+        if not 0 <= i < n_charts:
+            raise ManifestError(f"{self.source}: chart index {key!r} outside 0..{n_charts - 1}")
+        return i
 
     def _parse(self, text: str, variables):
         try:
@@ -112,7 +120,7 @@ class Manifest:
             parts = [p.strip() for p in str(key).split(",")]
             if len(parts) != 2:
                 raise ManifestError(f"{self.source}: bad transition key {key!r}")
-            a, b = int(parts[0]), int(parts[1])
+            a, b = (self._chart_index(p, self.cover.n_charts) for p in parts)
             anchor = self.cover.charts[min(a, b)]
             out[(a, b)] = self._parse_matrix(entries, anchor.coordinates, f"transition {key}")
         return out
@@ -120,18 +128,18 @@ class Manifest:
     def _parse_connections(self, mapping, rank) -> Dict[int, ConnectionMatrix]:
         out = {}
         for key, entries in (mapping or {}).items():
-            i = int(key)
+            i = self._chart_index(key, self.cover.n_charts)
             chart = self.cover.charts[i]
-            rows = []
-            for row in entries:
-                cells = []
-                for cell in row:
-                    form = HoloForm.zero(chart)
-                    for coord, text in cell.items():
-                        coeff = self._parse(text, chart.coordinates)
-                        form = form + HoloForm.d_coord(chart, coord).scale(coeff)
-                    cells.append(form)
-                rows.append(cells)
+            rows = [
+                [
+                    HoloForm.sum(chart, (
+                        ((chart.index_of(coord),), self._parse(text, chart.coordinates))
+                        for coord, text in cell.items()
+                    ))
+                    for cell in row
+                ]
+                for row in entries
+            ]
             matrix = MatrixForm(chart, rows)
             if matrix.rows != rank or matrix.cols != rank:
                 raise ManifestError(f"{self.source}: connection on chart {i} has wrong shape")
@@ -174,7 +182,7 @@ class Manifest:
         for level_key, per_chart in self.raw["bundle"].get("intertwiners", {}).items():
             p = int(level_key)
             for chart_key, entries in per_chart.items():
-                i = int(chart_key)
+                i = self._chart_index(chart_key, self.cover.n_charts)
                 intertwiners[(p, i)] = self._parse_matrix(
                     entries, self.cover.charts[i].coordinates, f"intertwiner level {p} chart {i}"
                 )
@@ -194,7 +202,7 @@ class Manifest:
         action = {}
         for g, per_chart in group_raw.get("action", {}).items():
             for chart_key, exprs in per_chart.items():
-                i = int(chart_key)
+                i = self._chart_index(chart_key, self.cover.n_charts)
                 chart = self.cover.charts[i]
                 action[(g, i)] = {
                     coord: self._parse(text, chart.coordinates) for coord, text in exprs.items()
@@ -202,7 +210,7 @@ class Manifest:
         lifts = {}
         for g, per_chart in group_raw.get("lifts", {}).items():
             for chart_key, entries in per_chart.items():
-                i = int(chart_key)
+                i = self._chart_index(chart_key, self.cover.n_charts)
                 chart = self.cover.charts[i]
                 lifts[(g, i)] = self._parse_matrix(
                     entries, chart.coordinates, f"lift of {g} on chart {i}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import List, Tuple
 
-from .cech import CechCochain, UPolyCochain
+from .cech import UPolyCochain
 from .exprparse import parse_expr
 from .forms import Chart, HoloForm
 
@@ -45,7 +45,7 @@ def text_to_form(text: str, chart: Chart) -> HoloForm:
     text = text.strip()
     if text == "0":
         return HoloForm.zero(chart)
-    out = HoloForm.zero(chart)
+    terms = []
     for piece in _split_top_level(text, " + "):
         head, *wedge = _split_top_level(piece.strip(), "*")
         if not (head.startswith("(") and head.endswith(")")) or len(wedge) > 1:
@@ -56,8 +56,8 @@ def text_to_form(text: str, chart: Chart) -> HoloForm:
             if not name.startswith("d"):
                 raise ValueError(f"bad wedge factor {name!r}")
             indices.append(chart.index_of(name[1:]))
-        out = out + HoloForm(chart, {tuple(indices): coeff})
-    return out
+        terms.append((tuple(indices), coeff))
+    return HoloForm.sum(chart, terms)
 
 
 def _tuple_to_text(t: Tuple) -> str:
@@ -72,7 +72,7 @@ def cochain_to_text(c: UPolyCochain) -> str:
 
 
 def text_to_cochain(text: str, cover) -> UPolyCochain:
-    slices = {}
+    entries = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -82,12 +82,8 @@ def text_to_cochain(text: str, cover) -> UPolyCochain:
         if not isinstance(t, tuple):
             t = (t,)
         m = int(u_part.removeprefix("u^"))
-        chart = cover.anchor(t)
-        form = text_to_form(form_part, chart)
-        slices.setdefault(m, {})[t] = form
-    return UPolyCochain(
-        cover, {m: CechCochain(cover, comps) for m, comps in slices.items()}
-    )
+        entries.append((m, t, text_to_form(form_part, cover.anchor(t))))
+    return UPolyCochain.from_forms(cover, entries)
 
 
 def table_to_text(table) -> str:

@@ -34,11 +34,6 @@ class Generator:
             raise ValueError(f"indices {idx} out of range for ambient {self.ambient}")
 
     @property
-    def degree(self) -> int:
-        """Cochain degree: -(dimension)."""
-        return -(len(self.indices) - 1)
-
-    @property
     def dim(self) -> int:
         return len(self.indices) - 1
 
@@ -241,10 +236,6 @@ def tensor_boundary(pair: Tuple[Generator, Generator]) -> Chain:
         (((g, b), c) for g, c in boundary(a).coeffs.items()),
         (((a, g), sign * c) for g, c in boundary(b).coeffs.items()),
     ))
-
-
-def tensor_boundary_chain(ch: Chain) -> Chain:
-    return ch.linear(tensor_boundary)
 
 
 def brute_force_shuffle_sign(mu: Iterable[int], nu: Iterable[int]) -> int:

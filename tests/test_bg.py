@@ -215,6 +215,12 @@ def test_iota_vertex_slice_and_chain_map():
     )
     report = validate_chain_map(table)
     assert report.ok, report.to_text()
+    # gamma at a level builds the slot tuples iota at that level reads,
+    # and never more than the lifts of the declared base tuples
+    assert gamma(h, 5) == c
+    assert max(len(t) for t in gamma(h, 0).components) == 2
+    for level in (0, 1):
+        assert iota(gamma(h, level), level) == iota(c, level)
 
 
 def test_iota_detects_non_closed_input():

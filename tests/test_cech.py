@@ -48,6 +48,11 @@ def test_cover_validation_change_maps():
     assert cover.validate().ok
     broken = Cover([Chart("U0", ("z",)), Chart("U1", ("w",))], [(0, 1)])
     assert not broken.validate().ok
+    # a change map between charts outside 0..n-1 is rejected, never read from the end
+    charts = [Chart("U0", ("z",)), Chart("U1", ("w",))]
+    for key in ((-1, 0), (0, -1), (2, 0)):
+        with pytest.raises(CoverError):
+            Cover(charts, [(0, 1)], {key: {"w": parse_expr("1/z", ["z"]), "z": parse_expr("1/w", ["w"])}})
 
 
 def test_restrict_identity_and_pullback():
@@ -210,17 +215,17 @@ def test_u_truncate():
     omega = CechCochain(
         flat, {(0,): HoloForm(two_form_chart, {(0, 1): parse_expr("1", [])})}
     )
-    assert not UPolyCochain.single(flat, 1, omega).is_zero  # k=2 <= 2m=2
-    assert UPolyCochain.single(flat, 0, omega).is_zero  # k=2 > 0
+    assert not UPolyCochain(flat, {1: omega}).is_zero  # k=2 <= 2m=2
+    assert UPolyCochain(flat, {0: omega}).is_zero  # k=2 > 0
     const = CechCochain(flat, {(0,): HoloForm.constant(two_form_chart, 3)})
-    assert not UPolyCochain.single(flat, 0, const).is_zero
+    assert not UPolyCochain(flat, {0: const}).is_zero
     three = CechCochain(
         flat, {(0,): HoloForm(two_form_chart, {(0,): parse_expr("z", ["z"])}).wedge(
             HoloForm.d_coord(two_form_chart, "w")
         ).wedge(HoloForm.function(two_form_chart, parse_expr("1", [])))}
     )
     # degree-2 form at m=1 survives; at m=0 it is truncated away
-    assert UPolyCochain.single(flat, 1, three).slices
+    assert UPolyCochain(flat, {1: three}).slices
 
 
 def test_validate_chain_map_constant_and_flipped():
@@ -233,14 +238,14 @@ def test_validate_chain_map_constant_and_flipped():
     table = {}
     for ell in range(0, 3):
         for g in nondegenerate_generators(2, ell):
-            table[g] = UPolyCochain.single(cover, 0, closed) if ell == 0 else zero
+            table[g] = UPolyCochain(cover, {0: closed}) if ell == 0 else zero
     report = validate_chain_map(table)
     assert report.ok, report.to_text()
 
     # flip one vertex value: the e[j0,j1] conditions must locate it
     bad = dict(table)
     flipped = CechCochain(cover, {(i,): FormalSection(0, {"r": -2 if i == 1 else 2}) for i in range(3)})
-    bad[Generator((1,), 2)] = UPolyCochain.single(cover, 0, flipped)
+    bad[Generator((1,), 2)] = UPolyCochain(cover, {0: flipped})
     report = validate_chain_map(bad)
     assert not report.ok
     names = [item.name for item in report.failures()]

@@ -218,6 +218,25 @@ def test_main_exit_codes(tmp_path, capsys):
             capsys.readouterr()
             assert main(["--mode", mode, "--manifest", str(target)]) == 2, (degenerate, mode)
             assert str(target) in capsys.readouterr().err
+    # a chart index outside 0..n_charts-1 is rejected, never read from the end,
+    # and one that is not an integer is never truncated to one
+    for name, mode, edit in (
+        ("o3_cp1", "vertex", lambda raw: raw["bundle"].update(connections={"-1": [[{"w": "1/w"}]]})),
+        ("o3_cp1", "vertex", lambda raw: raw["change_maps"].append(
+            {"chart": -1, "in_chart": 0, "exprs": {"w": "5/z"}})),
+        ("cstar_one_simplex", "square", lambda raw: raw["bundle"]["intertwiners"]["1"].update({"-1": [["z"]]})),
+        ("z2_equivariant", "equivariant", lambda raw: raw["group"]["lifts"]["s"].update({"-1": [["1"]]})),
+        ("z2_equivariant", "equivariant", lambda raw: raw["group"]["action"]["s"].update({"-1": {"z": "z"}})),
+        ("o3_cp1", "vertex", lambda raw: raw["change_maps"][0].update(chart=1.9)),
+        ("o3_cp1", "vertex", lambda raw: raw["change_maps"][0].update(chart=True)),
+    ):
+        negative = json.loads((FIXTURES / f"{name}.json").read_text())
+        edit(negative)
+        target = tmp_path / "negative.json"
+        target.write_text(json.dumps(negative))
+        capsys.readouterr()
+        assert main(["--mode", mode, "--manifest", str(target)]) == 2, (negative, mode)
+        assert str(target) in capsys.readouterr().err
 
 
 def _structure_mutations():

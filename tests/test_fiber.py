@@ -4,6 +4,8 @@ import random
 from math import comb
 
 from cechchern.cech import CechCochain, Cover, FormalSection, ProductLevelCover
+from cechchern.exprparse import parse_expr
+from cechchern.forms import Chart, HoloForm
 from cechchern.fiber import (
     formal_identity_cochain,
     integrate_fiber,
@@ -140,6 +142,26 @@ def test_integration_identities_with_internal_differential():
             mu = random_formal_level_cochain(base, k, q + k, rng)
             report = verify_integration_identities(mu, k, d_a)
             assert report.ok, (k, q, report.to_text())
+
+
+def test_integration_identities_on_forms_restrict_faces():
+    # on the CP^1 cover (w = 1/z) a face component lives in its own anchor
+    # chart, so int(delta(mu)) must restrict it to the longer tuple as delta does
+    u0, u1 = Chart("U0", ("z",)), Chart("U1", ("w",))
+    change = {(1, 0): {"w": parse_expr("1/z", ["z"])}, (0, 1): {"z": parse_expr("1/w", ["w"])}}
+    base = Cover([u0, u1], [(0, 1)], change)
+    for k in (0, 1):
+        cover = ProductLevelCover(base, k)
+        comps = {}
+        for n, t in enumerate(cover.tuples_of_length(k + 1)):
+            chart = cover.anchor(t)
+            x = chart.coordinates[0]
+            value = HoloForm.function(chart, parse_expr(f"{x}^{n + 2} + {n}", [x]))
+            comps[t] = value + HoloForm.d_coord(chart, x).scale(parse_expr(f"{n + 1}/{x}", [x]))
+        mu = CechCochain(cover, comps)
+        assert mu.components and any(t[0][1] == 1 for t in mu.components)
+        report = verify_integration_identities(mu, k)
+        assert report.ok, (k, report.to_text())
 
 
 def test_integration_identities_support_restricted_instances():

@@ -1,5 +1,5 @@
-"""Package hygiene: no library assert statements, a loadable package root, and
-the names the benchmark imports."""
+"""Package hygiene: no library assert statements, a loadable package root,
+the names the benchmark imports, and no public name that nothing uses."""
 
 import ast
 import importlib
@@ -56,3 +56,33 @@ def test_benchmark_imports_resolve():
 def test_manifest_keeps_benchmark_methods():
     for name in ("load", "path_data", "max_level"):
         assert callable(getattr(cechchern.Manifest, name, None)), name
+
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_public_names_are_referenced():
+    # a public function or method of the library that nothing names outside
+    # its own definition (in src, tests, perfbench or tools) is dead code
+    paths = sorted(SRC.glob("*.py"))
+    for folder in ("tests", "perfbench", "tools"):
+        paths += sorted((ROOT / folder).glob("*.py"))
+    defs, refs = [], []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                if path.parent == SRC and not node.name.startswith("_"):
+                    defs.append((path, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name):
+                refs.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                refs += [(path, node.lineno, a.name) for a in node.names]
+    unused = [
+        f"{path.name}:{first} {name}"
+        for path, name, first, last in defs
+        if not any(ref == name and not (p == path and first <= line <= last) for p, line, ref in refs)
+    ]
+    assert not unused, unused

@@ -15,7 +15,7 @@ from cechchern.simplicial import (
     nondegenerate_generators,
     shuffle_count,
     shuffles,
-    tensor_boundary_chain,
+    tensor_boundary,
 )
 
 
@@ -112,7 +112,7 @@ def test_aw_is_a_chain_map_exhaustive():
                         cells.update(ez_map(gl, gr).coeffs)
         for cell in cells:
             lhs = aw_chain(boundary(cell))
-            rhs = tensor_boundary_chain(aw_map(cell))
+            rhs = aw_map(cell).linear(tensor_boundary)
             assert lhs == rhs
 
 
