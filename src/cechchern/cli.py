@@ -175,7 +175,7 @@ def run(
                     artifact_text = cochain_to_text(UPolyCochain.from_even(closed))
             elif report.ok:
                 table = tot_ch_table(data, level) if mode == "simplex" else iota(gamma(data, level), level)
-                report.extend(validate_chain_map(table))
+                report.extend(validate_chain_map(table, level))
                 artifact_text = table_to_text(table)
         elif mode == "square":
             data = manifest.path_data()

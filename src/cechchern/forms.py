@@ -18,6 +18,7 @@ from itertools import chain
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .linalg import RFMatrix
+from .poly import collect
 from .ratfunc import RationalFunction
 
 IndexTuple = Tuple[int, ...]
@@ -40,15 +41,6 @@ class Chart:
 
 class ChartMismatchError(ValueError):
     pass
-
-
-def collect(terms: Iterable[Tuple[object, object]]) -> Dict:
-    """Add a stream of (key, value) terms once per key; a key whose terms
-    cancel keeps its zero, for the constructor of the result to drop."""
-    out: Dict = {}
-    for key, value in terms:
-        out[key] = out[key] + value if key in out else value
-    return out
 
 
 def _merge_wedge(a: IndexTuple, b: IndexTuple):

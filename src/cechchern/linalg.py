@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from .ratfunc import RationalFunction
+from .ratfunc import RationalFunction, _coerce
 
 
 class SingularMatrixError(ValueError):
@@ -73,10 +73,7 @@ class RFMatrix:
             return RFMatrix(
                 [
                     [
-                        sum(
-                            (self.entries[i][k] * other.entries[k][j] for k in range(self.cols)),
-                            RationalFunction.zero(),
-                        )
+                        RationalFunction.sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
                         for j in range(other.cols)
                     ]
                     for i in range(self.rows)
@@ -116,8 +113,8 @@ class RFMatrix:
                     for r in range(n)
                     if r != i
                 ]
-                sign = -1 if (i + j) % 2 else 1
-                row.append(_det(tuple(tuple(r) for r in minor)) * sign)
+                d = _det(tuple(tuple(r) for r in minor))
+                row.append(-d if (i + j) % 2 else d)
             cof.append(row)
         return RFMatrix(cof).transpose()
 
@@ -157,24 +154,16 @@ class RFMatrix:
         return f"RFMatrix[{rows}]"
 
 
-def _coerce(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    return RationalFunction.const(x) if not hasattr(x, "num") else x
-
-
 def _det(grid) -> RationalFunction:
     n = len(grid)
     if n == 1:
         return grid[0][0]
     if n == 2:
         return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
-    total = RationalFunction.zero()
     rest = [row[1:] for row in grid]
-    for i in range(n):
-        if grid[i][0].is_zero:
-            continue
-        minor = tuple(tuple(rest[r]) for r in range(n) if r != i)
-        term = grid[i][0] * _det(minor)
-        total = total + (term if i % 2 == 0 else -term)
-    return total
+    terms = (
+        (i, grid[i][0] * _det(tuple(tuple(rest[r]) for r in range(n) if r != i)))
+        for i in range(n)
+        if not grid[i][0].is_zero
+    )
+    return RationalFunction.sum(-t if i % 2 else t for i, t in terms)

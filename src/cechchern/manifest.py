@@ -81,21 +81,28 @@ class Manifest:
             overlaps = [tuple(range(len(charts)))]
         change = {}
         for cm in raw.get("change_maps", []):
-            src = self._chart_index(cm["chart"], len(charts))
-            dst = self._chart_index(cm["in_chart"], len(charts))
+            src = self._integer(cm["chart"], "chart index", 0, len(charts) - 1)
+            dst = self._integer(cm["in_chart"], "chart index", 0, len(charts) - 1)
             exprs = {}
             for coord, text in cm["exprs"].items():
                 exprs[coord] = self._parse(text, charts[dst].coordinates)
             change[(src, dst)] = exprs
         return Cover(charts, overlaps, change)
 
-    def _chart_index(self, key, n_charts: int) -> int:
-        """A chart index read from the manifest: an integer in 0..n_charts-1."""
-        if isinstance(key, bool) or not isinstance(key, (int, str)):
-            raise ManifestError(f"{self.source}: chart index {key!r} is not an integer")
-        i = int(key)
-        if not 0 <= i < n_charts:
-            raise ManifestError(f"{self.source}: chart index {key!r} outside 0..{n_charts - 1}")
+    def _integer(self, value, what: str, low: int, high: Optional[int] = None) -> int:
+        """An integer read from the manifest: an int or its decimal string in
+        low..high (unbounded above when high is None); a bool or a float is
+        never truncated to one."""
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ManifestError(f"{self.source}: {what} {value!r} is not an integer")
+        try:
+            i = int(value)
+        except ValueError:
+            raise ManifestError(f"{self.source}: {what} {value!r} is not an integer") from None
+        if high is None and i < low:
+            raise ManifestError(f"{self.source}: {what} {value!r} is below {low}")
+        if high is not None and not low <= i <= high:
+            raise ManifestError(f"{self.source}: {what} {value!r} outside {low}..{high}")
         return i
 
     def _parse(self, text: str, variables):
@@ -120,7 +127,7 @@ class Manifest:
             parts = [p.strip() for p in str(key).split(",")]
             if len(parts) != 2:
                 raise ManifestError(f"{self.source}: bad transition key {key!r}")
-            a, b = (self._chart_index(p, self.cover.n_charts) for p in parts)
+            a, b = (self._integer(p, "chart index", 0, self.cover.n_charts - 1) for p in parts)
             anchor = self.cover.charts[min(a, b)]
             out[(a, b)] = self._parse_matrix(entries, anchor.coordinates, f"transition {key}")
         return out
@@ -128,7 +135,7 @@ class Manifest:
     def _parse_connections(self, mapping, rank) -> Dict[int, ConnectionMatrix]:
         out = {}
         for key, entries in (mapping or {}).items():
-            i = self._chart_index(key, self.cover.n_charts)
+            i = self._integer(key, "chart index", 0, self.cover.n_charts - 1)
             chart = self.cover.charts[i]
             rows = [
                 [
@@ -150,7 +157,7 @@ class Manifest:
         bundle = self.raw.get("bundle")
         if not bundle:
             raise ManifestError(f"{self.source}: missing 'bundle' section")
-        return int(bundle["rank"])
+        return self._integer(bundle["rank"], "bundle rank", 1)
 
     def _level_entries(self) -> list:
         """The raw levels of the bundle; a single-level bundle is its own
@@ -180,9 +187,9 @@ class Manifest:
         levels = [self._level(entry, rank) for entry in self._level_entries()]
         intertwiners = {}
         for level_key, per_chart in self.raw["bundle"].get("intertwiners", {}).items():
-            p = int(level_key)
+            p = self._integer(level_key, "intertwiner level", 1, len(levels) - 1)
             for chart_key, entries in per_chart.items():
-                i = self._chart_index(chart_key, self.cover.n_charts)
+                i = self._integer(chart_key, "chart index", 0, self.cover.n_charts - 1)
                 intertwiners[(p, i)] = self._parse_matrix(
                     entries, self.cover.charts[i].coordinates, f"intertwiner level {p} chart {i}"
                 )
@@ -202,7 +209,7 @@ class Manifest:
         action = {}
         for g, per_chart in group_raw.get("action", {}).items():
             for chart_key, exprs in per_chart.items():
-                i = self._chart_index(chart_key, self.cover.n_charts)
+                i = self._integer(chart_key, "chart index", 0, self.cover.n_charts - 1)
                 chart = self.cover.charts[i]
                 action[(g, i)] = {
                     coord: self._parse(text, chart.coordinates) for coord, text in exprs.items()
@@ -210,7 +217,7 @@ class Manifest:
         lifts = {}
         for g, per_chart in group_raw.get("lifts", {}).items():
             for chart_key, entries in per_chart.items():
-                i = self._chart_index(chart_key, self.cover.n_charts)
+                i = self._integer(chart_key, "chart index", 0, self.cover.n_charts - 1)
                 chart = self.cover.charts[i]
                 lifts[(g, i)] = self._parse_matrix(
                     entries, chart.coordinates, f"lift of {g} on chart {i}"
@@ -223,10 +230,10 @@ class Manifest:
         if override is not None:
             return override
         value = self.run.get("max_level")
-        return int(value) if value is not None else None
+        return None if value is None else self._integer(value, "max_level", 0)
 
     @_located
     def word_bound(self) -> Optional[int]:
         """The equivariant word-length bound; absent or 0 means the group order."""
         value = self.run.get("word_bound")
-        return int(value) if value else None
+        return None if value is None else self._integer(value, "word_bound", 0) or None

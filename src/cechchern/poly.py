@@ -13,12 +13,27 @@ in Q(i) throughout.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Tuple
 
 from .scalars import GaussianRational, ONE, ZERO
 
 Exponent = Tuple[int, ...]
 Terms = Dict[Exponent, GaussianRational]
+
+
+def collect(terms: Iterable[Tuple[object, object]]) -> Dict:
+    """Add a stream of (key, value) terms once per key; a key whose terms
+    cancel keeps its zero, for the constructor of the result to drop."""
+    out: Dict = {}
+    for key, value in terms:
+        out[key] = out[key] + value if key in out else value
+    return out
+
+
+def _grlex(e: Exponent):
+    """The graded-lex sort key of an exponent."""
+    return sum(e), e
 
 
 class Polynomial:
@@ -119,12 +134,12 @@ class Polynomial:
 
     def sorted_exponents(self) -> list:
         """Exponents in descending graded-lex order (leading term first)."""
-        return sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
+        return sorted(self.terms, key=_grlex, reverse=True)
 
     def leading(self) -> Tuple[Exponent, GaussianRational]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=lambda e: (sum(e), e))
+        e = max(self.terms, key=_grlex)
         return e, self.terms[e]
 
     def leading_coeff(self) -> GaussianRational:
@@ -133,9 +148,10 @@ class Polynomial:
     # -- alignment of variable sets ------------------------------------------
 
     def embedded(self, variables: Tuple[str, ...]) -> Terms:
-        """Re-key the terms onto a superset tuple of variables."""
+        """Re-key the terms onto a superset tuple of variables; with the same
+        variables this is the polynomial's own dict, not to be mutated."""
         if variables == self.variables:
-            return dict(self.terms)
+            return self.terms
         pos = [variables.index(v) for v in self.variables]
         out: Terms = {}
         for e, c in self.terms.items():
@@ -156,14 +172,7 @@ class Polynomial:
     def __add__(self, other) -> "Polynomial":
         other = _coerce(other)
         vs = Polynomial._union_vars(self, other)
-        terms = self.embedded(vs)
-        for e, c in other.embedded(vs).items():
-            s = terms.get(e, ZERO) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return Polynomial.make(vs, terms)
+        return Polynomial.make(vs, collect(chain(self.embedded(vs).items(), other.embedded(vs).items())))
 
     __radd__ = __add__
 
@@ -181,31 +190,25 @@ class Polynomial:
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
         vs = Polynomial._union_vars(self, other)
-        ta = self.embedded(vs)
-        tb = other.embedded(vs)
-        out: Terms = {}
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, ZERO) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial.make(vs, out)
+        tb = other.embedded(vs).items()
+        return Polynomial.make(vs, collect(
+            (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+            for ea, ca in self.embedded(vs).items()
+            for eb, cb in tb
+        ))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Polynomial.one()
-        base = self
+        out, base = Polynomial.one(), self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def scale(self, c) -> "Polynomial":
@@ -223,16 +226,10 @@ class Polynomial:
         if var not in self.variables:
             return Polynomial.zero()
         i = self.variables.index(var)
-        out: Terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-                s = out.get(ne, ZERO) + c * e[i]
-                if s:
-                    out[ne] = s
-                else:
-                    out.pop(ne, None)
-        return Polynomial.make(self.variables, out)
+        # lowering one exponent is injective, so no two terms meet
+        return Polynomial.make(self.variables, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]
+        })
 
     # -- equality / hashing -----------------------------------------------------
 
@@ -282,11 +279,11 @@ def divexact(a: Polynomial, b: Polynomial) -> Polynomial | None:
     vs = Polynomial._union_vars(a, b)
     rem = dict(a.embedded(vs))
     tb = b.embedded(vs)
-    eb = max(tb, key=lambda e: (sum(e), e))
+    eb = max(tb, key=_grlex)
     cb = tb[eb]
     quot: Terms = {}
     while rem:
-        er = max(rem, key=lambda e: (sum(e), e))
+        er = max(rem, key=_grlex)
         if not _exp_divides(eb, er):
             return None
         eq = tuple(x - y for x, y in zip(er, eb))

@@ -3,11 +3,17 @@
 Canonical form: gcd(num, den) = 1, denominator monic in graded-lex order,
 unused variables pruned, zero represented as 0/1.  All operations return
 normalized values, so structural equality is mathematical equality.
+
+Powers and inverses are normalized without a gcd.  Powers of coprime
+polynomials stay coprime, and a power of a monic denominator stays monic,
+since in graded-lex order the leading term of a product is the product of
+the leading terms.  Swapping a reduced numerator and denominator keeps them
+coprime; only the new denominator's leading coefficient is divided out.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, Iterable, Mapping
 
 from .poly import Polynomial, divexact, poly_gcd
 from .scalars import GaussianRational
@@ -46,6 +52,13 @@ class RationalFunction:
     @staticmethod
     def one() -> "RationalFunction":
         return RationalFunction.from_poly(Polynomial.one())
+
+    @staticmethod
+    def sum(terms: Iterable["RationalFunction"]) -> "RationalFunction":
+        """The sum of a stream of terms, started from the first: adding to a
+        zero start would cost a full normalization."""
+        terms = iter(terms)
+        return sum(terms, next(terms, RationalFunction.zero()))
 
     # -- queries ----------------------------------------------------------------
 
@@ -100,20 +113,14 @@ class RationalFunction:
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("negative power of zero")
-            return RationalFunction(self.den, self.num) ** (-n)
-        out = RationalFunction.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return self.inverse() ** -n
+        return RationalFunction(self.num ** n, self.den ** n, _normalized=True)
 
     def inverse(self) -> "RationalFunction":
-        return self ** (-1)
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of zero")
+        inv = self.num.leading_coeff().inverse()
+        return RationalFunction(self.den.scale(inv), self.num.scale(inv), _normalized=True)
 
     def derivative(self, var: str) -> "RationalFunction":
         # Quotient rule; normalization cancels the common factors.
@@ -188,7 +195,6 @@ def _normalize(num: Polynomial, den: Polynomial):
 
 
 def _poly_substitute(p: Polynomial, mapping: Mapping[str, RationalFunction]) -> RationalFunction:
-    out = RationalFunction.zero()
     images = []
     for v in p.variables:
         if v in mapping:
@@ -197,6 +203,7 @@ def _poly_substitute(p: Polynomial, mapping: Mapping[str, RationalFunction]) -> 
             images.append(RationalFunction.variable(v))
     # Cache powers per variable to keep repeated exponents cheap.
     powers: Dict[tuple, RationalFunction] = {}
+    terms = []
     for e, c in p.terms.items():
         term = RationalFunction.const(c)
         for i, k in enumerate(e):
@@ -205,8 +212,8 @@ def _poly_substitute(p: Polynomial, mapping: Mapping[str, RationalFunction]) -> 
                 if key not in powers:
                     powers[key] = images[i] ** k
                 term = term * powers[key]
-        out = out + term
-    return out
+        terms.append(term)
+    return RationalFunction.sum(terms)
 
 
 def rf_str(f: RationalFunction) -> str:

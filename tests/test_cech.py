@@ -248,5 +248,7 @@ def test_validate_chain_map_constant_and_flipped():
     bad[Generator((1,), 2)] = UPolyCochain(cover, {0: flipped})
     report = validate_chain_map(bad)
     assert not report.ok
+    # a cutoff at the flipped tuple's own degree still finds it
+    assert not validate_chain_map(bad, 1).ok
     names = [item.name for item in report.failures()]
     assert any("e[0, 1]" in n or "e[0,1]" in n.replace(" ", "") for n in names)

@@ -229,6 +229,16 @@ def test_main_exit_codes(tmp_path, capsys):
         ("z2_equivariant", "equivariant", lambda raw: raw["group"]["action"]["s"].update({"-1": {"z": "z"}})),
         ("o3_cp1", "vertex", lambda raw: raw["change_maps"][0].update(chart=1.9)),
         ("o3_cp1", "vertex", lambda raw: raw["change_maps"][0].update(chart=True)),
+        # the other integers of a manifest are read the same way
+        ("o3_cp1", "vertex", lambda raw: raw["bundle"].update(rank=1.9)),
+        ("o3_cp1", "vertex", lambda raw: raw["bundle"].update(rank=0)),
+        ("o3_cp1", "vertex", lambda raw: raw.update(run={"max_level": 0.5})),
+        ("o3_cp1", "vertex", lambda raw: raw.update(run={"max_level": -1})),
+        ("z2_equivariant", "equivariant", lambda raw: raw.update(run={"word_bound": 1.5})),
+        ("z2_equivariant", "equivariant", lambda raw: raw.update(run={"word_bound": -1})),
+        ("cstar_one_simplex", "square", lambda raw: raw["bundle"]["intertwiners"].update({"-1": {"0": [["z^4"]], "1": [["z^2"]]}})),
+        ("cstar_one_simplex", "square", lambda raw: raw["bundle"]["intertwiners"].update({"0": {"0": [["z^4"]], "1": [["z^2"]]}})),
+        ("cstar_one_simplex", "square", lambda raw: raw["bundle"]["intertwiners"].update({"5": {"0": [["z^4"]], "1": [["z^2"]]}})),
     ):
         negative = json.loads((FIXTURES / f"{name}.json").read_text())
         edit(negative)
@@ -289,30 +299,36 @@ def test_structure_mutations_exit_0_or_2(tmp_path, capsys, name, mode, path, val
 GOLDEN = FIXTURES / "golden"
 
 
+def _golden_id(mode, name, level):
+    return "-".join([mode] + ([name] if name else []) + ([f"max{level}"] if level is not None else []))
+
+
 @pytest.mark.parametrize(
-    "mode, name, code",
-    [pytest.param(mode, name, code, id=f"{mode}-{name}" if name else mode)
-     for mode, name, code in (
-         ("vertex", "o3_cp1", 0), ("simplex", "cstar_one_simplex", 0),
-         ("gamma", "cstar_one_simplex", 0), ("iota", "cstar_one_simplex", 0),
-         ("square", "cstar_one_simplex", 0), ("equivariant", "z2_equivariant", 0),
-         ("equivariant", "z2_equivariant_control", 1), ("selftest", None, 0),
+    "mode, name, level, code",
+    [pytest.param(mode, name, level, code, id=_golden_id(mode, name, level))
+     for mode, name, level, code in (
+         ("vertex", "o3_cp1", None, 0), ("simplex", "cstar_one_simplex", None, 0),
+         ("gamma", "cstar_one_simplex", None, 0), ("iota", "cstar_one_simplex", None, 0),
+         ("square", "cstar_one_simplex", None, 0), ("equivariant", "z2_equivariant", None, 0),
+         ("equivariant", "z2_equivariant_control", None, 1), ("selftest", None, None, 0),
+         # a cutoff below the top Čech degree checks the table only up to it
+         ("simplex", "cstar_one_simplex", 0, 0), ("iota", "cstar_one_simplex", 0, 0),
          # the first (valid, twin) pair of seed 1 of each benchmark workload
-         ("simplex", "simplex_gl2", 0), ("simplex", "simplex_gl2_twin", 1),
-         ("square", "square_rat", 0), ("square", "square_rat_twin", 1),
-         ("equivariant", "equivariant_z2", 0), ("equivariant", "equivariant_z2_twin", 1))],
+         ("simplex", "simplex_gl2", None, 0), ("simplex", "simplex_gl2_twin", None, 1),
+         ("square", "square_rat", None, 0), ("square", "square_rat_twin", None, 1),
+         ("equivariant", "equivariant_z2", None, 0), ("equivariant", "equivariant_z2_twin", None, 1))],
 )
-def test_golden_artifacts(tmp_path, mode, name, code):
+def test_golden_artifacts(tmp_path, mode, name, level, code):
     # square, equivariant and selftest write no artifact: only the report is pinned
     out = io.StringIO()
     artifact = tmp_path / "artifact.txt"
     manifest = str(FIXTURES / f"{name}.json") if name else None
-    assert run(mode, manifest, output=str(artifact), out=out) == code
+    assert run(mode, manifest, max_level=level, output=str(artifact), out=out) == code
     report = "".join(
         line for line in out.getvalue().splitlines(keepends=True)
         if not line.startswith("elapsed:")
     )
-    stem = f"{mode}_{name}" if name else mode
+    stem = _golden_id(mode, name, level).replace("-", "_")
     assert report == (GOLDEN / f"{stem}.report.txt").read_text()
     golden_artifact = GOLDEN / f"{stem}.artifact.txt"
     if golden_artifact.exists():

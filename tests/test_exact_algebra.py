@@ -156,6 +156,33 @@ def test_rf_normalize_idempotent_and_multiplicative():
         assert renormalized(a) * renormalized(b) == renormalized(a * b)
 
 
+def test_rf_power_is_the_repeated_product_random():
+    rng = random.Random(17)
+    for _ in range(20):
+        f = RationalFunction(rand_poly(rng, nterms=2, maxdeg=2), rand_poly(rng, nterms=2, maxdeg=2) + Polynomial.one())
+        if f.is_zero:
+            continue
+        assert f.inverse() == renormalized(RationalFunction(f.den, f.num, _normalized=True))
+        for n in range(-3, 4):
+            product = RationalFunction.one()
+            for _ in range(abs(n)):
+                product = product * (f if n > 0 else f.inverse())
+            assert f ** n == product
+            assert renormalized(f ** n) == f ** n
+
+
+def test_rf_power_and_inverse_take_no_gcd(monkeypatch):
+    # a reduced fraction stays reduced under powers and inversion
+    import cechchern.ratfunc
+
+    f = rf("(z^2 + w)/(2*z - 3*w + 1)")
+    calls = []
+    monkeypatch.setattr(cechchern.ratfunc, "poly_gcd", lambda a, b: calls.append((a, b)) or poly_gcd(a, b))
+    f ** 5
+    f.inverse()
+    assert not calls
+
+
 def test_rf_field_axioms_random():
     rng = random.Random(13)
     for _ in range(50):

@@ -59,6 +59,21 @@ def test_manifest_keeps_benchmark_methods():
 
 
 
+def test_one_collector():
+    # every keyed sum of the arithmetic, form and Čech layers adds its terms
+    # through the one collector in poly
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    defined = [name for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "collect"]
+    assert defined == ["poly"], defined
+    for name in ("poly", "forms", "cech"):
+        nodes = list(ast.walk(trees[name]))
+        assert any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "collect" for n in nodes), name
+        if name != "poly":
+            assert any(isinstance(n, ast.ImportFrom) and n.module == "poly"
+                       and "collect" in [a.name for a in n.names] for n in nodes), name
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
