@@ -119,7 +119,7 @@ def iota(
                     if j not in g.indices:
                         mu = level_forget(mu, j)
                 entry = entry + UPolyCochain.from_even(integrate_fiber(mu, ell), ell)
-            table[g] = entry.scale(-1) if (ell * (ell - 1) // 2) % 2 else entry
+            table[g] = -entry if (ell * (ell - 1) // 2) % 2 else entry
     return table
 
 

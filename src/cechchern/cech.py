@@ -68,9 +68,6 @@ class FormalSection:
             raise ValueError("adding formal sections of different form degrees")
         return FormalSection(self.form_degree, collect(chain(self.terms.items(), other.terms.items())))
 
-    def __sub__(self, other: "FormalSection") -> "FormalSection":
-        return self + (-other)
-
     def __neg__(self) -> "FormalSection":
         return FormalSection(self.form_degree, {s: -c for s, c in self.terms.items()})
 
@@ -309,11 +306,11 @@ class CechCochain:
     def __add__(self, other: "CechCochain") -> "CechCochain":
         return CechCochain.sum(self.cover, chain(self.components.items(), other.components.items()))
 
-    def __sub__(self, other: "CechCochain") -> "CechCochain":
-        return self + other.scale(-1)
+    def __neg__(self) -> "CechCochain":
+        return CechCochain(self.cover, {t: -v for t, v in self.components.items()})
 
-    def scale(self, c) -> "CechCochain":
-        return CechCochain(self.cover, {t: v.scale(c) for t, v in self.components.items()})
+    def __sub__(self, other: "CechCochain") -> "CechCochain":
+        return self + (-other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CechCochain):
@@ -459,11 +456,11 @@ class UPolyCochain:
     def __add__(self, other: "UPolyCochain") -> "UPolyCochain":
         return UPolyCochain(self.cover, collect(chain(self.slices.items(), other.slices.items())))
 
-    def __sub__(self, other: "UPolyCochain") -> "UPolyCochain":
-        return self + other.scale(-1)
+    def __neg__(self) -> "UPolyCochain":
+        return UPolyCochain(self.cover, {m: -sl for m, sl in self.slices.items()})
 
-    def scale(self, c) -> "UPolyCochain":
-        return UPolyCochain(self.cover, {m: sl.scale(c) for m, sl in self.slices.items()})
+    def __sub__(self, other: "UPolyCochain") -> "UPolyCochain":
+        return self + (-other)
 
     def delta(self) -> "UPolyCochain":
         return UPolyCochain(self.cover, {m: sl.delta() for m, sl in self.slices.items()})

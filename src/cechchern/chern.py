@@ -120,16 +120,13 @@ class BundleVertexData:
                     bad_pairs.append((a, b))
         report.check("bundle.inverse_pairs", bad_pairs, "g_ba * g_ab != 1 at {}")
         bad_triples = []
-        for t in self.cover.all_tuples():
-            if len(t) != 3:
-                continue
-            a, b, c = t
-            anchor = a
-            gab = self.transition_form(a, b, anchor)
-            gbc = self.transition_form(b, c, anchor)
-            gac = self.transition_form(a, c, anchor)
+        for a, b, c in self.cover.tuples_of_length(3):
+            # anchored at chart a
+            gab = self.transition_form(a, b, a)
+            gbc = self.transition_form(b, c, a)
+            gac = self.transition_form(a, c, a)
             if not (gbc * gab - gac).is_zero:
-                bad_triples.append(t)
+                bad_triples.append((a, b, c))
         report.check("bundle.cocycle", bad_triples, "violated at {}")
         return report
 
@@ -200,15 +197,12 @@ class BundlePathData:
         report.check("path.intertwiners_invertible", bad_f, "singular at {}")
         bad_squares = []
         for p in range(1, self.n + 1):
-            for t in self.cover.all_tuples():
-                if len(t) != 2:
-                    continue
-                a, b = t
-                anchor = a
-                f_a = self.intertwiner_form(p, p - 1, a, anchor)
-                f_b = self.intertwiner_form(p, p - 1, b, anchor)
-                g_lo = self.levels[p - 1].transition_form(a, b, anchor)
-                g_hi = self.levels[p].transition_form(a, b, anchor)
+            for a, b in self.cover.tuples_of_length(2):
+                # anchored at chart a
+                f_a = self.intertwiner_form(p, p - 1, a, a)
+                f_b = self.intertwiner_form(p, p - 1, b, a)
+                g_lo = self.levels[p - 1].transition_form(a, b, a)
+                g_hi = self.levels[p].transition_form(a, b, a)
                 if not (f_b * g_lo - g_hi * f_a).is_zero:
                     bad_squares.append((p, a, b))
         report.check("path.intertwining", bad_squares, "violated at (level, a, b) = {}")
@@ -220,7 +214,7 @@ class BundlePathData:
 
 class NerveInstance:
     """A composable sequence of degree-0 morphisms on one chart, with
-    memoized segment composites, inverses and covariant derivatives.
+    memoized segment composites and face values.
 
     morphisms[t] maps object t to object t+1; connections[t] belongs to
     object t.
@@ -235,8 +229,7 @@ class NerveInstance:
         self.rank = connections[0].rank
         self.k = len(morphisms)
         self._segments: Dict[Tuple[int, int], MatrixForm] = {}
-        self._inverses: Dict[Tuple[int, int], MatrixForm] = {}
-        self._nablas: Dict[Tuple[int, int], MatrixForm] = {}
+        self._faces: Dict[Tuple[int, ...], HoloForm] = {}
 
     def segment(self, lo: int, hi: int) -> MatrixForm:
         """The composite morphism from object lo to object hi."""
@@ -247,35 +240,21 @@ class NerveInstance:
             self._segments[key] = self.morphisms[hi - 1] * self.segment(lo, hi - 1)
         return self._segments[key]
 
-    def segment_inverse(self, lo: int, hi: int) -> MatrixForm:
-        key = (lo, hi)
-        if key not in self._inverses:
-            self._inverses[key] = MatrixForm.from_rfmatrix(
-                self.chart, self.segment(lo, hi).to_rfmatrix().inverse()
-            )
-        return self._inverses[key]
-
-    def segment_nabla(self, lo: int, hi: int) -> MatrixForm:
-        key = (lo, hi)
-        if key not in self._nablas:
-            self._nablas[key] = apply_connection(
-                self.segment(lo, hi), self.connections[lo], self.connections[hi]
-            )
-        return self._nablas[key]
-
     def face_value(self, face: Tuple[int, ...]) -> Tuple[int, HoloForm]:
         """(u-power, form) assigned to the face e_{i_0..i_l}: the constant
-        rank on vertices, tr(composite^-1 nabla(seg_l) ^ .. ^ nabla(seg_1))
-        in general."""
+        rank on vertices, the trace word of the face's segments in general."""
+        face = tuple(face)
         if list(face) != sorted(set(face)) or face[0] < 0 or face[-1] > self.k:
             raise ValueError(f"bad face tuple {face}")
         ell = len(face) - 1
         if ell == 0:
             return 0, HoloForm.constant(self.chart, self.rank)
-        prod = self.segment_inverse(face[0], face[-1])
-        for m in reversed(range(ell)):
-            prod = prod * self.segment_nabla(face[m], face[m + 1])
-        return ell, prod.trace()
+        if face not in self._faces:
+            self._faces[face] = _word_trace([
+                (self.segment(lo, hi), self.connections[lo], self.connections[hi])
+                for lo, hi in zip(face, face[1:])
+            ])
+        return ell, self._faces[face]
 
     def boundary_sum(self, face: Tuple[int, ...]) -> HoloForm:
         """The image of the alternating face sum of e_face."""

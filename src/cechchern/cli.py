@@ -205,9 +205,7 @@ def _residue_check(manifest, data, cocycle, report):
     cover = data.cover
     if data.rank != 1:
         return
-    for t in cover.all_tuples():
-        if len(t) != 2:
-            continue
+    for t in cover.tuples_of_length(2):
         chart = cover.charts[t[0]]
         if len(chart.coordinates) != 1:
             continue

@@ -241,11 +241,12 @@ def verify_integration_identities(
         rhs = apply_d_a(integrate_fiber(mu, k), d_a)
         report.add("integration.internal_differential", lhs == rhs)
     lhs = _integrate_delta(mu, k, q)
-    rhs = integrate_fiber(mu, k).delta().scale(-1 if k % 2 else 1)
+    rhs = integrate_fiber(mu, k).delta()
+    rhs = -rhs if k % 2 else rhs
     # the level-forgetting correction exists only when there is a level to drop
     for j in range(k + 1 if k > 0 else 0):
         term = integrate_fiber(level_forget(mu, j), k - 1)
-        rhs = rhs + (term.scale(-1) if j % 2 else term)
+        rhs = rhs - term if j % 2 else rhs + term
     diff = lhs - rhs
     witness = ""
     if not diff.is_zero:

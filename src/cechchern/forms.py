@@ -150,9 +150,7 @@ class HoloForm:
     def __neg__(self) -> "HoloForm":
         return HoloForm(self.chart, {i: -c for i, c in self.terms.items()})
 
-    def scale(self, c) -> "HoloForm":
-        if not isinstance(c, RationalFunction):
-            c = RationalFunction.const(c)
+    def scale(self, c: RationalFunction) -> "HoloForm":
         return HoloForm(self.chart, {i: x * c for i, x in self.terms.items()})
 
     # -- multiplicative structure ---------------------------------------------------

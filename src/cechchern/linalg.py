@@ -7,9 +7,9 @@ small ranks this library works with.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
-from .ratfunc import RationalFunction, _coerce
+from .ratfunc import RationalFunction
 
 
 class SingularMatrixError(ValueError):
@@ -26,7 +26,7 @@ class RFMatrix:
         cols = len(entries[0])
         if any(len(r) != cols for r in entries):
             raise ValueError("ragged matrix")
-        grid = tuple(tuple(_coerce(x) for x in row) for row in entries)
+        grid = tuple(tuple(row) for row in entries)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", grid)
@@ -54,41 +54,18 @@ class RFMatrix:
         i, j = key
         return self.entries[i][j]
 
-    def __add__(self, other: "RFMatrix") -> "RFMatrix":
-        self._shape_match(other)
+    def __mul__(self, other: "RFMatrix") -> "RFMatrix":
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         return RFMatrix(
             [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
+                [
+                    RationalFunction.sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
+                    for j in range(other.cols)
+                ]
                 for i in range(self.rows)
             ]
         )
-
-    def __sub__(self, other: "RFMatrix") -> "RFMatrix":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, RFMatrix):
-            if self.cols != other.rows:
-                raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-            return RFMatrix(
-                [
-                    [
-                        RationalFunction.sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                        for j in range(other.cols)
-                    ]
-                    for i in range(self.rows)
-                ]
-            )
-        return self.map_entries(lambda e: e * other)
-
-    def __rmul__(self, other):
-        return self.map_entries(lambda e: _coerce(other) * e)
-
-    def __neg__(self):
-        return self.map_entries(lambda e: -e)
-
-    def map_entries(self, fn: Callable[[RationalFunction], RationalFunction]) -> "RFMatrix":
-        return RFMatrix([[fn(e) for e in row] for row in self.entries])
 
     def transpose(self) -> "RFMatrix":
         return RFMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
@@ -124,7 +101,7 @@ class RFMatrix:
         if d.is_zero:
             raise SingularMatrixError("matrix has identically zero determinant")
         inv = d.inverse()
-        return self.adjugate().map_entries(lambda e: e * inv)
+        return RFMatrix([[e * inv for e in row] for row in self.adjugate().entries])
 
     @property
     def is_identity(self) -> bool:
@@ -136,10 +113,6 @@ class RFMatrix:
                 if (i == j and not e.is_one) or (i != j and not e.is_zero):
                     return False
         return True
-
-    def _shape_match(self, other: "RFMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shape mismatch")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RFMatrix):

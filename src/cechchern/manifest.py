@@ -228,7 +228,7 @@ class Manifest:
     @_located
     def max_level(self, override: Optional[int] = None) -> Optional[int]:
         if override is not None:
-            return override
+            return self._integer(override, "--max-level", 0)
         value = self.run.get("max_level")
         return None if value is None else self._integer(value, "max_level", 0)
 

@@ -50,34 +50,25 @@ class Polynomial:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def make(variables: Iterable[str], terms: Terms) -> "Polynomial":
-        """Build a canonical polynomial: sorted variables, pruned to the
-        variables actually used, zero coefficients dropped.
-
-        Exponent tuples align with the variables as given; they are
-        re-ordered here when the input order is not already sorted.
-        """
-        given = list(variables)
-        varlist = sorted(set(given))
-        if len(varlist) != len(given):
-            raise ValueError("duplicate variable names")
-        perm = None
-        if given != varlist:
-            perm = [given.index(v) for v in varlist]
+    def make(variables: Tuple[str, ...], terms: Terms) -> "Polynomial":
+        """Build a canonical polynomial from terms aligned with strictly
+        increasing variables: pruned to the variables actually used, zero
+        coefficients dropped."""
+        variables = tuple(variables)
+        if any(a >= b for a, b in zip(variables, variables[1:])):
+            raise ValueError(f"variables {variables} are not sorted and distinct")
         clean: Terms = {}
         for exp, c in terms.items():
-            if len(exp) != len(varlist):
+            if len(exp) != len(variables):
                 raise ValueError("exponent length does not match variables")
-            if perm is not None:
-                exp = tuple(exp[i] for i in perm)
             if c:
-                clean[tuple(exp)] = c
-        used = [i for i in range(len(varlist)) if any(e[i] for e in clean)]
-        if len(used) != len(varlist):
-            keep = tuple(varlist[i] for i in used)
+                clean[exp] = c
+        used = [i for i in range(len(variables)) if any(e[i] for e in clean)]
+        if len(used) != len(variables):
+            keep = tuple(variables[i] for i in used)
             clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
             return Polynomial(keep, clean)
-        return Polynomial(tuple(varlist), clean)
+        return Polynomial(variables, clean)
 
     @staticmethod
     def const(c) -> "Polynomial":
@@ -169,24 +160,17 @@ class Polynomial:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other) -> "Polynomial":
-        other = _coerce(other)
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         vs = Polynomial._union_vars(self, other)
         return Polynomial.make(vs, collect(chain(self.embedded(vs).items(), other.embedded(vs).items())))
-
-    __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-_coerce(other))
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + (-other)
 
-    def __rsub__(self, other) -> "Polynomial":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "Polynomial":
-        other = _coerce(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
         vs = Polynomial._union_vars(self, other)
@@ -196,8 +180,6 @@ class Polynomial:
             for ea, ca in self.embedded(vs).items()
             for eb, cb in tb
         ))
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -234,8 +216,6 @@ class Polynomial:
     # -- equality / hashing -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int,)) or isinstance(other, GaussianRational):
-            other = Polynomial.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
@@ -253,12 +233,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial<{poly_str(self)}>"
-
-
-def _coerce(x) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    return Polynomial.const(GaussianRational.coerce(x))
 
 
 # -- exact division -------------------------------------------------------------

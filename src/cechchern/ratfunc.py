@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping
 
 from .poly import Polynomial, divexact, poly_gcd
-from .scalars import GaussianRational
 
 
 class RationalFunction:
@@ -74,42 +73,24 @@ class RationalFunction:
     def is_one(self) -> bool:
         return self.num.is_one and self.den.is_one
 
-    def constant_value(self) -> GaussianRational:
-        if self.variables:
-            raise ValueError("not a constant rational function")
-        return self.num.constant_value() / self.den.constant_value()
-
     # -- arithmetic ----------------------------------------------------------------
 
-    def __add__(self, other) -> "RationalFunction":
-        o = _coerce(other)
+    def __add__(self, o: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den, _normalized=True)
 
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-_coerce(other))
+    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
+        return self + (-other)
 
-    def __rsub__(self, other) -> "RationalFunction":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "RationalFunction":
-        o = _coerce(other)
+    def __mul__(self, o: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * o.num, self.den * o.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        o = _coerce(other)
+    def __truediv__(self, o: "RationalFunction") -> "RationalFunction":
         if o.is_zero:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return _coerce(other) / self
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
@@ -144,8 +125,6 @@ class RationalFunction:
     # -- equality / display -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, GaussianRational, Polynomial)):
-            other = _coerce(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -161,14 +140,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction<{rf_str(self)}>"
-
-
-def _coerce(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, Polynomial):
-        return RationalFunction.from_poly(x)
-    return RationalFunction.const(GaussianRational.coerce(x))
 
 
 def _normalize(num: Polynomial, den: Polynomial):
@@ -195,12 +166,7 @@ def _normalize(num: Polynomial, den: Polynomial):
 
 
 def _poly_substitute(p: Polynomial, mapping: Mapping[str, RationalFunction]) -> RationalFunction:
-    images = []
-    for v in p.variables:
-        if v in mapping:
-            images.append(_coerce(mapping[v]))
-        else:
-            images.append(RationalFunction.variable(v))
+    images = [mapping[v] if v in mapping else RationalFunction.variable(v) for v in p.variables]
     # Cache powers per variable to keep repeated exponents cheap.
     powers: Dict[tuple, RationalFunction] = {}
     terms = []

@@ -60,9 +60,6 @@ class GaussianRational:
         o = GaussianRational.coerce(other)
         return GaussianRational(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other: Scalarish) -> "GaussianRational":
-        return GaussianRational.coerce(other) - self
-
     def __mul__(self, other: Scalarish) -> "GaussianRational":
         o = GaussianRational.coerce(other)
         # real-by-real dominates in practice; skip the full complex product
@@ -76,9 +73,6 @@ class GaussianRational:
 
     def __truediv__(self, other: Scalarish) -> "GaussianRational":
         return self * GaussianRational.coerce(other).inverse()
-
-    def __rtruediv__(self, other: Scalarish) -> "GaussianRational":
-        return GaussianRational.coerce(other) * self.inverse()
 
     def __pow__(self, n: int) -> "GaussianRational":
         if n < 0:

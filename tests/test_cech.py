@@ -187,7 +187,7 @@ def test_tot_to_cech_signs_and_conjugation():
     c0 = CechCochain(cover, {(0,): FormalSection.generator("a", 0)})
     assert tot_to_cech(c0) == c0
     c1 = CechCochain(cover, {(0,): FormalSection.generator("a", 1)})
-    assert tot_to_cech(c1) == c1.scale(-1)
+    assert tot_to_cech(c1) == -c1
 
     def d_a(sym):
         kind, t = sym
@@ -226,6 +226,28 @@ def test_u_truncate():
     )
     # degree-2 form at m=1 survives; at m=0 it is truncated away
     assert UPolyCochain(flat, {1: three}).slices
+
+
+def test_negation_takes_no_gcd(monkeypatch):
+    # negating a cochain negates each reduced coefficient, which stays reduced
+    import cechchern.ratfunc
+    from cechchern import poly_gcd
+
+    chart = Chart("P", ("z", "w"))
+    flat = Cover([chart], [(0,)])
+    f = parse_expr("(z^2 + w)/(2*z - 3*w + 1)", ["z", "w"])
+    c = CechCochain(flat, {(0,): HoloForm(chart, {(0,): f, (1,): f})})
+    d = CechCochain(flat, {(0,): HoloForm(chart, {(0,): parse_expr("z/(w + 1)", ["z", "w"]), (1,): f})})
+    u, v = UPolyCochain(flat, {1: c}), UPolyCochain(flat, {1: d})
+    calls = []
+    monkeypatch.setattr(cechchern.ratfunc, "poly_gcd", lambda a, b: calls.append((a, b)) or poly_gcd(a, b))
+    neg, uneg = -c, -u
+    assert not calls
+    assert neg.component((0,)) == HoloForm(chart, {(0,): -f, (1,): -f})
+    assert uneg == UPolyCochain(flat, {1: neg})
+    assert c - d == c + (-d)
+    assert u - v == u + (-v)
+    assert (c - c).is_zero and (u - u).is_zero
 
 
 def test_validate_chain_map_constant_and_flipped():

@@ -218,6 +218,17 @@ def test_tot_ch_vertex_closed_on_three_charts():
         assert data.validate().ok
         coc = tot_ch_vertex(data)
         assert coc.delta().is_zero
+        # the paper's Ch applied to the Čech nerve: on every tuple t, each
+        # component is the face value of the composable sequence of
+        # transitions along t, anchored at t[0]
+        for t in cover.all_tuples():
+            instance = NerveInstance(
+                [data.transition_form(a, b, t[0]) for a, b in zip(t, t[1:])],
+                [data.connection_in(i, t[0]) for i in t],
+            )
+            ell, form = instance.face_value(tuple(range(len(t))))
+            assert ell == len(t) - 1
+            assert (coc.component(t, ell) or HoloForm.zero(cover.charts[t[0]])) == form, t
 
 
 def test_tot_ch_simplex_reduces_to_vertex():

@@ -247,6 +247,14 @@ def test_main_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["--mode", mode, "--manifest", str(target)]) == 2, (negative, mode)
         assert str(target) in capsys.readouterr().err
+    # a negative cutoff on the command line is read like one in the manifest
+    for name, mode in (("o3_cp1", "vertex"), ("cstar_one_simplex", "simplex"),
+                       ("cstar_one_simplex", "iota"), ("cstar_one_simplex", "square"),
+                       ("cstar_one_simplex", "gamma")):
+        capsys.readouterr()
+        argv = ["--mode", mode, "--manifest", str(FIXTURES / f"{name}.json"), "--max-level", "-1"]
+        assert main(argv) == 2, mode
+        assert "--max-level" in capsys.readouterr().err, mode
 
 
 def _structure_mutations():

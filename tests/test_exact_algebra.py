@@ -76,6 +76,15 @@ def test_poly_variable_pruning():
     assert p == parse_expr("z", ["z"])
 
 
+def test_poly_make_takes_sorted_distinct_variables():
+    one = {(0, 1): GaussianRational(1)}
+    assert Polynomial.make(("w", "z"), one) == parse_expr("z", ["z"]).num
+    with pytest.raises(ValueError):
+        Polynomial.make(("z", "w"), one)
+    with pytest.raises(ValueError):
+        Polynomial.make(("z", "z"), one)
+
+
 def test_divexact_roundtrip_random():
     rng = random.Random(3)
     for _ in range(40):

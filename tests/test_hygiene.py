@@ -74,6 +74,35 @@ def test_one_collector():
                        and "collect" in [a.name for a in n.names] for n in nodes), name
 
 
+def test_arithmetic_takes_operands_of_its_own_type():
+    # constants enter at the edges (const, from_poly, variable, the parser);
+    # no arithmetic operator coerces or reflects a mixed-type operand
+    banned = {"_coerce", "__radd__", "__rsub__", "__rmul__", "__rtruediv__"}
+    for name in ("poly", "ratfunc", "linalg"):
+        defined = set()
+        for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        assert not defined & banned, (name, sorted(defined & banned))
+
+
+def test_one_word_evaluator():
+    # every trace word inverts its composite in chern._word_trace, the one
+    # place a matrix of forms becomes a function matrix
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "to_rfmatrix"):
+                        callers.append(f"{path.stem}.{fn.name}")
+    assert callers == ["chern._word_trace"], callers
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 

@@ -4,11 +4,11 @@
 
 Each tree is the root of a checkout (a `src/cechchern` package inside).  The
 runs are `selftest` plus every mode except selftest on every manifest, each
-with `--max-level` left out, 0 and 1.  The manifests are the shipped ones
-(`manifests/`), the test fixtures (`tests/fixtures/`) of tree a except
-those that copy a generated manifest byte for byte, and the first three
-(valid, twin) pairs of seeds 1 and 2 of each workload of `perfbench/gen.py`,
-all written to a temporary directory.
+with `--max-level` left out, -1 (an unusable cutoff), 0 and 1.  The
+manifests are the shipped ones (`manifests/`), the test fixtures
+(`tests/fixtures/`) of tree a except those that copy a generated manifest
+byte for byte, and the first three (valid, twin) pairs of seeds 1 and 2 of
+each workload of `perfbench/gen.py`, all written to a temporary directory.
 
 Every run goes through `cechchern.cli.main` of its tree, one child process
 per tree.  Compared: the exit code, the report without its `elapsed` line,
@@ -30,7 +30,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 MODES = ("vertex", "simplex", "gamma", "iota", "square", "equivariant")
-MAX_LEVELS = (None, 0, 1)
+MAX_LEVELS = (None, -1, 0, 1)
 SEEDS = (1, 2)
 PAIRS = 3
 
