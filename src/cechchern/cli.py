@@ -24,7 +24,7 @@ from .fiber import (
     verify_bijection,
     verify_integration_identities,
 )
-from .manifest import Manifest, ManifestError
+from .manifest import Manifest, ManifestError, read_integer
 from .ratfunc import RationalFunction
 from .report import Report
 from .scalars import GaussianRational
@@ -141,6 +141,8 @@ def run(
     report = Report()
     artifact_text = None
     if mode == "selftest":
+        if max_level is not None:
+            read_integer(max_level, "--max-level", 0)
         report = _selftest()
     else:
         if not manifest_path:

@@ -11,7 +11,8 @@ Grammar (whitespace insensitive):
 
 Integer literals plus '/' give rational constants; 'i' is the imaginary
 unit; '^' takes integer exponents, negative ones landing in the
-denominator.  Every syntax error reports the offending position.
+denominator.  A power whose degree would exceed MAX_DEGREE is an error.
+Every error reports the offending position.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 # Each parenthesis level costs a handful of interpreter frames; past this
 # depth the parser stops with an ExprError before Python's recursion limit.
 MAX_NESTING = 100
+
+# The largest degree a power may reach, checked before it is multiplied out
+# (the shipped, fixture and benchmark manifests stay at degree 5 or below).
+# A constant base counts as degree 1, so its coefficients stay bounded too.
+MAX_DEGREE = 256
 
 
 class ExprError(ValueError):
@@ -134,6 +140,9 @@ class _Parser:
             n = self.exponent()
             if n < 0 and value.is_zero:
                 raise ExprError("negative power of zero expression", pos)
+            degree = abs(n) * max(value.num.degree(), value.den.degree(), 1)
+            if degree > MAX_DEGREE:
+                raise ExprError(f"power of degree {degree} exceeds {MAX_DEGREE}", pos)
             value = value ** n
         return value
 

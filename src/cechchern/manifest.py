@@ -41,6 +41,23 @@ def _located(build):
     return located
 
 
+def read_integer(value, what: str, low: int, high: Optional[int] = None) -> int:
+    """An integer from outside the program: an int or its decimal string in
+    low..high (unbounded above when high is None); a bool or a float is
+    never truncated to one."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ManifestError(f"{what} {value!r} is not an integer")
+    try:
+        i = int(value)
+    except ValueError:
+        raise ManifestError(f"{what} {value!r} is not an integer") from None
+    if high is None and i < low:
+        raise ManifestError(f"{what} {value!r} is below {low}")
+    if high is not None and not low <= i <= high:
+        raise ManifestError(f"{what} {value!r} outside {low}..{high}")
+    return i
+
+
 class Manifest:
     def __init__(self, raw: dict, source: str = "<memory>"):
         self.raw = raw
@@ -90,20 +107,10 @@ class Manifest:
         return Cover(charts, overlaps, change)
 
     def _integer(self, value, what: str, low: int, high: Optional[int] = None) -> int:
-        """An integer read from the manifest: an int or its decimal string in
-        low..high (unbounded above when high is None); a bool or a float is
-        never truncated to one."""
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise ManifestError(f"{self.source}: {what} {value!r} is not an integer")
         try:
-            i = int(value)
-        except ValueError:
-            raise ManifestError(f"{self.source}: {what} {value!r} is not an integer") from None
-        if high is None and i < low:
-            raise ManifestError(f"{self.source}: {what} {value!r} is below {low}")
-        if high is not None and not low <= i <= high:
-            raise ManifestError(f"{self.source}: {what} {value!r} outside {low}..{high}")
-        return i
+            return read_integer(value, what, low, high)
+        except ManifestError as err:
+            raise ManifestError(f"{self.source}: {err}") from None
 
     def _parse(self, text: str, variables):
         try:

@@ -147,9 +147,10 @@ def _normalize(num: Polynomial, den: Polynomial):
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
         return Polynomial.zero(), Polynomial.one()
+    if den.is_one:
+        return num, den
     if den.is_constant:
-        inv = den.constant_value().inverse()
-        return num.scale(inv), Polynomial.one()
+        return divexact(num, den), Polynomial.one()
     g = poly_gcd(num, den)
     if not g.is_one:
         qn = divexact(num, g)
@@ -170,8 +171,8 @@ def _poly_substitute(p: Polynomial, mapping: Mapping[str, RationalFunction]) -> 
     # Cache powers per variable to keep repeated exponents cheap.
     powers: Dict[tuple, RationalFunction] = {}
     terms = []
-    for e, c in p.terms.items():
-        term = RationalFunction.const(c)
+    for e, c in p.monomials():
+        term = RationalFunction.from_poly(c)
         for i, k in enumerate(e):
             if k:
                 key = (i, k)

@@ -1,7 +1,11 @@
 """Exact scalars: the field Q(i) of Gaussian rationals.
 
-Every coefficient in the library is a GaussianRational; no floating point
-arithmetic occurs anywhere.  Values are immutable and hashable.
+GaussianRational is the value type at the edges of the arithmetic: the
+parser, polynomial construction and scaling, the coefficient views and
+printing, formal sections and the residue oracle.  Polynomials store
+their coefficients as Gaussian integers over one integer denominator
+(see `poly`).  No floating point arithmetic occurs anywhere.  Values are
+immutable and hashable.
 """
 
 from __future__ import annotations

@@ -169,6 +169,7 @@ def test_main_exit_codes(tmp_path, capsys):
         ("bundle", {"rank": "x", "transitions": {"0,1": [["z^3"]]}}),
         ("bundle", {"rank": 1, "transitions": {"0,7": [["z^3"]]}}),
         ("bundle", {"rank": 1, "transitions": {"0,1": [[deep]]}}),
+        ("bundle", {"rank": 1, "transitions": {"0,1": [["(1+z)^3000"]]}}),
         ("run", {"max_level": "x"}),
         ("bundle", {"rank": 1, "transitions": [["z^3"]]}),
         ("run", 5),
@@ -247,14 +248,17 @@ def test_main_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["--mode", mode, "--manifest", str(target)]) == 2, (negative, mode)
         assert str(target) in capsys.readouterr().err
-    # a negative cutoff on the command line is read like one in the manifest
+    # a negative cutoff on the command line is read like one in the manifest,
+    # also by the mode that reads no manifest
     for name, mode in (("o3_cp1", "vertex"), ("cstar_one_simplex", "simplex"),
                        ("cstar_one_simplex", "iota"), ("cstar_one_simplex", "square"),
-                       ("cstar_one_simplex", "gamma")):
+                       ("cstar_one_simplex", "gamma"), (None, "selftest")):
         capsys.readouterr()
-        argv = ["--mode", mode, "--manifest", str(FIXTURES / f"{name}.json"), "--max-level", "-1"]
+        argv = ["--mode", mode, "--max-level", "-1"]
+        if name:
+            argv += ["--manifest", str(FIXTURES / f"{name}.json")]
         assert main(argv) == 2, mode
-        assert "--max-level" in capsys.readouterr().err, mode
+        assert "--max-level -1 is below 0" in capsys.readouterr().err, mode
 
 
 def _structure_mutations():

@@ -96,6 +96,155 @@ def test_divexact_roundtrip_random():
         assert q == a or (a.is_zero and q.is_zero)
 
 
+# -- the integer representation against a plain dict-of-GaussianRational oracle
+
+
+def ref(p):
+    """p as monomial -> GaussianRational, a monomial being its sorted
+    (variable, power) pairs, so that no ambient variable set is involved."""
+    return {tuple((v, k) for v, k in zip(p.variables, e) if k): c for e, c in p.terms.items()}
+
+
+def ref_clean(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, GaussianRational(0)) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            powers = dict(ma)
+            for v, k in mb:
+                powers[v] = powers.get(v, 0) + k
+            m = tuple(sorted(powers.items()))
+            out[m] = out.get(m, GaussianRational(0)) + ca * cb
+    return ref_clean(out)
+
+
+def ref_derivative(a, var):
+    out = {}
+    for m, c in a.items():
+        powers = dict(m)
+        k = powers.pop(var, 0)
+        if k > 1:
+            powers[var] = k - 1
+        if k:
+            out[tuple(sorted(powers.items()))] = c * k
+    return out
+
+
+def ref_monic(a):
+    names = sorted({v for m in a for v, _ in m})
+
+    def grlex(m):
+        e = tuple(dict(m).get(v, 0) for v in names)
+        return sum(e), e
+
+    lead = a[max(a, key=grlex)]
+    return {m: c / lead for m, c in a.items()}
+
+
+def rand_oracle_poly(rng):
+    variables = tuple(sorted(rng.sample(["u", "w", "z"], rng.randint(0, 3))))
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        e = tuple(rng.randint(0, 3) for _ in variables)
+        terms[e] = GaussianRational(
+            Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.6 else 0,
+        )
+    return Polynomial.make(variables, terms)
+
+
+def assert_canonical(p):
+    from math import gcd
+
+    assert p.den >= 1
+    parts = list(p.re.values()) + list(p.im.values())
+    assert all(parts)
+    assert gcd(p.den, *parts) == 1
+    assert list(p.variables) == sorted(set(p.variables))
+    exponents = list(p.re) + list(p.im)
+    for i, v in enumerate(p.variables):
+        assert any(e[i] for e in exponents), (v, p)
+    if p.is_zero:
+        assert p.den == 1 and p.variables == ()
+
+
+def test_integer_representation_matches_oracle_random():
+    rng = random.Random(29)
+    for _ in range(150):
+        a, b = rand_oracle_poly(rng), rand_oracle_poly(rng)
+        c = rand_gauss(rng)
+        var = rng.choice(["u", "w", "z"])
+        for p in (a, b):
+            assert_canonical(p)
+        cases = [
+            (a + b, ref_add(ref(a), ref(b))),
+            (a - b, ref_add(ref(a), {m: -x for m, x in ref(b).items()})),
+            (-a, {m: -x for m, x in ref(a).items()}),
+            (a * b, ref_mul(ref(a), ref(b))),
+            (a ** 3, ref_mul(ref(a), ref_mul(ref(a), ref(a)))),
+            (a ** 0, {(): GaussianRational(1)}),
+            (a.derivative(var), ref_derivative(ref(a), var)),
+            (a.scale(c), ref_clean({m: x * c for m, x in ref(a).items()})),
+        ]
+        if not a.is_zero:
+            cases.append((a.monic(), ref_monic(ref(a))))
+        if not b.is_zero:
+            q = divexact(a * b, b)
+            cases.append((q, ref(a)))
+            if not b.is_constant and not a.is_zero:
+                # a leftover term of lower degree than b is no multiple of b
+                assert divexact(a * b + Polynomial.one(), b) is None
+        for got, expected in cases:
+            assert_canonical(got)
+            assert ref(got) == expected, (a, b, got)
+
+
+def test_equal_values_have_equal_representations():
+    z, w = Polynomial.variable("z"), Polynomial.variable("w")
+    half, two = Polynomial.const(Fraction(1, 2)), Polynomial.const(2)
+    i = Polynomial.const(GaussianRational(0, 1))
+    routes = [
+        (z * half * two, z),
+        ((z + w) - w, z),
+        ((z * i) * (z * i) + z ** 2, Polynomial.zero()),
+        (divexact(z ** 2 - w ** 2, z - w), z + w),
+        ((z * half).derivative("z") * two, Polynomial.one()),
+        ((w * z * half + i).scale(GaussianRational(0, -2)), (w * z).scale(GaussianRational(0, -1)) + two),
+        ((two * z + two * i).monic(), z + i),
+    ]
+    for got, expected in routes:
+        assert got == expected
+        assert hash(got) == hash(expected)
+        assert (got.variables, got.den, got.re, got.im) == (expected.variables, expected.den, expected.re, expected.im)
+
+
+def test_polynomial_arithmetic_builds_no_gaussian_rational(monkeypatch):
+    # sums, products, powers, derivatives and exact quotients stay on ints
+    rng = random.Random(31)
+    a, b = rand_poly(rng, nterms=4), rand_poly(rng, nterms=3)
+    product, three = a * b, Polynomial.const(GaussianRational(3, -1))
+    made = []
+    init = GaussianRational.__init__
+    monkeypatch.setattr(GaussianRational, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    a + b
+    a * b
+    a ** 3
+    a.derivative("z")
+    assert divexact(product, b) == a
+    assert divexact(a, three) * three == a
+    assert not made
+
+
 def test_gcd_basic():
     z = Polynomial.variable("z")
     one = Polynomial.one()
@@ -251,6 +400,20 @@ def test_parse_nesting_bound():
     for depth in (MAX_NESTING + 1, 3000):
         with pytest.raises(ExprError, match="nested deeper"):
             rf("(" * depth + "z" + ")" * depth, ["z"])
+
+
+def test_parse_degree_bound():
+    from cechchern.exprparse import MAX_DEGREE
+
+    assert MAX_DEGREE == 256
+    at_limit = rf("(1 + z)^256", ["z"])
+    assert at_limit.num.degree() == 256 and len(at_limit.num.re) == 257
+    assert rf("(z^2 + w)^-128") == rf("1/(z^2 + w)^128")
+    assert rf("2^256", []) == RationalFunction.const(2 ** 256)
+    for text in ("(1 + z)^257", "(z^2 + w)^-129", "z^(-257)", "2^257", "(1+z)^3000", "(1+z)^100000"):
+        with pytest.raises(ExprError, match="exceeds 256") as err:
+            rf(text)
+        assert err.value.position == text.rindex("^")
 
 
 def test_parse_serialize_roundtrip_random():
