@@ -8,7 +8,8 @@ from .scalars import GaussianRational
 from .poly import Polynomial, poly_gcd
 from .ratfunc import RationalFunction
 from .exprparse import ExprError, parse_expr
-from .linalg import RFMatrix, SingularMatrixError
+from .forms import MatrixForm
+from .linalg import SingularMatrixError
 from .manifest import Manifest, ManifestError
 
 __all__ = [
@@ -18,7 +19,7 @@ __all__ = [
     "RationalFunction",
     "ExprError",
     "parse_expr",
-    "RFMatrix",
+    "MatrixForm",
     "SingularMatrixError",
     "Manifest",
     "ManifestError",

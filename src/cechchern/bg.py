@@ -27,7 +27,6 @@ from .chern import (
 )
 from .fiber import integrate_fiber, level_forget
 from .forms import Chart, ConnectionMatrix, HoloForm, MatrixForm, apply_connection
-from .linalg import RFMatrix
 from .ratfunc import RationalFunction
 from .report import Report
 from .simplicial import Generator, nondegenerate_generators
@@ -146,19 +145,18 @@ def verify_square(h: BundlePathData, max_level: Optional[int] = None) -> Report:
 # -- the universal Chern form ------------------------------------------------------
 
 
-def matrix_group_chart(ell: int, n: int) -> Tuple[Chart, List[RFMatrix]]:
+def matrix_group_chart(ell: int, n: int) -> Tuple[Chart, List[MatrixForm]]:
     """The chart of an ell-fold product of symbolic invertible n x n
-    matrices, with the matrices themselves."""
+    matrices, with the matrices themselves on it."""
     names = [f"g{m}_{r}{c}" for m in range(1, ell + 1) for r in range(1, n + 1) for c in range(1, n + 1)]
     chart = Chart(f"G{ell}", tuple(sorted(names)))
-    mats = []
-    for m in range(1, ell + 1):
-        grid = [
+    return chart, [
+        MatrixForm.of_functions(chart, [
             [RationalFunction.variable(f"g{m}_{r}{c}") for c in range(1, n + 1)]
             for r in range(1, n + 1)
-        ]
-        mats.append(RFMatrix(grid))
-    return chart, mats
+        ])
+        for m in range(1, ell + 1)
+    ]
 
 
 def universal_chern(ell: int, n: int) -> HoloForm:
@@ -169,12 +167,11 @@ def universal_chern(ell: int, n: int) -> HoloForm:
     chart, mats = matrix_group_chart(ell, n)
     if ell == 0:
         return HoloForm.constant(chart, n)
-    product = MatrixForm.from_rfmatrix(chart, mats[0])
+    out = mats[0]
     for g in mats[1:]:
-        product = product * MatrixForm.from_rfmatrix(chart, g)
-    out = product
+        out = out * g
     for g in reversed(mats):
-        out = out * MatrixForm.from_rfmatrix(chart, g.inverse()).d()
+        out = out * g.inverse().d()
     return out.trace()
 
 
@@ -232,7 +229,8 @@ class EquivariantBundleData:
 
     action[(g, chart)] gives the coordinates of x.g in the chart's own
     coordinates (charts are assumed action-stable); lifts[(g, chart)] is
-    the frame matrix of the action on fibers over that chart.
+    the frame matrix of the action on fibers over that chart, a degree-0
+    MatrixForm on it.
     """
 
     def __init__(
@@ -241,7 +239,7 @@ class EquivariantBundleData:
         rank: int,
         group: FiniteGroup,
         action: Mapping[Tuple[str, int], CoordMap],
-        lifts: Mapping[Tuple[str, int], RFMatrix],
+        lifts: Mapping[Tuple[str, int], MatrixForm],
         connections: Optional[Mapping[int, ConnectionMatrix]] = None,
     ):
         self.cover = cover
@@ -255,7 +253,7 @@ class EquivariantBundleData:
                 if g == group.identity:
                     default_map = {c: RationalFunction.variable(c) for c in chart.coordinates}
                     self.action[(g, i)] = dict(action.get((g, i), default_map))
-                    self.lifts[(g, i)] = lifts.get((g, i), RFMatrix.identity(rank))
+                    self.lifts[(g, i)] = lifts.get((g, i), MatrixForm.identity(chart, rank))
                 else:
                     self.action[(g, i)] = dict(action[(g, i)])
                     self.lifts[(g, i)] = lifts[(g, i)]
@@ -265,6 +263,8 @@ class EquivariantBundleData:
                 lift = self.lifts[(g, i)]
                 if lift.rows != rank or lift.cols != rank:
                     raise ValueError(f"lift of {g} on chart {i} is not {rank} x {rank}")
+                if lift.chart != chart:
+                    raise ValueError(f"lift of {g} on chart {i} lives on the wrong chart")
         self.connections = chart_connections(cover, rank, connections)
 
     def act_pullback(self, value, g: str, i: int):
@@ -291,12 +291,8 @@ class EquivariantBundleData:
                     direct = self.action[(hg, i)]
                     if any(direct[v] != composed[v] for v in direct):
                         bad_action.append((h, g, i))
-                    chart = self.cover.charts[i]
-                    lift_g = MatrixForm.from_rfmatrix(chart, self.lifts[(g, i)])
-                    pulled = self.act_pullback(lift_g, h, i)
-                    lift_h = MatrixForm.from_rfmatrix(chart, self.lifts[(h, i)])
-                    lift_hg = MatrixForm.from_rfmatrix(chart, self.lifts[(hg, i)])
-                    if not (pulled * lift_h - lift_hg).is_zero:
+                    pulled = self.act_pullback(self.lifts[(g, i)], h, i)
+                    if not (pulled * self.lifts[(h, i)] - self.lifts[(hg, i)]).is_zero:
                         bad_lifts.append((h, g, i))
         report.check("equivariant.action_composition", bad_action, "violated at {}")
         report.check("equivariant.lift_composition", bad_lifts, "violated at {}")
@@ -306,21 +302,18 @@ class EquivariantBundleData:
 
     def nabla_phi(self, g: str, i: int) -> MatrixForm:
         """The invariance defect d(phi_g) + (rho_g^* A) phi_g - phi_g A."""
-        phi = MatrixForm.from_rfmatrix(self.cover.charts[i], self.lifts[(g, i)])
         a = self.connections[i]
-        return apply_connection(phi, a, self.act_pullback(a, g, i))
+        return apply_connection(self.lifts[(g, i)], a, self.act_pullback(a, g, i))
 
     def word_component(self, word: Sequence[str], i: int) -> HoloForm:
         """The trace word of the action lifts along a group word, over one
         chart: the group-direction Chern component of u-power len(word)."""
-        chart = self.cover.charts[i]
         a0 = self.connections[i]
         entries = []
         prefix = self.group.identity
         conn_prev = a0
         for g in word:
-            phi = MatrixForm.from_rfmatrix(chart, self.lifts[(g, i)])
-            h = self.act_pullback(phi, prefix, i)
+            h = self.act_pullback(self.lifts[(g, i)], prefix, i)
             prefix = self.group.mul(prefix, g)
             conn_next = self.act_pullback(a0, prefix, i)
             entries.append((h, conn_prev, conn_next))

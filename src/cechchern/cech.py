@@ -18,12 +18,11 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from . import linalg
 from .forms import Chart, HoloForm
-from .linalg import RFMatrix
 from .poly import collect
 from .ratfunc import RationalFunction
 from .report import Report
-from .scalars import GaussianRational
 from .simplicial import Generator, boundary, nondegenerate_generators
 
 
@@ -32,18 +31,13 @@ class CoverError(ValueError):
 
 
 class FormalSection:
-    """A linear combination of abstract generators with one form degree."""
+    """An integer combination of abstract generators with one form degree."""
 
     __slots__ = ("form_degree", "terms")
 
     def __init__(self, form_degree: int, terms: Mapping = ()):
-        clean = {}
-        for sym, c in dict(terms).items():
-            c = GaussianRational.coerce(c)
-            if c:
-                clean[sym] = c
         object.__setattr__(self, "form_degree", form_degree)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {sym: c for sym, c in dict(terms).items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalSection is immutable")
@@ -71,8 +65,7 @@ class FormalSection:
     def __neg__(self) -> "FormalSection":
         return FormalSection(self.form_degree, {s: -c for s, c in self.terms.items()})
 
-    def scale(self, c) -> "FormalSection":
-        c = GaussianRational.coerce(c)
+    def scale(self, c: int) -> "FormalSection":
         return FormalSection(self.form_degree, {s: x * c for s, x in self.terms.items()})
 
     def map_generators(self, fn: Callable[[object], "FormalSection"]) -> "FormalSection":
@@ -154,7 +147,7 @@ class Cover(_CoverBase):
             if set(src) - set(m):
                 raise CoverError(f"change map {a}->{b} missing coordinates {sorted(set(src) - set(m))}")
             jacobian = [[m[u].derivative(v) for v in dst] for u in src]
-            if src and RFMatrix(jacobian).det().is_zero:
+            if src and linalg.det(jacobian).is_zero:
                 raise CoverError(f"change map {a}->{b} is degenerate: its Jacobian determinant vanishes")
 
     @staticmethod

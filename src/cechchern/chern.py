@@ -1,11 +1,11 @@
 """Chern character cocycles from transition-function data.
 
 Storage convention: trans[(a, b)] is the frame change FROM chart a TO
-chart b over the overlap, expressed in the anchor chart min(a, b); with
-this orientation the rank-one cocycle with trans[(0, 1)] = z^n produces
-the component n * dz/z * u on the pair (0, 1).  Cocycle law:
-trans[(b, c)] * trans[(a, b)] = trans[(a, c)].  Intertwiners f^p_i sit
-over single charts and satisfy the square-commutation law
+chart b over the overlap, a degree-0 MatrixForm on the anchor chart
+min(a, b); with this orientation the rank-one cocycle with
+trans[(0, 1)] = z^n produces the component n * dz/z * u on the pair (0, 1).  Cocycle law:
+trans[(b, c)] * trans[(a, b)] = trans[(a, c)].  Intertwiners f^p_i are
+degree-0 MatrixForms on chart i and satisfy the square-commutation law
 f^p_b * trans^{(p-1)}[(a, b)] = trans^{(p)}[(a, b)] * f^p_a.
 
 The trace words follow the master pattern
@@ -21,7 +21,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cech import Cover, UPolyCochain
 from .forms import ConnectionMatrix, HoloForm, MatrixForm, apply_connection
-from .linalg import RFMatrix
 from .fiber import step_positions
 from .report import Report
 from .simplicial import Generator, boundary, nondegenerate_generators, shuffles
@@ -54,12 +53,12 @@ class BundleVertexData:
         self,
         cover: Cover,
         rank: int,
-        transitions: Mapping[Tuple[int, int], RFMatrix],
+        transitions: Mapping[Tuple[int, int], MatrixForm],
         connections: Optional[Mapping[int, ConnectionMatrix]] = None,
     ):
         self.cover = cover
         self.rank = rank
-        trans: Dict[Tuple[int, int], RFMatrix] = {}
+        trans: Dict[Tuple[int, int], MatrixForm] = {}
         for (a, b), m in transitions.items():
             if a == b:
                 raise BundleDataError("transitions are stored for distinct chart pairs")
@@ -67,6 +66,8 @@ class BundleVertexData:
                 raise BundleDataError(f"transition on undeclared overlap ({a},{b})")
             if m.rows != rank or m.cols != rank:
                 raise BundleDataError(f"transition ({a},{b}) has wrong shape")
+            if m.chart != cover.charts[min(a, b)]:
+                raise BundleDataError(f"transition ({a},{b}) lives on the wrong chart")
             trans[(a, b)] = m
         # complete the reverse directions (g_{ii} = identity is implicit)
         for (a, b), m in list(trans.items()):
@@ -81,22 +82,13 @@ class BundleVertexData:
         self._tform_cache: Dict[Tuple[int, int, int], MatrixForm] = {}
         self._conn_cache: Dict[Tuple[int, int], ConnectionMatrix] = {}
 
-    def transition(self, a: int, b: int) -> RFMatrix:
-        """The frame change from chart a to chart b, in chart min(a,b)."""
-        if a == b:
-            return RFMatrix.identity(self.rank)
-        try:
-            return self.transitions[(a, b)]
-        except KeyError:
-            raise BundleDataError(f"no transition for pair ({a},{b})") from None
-
     def transition_form(self, a: int, b: int, anchor: int) -> MatrixForm:
-        """The transition as a degree-0 matrix form in a given anchor chart."""
+        """The frame change from chart a to chart b, in a given anchor chart."""
         key = (a, b, anchor)
         if key not in self._tform_cache:
-            src = min(a, b)
-            form = MatrixForm.from_rfmatrix(self.cover.charts[src], self.transition(a, b))
-            self._tform_cache[key] = self.cover.pull_to_chart(form, src, anchor)
+            if (a, b) not in self.transitions:
+                raise BundleDataError(f"no transition for pair ({a},{b})")
+            self._tform_cache[key] = self.cover.pull_to_chart(self.transitions[(a, b)], min(a, b), anchor)
         return self._tform_cache[key]
 
     def connection_in(self, i: int, anchor: int) -> ConnectionMatrix:
@@ -141,7 +133,7 @@ class BundlePathData:
     def __init__(
         self,
         levels: Sequence[BundleVertexData],
-        intertwiners: Mapping[Tuple[int, int], RFMatrix],
+        intertwiners: Mapping[Tuple[int, int], MatrixForm],
     ):
         if not levels:
             raise BundleDataError("at least one level required")
@@ -163,6 +155,8 @@ class BundlePathData:
                     raise BundleDataError(f"missing intertwiner f^{p} on chart {i}") from None
                 if f.rows != self.rank or f.cols != self.rank:
                     raise BundleDataError(f"intertwiner f^{p}_{i} has wrong shape")
+                if f.chart != self.cover.charts[i]:
+                    raise BundleDataError(f"intertwiner f^{p}_{i} lives on the wrong chart")
                 self.intertwiners[(p, i)] = f
         self._iform_cache: Dict[Tuple[int, int, int, int], MatrixForm] = {}
 
@@ -170,9 +164,9 @@ class BundlePathData:
     def n(self) -> int:
         return len(self.levels) - 1
 
-    def intertwiner_range(self, p_hi: int, p_lo: int, i: int) -> RFMatrix:
+    def intertwiner_range(self, p_hi: int, p_lo: int, i: int) -> MatrixForm:
         """f^(p_hi, p_lo)_i = f^{p_hi} ... f^{p_lo + 1} on chart i."""
-        out = RFMatrix.identity(self.rank)
+        out = MatrixForm.identity(self.cover.charts[i], self.rank)
         for p in range(p_lo + 1, p_hi + 1):
             out = self.intertwiners[(p, i)] * out
         return out
@@ -180,8 +174,7 @@ class BundlePathData:
     def intertwiner_form(self, p_hi: int, p_lo: int, i: int, anchor: int) -> MatrixForm:
         key = (p_hi, p_lo, i, anchor)
         if key not in self._iform_cache:
-            form = MatrixForm.from_rfmatrix(self.cover.charts[i], self.intertwiner_range(p_hi, p_lo, i))
-            self._iform_cache[key] = self.cover.pull_to_chart(form, i, anchor)
+            self._iform_cache[key] = self.cover.pull_to_chart(self.intertwiner_range(p_hi, p_lo, i), i, anchor)
         return self._iform_cache[key]
 
     def validate(self) -> Report:
@@ -233,8 +226,8 @@ class NerveInstance:
 
     def segment(self, lo: int, hi: int) -> MatrixForm:
         """The composite morphism from object lo to object hi."""
-        if lo == hi:
-            return MatrixForm.identity(self.chart, self.rank)
+        if hi == lo + 1:
+            return self.morphisms[lo]
         key = (lo, hi)
         if key not in self._segments:
             self._segments[key] = self.morphisms[hi - 1] * self.segment(lo, hi - 1)
@@ -287,15 +280,13 @@ def _word_trace(
 ) -> HoloForm:
     """tr((w_L..w_1)^{-1} nabla(w_L) ^ ... ^ nabla(w_1)) for a composable word.
 
-    Each entry is (matrix, source connection, target connection), listed
-    first-applied first.
+    Each entry is (degree-0 matrix, source connection, target connection),
+    all on one chart, listed first-applied first.
     """
-    chart = word[0][0].chart
     composite = word[0][0]
     for m, _, _ in word[1:]:
         composite = m * composite
-    inverse = MatrixForm.from_rfmatrix(chart, composite.to_rfmatrix().inverse())
-    prod = inverse
+    prod = composite.inverse()
     for m, a_src, a_dst in reversed(word):
         prod = prod * apply_connection(m, a_src, a_dst)
     return prod.trace()

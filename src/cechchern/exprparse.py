@@ -11,8 +11,9 @@ Grammar (whitespace insensitive):
 
 Integer literals plus '/' give rational constants; 'i' is the imaginary
 unit; '^' takes integer exponents, negative ones landing in the
-denominator.  A power whose degree would exceed MAX_DEGREE is an error.
-Every error reports the offending position.
+denominator.  A power, or a run of sums or of products, whose numerator
+or denominator degree could exceed MAX_DEGREE is an error, raised before
+anything is multiplied out.  Every error reports the offending position.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 # depth the parser stops with an ExprError before Python's recursion limit.
 MAX_NESTING = 100
 
-# The largest degree a power may reach, checked before it is multiplied out
-# (the shipped, fixture and benchmark manifests stay at degree 5 or below).
-# A constant base counts as degree 1, so its coefficients stay bounded too.
+# The largest degree an operator's result may reach, checked before it is
+# computed (the shipped, fixture and benchmark manifests stay at degree 5 or
+# below).  A constant base of '^' counts as degree 1, so its coefficients
+# stay bounded too.
 MAX_DEGREE = 256
 
 
@@ -93,31 +95,32 @@ class _Parser:
         return value
 
     def expr(self) -> RationalFunction:
-        value = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value + rhs if val == "+" else value - rhs
-            else:
-                return value
+        return self.chain("+-", self.term)
 
     def term(self) -> RationalFunction:
-        value = self.unary()
+        return self.chain("*/", self.unary)
+
+    def chain(self, ops: str, operand) -> RationalFunction:
+        """operand (op operand)*, combined left to right once the degree
+        bound of the whole run has passed at every operator."""
+        value = operand()
+        num, den = value.num.degree(), value.den.degree()
+        rest = []
         while True:
             kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.unary()
-                if val == "*":
-                    value = value * rhs
-                else:
-                    if rhs.is_zero:
-                        raise ExprError("division by identically-zero expression", pos)
-                    value = value / rhs
-            else:
-                return value
+            if kind != "op" or val not in ops:
+                break
+            self.advance()
+            rhs = operand()
+            if val == "/" and rhs.is_zero:
+                raise ExprError("division by identically-zero expression", pos)
+            num, den = _OPERATORS[val][1](num, den, rhs.num.degree(), rhs.den.degree())
+            if max(num, den) > MAX_DEGREE:
+                raise ExprError(f"degree up to {max(num, den)} at {val!r} exceeds {MAX_DEGREE}", pos)
+            rest.append((val, rhs))
+        for val, rhs in rest:
+            value = _OPERATORS[val][0](value, rhs)
+        return value
 
     def unary(self) -> RationalFunction:
         sign = 1
@@ -184,6 +187,16 @@ class _Parser:
             self.depth -= 1
             return value
         raise ExprError(f"unexpected token {val or 'end of input'!r}", pos)
+
+
+# Each operator with bounds on the numerator and denominator degrees of
+# a op b, from those of a (n, d) and of b (m, e).
+_OPERATORS = {
+    "+": (RationalFunction.__add__, lambda n, d, m, e: (max(n + e, m + d), d + e)),
+    "-": (RationalFunction.__sub__, lambda n, d, m, e: (max(n + e, m + d), d + e)),
+    "*": (RationalFunction.__mul__, lambda n, d, m, e: (n + m, d + e)),
+    "/": (RationalFunction.__truediv__, lambda n, d, m, e: (n + e, d + m)),
+}
 
 
 def parse_expr(text: str, variables: Sequence[str]) -> RationalFunction:

@@ -6,6 +6,10 @@ monomial dz_{i1} ^ ... ^ dz_{ik}.  The holomorphic de Rham operator, the
 wedge product, pullback along rational maps and the induced connection on
 Hom-bundles all act on this representation.
 
+MatrixForm is the one matrix type: transitions, intertwiners, action
+lifts and symbolic group elements are degree-0 MatrixForms on their chart,
+whose det() and inverse() call linalg.
+
 Sign conventions: wedge merging counts transpositions of the index
 tuples; the induced connection on a degree-0 morphism f is
 nabla(f) = d(f) + A_dst * f - f * A_src.
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .linalg import RFMatrix
+from . import linalg
 from .poly import collect
 from .ratfunc import RationalFunction
 
@@ -249,7 +253,7 @@ class MatrixForm:
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
         if any(len(r) != cols for r in entries):
-            raise ValueError("ragged matrix of forms")
+            raise ValueError("ragged matrix")
         for row in entries:
             for e in row:
                 if e.chart != chart:
@@ -274,22 +278,32 @@ class MatrixForm:
         return MatrixForm(chart, [[one if i == j else z for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def from_rfmatrix(chart: Chart, m: RFMatrix) -> "MatrixForm":
-        return MatrixForm(
-            chart, [[HoloForm.function(chart, e) for e in row] for row in m.entries]
-        )
+    def of_functions(chart: Chart, rows: Sequence[Sequence[RationalFunction]]) -> "MatrixForm":
+        """The degree-0 matrix of a grid of functions on the chart."""
+        return MatrixForm(chart, [[HoloForm.function(chart, f) for f in row] for row in rows])
 
-    def to_rfmatrix(self) -> RFMatrix:
-        """Extract the degree-0 part as a plain function matrix."""
-        grid = []
-        for row in self.entries:
-            out = []
-            for e in row:
-                if any(idx for idx in e.terms):
-                    raise ValueError("matrix has positive-degree entries")
-                out.append(e.coefficient(()))
-            grid.append(out)
-        return RFMatrix(grid)
+    def _functions(self):
+        """The grid of functions of a degree-0 matrix."""
+        if any(any(e.terms) for row in self.entries for e in row):
+            raise ValueError("matrix has positive-degree entries")
+        zero = RationalFunction.zero()
+        return [[e.terms.get((), zero) for e in row] for row in self.entries]
+
+    def det(self) -> RationalFunction:
+        """The determinant of a square degree-0 matrix."""
+        return linalg.det(self._functions())
+
+    def inverse(self) -> "MatrixForm":
+        """The exact inverse of a square degree-0 matrix."""
+        return MatrixForm.of_functions(self.chart, linalg.inverse(self._functions()))
+
+    @property
+    def is_identity(self) -> bool:
+        return self.rows == self.cols and all(
+            (list(e.terms) == [()] and e.terms[()].is_one) if i == j else not e.terms
+            for i, row in enumerate(self.entries)
+            for j, e in enumerate(row)
+        )
 
     def __getitem__(self, key):
         i, j = key

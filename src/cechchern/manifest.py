@@ -17,7 +17,6 @@ from .cech import Cover
 from .chern import BundlePathData, BundleVertexData
 from .exprparse import ExprError, parse_expr
 from .forms import Chart, ConnectionMatrix, HoloForm, MatrixForm
-from .linalg import RFMatrix
 
 
 class ManifestError(ValueError):
@@ -120,15 +119,15 @@ class Manifest:
 
     # -- bundle sections ----------------------------------------------------------
 
-    def _parse_matrix(self, entries, variables, what: str) -> RFMatrix:
+    def _parse_matrix(self, entries, chart: Chart, what: str) -> MatrixForm:
+        """A degree-0 matrix on the chart whose coordinates its entries use."""
         if not isinstance(entries, list) or not entries:
             raise ManifestError(f"{self.source}: {what} must be a nonempty matrix")
-        grid = []
-        for row in entries:
-            grid.append([self._parse(e, variables) for e in row])
-        return RFMatrix(grid)
+        return MatrixForm.of_functions(
+            chart, [[self._parse(e, chart.coordinates) for e in row] for row in entries]
+        )
 
-    def _parse_transitions(self, mapping) -> Dict[Tuple[int, int], RFMatrix]:
+    def _parse_transitions(self, mapping) -> Dict[Tuple[int, int], MatrixForm]:
         out = {}
         for key, entries in mapping.items():
             parts = [p.strip() for p in str(key).split(",")]
@@ -136,7 +135,7 @@ class Manifest:
                 raise ManifestError(f"{self.source}: bad transition key {key!r}")
             a, b = (self._integer(p, "chart index", 0, self.cover.n_charts - 1) for p in parts)
             anchor = self.cover.charts[min(a, b)]
-            out[(a, b)] = self._parse_matrix(entries, anchor.coordinates, f"transition {key}")
+            out[(a, b)] = self._parse_matrix(entries, anchor, f"transition {key}")
         return out
 
     def _parse_connections(self, mapping, rank) -> Dict[int, ConnectionMatrix]:
@@ -198,7 +197,7 @@ class Manifest:
             for chart_key, entries in per_chart.items():
                 i = self._integer(chart_key, "chart index", 0, self.cover.n_charts - 1)
                 intertwiners[(p, i)] = self._parse_matrix(
-                    entries, self.cover.charts[i].coordinates, f"intertwiner level {p} chart {i}"
+                    entries, self.cover.charts[i], f"intertwiner level {p} chart {i}"
                 )
         return BundlePathData(levels, intertwiners)
 
@@ -225,9 +224,8 @@ class Manifest:
         for g, per_chart in group_raw.get("lifts", {}).items():
             for chart_key, entries in per_chart.items():
                 i = self._integer(chart_key, "chart index", 0, self.cover.n_charts - 1)
-                chart = self.cover.charts[i]
                 lifts[(g, i)] = self._parse_matrix(
-                    entries, chart.coordinates, f"lift of {g} on chart {i}"
+                    entries, self.cover.charts[i], f"lift of {g} on chart {i}"
                 )
         conns = self._parse_connections(self._level_entries()[0].get("connections"), rank)
         return EquivariantBundleData(self.cover, rank, group, action, lifts, conns)

@@ -8,7 +8,7 @@ are no tolerances to tune.
 import random
 import time
 
-from cechchern import RFMatrix, parse_expr
+from cechchern import parse_expr
 from cechchern.bg import EquivariantBundleData, FiniteGroup, equivariant_check, gamma, verify_square
 from cechchern.cech import Cover
 from cechchern.chern import (
@@ -60,8 +60,16 @@ def cstar_cover(n, coords=("z",)):
     return Cover(charts, [tuple(range(n))], change)
 
 
-def mono(text, coords=("z",)):
-    return RFMatrix([[parse_expr(text, list(coords))]])
+def mono(text, chart):
+    """The 1 x 1 function matrix of text on the chart."""
+    return MatrixForm.of_functions(chart, [[parse_expr(text, chart.coordinates)]])
+
+
+def diagonal(chart, values):
+    zero = parse_expr("0", [])
+    return MatrixForm.of_functions(
+        chart, [[v if i == j else zero for j in range(len(values))] for i, v in enumerate(values)]
+    )
 
 
 def test_acceptance_1_line_bundles_on_cp1():
@@ -72,7 +80,7 @@ def test_acceptance_1_line_bundles_on_cp1():
         t0 = time.perf_counter()
         cover = cp1_cover()
         gtext = f"z^{n}" if n else "1"
-        data = BundleVertexData(cover, 1, {(0, 1): mono(gtext)})
+        data = BundleVertexData(cover, 1, {(0, 1): mono(gtext, cover.charts[0])})
         cocycle = tot_ch_vertex(data)
         expected = (
             None
@@ -97,17 +105,19 @@ def test_acceptance_1_line_bundles_on_cp1():
     _finish(1, ok, start, 8.0, "; ".join(detail))
 
 
-def _rand_unit_rank2(rng, coords=("z",)):
+def _rand_unit_rank2(rng, chart):
+    coords = chart.coordinates
     z = coords[0]
     def poly():
         return parse_expr(
             f"{rng.randint(-3, 3)}*{z}^{rng.randint(0, 2)} + {rng.randint(-2, 2)}", list(coords)
         )
-    lower = RFMatrix([[parse_expr("1", []), parse_expr("0", [])], [poly(), parse_expr("1", [])]])
-    upper = RFMatrix([[parse_expr("1", []), poly()], [parse_expr("0", []), parse_expr("1", [])]])
+    one, zero = parse_expr("1", []), parse_expr("0", [])
+    lower = MatrixForm.of_functions(chart, [[one, zero], [poly(), one]])
+    upper = MatrixForm.of_functions(chart, [[one, poly()], [zero, one]])
     d1 = parse_expr(f"{rng.choice([1, -1])}*{z}^{rng.randint(-2, 2)}", [z])
     d2 = parse_expr(f"{rng.choice([1, -1])}*{z}^{rng.randint(-2, 2)}", [z])
-    return lower * RFMatrix.diagonal([d1, d2]) * upper
+    return lower * diagonal(chart, [d1, d2]) * upper
 
 
 def _rand_conn_rank2(rng, chart):
@@ -132,7 +142,7 @@ def test_acceptance_2_face_sums_randomized():
     detail = []
     for trial in range(100):
         k = 2 + (trial % 2)  # simplicial degrees 2 and 3
-        morphisms = [MatrixForm.from_rfmatrix(chart, _rand_unit_rank2(rng)) for _ in range(k)]
+        morphisms = [_rand_unit_rank2(rng, chart) for _ in range(k)]
         conns = [_rand_conn_rank2(rng, chart) for _ in range(k + 1)]
         instance = NerveInstance(morphisms, conns)
         for ell in range(2, k + 2):
@@ -224,7 +234,8 @@ def test_acceptance_6_commuting_square():
     detail = []
     # (a) the O(k) vertex instances on CP^1
     for k in (-2, 1, 3):
-        h = BundlePathData([BundleVertexData(cp1_cover(), 1, {(0, 1): mono(f"z^{k}")})], {})
+        cover = cp1_cover()
+        h = BundlePathData([BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k}", cover.charts[0])})], {})
         report = verify_square(h)
         if not report.ok:
             ok = False
@@ -234,10 +245,10 @@ def test_acceptance_6_commuting_square():
     for k0, k1, m in [(3, 1, 2), (2, -1, 0), (-1, 2, 1)]:
         h = BundlePathData(
             [
-                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k0}")}),
-                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k1}")}),
+                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k0}", cover.charts[0])}),
+                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k1}", cover.charts[0])}),
             ],
-            {(1, 0): mono(f"z^{m + k0 - k1}"), (1, 1): mono(f"z^{m}")},
+            {(1, 0): mono(f"z^{m + k0 - k1}", cover.charts[0]), (1, 1): mono(f"z^{m}", cover.charts[1])},
         )
         report = verify_square(h)
         if not report.ok:
@@ -246,39 +257,41 @@ def test_acceptance_6_commuting_square():
     _finish(6, ok, start, 5.0, "; ".join(detail))
 
 
-def _rand_gl1_multi(rng, coords):
+def _rand_gl1_multi(rng, chart):
     parts = [f"{rng.choice([1, -1])}"]
-    for c in coords:
+    for c in chart.coordinates:
         parts.append(f"{c}^{rng.randint(-2, 2)}")
-    return mono("*".join(parts), coords)
+    return mono("*".join(parts), chart)
 
 
-def _gl1_path(rng, cover, n_levels, coords):
+def _gl1_path(rng, cover, n_levels):
     n_charts = cover.n_charts
     gens = [
-        {(a, a + 1): _rand_gl1_multi(rng, coords) for a in range(n_charts - 1)}
+        {(a, a + 1): _rand_gl1_multi(rng, cover.charts[a]) for a in range(n_charts - 1)}
         for _ in range(n_levels + 1)
     ]
     levels = []
     for p in range(n_levels + 1):
         full = {}
         for a in range(n_charts):
-            acc = RFMatrix.identity(1)
+            acc = MatrixForm.identity(cover.charts[a], 1)
             for b in range(a + 1, n_charts):
-                acc = gens[p][(b - 1, b)] * acc
+                acc = cover.pull_to_chart(gens[p][(b - 1, b)], b - 1, a) * acc
                 full[(a, b)] = acc
         levels.append(BundleVertexData(cover, 1, full))
     inter = {}
     for p in range(1, n_levels + 1):
-        f = _rand_gl1_multi(rng, coords)
+        f = _rand_gl1_multi(rng, cover.charts[0])
         inter[(p, 0)] = f
         for a in range(n_charts - 1):
             f = levels[p].transitions[(a, a + 1)] * f * levels[p - 1].transitions[(a, a + 1)].inverse()
+            f = cover.pull_to_chart(f, a, a + 1)
             inter[(p, a + 1)] = f
     return BundlePathData(levels, inter)
 
 
-def _sl2_poly(rng, coords):
+def _sl2_poly(rng, chart):
+    coords = chart.coordinates
     def poly():
         pieces = [str(rng.randint(-2, 2))]
         for c in coords:
@@ -286,25 +299,25 @@ def _sl2_poly(rng, coords):
         return parse_expr(" + ".join(pieces), list(coords))
     one = parse_expr("1", [])
     zero = parse_expr("0", [])
-    lower = RFMatrix([[one, zero], [poly(), one]])
-    upper = RFMatrix([[one, poly()], [zero, one]])
+    lower = MatrixForm.of_functions(chart, [[one, zero], [poly(), one]])
+    upper = MatrixForm.of_functions(chart, [[one, poly()], [zero, one]])
     return lower * upper
 
 
-def _gl2_chain_path(rng, cover, n_levels, coords):
+def _gl2_chain_path(rng, cover, n_levels):
     """Random SL(2)-type path data on any number of charts: pick the level-0
     adjacent transitions and all intertwiners freely, then propagate the
     square-commutation and cocycle laws."""
     n_charts = cover.n_charts
-    adjacent = [{a: _sl2_poly(rng, coords) for a in range(n_charts - 1)}]
+    adjacent = [{a: _sl2_poly(rng, cover.charts[a]) for a in range(n_charts - 1)}]
     inter = {}
     for p in range(1, n_levels + 1):
-        fs = [_sl2_poly(rng, coords) for _ in range(n_charts)]
+        fs = [_sl2_poly(rng, cover.charts[i]) for i in range(n_charts)]
         for i, f in enumerate(fs):
             inter[(p, i)] = f
         adjacent.append(
             {
-                a: fs[a + 1] * adjacent[p - 1][a] * fs[a].inverse()
+                a: cover.pull_to_chart(fs[a + 1], a + 1, a) * adjacent[p - 1][a] * fs[a].inverse()
                 for a in range(n_charts - 1)
             }
         )
@@ -312,9 +325,9 @@ def _gl2_chain_path(rng, cover, n_levels, coords):
     for p in range(n_levels + 1):
         full = {}
         for a in range(n_charts):
-            acc = RFMatrix.identity(2)
+            acc = MatrixForm.identity(cover.charts[a], 2)
             for b in range(a + 1, n_charts):
-                acc = adjacent[p][b - 1] * acc
+                acc = cover.pull_to_chart(adjacent[p][b - 1], b - 1, a) * acc
                 full[(a, b)] = acc
         levels.append(BundleVertexData(cover, 2, full))
     return BundlePathData(levels, inter)
@@ -331,7 +344,7 @@ def test_acceptance_7_closed_formula_vs_ez_pipeline():
     cover4 = cstar_cover(4, coords3)
     for n_levels in (1, 2):
         for _ in range(2):
-            path = _gl1_path(rng, cover4, n_levels, coords3)
+            path = _gl1_path(rng, cover4, n_levels)
             for ell in range(n_levels + 1):
                 for g in nondegenerate_generators(n_levels, ell):
                     if tot_ch_simplex(path, g) != tot_ch_simplex_via_ez(path, g):
@@ -342,7 +355,7 @@ def test_acceptance_7_closed_formula_vs_ez_pipeline():
     coords2 = ("w", "z")
     cover2 = cstar_cover(3, coords2)
     for n_levels in (1, 2):
-        path = _gl2_chain_path(rng, cover2, n_levels, coords2)
+        path = _gl2_chain_path(rng, cover2, n_levels)
         for ell in range(n_levels + 1):
             for g in nondegenerate_generators(n_levels, ell):
                 if tot_ch_simplex(path, g) != tot_ch_simplex_via_ez(path, g):
@@ -365,12 +378,12 @@ def test_acceptance_8_equivariant_vanishing():
         return {0: ConnectionMatrix(chart, MatrixForm(chart, [[a]]))}
 
     invariant = EquivariantBundleData(
-        cover, 1, group, action, {("s", 0): mono("1")}, conn("z^-2 - 1")
+        cover, 1, group, action, {("s", 0): mono("1", chart)}, conn("z^-2 - 1")
     )
     report = equivariant_check(invariant)
     ok = report.ok
     control = EquivariantBundleData(
-        cover, 1, group, action, {("s", 0): mono("1")}, conn("1")
+        cover, 1, group, action, {("s", 0): mono("1", chart)}, conn("1")
     )
     defect = control.nabla_phi("s", 0)
     expected = HoloForm(chart, {(0,): parse_expr("(-1 - z^2)/z^2", ["z"])})
@@ -381,11 +394,11 @@ def test_acceptance_8_equivariant_vanishing():
     _finish(8, ok, start, 1.0)
 
 
-def _rand_gl2_monomial(rng):
+def _rand_gl2_monomial(rng, chart):
     a = parse_expr(f"{rng.choice([1, -1])}*z^{rng.randint(-2, 2)}", ["z"])
     d = parse_expr(f"{rng.choice([1, -1])}*z^{rng.randint(-2, 2)}", ["z"])
     b = parse_expr(f"{rng.randint(-2, 2)}*z^{rng.randint(0, 2)}", ["z"])
-    return RFMatrix([[a, b], [parse_expr("0", []), d]])
+    return MatrixForm.of_functions(chart, [[a, b], [parse_expr("0", []), d]])
 
 
 def test_acceptance_9_gamma_closedness():
@@ -396,12 +409,12 @@ def test_acceptance_9_gamma_closedness():
     for trial in range(50):
         n_charts = 2 + trial % 3  # covers with 2, 3 and 4 charts
         cover = cstar_cover(n_charts)
-        gens = {(a, a + 1): _rand_gl2_monomial(rng) for a in range(n_charts - 1)}
+        gens = {(a, a + 1): _rand_gl2_monomial(rng, cover.charts[a]) for a in range(n_charts - 1)}
         full = {}
         for a in range(n_charts):
-            acc = RFMatrix.identity(2)
+            acc = MatrixForm.identity(cover.charts[a], 2)
             for b in range(a + 1, n_charts):
-                acc = gens[(b - 1, b)] * acc
+                acc = cover.pull_to_chart(gens[(b - 1, b)], b - 1, a) * acc
                 full[(a, b)] = acc
         h = BundlePathData([BundleVertexData(cover, 2, full)], {})
         if not gamma(h).delta().is_zero:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cechchern import RFMatrix, parse_expr
+from cechchern import parse_expr
 from cechchern.bg import (
     EquivariantBundleData,
     FiniteGroup,
@@ -37,8 +37,9 @@ def cstar_cover(n):
     return Cover(charts, [tuple(range(n))], change)
 
 
-def mono(text):
-    return RFMatrix([[parse_expr(text, ["z"])]])
+def mono(text, chart):
+    """The 1 x 1 function matrix of text on the chart."""
+    return MatrixForm.of_functions(chart, [[parse_expr(text, chart.coordinates)]])
 
 
 # -- universal Chern form --------------------------------------------------------------
@@ -57,9 +58,7 @@ def test_universal_chern_inverse_identity():
     for n in (1, 2):
         chart, (g,) = matrix_group_chart(1, n)
         lhs = universal_chern(1, n)
-        ginv = MatrixForm.from_rfmatrix(chart, g.inverse())
-        gm = MatrixForm.from_rfmatrix(chart, g)
-        rhs = (ginv * gm.d()).trace()
+        rhs = (g.inverse() * g.d()).trace()
         assert (lhs + rhs).is_zero
 
 
@@ -87,9 +86,9 @@ def test_universal_chern_two_argument_pullback_matches_gamma():
             if a != b
         },
     )
-    t01 = RFMatrix([[parse_expr("z^2*w", ["z", "w"])]])
-    t12 = RFMatrix([[parse_expr("z*w^-1", ["z", "w"])]])
-    t02 = t12 * t01
+    t01 = mono("z^2*w", cover.charts[0])
+    t12 = mono("z*w^-1", cover.charts[1])
+    t02 = cover.pull_to_chart(t12, 1, 0) * t01
     h = BundlePathData([BundleVertexData(cover, 1, {(0, 1): t01, (1, 2): t12, (0, 2): t02})], {})
     c = gamma(h)
     target = c.component((((0, 0)), ((0, 1)), ((0, 2))))
@@ -99,8 +98,8 @@ def test_universal_chern_two_argument_pullback_matches_gamma():
     chart, _ = matrix_group_chart(2, 1)
     form = universal_chern(2, 1)
     mapping = {
-        "g1_11": t01[0, 0].inverse(),
-        "g2_11": t12[0, 0].inverse(),
+        "g1_11": t01[0, 0].coefficient(()).inverse(),
+        "g2_11": t12[0, 0].coefficient(()).inverse(),
     }
     pulled = form.pullback(cover.charts[0], mapping)
     assert pulled == target
@@ -113,19 +112,18 @@ def test_universal_chern_pullback_matches_gamma_component():
     chart, (g,) = matrix_group_chart(1, 2)
     form = universal_chern(1, 2)
     z = Chart("Z", ("z",))
-    g01 = RFMatrix(
+    g01 = MatrixForm.of_functions(
+        z,
         [
             [parse_expr("z^2", ["z"]), parse_expr("1", [])],
             [parse_expr("0", []), parse_expr("z^-1", ["z"])],
         ]
     )
     mapping = {
-        f"g1_{r}{c}": g01[r - 1, c - 1] for r in (1, 2) for c in (1, 2)
+        f"g1_{r}{c}": g01[r - 1, c - 1].coefficient(()) for r in (1, 2) for c in (1, 2)
     }
     pulled = form.pullback(z, mapping)
-    gm = MatrixForm.from_rfmatrix(z, g01)
-    ginv = MatrixForm.from_rfmatrix(z, g01.inverse())
-    direct = (ginv * gm.d()).trace()
+    direct = (g01.inverse() * g01.d()).trace()
     assert (pulled + direct).is_zero
 
 
@@ -136,7 +134,7 @@ def vertex_bg(cover, gtexts):
     trans = {}
     pairs = [t for t in cover.all_tuples() if len(t) == 2]
     for pair, g in zip(pairs, gtexts):
-        trans[pair] = mono(g)
+        trans[pair] = mono(g, cover.charts[pair[0]])
     return BundlePathData([BundleVertexData(cover, 1, trans)], {})
 
 
@@ -151,12 +149,12 @@ def test_gamma_components_gl1():
     assert c.delta().is_zero
 
 
-def rand_gl2_monomial(rng):
+def rand_gl2_monomial(rng, chart):
     z = "z"
     a = parse_expr(f"{rng.choice([1, -1])}*z^{rng.randint(-2, 2)}", [z])
     d = parse_expr(f"{rng.choice([1, -1])}*z^{rng.randint(-2, 2)}", [z])
     b = parse_expr(f"{rng.randint(-2, 2)}*z^{rng.randint(0, 2)}", [z])
-    return RFMatrix([[a, b], [parse_expr("0", []), d]])
+    return MatrixForm.of_functions(chart, [[a, b], [parse_expr("0", []), d]])
 
 
 def test_gamma_closed_randomized_gl2():
@@ -164,12 +162,12 @@ def test_gamma_closed_randomized_gl2():
     for n_charts in (2, 3, 4):
         cover = cstar_cover(n_charts)
         for _ in range(4):
-            gens = {(a, a + 1): rand_gl2_monomial(rng) for a in range(n_charts - 1)}
+            gens = {(a, a + 1): rand_gl2_monomial(rng, cover.charts[a]) for a in range(n_charts - 1)}
             full = {}
             for a in range(n_charts):
-                acc = RFMatrix.identity(2)
+                acc = MatrixForm.identity(cover.charts[a], 2)
                 for b in range(a + 1, n_charts):
-                    acc = gens[(b - 1, b)] * acc
+                    acc = cover.pull_to_chart(gens[(b - 1, b)], b - 1, a) * acc
                     full[(a, b)] = acc
             h = BundlePathData([BundleVertexData(cover, 2, full)], {})
             assert h.validate().ok
@@ -180,10 +178,10 @@ def test_gamma_on_levels_uses_intertwiners():
     cover = cstar_cover(2)
     h = BundlePathData(
         [
-            BundleVertexData(cover, 1, {(0, 1): mono("z^3")}),
-            BundleVertexData(cover, 1, {(0, 1): mono("z")}),
+            BundleVertexData(cover, 1, {(0, 1): mono("z^3", cover.charts[0])}),
+            BundleVertexData(cover, 1, {(0, 1): mono("z", cover.charts[0])}),
         ],
-        {(1, 0): mono("z^2"), (1, 1): mono("1")},
+        {(1, 0): mono("z^2", cover.charts[0]), (1, 1): mono("1", cover.charts[1])},
     )
     assert h.validate().ok
     c = gamma(h)
@@ -200,10 +198,10 @@ def test_iota_vertex_slice_and_chain_map():
     cover = cstar_cover(2)
     h = BundlePathData(
         [
-            BundleVertexData(cover, 1, {(0, 1): mono("z^3")}),
-            BundleVertexData(cover, 1, {(0, 1): mono("z")}),
+            BundleVertexData(cover, 1, {(0, 1): mono("z^3", cover.charts[0])}),
+            BundleVertexData(cover, 1, {(0, 1): mono("z", cover.charts[0])}),
         ],
-        {(1, 0): mono("z^2"), (1, 1): mono("1")},
+        {(1, 0): mono("z^2", cover.charts[0]), (1, 1): mono("1", cover.charts[1])},
     )
     c = gamma(h)
     table = iota(c)
@@ -288,10 +286,10 @@ def test_square_on_cstar_one_simplex():
     for k0, k1, m in [(3, 1, 2), (2, -1, 0), (-2, 2, 1)]:
         h = BundlePathData(
             [
-                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k0}")}),
-                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k1}")}),
+                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k0}", cover.charts[0])}),
+                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k1}", cover.charts[0])}),
             ],
-            {(1, 0): mono(f"z^{m + k0 - k1}"), (1, 1): mono(f"z^{m}")},
+            {(1, 0): mono(f"z^{m + k0 - k1}", cover.charts[0]), (1, 1): mono(f"z^{m}", cover.charts[1])},
         )
         report = verify_square(h)
         assert report.ok, report.to_text()
@@ -301,10 +299,10 @@ def test_square_identity_data():
     cover = cstar_cover(2)
     h = BundlePathData(
         [
-            BundleVertexData(cover, 2, {(0, 1): RFMatrix.identity(2)}),
-            BundleVertexData(cover, 2, {(0, 1): RFMatrix.identity(2)}),
+            BundleVertexData(cover, 2, {(0, 1): MatrixForm.identity(cover.charts[0], 2)}),
+            BundleVertexData(cover, 2, {(0, 1): MatrixForm.identity(cover.charts[0], 2)}),
         ],
-        {(1, 0): RFMatrix.identity(2), (1, 1): RFMatrix.identity(2)},
+        {(1, 0): MatrixForm.identity(cover.charts[0], 2), (1, 1): MatrixForm.identity(cover.charts[1], 2)},
     )
     report = verify_square(h)
     assert report.ok
@@ -320,20 +318,20 @@ def test_square_locates_perturbed_data():
     cover = cstar_cover(2)
     h = BundlePathData(
         [
-            BundleVertexData(cover, 1, {(0, 1): mono("z^3")}),
-            BundleVertexData(cover, 1, {(0, 1): mono("z")}),
+            BundleVertexData(cover, 1, {(0, 1): mono("z^3", cover.charts[0])}),
+            BundleVertexData(cover, 1, {(0, 1): mono("z", cover.charts[0])}),
         ],
-        {(1, 0): mono("z^2"), (1, 1): mono("1")},
+        {(1, 0): mono("z^2", cover.charts[0]), (1, 1): mono("1", cover.charts[1])},
     )
     good = verify_square(h)
     assert good.ok
     # perturb one intertwiner so the intertwining law breaks
     bad = BundlePathData(
         [
-            BundleVertexData(cover, 1, {(0, 1): mono("z^3")}),
-            BundleVertexData(cover, 1, {(0, 1): mono("z")}),
+            BundleVertexData(cover, 1, {(0, 1): mono("z^3", cover.charts[0])}),
+            BundleVertexData(cover, 1, {(0, 1): mono("z", cover.charts[0])}),
         ],
-        {(1, 0): mono("z^5"), (1, 1): mono("1")},
+        {(1, 0): mono("z^5", cover.charts[0]), (1, 1): mono("1", cover.charts[1])},
     )
     report = verify_square(bad)
     assert not report.ok
@@ -346,12 +344,12 @@ def test_square_cross_chart_intertwiners():
     for a, b, m in [(3, 1, 2), (2, 0, -1)]:
         h = BundlePathData(
             [
-                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{a}")}),
-                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{b}")}),
+                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{a}", cover.charts[0])}),
+                BundleVertexData(cover, 1, {(0, 1): mono(f"z^{b}", cover.charts[0])}),
             ],
             {
-                (1, 0): RFMatrix([[parse_expr(f"z^{m}", ["z"])]]),
-                (1, 1): RFMatrix([[parse_expr(f"w^{a - b - m}", ["w"])]]),
+                (1, 0): mono(f"z^{m}", cover.charts[0]),
+                (1, 1): mono(f"w^{a - b - m}", cover.charts[1]),
             },
         )
         report = verify_square(h)
@@ -362,10 +360,10 @@ def test_square_gl2_gauge_family():
     rng = random.Random(60)
     cover = cstar_cover(2)
     for _ in range(3):
-        g = rand_gl2_monomial(rng)
-        f0 = rand_gl2_monomial(rng)
-        f1 = rand_gl2_monomial(rng)
-        g1 = f1 * g * f0.inverse()
+        g = rand_gl2_monomial(rng, cover.charts[0])
+        f0 = rand_gl2_monomial(rng, cover.charts[0])
+        f1 = rand_gl2_monomial(rng, cover.charts[1])
+        g1 = cover.pull_to_chart(f1, 1, 0) * g * f0.inverse()
         h = BundlePathData(
             [
                 BundleVertexData(cover, 2, {(0, 1): g}),
@@ -391,10 +389,10 @@ def connected_one_simplex():
 
     return BundlePathData(
         [
-            BundleVertexData(cover, 1, {(0, 1): mono("z^3")}, conns("1/z", "z")),
-            BundleVertexData(cover, 1, {(0, 1): mono("z")}, conns("z^2", "2")),
+            BundleVertexData(cover, 1, {(0, 1): mono("z^3", cover.charts[0])}, conns("1/z", "z")),
+            BundleVertexData(cover, 1, {(0, 1): mono("z", cover.charts[0])}, conns("z^2", "2")),
         ],
-        {(1, 0): mono("z^2"), (1, 1): mono("1")},
+        {(1, 0): mono("z^2", cover.charts[0]), (1, 1): mono("1", cover.charts[1])},
     )
 
 
@@ -451,7 +449,7 @@ def test_equivariant_invariant_instance():
         1,
         z2_group(),
         inversion_action(),
-        {("s", 0): mono("1")},
+        {("s", 0): mono("1", cover.charts[0])},
         conn_a(cover, "z^-2 - 1"),
     )
     report = equivariant_check(data)
@@ -468,7 +466,7 @@ def test_equivariant_control_instance():
         1,
         z2_group(),
         inversion_action(),
-        {("s", 0): mono("1")},
+        {("s", 0): mono("1", cover.charts[0])},
         conn_a(cover, "1"),
     )
     # the defect is exactly (-z^-2 - 1) dz
@@ -495,7 +493,7 @@ def test_equivariant_two_dimensional_swap_action():
         ) + HoloForm.d_coord(chart, "w").scale(parse_expr(aw_text, ["z", "w"]))
         return {0: ConnectionMatrix(chart, MatrixForm(chart, [[a]]))}
 
-    lifts = {("s", 0): RFMatrix([[parse_expr("1", [])]])}
+    lifts = {("s", 0): mono("1", chart)}
     invariant = EquivariantBundleData(cover, 1, group, swap, lifts, conn2("z*w", "z*w"))
     report = equivariant_check(invariant)
     assert report.ok, report.to_text()
@@ -528,7 +526,21 @@ def test_equivariant_data_checks_its_connections():
     wrong_rank = {0: ConnectionMatrix.zero(cover.charts[0], 2)}
     for conns, message in ((wrong_chart, "wrong chart"), (wrong_rank, "wrong rank")):
         with pytest.raises(ValueError, match=message):
-            EquivariantBundleData(cover, 1, z2_group(), inversion_action(), {("s", 0): mono("1")}, conns)
+            EquivariantBundleData(cover, 1, z2_group(), inversion_action(), {("s", 0): mono("1", cover.charts[0])}, conns)
+
+
+def test_matrix_data_must_live_on_its_chart():
+    # a lift sits on its own chart, a transition (a, b) on chart min(a, b)
+    # and an intertwiner f^p_i on chart i
+    cover = cstar_chart_cover()
+    with pytest.raises(ValueError, match="wrong chart"):
+        EquivariantBundleData(cover, 1, z2_group(), inversion_action(), {("s", 0): mono("1", Chart("N", ("z",)))})
+    cover = cstar_cover(2)
+    with pytest.raises(ValueError, match="wrong chart"):
+        BundleVertexData(cover, 1, {(0, 1): mono("z", cover.charts[1])})
+    level = BundleVertexData(cover, 1, {(0, 1): mono("z", cover.charts[0])})
+    with pytest.raises(ValueError, match="wrong chart"):
+        BundlePathData([level, level], {(1, 0): mono("1", cover.charts[0]), (1, 1): mono("1", cover.charts[0])})
 
 
 def test_equivariant_trivial_group():
@@ -546,7 +558,7 @@ def test_equivariant_bad_composition_detected():
         1,
         z2_group(),
         inversion_action(),
-        {("s", 0): mono("1 + z")},  # (rho_s^* phi_s) phi_s = (1+z)^2/z != 1
+        {("s", 0): mono("1 + z", cover.charts[0])},  # (rho_s^* phi_s) phi_s = (1+z)^2/z != 1
         conn_a(cover, "0"),
     )
     report = equivariant_check(data)

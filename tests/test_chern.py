@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cechchern import RFMatrix, parse_expr
+from cechchern import parse_expr
 from cechchern.cech import Cover, validate_chain_map
 from cechchern.chern import (
     BundleDataError,
@@ -37,15 +37,16 @@ def cstar_cover(n):
     return Cover(charts, [tuple(range(n))], change)
 
 
-def mono(text):
-    return RFMatrix([[parse_expr(text, ["z"])]])
+def mono(text, chart):
+    """The 1 x 1 function matrix of text on the chart."""
+    return MatrixForm.of_functions(chart, [[parse_expr(text, chart.coordinates)]])
 
 
 def line_bundle(cover, *gtexts):
     trans = {}
     keys = [t for t in cover.all_tuples() if len(t) == 2]
     for pair, g in zip(keys, gtexts):
-        trans[pair] = mono(g)
+        trans[pair] = mono(g, cover.charts[pair[0]])
     return BundleVertexData(cover, 1, trans)
 
 
@@ -55,8 +56,9 @@ def test_validate_vertex_data_examples():
     assert data.validate().ok
     # broken cocycle on a 3-chart cover: z * z != z^3
     cover = cstar_cover(3)
+    u0, u1, _ = cover.charts
     data = BundleVertexData(
-        cover, 1, {(0, 1): mono("z"), (1, 2): mono("z"), (0, 2): mono("z^3")}
+        cover, 1, {(0, 1): mono("z", u0), (1, 2): mono("z", u1), (0, 2): mono("z^3", u0)}
     )
     report = data.validate()
     assert not report.ok
@@ -65,9 +67,10 @@ def test_validate_vertex_data_examples():
 
 def test_validate_path_data_identity():
     cover = cstar_cover(2)
-    g = {(0, 1): mono("z^2")}
+    u0, u1 = cover.charts
+    g = {(0, 1): mono("z^2", u0)}
     levels = [BundleVertexData(cover, 1, dict(g)) for _ in range(2)]
-    inter = {(1, 0): mono("1"), (1, 1): mono("1")}
+    inter = {(1, 0): mono("1", u0), (1, 1): mono("1", u1)}
     path = BundlePathData(levels, inter)
     assert path.validate().ok
 
@@ -77,12 +80,12 @@ def test_intertwining_exponent_bookkeeping():
     cover = cstar_cover(2)
     k0, k1, m = 3, 1, 2
     levels = [
-        BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k0}")}),
-        BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k1}")}),
+        BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k0}", cover.charts[0])}),
+        BundleVertexData(cover, 1, {(0, 1): mono(f"z^{k1}", cover.charts[0])}),
     ]
-    good = BundlePathData(levels, {(1, 0): mono(f"z^{m + k0 - k1}"), (1, 1): mono(f"z^{m}")})
+    good = BundlePathData(levels, {(1, 0): mono(f"z^{m + k0 - k1}", cover.charts[0]), (1, 1): mono(f"z^{m}", cover.charts[1])})
     assert good.validate().ok
-    bad = BundlePathData(levels, {(1, 0): mono(f"z^{m}"), (1, 1): mono(f"z^{m + k0 - k1}")})
+    bad = BundlePathData(levels, {(1, 0): mono(f"z^{m}", cover.charts[0]), (1, 1): mono(f"z^{m + k0 - k1}", cover.charts[1])})
     assert not bad.validate().ok
 
 
@@ -101,7 +104,7 @@ def conn(chart, *entries):
 def test_ch_nerve_examples():
     chart = one_chart()
     zero1 = ConnectionMatrix.zero(chart, 1)
-    f = MatrixForm.from_rfmatrix(chart, mono("z"))
+    f = mono("z", chart)
     # rank 1, f = z, A = 0: tr(f^-1 df) u = dz/z u
     upow, form = NerveInstance([f], [zero1, zero1]).face_value((0, 1))
     assert upow == 1
@@ -110,7 +113,7 @@ def test_ch_nerve_examples():
     upow, form = NerveInstance([f], [zero1, zero1]).face_value((0,))
     assert upow == 0 and form == HoloForm.constant(chart, 1)
     # l = 2 body on a one-variable chart: a 2-form, identically zero
-    g = MatrixForm.from_rfmatrix(chart, mono("z^2"))
+    g = mono("z^2", chart)
     upow, form = NerveInstance([f, g], [zero1] * 3).face_value((0, 1, 2))
     assert upow == 2 and form.is_zero
 
@@ -119,8 +122,8 @@ def test_face_sum_hand_instance():
     # f = z, g = z^2 on C^*: (2 - 3 + 1) dz/z u = 0
     chart = one_chart()
     zero1 = ConnectionMatrix.zero(chart, 1)
-    f = MatrixForm.from_rfmatrix(chart, mono("z"))
-    g = MatrixForm.from_rfmatrix(chart, mono("z^2"))
+    f = mono("z", chart)
+    g = mono("z^2", chart)
     report = verify_face_sum_vanishing([f, g], [zero1] * 3, (0, 1, 2))
     assert report.ok
     # identity morphisms with equal connections: trivially zero
@@ -130,18 +133,26 @@ def test_face_sum_hand_instance():
     assert verify_face_sum_vanishing([ident, ident], [a, a, a], (0, 1, 2)).ok
 
 
-def rand_unit_matrix(rng, chart_vars=("z",), rank=2):
-    """A rank-2 matrix with monomial-unit determinant: L * diag * U."""
+def diagonal(chart, values):
+    zero = parse_expr("0", [])
+    return MatrixForm.of_functions(
+        chart, [[v if i == j else zero for j in range(len(values))] for i, v in enumerate(values)]
+    )
+
+
+def rand_unit_matrix(rng, chart):
+    """A rank-2 matrix on the chart with monomial-unit determinant: L * diag * U."""
     z = "z"
     def rnd_poly():
         return parse_expr(
             f"{rng.randint(-3, 3)}*{z}^{rng.randint(0, 2)} + {rng.randint(-2, 2)}", [z]
         )
-    lower = RFMatrix([[parse_expr("1", []), parse_expr("0", [])], [rnd_poly(), parse_expr("1", [])]])
-    upper = RFMatrix([[parse_expr("1", []), rnd_poly()], [parse_expr("0", []), parse_expr("1", [])]])
+    one, zero = parse_expr("1", []), parse_expr("0", [])
+    lower = MatrixForm.of_functions(chart, [[one, zero], [rnd_poly(), one]])
+    upper = MatrixForm.of_functions(chart, [[one, rnd_poly()], [zero, one]])
     d1 = parse_expr(f"{rng.choice([1, -1])}*{z}^{rng.randint(-2, 2)}", [z])
     d2 = parse_expr(f"{rng.choice([1, -1, 1])}*{z}^{rng.randint(-2, 2)}", [z])
-    return lower * RFMatrix.diagonal([d1, d2]) * upper
+    return lower * diagonal(chart, [d1, d2]) * upper
 
 
 def rand_connection2(rng, chart):
@@ -163,7 +174,7 @@ def test_face_sum_randomized_rank2():
     chart = one_chart()
     for _ in range(50):
         k = rng.randint(2, 3)
-        morphisms = [MatrixForm.from_rfmatrix(chart, rand_unit_matrix(rng)) for _ in range(k)]
+        morphisms = [rand_unit_matrix(rng, chart) for _ in range(k)]
         connections = [rand_connection2(rng, chart) for _ in range(k + 1)]
         report = verify_face_sum_vanishing(morphisms, connections, tuple(range(k + 1)))
         assert report.ok, report.to_text()
@@ -193,7 +204,7 @@ def test_tot_ch_vertex_identity_transitions():
     data = BundleVertexData(
         cover,
         1,
-        {pair: mono("1") for pair in [(0, 1), (0, 2), (1, 2)]},
+        {pair: mono("1", cover.charts[pair[0]]) for pair in [(0, 1), (0, 2), (1, 2)]},
         {i: conn(cover.charts[i], ("z^2",)) for i in range(3)},
     )
     coc = tot_ch_vertex(data)
@@ -207,12 +218,12 @@ def test_tot_ch_vertex_closed_on_three_charts():
     rng = random.Random(31)
     cover = cstar_cover(3)
     for _ in range(10):
-        g01 = rand_unit_matrix(rng)
-        g12 = rand_unit_matrix(rng)
+        g01 = rand_unit_matrix(rng, cover.charts[0])
+        g12 = rand_unit_matrix(rng, cover.charts[1])
         data = BundleVertexData(
             cover,
             1 + 1,
-            {(0, 1): g01, (1, 2): g12, (0, 2): g12 * g01},
+            {(0, 1): g01, (1, 2): g12, (0, 2): cover.pull_to_chart(g12, 1, 0) * g01},
             {i: rand_connection2(rng, cover.charts[i]) for i in range(3)},
         )
         assert data.validate().ok
@@ -234,10 +245,10 @@ def test_tot_ch_vertex_closed_on_three_charts():
 def test_tot_ch_simplex_reduces_to_vertex():
     cover = cstar_cover(2)
     levels = [
-        BundleVertexData(cover, 1, {(0, 1): mono("z^2")}),
-        BundleVertexData(cover, 1, {(0, 1): mono("z^2")}),
+        BundleVertexData(cover, 1, {(0, 1): mono("z^2", cover.charts[0])}),
+        BundleVertexData(cover, 1, {(0, 1): mono("z^2", cover.charts[0])}),
     ]
-    path = BundlePathData(levels, {(1, 0): mono("z"), (1, 1): mono("z")})
+    path = BundlePathData(levels, {(1, 0): mono("z", cover.charts[0]), (1, 1): mono("z", cover.charts[1])})
     g0 = Generator((0,), 1)
     assert tot_ch_simplex(path, g0) == tot_ch_vertex(levels[0])
 
@@ -246,10 +257,10 @@ def test_tot_ch_simplex_intertwiner_component():
     # the singleton-tuple component of e_{j', j''} is u tr(F^-1 nabla F)
     cover = cstar_cover(2)
     levels = [
-        BundleVertexData(cover, 1, {(0, 1): mono("z^3")}),
-        BundleVertexData(cover, 1, {(0, 1): mono("z")}),
+        BundleVertexData(cover, 1, {(0, 1): mono("z^3", cover.charts[0])}),
+        BundleVertexData(cover, 1, {(0, 1): mono("z", cover.charts[0])}),
     ]
-    path = BundlePathData(levels, {(1, 0): mono("z^2"), (1, 1): mono("1")})
+    path = BundlePathData(levels, {(1, 0): mono("z^2", cover.charts[0]), (1, 1): mono("1", cover.charts[1])})
     assert path.validate().ok
     g01 = Generator((0, 1), 1)
     table_entry = tot_ch_simplex(path, g01)
@@ -263,20 +274,16 @@ def test_tot_ch_simplex_intertwiner_component():
 def test_tot_ch_table_is_chain_map():
     cover = cstar_cover(2)
     levels = [
-        BundleVertexData(cover, 1, {(0, 1): mono("z^3")}),
-        BundleVertexData(cover, 1, {(0, 1): mono("z")}),
+        BundleVertexData(cover, 1, {(0, 1): mono("z^3", cover.charts[0])}),
+        BundleVertexData(cover, 1, {(0, 1): mono("z", cover.charts[0])}),
     ]
-    path = BundlePathData(levels, {(1, 0): mono("z^2"), (1, 1): mono("1")})
+    path = BundlePathData(levels, {(1, 0): mono("z^2", cover.charts[0]), (1, 1): mono("1", cover.charts[1])})
     table = tot_ch_table(path)
     report = validate_chain_map(table)
     assert report.ok, report.to_text()
     # a table cut off at Čech degree 0 is a chain map up to the cutoff
     report = validate_chain_map(tot_ch_table(path, 0), 0)
     assert report.ok, report.to_text()
-
-
-def rand_gl1(rng):
-    return mono(f"{rng.choice([1, -1])}*z^{rng.randint(-3, 3)}")
 
 
 def make_random_gl1_path(rng, n_levels, n_charts=2):
@@ -287,23 +294,23 @@ def make_random_gl1_path(rng, n_levels, n_charts=2):
     for p in range(n_levels + 1):
         trans = {}
         for a in range(n_charts - 1):
-            trans[(a, a + 1)] = mono(f"z^{exps[p][a]}")
+            trans[(a, a + 1)] = mono(f"z^{exps[p][a]}", cover.charts[a])
         # complete to all pairs multiplicatively so the cocycle holds
         full = {}
         for a in range(n_charts):
             for b in range(a + 1, n_charts):
                 e = sum(exps[p][a:b])
-                full[(a, b)] = mono(f"z^{e}")
+                full[(a, b)] = mono(f"z^{e}", cover.charts[a])
         levels.append(BundleVertexData(cover, 1, full))
     inter = {}
     for p in range(1, n_levels + 1):
         base = rng.randint(-2, 2)
         # f_0 = z^base; f_{i+1} = f_i * z^(e_hi - e_lo) per the square law
         f_exp = base
-        inter[(p, 0)] = mono(f"z^{f_exp}")
+        inter[(p, 0)] = mono(f"z^{f_exp}", cover.charts[0])
         for a in range(n_charts - 1):
             f_exp = f_exp + exps[p][a] - exps[p - 1][a]
-            inter[(p, a + 1)] = mono(f"z^{f_exp}")
+            inter[(p, a + 1)] = mono(f"z^{f_exp}", cover.charts[a + 1])
     return BundlePathData(levels, inter)
 
 
@@ -323,16 +330,17 @@ def make_random_gl2_path(rng, n_levels):
     intertwiners and level-0 transitions freely (invertible), then define
     g^(p) = f^(p)_b g^(p-1) (f^(p)_a)^{-1} so the square law holds."""
     cover = cstar_cover(2)
-    g = rand_unit_matrix(rng)
+    u0, u1 = cover.charts
+    g = rand_unit_matrix(rng, u0)
     levels = [BundleVertexData(cover, 2, {(0, 1): g})]
     inter = {}
     prev = g
     for p in range(1, n_levels + 1):
-        f0 = rand_unit_matrix(rng)
-        f1 = rand_unit_matrix(rng)
+        f0 = rand_unit_matrix(rng, u0)
+        f1 = rand_unit_matrix(rng, u1)
         inter[(p, 0)] = f0
         inter[(p, 1)] = f1
-        nxt = f1 * prev * f0.inverse()
+        nxt = cover.pull_to_chart(f1, 1, 0) * prev * f0.inverse()
         levels.append(BundleVertexData(cover, 2, {(0, 1): nxt}))
         prev = nxt
     return BundlePathData(levels, inter)
@@ -356,11 +364,11 @@ def test_tot_ch_table_cross_chart_intertwiners():
     cover = cp1_cover()
     a, b, m = 3, 1, 2
     levels = [
-        BundleVertexData(cover, 1, {(0, 1): mono(f"z^{a}")}),
-        BundleVertexData(cover, 1, {(0, 1): mono(f"z^{b}")}),
+        BundleVertexData(cover, 1, {(0, 1): mono(f"z^{a}", cover.charts[0])}),
+        BundleVertexData(cover, 1, {(0, 1): mono(f"z^{b}", cover.charts[0])}),
     ]
-    f0 = RFMatrix([[parse_expr(f"z^{m}", ["z"])]])
-    f1 = RFMatrix([[parse_expr(f"w^{a - b - m}", ["w"])]])
+    f0 = mono(f"z^{m}", cover.charts[0])
+    f1 = mono(f"w^{a - b - m}", cover.charts[1])
     path = BundlePathData(levels, {(1, 0): f0, (1, 1): f1})
     assert path.validate().ok, path.validate().to_text()
     table = tot_ch_table(path)
@@ -383,7 +391,7 @@ def test_relabelled_charts_permute_components_consistently():
         )
         # old trans[(1,0)] = z^-n in old chart 0; re-anchored to chart w: w^n
         swapped = BundleVertexData(
-            swapped_cover, 1, {(0, 1): RFMatrix([[parse_expr(f"w^{n}", ["w"])]])}
+            swapped_cover, 1, {(0, 1): mono(f"w^{n}", swapped_cover.charts[0])}
         )
         new_coc = tot_ch_vertex(swapped)
         got = new_coc.component((0, 1), 1)
@@ -404,7 +412,7 @@ def test_relabelled_charts_permute_components_consistently():
 
 def test_generator_ambient_mismatch():
     cover = cstar_cover(2)
-    levels = [BundleVertexData(cover, 1, {(0, 1): mono("z")})]
+    levels = [BundleVertexData(cover, 1, {(0, 1): mono("z", cover.charts[0])})]
     path = BundlePathData(levels, {})
     with pytest.raises(BundleDataError):
         tot_ch_simplex(path, Generator((0, 1), 1))

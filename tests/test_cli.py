@@ -170,6 +170,7 @@ def test_main_exit_codes(tmp_path, capsys):
         ("bundle", {"rank": 1, "transitions": {"0,7": [["z^3"]]}}),
         ("bundle", {"rank": 1, "transitions": {"0,1": [[deep]]}}),
         ("bundle", {"rank": 1, "transitions": {"0,1": [["(1+z)^3000"]]}}),
+        ("bundle", {"rank": 1, "transitions": {"0,1": [["*".join(["(1+z)^256"] * 4)]]}}),
         ("run", {"max_level": "x"}),
         ("bundle", {"rank": 1, "transitions": [["z^3"]]}),
         ("run", 5),
@@ -181,6 +182,21 @@ def test_main_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["--mode", "vertex", "--manifest", str(target)]) == 2, value
         assert str(target) in capsys.readouterr().err
+    # a product whose degree would pass the parser's bound: six factors of
+    # (1+z+w)^100 on a two-dimensional chart
+    ident = {"w": "w", "z": "z"}
+    plane = {
+        "charts": [{"name": f"U{i}", "coordinates": ["w", "z"]} for i in range(2)],
+        "overlaps": [[0, 1]],
+        "change_maps": [{"chart": 0, "in_chart": 1, "exprs": ident}, {"chart": 1, "in_chart": 0, "exprs": ident}],
+        "bundle": {"rank": 1, "transitions": {"0,1": [["*".join(["(1+z+w)^100"] * 6)]]}},
+    }
+    target = tmp_path / "plane.json"
+    target.write_text(json.dumps(plane))
+    capsys.readouterr()
+    assert main(["--mode", "vertex", "--manifest", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err and "exceeds 256" in err
     # connections sit on each level once 'levels' is given, never on both
     both = json.loads((FIXTURES / "cstar_one_simplex.json").read_text())
     both["bundle"]["connections"] = {"0": [[{"z": "1/z"}]]}

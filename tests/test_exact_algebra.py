@@ -414,6 +414,17 @@ def test_parse_degree_bound():
         with pytest.raises(ExprError, match="exceeds 256") as err:
             rf(text)
         assert err.value.position == text.rindex("^")
+    # sums, differences, products and quotients are bounded too, from the
+    # degrees of their operands and before anything is multiplied out
+    assert rf("z^200 + z^100").num.degree() == 200
+    assert rf("(1+z)^128*(1+z)^128").num.degree() == 256
+    four = "(1+z)^256*(1+z)^256*(1+z)^256*(1+z)^256"
+    six = "*".join(["(1+z+w)^100"] * 6)
+    for text, star in ((four, 0), (six, 1), ("1/z^200 - 1/w^100", None), ("z^200/(1/w^100)", None)):
+        with pytest.raises(ExprError, match="exceeds 256") as err:
+            rf(text)
+        if star is not None:
+            assert err.value.position == [i for i, ch in enumerate(text) if ch == "*"][star]
 
 
 def test_parse_serialize_roundtrip_random():

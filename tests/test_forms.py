@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cechchern import RFMatrix, parse_expr
+from cechchern import parse_expr
 from cechchern.forms import (
     Chart,
     ChartMismatchError,
@@ -198,9 +198,16 @@ def test_apply_connection_shape_and_chart_mismatch():
         apply_connection(MatrixForm(Z, [[HoloForm.d_coord(Z, "z")]]), a2, a2)
 
 
-def test_matrix_form_roundtrip_rfmatrix():
-    m = RFMatrix([[parse_expr("z", ["z"]), parse_expr("1", [])], [parse_expr("0", []), parse_expr("1/z", ["z"])]])
-    mf = MatrixForm.from_rfmatrix(Z, m)
-    assert mf.to_rfmatrix() == m
+def test_matrix_form_of_functions_roundtrip():
+    grid = [[parse_expr("z", ["z"]), parse_expr("1", [])], [parse_expr("0", []), parse_expr("1/z", ["z"])]]
+    mf = MatrixForm.of_functions(Z, grid)
+    assert [[e.coefficient(()) for e in row] for row in mf.entries] == grid
+    assert mf.degrees() <= {0}
+    # det, inverse and is_identity read a matrix of functions: a 1-form
+    # entry is an error, and a matrix with one is never the identity
+    dz = MatrixForm(Z, [[HoloForm.d_coord(Z, "z")]])
     with pytest.raises(ValueError):
-        MatrixForm(Z, [[HoloForm.d_coord(Z, "z")]]).to_rfmatrix()
+        dz.det()
+    with pytest.raises(ValueError):
+        dz.inverse()
+    assert not (MatrixForm.identity(Z, 1) + dz).is_identity

@@ -89,8 +89,8 @@ def test_arithmetic_takes_operands_of_its_own_type():
 
 
 def test_one_word_evaluator():
-    # every trace word inverts its composite in chern._word_trace, the one
-    # place a matrix of forms becomes a function matrix
+    # every trace word is evaluated by chern._word_trace; the universal Chern
+    # form is the only other trace, of the symbolic group matrices
     callers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -98,9 +98,21 @@ def test_one_word_evaluator():
             if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
                     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                            and node.func.attr == "to_rfmatrix"):
+                            and node.func.attr == "trace"):
                         callers.append(f"{path.stem}.{fn.name}")
-    assert callers == ["chern._word_trace"], callers
+    assert sorted(callers) == ["bg.universal_chern", "chern._word_trace"], callers
+
+
+def test_one_matrix_type():
+    # matrices of functions are degree-0 MatrixForms on their chart; no
+    # second matrix type or conversion to one is left, not even in a comment
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in ("RFMatrix", "from_rfmatrix", "to_rfmatrix")
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert not found, found
 
 
 ROOT = Path(__file__).resolve().parent.parent
