@@ -22,6 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .cech import Cover, UPolyCochain
 from .forms import ConnectionMatrix, HoloForm, MatrixForm, apply_connection
 from .fiber import step_positions
+from .linalg import SingularMatrixError
 from .report import Report
 from .simplicial import Generator, boundary, nondegenerate_generators, shuffles
 
@@ -72,7 +73,10 @@ class BundleVertexData:
         # complete the reverse directions (g_{ii} = identity is implicit)
         for (a, b), m in list(trans.items()):
             if (b, a) not in trans:
-                trans[(b, a)] = m.inverse()
+                try:
+                    trans[(b, a)] = m.inverse()
+                except SingularMatrixError as err:
+                    raise BundleDataError(f"transition ({a},{b}) is singular") from err
         for pair in cover.tuples_of_length(2):
             if pair not in trans:
                 raise BundleDataError(f"no transition for declared overlap {pair}")

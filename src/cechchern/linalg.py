@@ -23,7 +23,7 @@ def det(grid) -> RationalFunction:
     if n == 2:
         return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
     terms = ((i, grid[i][0] * det(_minor(grid, i, 0))) for i in range(n) if not grid[i][0].is_zero)
-    return RationalFunction.sum(-t if i % 2 else t for i, t in terms)
+    return sum((-t if i % 2 else t for i, t in terms), RationalFunction.zero())
 
 
 def adjugate(grid):

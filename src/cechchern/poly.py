@@ -262,6 +262,11 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
+        # most products of rational functions have a factor 1 (a denominator)
+        if other.is_one:
+            return self
+        if self.is_one:
+            return other
         vs = Polynomial._union_vars(self, other)
         (ar, ai), (br, bi) = self._embedded(vs), other._embedded(vs)
         # (ar + i ai)(br + i bi): only products of nonzero parts are formed,

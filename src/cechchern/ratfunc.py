@@ -4,16 +4,35 @@ Canonical form: gcd(num, den) = 1, denominator monic in graded-lex order,
 unused variables pruned, zero represented as 0/1.  All operations return
 normalized values, so structural equality is mathematical equality.
 
-Powers and inverses are normalized without a gcd.  Powers of coprime
-polynomials stay coprime, and a power of a monic denominator stays monic,
-since in graded-lex order the leading term of a product is the product of
-the leading terms.  Swapping a reduced numerator and denominator keeps them
-coprime; only the new denominator's leading coefficient is divided out.
+Every operation on canonical operands cancels before it multiplies, so no
+gcd is taken of a full product (Henrici, JACM 3, 1956; Knuth, TAOCP vol. 2,
+section 4.5.1).  In graded-lex order the leading term of a product is the
+product of the leading terms, so products and exact quotients of monic
+polynomials stay monic, and `_finish` only scales by the denominator's
+leading coefficient or divides by a constant denominator.
+
+- Powers and inverses take no gcd: powers of coprime polynomials stay
+  coprime, and swapping a reduced numerator and denominator keeps them
+  coprime.  `a / b` is `a * b.inverse()`, and adding to zero takes no gcd.
+- (a/b)(c/d): with g1 = gcd(a, d) and g2 = gcd(c, b) divided out, the
+  numerator (a/g1)(c/g2) is coprime to the denominator (b/g2)(d/g1).
+- a/b + c/d: equal denominators add their numerators and cancel
+  gcd(a + c, b).  Otherwise, with g = gcd(b, d), the sum is
+  t/(b d/g) for t = a(d/g) + c(b/g), and t shares factors with the
+  denominator only through g, so only h = gcd(t, g) is cancelled; g = 1
+  leaves the sum reduced.
+- d(n/d): with g = gcd(d, d'), e = d/g and f = d'/g, the derivative is
+  (n' e - n f)/(g e^2).  An irreducible factor of e divides e exactly
+  once and divides neither f nor n, so the numerator shares factors only with g, and only
+  its gcd with g is cancelled.
+- A polynomial evaluated at rational functions x_i -> n_i/d_i puts every
+  term over the one denominator prod d_i^(deg_i p), sums the numerators as
+  polynomials and normalizes once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Mapping
 
 from .poly import Polynomial, divexact, poly_gcd
 
@@ -52,13 +71,6 @@ class RationalFunction:
     def one() -> "RationalFunction":
         return RationalFunction.from_poly(Polynomial.one())
 
-    @staticmethod
-    def sum(terms: Iterable["RationalFunction"]) -> "RationalFunction":
-        """The sum of a stream of terms, started from the first: adding to a
-        zero start would cost a full normalization."""
-        terms = iter(terms)
-        return sum(terms, next(terms, RationalFunction.zero()))
-
     # -- queries ----------------------------------------------------------------
 
     @property
@@ -76,7 +88,18 @@ class RationalFunction:
     # -- arithmetic ----------------------------------------------------------------
 
     def __add__(self, o: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if b == d:
+            return _reduced(a + c, b, b)
+        if b.is_one:
+            return RationalFunction(a * d + c, d, _normalized=True)
+        if d.is_one:
+            return RationalFunction(a + c * b, b, _normalized=True)
+        g = poly_gcd(b, d)
+        if g.is_one:
+            return RationalFunction(a * d + c * b, b * d, _normalized=True)
+        bq, dq = _quo(b, g), _quo(d, g)
+        return _reduced(a * dq + c * bq, b * dq, g)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den, _normalized=True)
@@ -85,12 +108,16 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, o: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        if self.is_zero or o.is_zero:
+            return RationalFunction.zero()
+        g1 = _cross_gcd(self.num, o.den)
+        g2 = _cross_gcd(o.num, self.den)
+        return _finish(_quo(self.num, g1) * _quo(o.num, g2), _quo(self.den, g2) * _quo(o.den, g1))
 
     def __truediv__(self, o: "RationalFunction") -> "RationalFunction":
         if o.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return self * o.inverse()
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
@@ -104,11 +131,16 @@ class RationalFunction:
         return RationalFunction(self.den.scale(inv), self.num.scale(inv), _normalized=True)
 
     def derivative(self, var: str) -> "RationalFunction":
-        # Quotient rule; normalization cancels the common factors.
-        return RationalFunction(
-            self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
-            self.den * self.den,
-        )
+        n, d = self.num, self.den
+        dn = n.derivative(var)
+        if d.is_one:
+            return RationalFunction.from_poly(dn)
+        dd = d.derivative(var)
+        if dd.is_zero:
+            return _reduced(dn, d, d)
+        g = poly_gcd(d, dd)
+        e, f = _quo(d, g), _quo(dd, g)
+        return _reduced(dn * e - n * f, g * e * e, g)
 
     def substitute(self, mapping: Mapping[str, "RationalFunction"]) -> "RationalFunction":
         """Evaluate at var -> RationalFunction; unmapped variables persist.
@@ -145,42 +177,80 @@ class RationalFunction:
 def _normalize(num: Polynomial, den: Polynomial):
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
+    f = _reduced(num, den, den)
+    return f.num, f.den
+
+
+def _quo(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a / b for a divisor b of a."""
+    if b.is_one:
+        return a
+    q = divexact(a, b)
+    if q is None:
+        raise AssertionError("gcd does not divide numerator and denominator")
+    return q
+
+
+def _cross_gcd(num: Polynomial, den: Polynomial) -> Polynomial:
+    """gcd(num, den), without a call when den is 1."""
+    return den if den.is_one else poly_gcd(num, den)
+
+
+def _finish(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """The canonical num/den for coprime num and den != 0: a constant
+    denominator divided into the numerator, or both scaled to make the
+    denominator monic."""
     if num.is_zero:
-        return Polynomial.zero(), Polynomial.one()
-    if den.is_one:
-        return num, den
+        return RationalFunction.zero()
     if den.is_constant:
-        return divexact(num, den), Polynomial.one()
-    g = poly_gcd(num, den)
-    if not g.is_one:
-        qn = divexact(num, g)
-        qd = divexact(den, g)
-        if qn is None or qd is None:
-            raise AssertionError("gcd does not divide numerator and denominator")
-        num, den = qn, qd
-    lc = den.leading_coeff()
-    if not lc.is_one:
-        inv = lc.inverse()
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return num, den
+        if not den.is_one:
+            num, den = divexact(num, den), Polynomial.one()
+    else:
+        lc = den.leading_coeff()
+        if not lc.is_one:
+            inv = lc.inverse()
+            num, den = num.scale(inv), den.scale(inv)
+    return RationalFunction(num, den, _normalized=True)
+
+
+def _reduced(num: Polynomial, den: Polynomial, g: Polynomial) -> RationalFunction:
+    """The canonical num/den when every common factor of num and den divides
+    g: only gcd(num, g) is cancelled."""
+    if num.is_zero:
+        return RationalFunction.zero()
+    if not g.is_constant:
+        h = poly_gcd(num, g)
+        num, den = _quo(num, h), _quo(den, h)
+    return _finish(num, den)
 
 
 def _poly_substitute(p: Polynomial, mapping: Mapping[str, RationalFunction]) -> RationalFunction:
     images = [mapping[v] if v in mapping else RationalFunction.variable(v) for v in p.variables]
-    # Cache powers per variable to keep repeated exponents cheap.
-    powers: Dict[tuple, RationalFunction] = {}
-    terms = []
+    degrees = [p.degree_in(v) for v in p.variables]
+    # Cache the powers of each image's numerator and denominator.
+    powers: Dict[tuple, Polynomial] = {}
+
+    def power(i: int, k: int, part: str) -> Polynomial:
+        key = (i, k, part)
+        if key not in powers:
+            powers[key] = getattr(images[i], part) ** k
+        return powers[key]
+
+    # every term over the one denominator prod_i den_i^(deg_i p)
+    num = Polynomial.zero()
     for e, c in p.monomials():
-        term = RationalFunction.from_poly(c)
+        term = c
         for i, k in enumerate(e):
             if k:
-                key = (i, k)
-                if key not in powers:
-                    powers[key] = images[i] ** k
-                term = term * powers[key]
-        terms.append(term)
-    return RationalFunction.sum(terms)
+                term = term * power(i, k, "num")
+            if k < degrees[i] and not images[i].den.is_one:
+                term = term * power(i, degrees[i] - k, "den")
+        num = num + term
+    den = Polynomial.one()
+    for i, k in enumerate(degrees):
+        if not images[i].den.is_one:
+            den = den * power(i, k, "den")
+    return _reduced(num, den, den)
 
 
 def rf_str(f: RationalFunction) -> str:

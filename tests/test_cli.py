@@ -182,6 +182,16 @@ def test_main_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["--mode", "vertex", "--manifest", str(target)]) == 2, value
         assert str(target) in capsys.readouterr().err
+    # a singular transition cannot be inverted into the reverse direction:
+    # exit 2 naming the manifest and the pair
+    singular = json.loads((FIXTURES / "o3_cp1.json").read_text())
+    singular["bundle"] = {"rank": 2, "transitions": {"0,1": [["z", "z"], ["1", "1"]]}}
+    target = tmp_path / "singular.json"
+    target.write_text(json.dumps(singular))
+    capsys.readouterr()
+    assert main(["--mode", "vertex", "--manifest", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err and "transition (0,1) is singular" in err
     # a product whose degree would pass the parser's bound: six factors of
     # (1+z+w)^100 on a two-dimensional chart
     ident = {"w": "w", "z": "z"}

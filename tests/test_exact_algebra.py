@@ -362,6 +362,118 @@ def test_rf_derivative_quotient_rule():
     assert prod.derivative("z") == g.derivative("z") * h + g * h.derivative("z")
 
 
+# -- cancellation before multiplying, against the unreduced formulas -------------
+
+
+def rand_factor(rng, variables, maxdeg=1):
+    """A random nonzero polynomial in variables, with imaginary and
+    non-integer coefficients; a constant when variables is empty."""
+    while True:
+        p = rand_poly(rng, variables, nterms=rng.randint(1, 3), maxdeg=maxdeg)
+        if not p.is_zero:
+            return p
+
+
+def rand_variables(rng):
+    return tuple(sorted(rng.sample(["w", "x", "z"], rng.randint(0, 3))))
+
+
+def rand_rf_pair(rng):
+    """Two reduced fractions in 0-3 variables: with shared factors planted
+    across numerators and denominators, equal denominators, constant
+    denominators, or denominators free of some variable."""
+    p, q, r, s, t = (rand_factor(rng, rand_variables(rng)) for _ in range(5))
+    shape = rng.choice(("planted", "equal", "constant", "free"))
+    if shape == "planted":
+        return RationalFunction(p * q, r * s), RationalFunction(s * t, p * r)
+    a = RationalFunction(p * q, r)
+    if shape == "equal":
+        return a, RationalFunction(a.num * t + s * a.den, a.den)
+    if shape == "constant":
+        return a, RationalFunction.from_poly(s * t)
+    return a, RationalFunction(s, rand_factor(rng, ("w",)))
+
+
+def parent_substitute(p, mapping):
+    """p at the images in mapping, one normalized product and sum per term."""
+    out = RationalFunction.zero()
+    for e, c in p.monomials():
+        term = RationalFunction.from_poly(c)
+        for v, k in zip(p.variables, e):
+            image = mapping.get(v, RationalFunction.variable(v))
+            for _ in range(k):
+                term = RationalFunction(term.num * image.num, term.den * image.den)
+        out = RationalFunction(out.num * term.den + term.num * out.den, out.den * term.den)
+    return out
+
+
+def assert_rf_canonical(f):
+    assert poly_gcd(f.num, f.den).is_one
+    assert f.den.leading_coeff().is_one
+    assert not f.den.is_constant or f.den.is_one
+    assert not f.is_zero or f.den.is_one
+
+
+def test_rf_arithmetic_matches_unreduced_formulas_random():
+    rng = random.Random(41)
+    equal_dens = 0
+    for _ in range(120):
+        a, b = rand_rf_pair(rng)
+        equal_dens += a.den == b.den
+        (n, d), (m, e) = (a.num, a.den), (b.num, b.den)
+        var = rng.choice(["w", "x", "z"])
+        cases = [
+            (a * b, RationalFunction(n * m, d * e)),
+            (a + b, RationalFunction(n * e + m * d, d * e)),
+            (a - b, RationalFunction(n * e - m * d, d * e)),
+            (a.derivative(var), RationalFunction(n.derivative(var) * d - n * d.derivative(var), d * d)),
+        ]
+        if not b.is_zero:
+            cases.append((a / b, RationalFunction(n * e, d * m)))
+        for got, expected in cases:
+            assert_rf_canonical(got)
+            assert got == expected, (a, b, got, expected)
+        mapping = {}
+        for v in rng.sample(["w", "x", "z"], 2):
+            image = RationalFunction(rand_factor(rng, rand_variables(rng)), rand_factor(rng, tuple(sorted({"x", v}))))
+            mapping[v] = rng.choice((image, RationalFunction.variable(v) ** -1))
+        try:
+            top, bottom = parent_substitute(n, mapping), parent_substitute(d, mapping)
+            expected = RationalFunction(top.num * bottom.den, top.den * bottom.num)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                a.substitute(mapping)
+            continue
+        got = a.substitute(mapping)
+        assert_rf_canonical(got)
+        assert got == expected, (a, mapping, got, expected)
+    assert equal_dens >= 10
+
+
+def test_rf_gcds_see_no_full_product(monkeypatch):
+    # products and sums of reduced fractions take gcds of operand-sized
+    # pieces only, never of the unreduced numerator and denominator
+    import cechchern.ratfunc
+
+    a = rf("(z + w)*(z - 1)/((z + 1)*(w + 2))")
+    cases = [
+        (a, rf("(w + 2)*(z^2 + i)/((z + w)*(w - 3))")),  # cross-cancelling
+        (a, rf("(3*z - w)/((w - 3)*(z - w))")),  # coprime denominators
+        (rf("(z - 1)/((z + 1)*(w + 2))"), rf("(w + i*z)/((w + 2)*(z - w))")),  # one shared factor
+    ]
+    degrees = []
+    real_gcd = cechchern.ratfunc.poly_gcd
+    monkeypatch.setattr(cechchern.ratfunc, "poly_gcd",
+                        lambda p, q: degrees.append((p.degree(), q.degree())) or real_gcd(p, q))
+    for x, y in cases:
+        bound = max(f.degree() for g in (x, y) for f in (g.num, g.den))
+        results = [x * y, x + y, x - y, x / y]
+        assert degrees and max(max(pair) for pair in degrees) <= bound, degrees
+        for result in results:
+            assert result == RationalFunction(result.num, result.den)
+        degrees.clear()
+
+
 # -- parser --------------------------------------------------------------------------
 
 
