@@ -346,10 +346,11 @@ def equivariant_check(data: EquivariantBundleData, word_bound: Optional[int] = N
     if word_bound is None:
         word_bound = len(data.group.elements)
     # a word with an identity letter is a degenerate simplex: its component
-    # is zero, so only words in the other elements are evaluated
+    # is zero, so only words in the other elements are evaluated (the
+    # trivial group has none, whatever the bound)
     words: List[Tuple[str, ...]] = [()]
     nonzero = []
-    for _ in range(word_bound):
+    for _ in range(word_bound if nontrivial else 0):
         words = [w + (g,) for w in words for g in nontrivial]
         for w in words:
             for i in range(data.cover.n_charts):

@@ -26,6 +26,12 @@ from .report import Report
 from .simplicial import Generator, boundary, nondegenerate_generators
 
 
+# The most index tuples a cover may declare, its overlaps' subsets included
+# (the formal 6-index cover declares 63, CP^4's cover 31); k charts in one
+# overlap declare 2^k - 1.
+MAX_DECLARED_TUPLES = 4096
+
+
 class CoverError(ValueError):
     pass
 
@@ -134,8 +140,12 @@ class Cover(_CoverBase):
             if t and (t[0] < 0 or t[-1] >= len(self.charts)):
                 raise CoverError(f"overlap tuple {t} out of chart range")
             # store with downward closure
+            if (1 << len(t)) - 1 > MAX_DECLARED_TUPLES:
+                raise CoverError(f"overlap tuple {t} declares more than {MAX_DECLARED_TUPLES} tuples")
             for r in range(1, len(t) + 1):
                 declared.update(combinations(t, r))
+            if len(declared) > MAX_DECLARED_TUPLES:
+                raise CoverError(f"the overlaps declare more than {MAX_DECLARED_TUPLES} tuples")
         self.declared = declared
         self.change_maps = {tuple(k): dict(v) for k, v in (change_maps or {}).items()}
         for (a, b), m in self.change_maps.items():

@@ -1,9 +1,11 @@
 """Command-line driver: manifest ingestion, mode dispatch, reporting.
 
 Exit codes: 0 when every check passes, 1 on a failed verification, 2 on
-manifest or expression errors.  The residue oracle lives here, as pure
-Laurent-coefficient extraction on a one-variable chart; it cross-checks
-the line-bundle cocycles independently of the cochain machinery.
+manifest or expression errors.  The residue oracle lives here:
+`laurent_coefficient` reads a Laurent coefficient of a one-variable
+function by series division on constant polynomials, independently of the
+cochain machinery.  Vertex mode reports the residue of each rank-1 pair
+component with it, but compares it with no expected value yet.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from .fiber import (
     verify_integration_identities,
 )
 from .manifest import Manifest, ManifestError, read_integer
+from .poly import Polynomial, divexact
 from .ratfunc import RationalFunction
 from .report import Report
-from .scalars import GaussianRational
 from .serde import cochain_to_text, table_to_text
 from .simplicial import (
     aw_chain,
@@ -45,32 +47,31 @@ from .simplicial import (
 MODES = ("vertex", "simplex", "gamma", "iota", "square", "equivariant", "selftest")
 
 
-def laurent_coefficient(f: RationalFunction, var: str, power: int = -1) -> GaussianRational:
-    """The coefficient of var^power in the Laurent expansion at 0.
+def laurent_coefficient(f: RationalFunction, var: str, power: int = -1) -> Polynomial:
+    """The coefficient of var^power in the Laurent expansion at 0, as a
+    constant polynomial.
 
     Requires f to depend on at most the single variable var.
     """
-    num = f.num.coefficients_in(var)
-    den = f.den.coefficients_in(var)
-    if not num:
-        return GaussianRational(0)
+    extra = set(f.variables) - {var}
+    if extra:
+        raise ValueError(f"function depends on extra variables {sorted(extra)}")
+    # power -> constant polynomial coefficient
+    num = {(e[0] if e else 0): c for e, c in f.num.monomials()}
+    den = {(e[0] if e else 0): c for e, c in f.den.monomials()}
     pole = min(den)
     shifted = {k - pole: c for k, c in den.items()}
     target = power + pole
+    lead = min(num, default=target + 1)
     # series division: s_j = (n_j - sum_{i<j} s_i d_{j-i}) / d_0
     series = {}
-    d0 = shifted[0]
-    lead = min(num)
-    if target < lead:
-        return GaussianRational(0)
     for j in range(lead, target + 1):
-        acc = num.get(j, GaussianRational(0))
+        acc = num.get(j, Polynomial.zero())
         for i in range(lead, j):
-            dcoef = shifted.get(j - i)
-            if dcoef is not None and i in series:
-                acc = acc - series[i] * dcoef
-        series[j] = acc / d0
-    return series[target]
+            if j - i in shifted:
+                acc = acc - series[i] * shifted[j - i]
+        series[j] = divexact(acc, shifted[0])
+    return series.get(target, Polynomial.zero())
 
 
 def _selftest() -> Report:
@@ -203,7 +204,8 @@ def run(
 
 
 def _residue_check(manifest, data, cocycle, report):
-    """Independent Laurent-coefficient oracle for rank-1 pair components."""
+    """Report the residue of each rank-1 pair component on a one-coordinate
+    chart; the line always passes, as no expected residue is known."""
     cover = data.cover
     if data.rank != 1:
         return
@@ -214,7 +216,7 @@ def _residue_check(manifest, data, cocycle, report):
         comp = cocycle.component(t, 1)
         var = chart.coordinates[0]
         if comp is None:
-            residue = GaussianRational(0)
+            residue = Polynomial.zero()
         else:
             coeff = comp.coefficient((0,))
             residue = laurent_coefficient(coeff, var, -1)

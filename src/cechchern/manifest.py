@@ -19,6 +19,12 @@ from .exprparse import ExprError, parse_expr
 from .forms import Chart, ConnectionMatrix, HoloForm, MatrixForm
 
 
+# The most group words an equivariant run may evaluate: a word bound B on a
+# group G spans sum_{l<=B} (|G|-1)^l words (Z/3 with B = 10 is 2046 words
+# and takes a few seconds).
+MAX_GROUP_WORDS = 4096
+
+
 class ManifestError(ValueError):
     pass
 
@@ -239,6 +245,20 @@ class Manifest:
 
     @_located
     def word_bound(self) -> Optional[int]:
-        """The equivariant word-length bound; absent or 0 means the group order."""
+        """The equivariant word-length bound; absent or 0 means the group
+        order.  The words it spans may not pass MAX_GROUP_WORDS."""
         value = self.run.get("word_bound")
-        return None if value is None else self._integer(value, "word_bound", 0) or None
+        bound = None if value is None else self._integer(value, "word_bound", 0) or None
+        order = len(self.raw["group"]["elements"])
+        count, words = 0, 1
+        # each length adds a word unless the group is trivial, so a bound
+        # past the limit passes it
+        for _ in range(min(bound or order, MAX_GROUP_WORDS + 1)):
+            words *= order - 1
+            count += words
+            if count > MAX_GROUP_WORDS:
+                raise ManifestError(
+                    f"{self.source}: a group of order {order} with word bound {bound or order} "
+                    f"spans more than {MAX_GROUP_WORDS} words"
+                )
+        return bound

@@ -9,10 +9,12 @@ exactly the variables that occur with positive exponent somewhere, stores
 no zero part and has gcd(den, every part) = 1, so structural equality is
 mathematical equality across different ambient variable sets.
 
-GaussianRational appears only at the edges: `make`, `const` and `scale`
-take one, and `terms` (a fresh exponent -> GaussianRational dict),
-`leading_coeff` and `coefficients_in` return them.  Sums, products,
-powers, derivatives, exact division and the gcd run on Python ints.
+GaussianRational appears only at the edges: `make` and `const` take one,
+and `terms` (a fresh exponent -> GaussianRational dict, which printing
+reads) returns them.  Sums, products, powers, derivatives, scaling, exact
+division and the gcd run on Python ints; a scalar factor is an int triple
+(cr, ci, d) standing for (cr + i*ci)/d, as `monic_factor` returns and
+`scaled` takes.
 
 Monomial order: graded lexicographic, variables sorted by name.  The gcd
 is computed by a primitive pseudo-remainder sequence, or by Euclid over
@@ -127,7 +129,7 @@ class Polynomial:
 
     @staticmethod
     def const(c) -> "Polynomial":
-        return Polynomial.one().scale(c)
+        return Polynomial.make((), {(): c})
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
@@ -155,13 +157,11 @@ class Polynomial:
     def is_one(self) -> bool:
         return not self.variables and self.den == 1 and self.re == {(): 1} and not self.im
 
-    def _coeff(self, e: Exponent) -> GaussianRational:
-        return GaussianRational(Fraction(self.re.get(e, 0), self.den), Fraction(self.im.get(e, 0), self.den))
-
     @property
     def terms(self) -> Dict[Exponent, GaussianRational]:
         """A fresh exponent -> GaussianRational dict of the nonzero terms."""
-        return {e: self._coeff(e) for e in self._exponents()}
+        return {e: GaussianRational(Fraction(self.re.get(e, 0), self.den), Fraction(self.im.get(e, 0), self.den))
+                for e in self._exponents()}
 
     def _exponents(self) -> Iterable[Exponent]:
         # in the order the terms were made, which fixes the order of sums
@@ -182,13 +182,6 @@ class Polynomial:
         i = self.variables.index(var)
         return max((e[i] for e in chain(self.re, self.im)), default=0)
 
-    def coefficients_in(self, var: str) -> Dict[int, GaussianRational]:
-        """The coefficients of a polynomial in var alone, keyed by power."""
-        extra = set(self.variables) - {var}
-        if extra:
-            raise ValueError(f"polynomial depends on extra variables {sorted(extra)}")
-        return {(e[0] if e else 0): c for e, c in self.terms.items()}
-
     def monomials(self) -> Iterable[Tuple[Exponent, "Polynomial"]]:
         """Each term's exponent with its coefficient as a constant polynomial."""
         for e in self._exponents():
@@ -199,14 +192,17 @@ class Polynomial:
         """Exponents in descending graded-lex order (leading term first)."""
         return sorted(self._exponents(), key=_grlex, reverse=True)
 
-    def _leading(self) -> Tuple[Exponent, int, int]:
+    def monic_factor(self) -> Tuple[int, int, int]:
+        """The factor (cr, ci, d) in lowest terms, d > 0, that makes self
+        monic: den * conj(l) / |l|^2 for the leading numerator l.  It is
+        (1, 0, 1) exactly when self is already monic."""
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
         e = max(self._exponents(), key=_grlex)
-        return e, self.re.get(e, 0), self.im.get(e, 0)
-
-    def leading_coeff(self) -> GaussianRational:
-        return self._coeff(self._leading()[0])
+        lr, li = self.re.get(e, 0), self.im.get(e, 0)
+        cr, ci, d = self.den * lr, -self.den * li, lr * lr + li * li
+        g = gcd(cr, ci, d)
+        return cr // g, ci // g, d // g
 
     # -- alignment of variable sets ------------------------------------------
 
@@ -287,24 +283,14 @@ class Polynomial:
                 base = base * base
         return out
 
-    def _scaled(self, cr: int, ci: int, d: int) -> "Polynomial":
+    def scaled(self, cr: int, ci: int, d: int) -> "Polynomial":
         """self * (cr + i*ci)/d for ints, (cr, ci) nonzero and d nonzero."""
         re = collect(chain(_times(self.re, cr), _times(self.im, -ci)))
         im = collect(chain(_times(self.re, ci), _times(self.im, cr)))
         return _canonical(self.variables, self.den * d, re, im, prune=False)
 
-    def scale(self, c) -> "Polynomial":
-        c = GaussianRational.coerce(c)
-        if not c:
-            return Polynomial.zero()
-        return self._scaled(*_split(c))
-
     def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        # (x/den) * den * conj(l) / |l|^2 for the leading numerator l
-        _, lr, li = self._leading()
-        return self._scaled(self.den * lr, -self.den * li, lr * lr + li * li)
+        return self if self.is_zero else self.scaled(*self.monic_factor())
 
     def derivative(self, var: str) -> "Polynomial":
         if var not in self.variables:
@@ -395,15 +381,13 @@ def divexact(a: Polynomial, b: Polynomial) -> Polynomial | None:
     if a.is_zero:
         return Polynomial.zero()
     if b.is_constant:
-        # a * den_b * conj(l) / |l|^2 for b's numerator l
-        br, bi = b.re.get((), 0), b.im.get((), 0)
-        return a._scaled(b.den * br, -b.den * bi, br * br + bi * bi)
+        return a.scaled(*b.monic_factor())
     vs = Polynomial._union_vars(a, b)
     quot, rem, s, (cr, ci) = _reduce(a._pairs(vs), b._pairs(vs))
     if rem:
         return None
     # a/b = (A/den_a)/(B/den_b) with s*A = quot*(c*B)
-    return _from_pairs(vs, s * a.den, quot)._scaled(b.den * cr, b.den * ci, 1)
+    return _from_pairs(vs, s * a.den, quot).scaled(b.den * cr, b.den * ci, 1)
 
 
 # -- gcd via primitive pseudo-remainder sequences ---------------------------------

@@ -8,8 +8,8 @@ Every operation on canonical operands cancels before it multiplies, so no
 gcd is taken of a full product (Henrici, JACM 3, 1956; Knuth, TAOCP vol. 2,
 section 4.5.1).  In graded-lex order the leading term of a product is the
 product of the leading terms, so products and exact quotients of monic
-polynomials stay monic, and `_finish` only scales by the denominator's
-leading coefficient or divides by a constant denominator.
+polynomials stay monic, and `_finish` only scales both sides by the
+denominator's `monic_factor`, which divides a constant denominator out.
 
 - Powers and inverses take no gcd: powers of coprime polynomials stay
   coprime, and swapping a reduced numerator and denominator keeps them
@@ -127,8 +127,8 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        inv = self.num.leading_coeff().inverse()
-        return RationalFunction(self.den.scale(inv), self.num.scale(inv), _normalized=True)
+        f = self.num.monic_factor()
+        return RationalFunction(self.den.scaled(*f), self.num.scaled(*f), _normalized=True)
 
     def derivative(self, var: str) -> "RationalFunction":
         n, d = self.num, self.den
@@ -197,19 +197,14 @@ def _cross_gcd(num: Polynomial, den: Polynomial) -> Polynomial:
 
 
 def _finish(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """The canonical num/den for coprime num and den != 0: a constant
-    denominator divided into the numerator, or both scaled to make the
-    denominator monic."""
+    """The canonical num/den for coprime num and den != 0: both scaled to
+    make the denominator monic, which makes a constant denominator 1."""
     if num.is_zero:
         return RationalFunction.zero()
-    if den.is_constant:
-        if not den.is_one:
-            num, den = divexact(num, den), Polynomial.one()
-    else:
-        lc = den.leading_coeff()
-        if not lc.is_one:
-            inv = lc.inverse()
-            num, den = num.scale(inv), den.scale(inv)
+    if not den.is_one:
+        f = den.monic_factor()
+        if f != (1, 0, 1):
+            num, den = num.scaled(*f), den.scaled(*f)
     return RationalFunction(num, den, _normalized=True)
 
 

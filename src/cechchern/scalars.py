@@ -1,10 +1,11 @@
-"""Exact scalars: the field Q(i) of Gaussian rationals.
+"""Exact scalars: the Gaussian rationals Q(i) as a parse and print type.
 
 GaussianRational is the value type at the edges of the arithmetic: the
-parser, polynomial construction and scaling, the coefficient views and
-printing, formal sections and the residue oracle.  Polynomials store
-their coefficients as Gaussian integers over one integer denominator
-(see `poly`).  No floating point arithmetic occurs anywhere.  Values are
+parser reads `i` and integer literals as one, `Polynomial.make` and
+`Polynomial.const` take one, and `Polynomial.terms` returns them for
+printing.  It does no arithmetic: polynomials store their coefficients as
+Gaussian integers over one integer denominator and compute on ints (see
+`poly`).  No floating point arithmetic occurs anywhere.  Values are
 immutable and hashable.
 """
 
@@ -41,57 +42,8 @@ class GaussianRational:
         raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
     @property
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    @property
     def is_one(self) -> bool:
         return self.re == 1 and not self.im
-
-    def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
-        if not n:
-            raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def __add__(self, other: Scalarish) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Scalarish) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, other: Scalarish) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        # real-by-real dominates in practice; skip the full complex product
-        if not self.im and not o.im:
-            return GaussianRational(self.re * o.re)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Scalarish) -> "GaussianRational":
-        return self * GaussianRational.coerce(other).inverse()
-
-    def __pow__(self, n: int) -> "GaussianRational":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -103,9 +55,6 @@ class GaussianRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def __bool__(self):
-        return not self.is_zero
-
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
@@ -113,8 +62,6 @@ class GaussianRational:
         return gaussian_str(self)
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 

@@ -11,6 +11,7 @@ from cechchern.cech import (
     Cover,
     CoverError,
     FormalSection,
+    MAX_DECLARED_TUPLES,
     tot_differential,
     tot_to_cech,
     UPolyCochain,
@@ -41,6 +42,20 @@ def test_cover_declaration_and_closure():
     assert cover.is_declared((1,))
     with pytest.raises(CoverError):
         Cover([Chart("A", ("z",))], [(1, 0)])
+
+
+def test_cover_declares_a_bounded_closure():
+    # 12 charts in one overlap declare 2^12 - 1 = 4095 tuples; one more
+    # singleton reaches the limit and a second passes it
+    assert MAX_DECLARED_TUPLES == 4096
+    charts = [Chart(f"U{i}", ()) for i in range(14)]
+    tuples = [tuple(range(12)), (12,)]
+    assert len(Cover(charts, tuples).declared) == MAX_DECLARED_TUPLES
+    with pytest.raises(CoverError, match="more than 4096 tuples"):
+        Cover(charts, tuples + [(13,)])
+    # one overlap of 13 charts is refused before its subsets are listed
+    with pytest.raises(CoverError, match="more than 4096 tuples"):
+        Cover(charts, [tuple(range(13))])
 
 
 def test_cover_validation_change_maps():

@@ -4,13 +4,14 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from cechchern import Manifest, ManifestError, parse_expr
 from cechchern.cli import laurent_coefficient, main, run
-from cechchern.scalars import GaussianRational
+from cechchern.manifest import MAX_GROUP_WORDS
 from cechchern.serde import cochain_to_text, text_to_cochain
 from cechchern.chern import tot_ch_vertex
 
@@ -18,14 +19,20 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_laurent_coefficient_oracle():
-    f = parse_expr("3/z", ["z"])
-    assert laurent_coefficient(f, "z", -1) == GaussianRational(3)
-    g = parse_expr("(z^2 + 2)/(z^3 + z^4)", ["z"])
+    def coefficient(text, power):
+        return laurent_coefficient(parse_expr(text, ["z"]), "z", power)
+
+    def const(text):
+        return parse_expr(text, []).num
+
+    assert coefficient("3/z", -1) == const("3")
     # (2 + z^2) / (z^3 (1 + z)) = 2 z^-3 - 2 z^-2 + 3 z^-1 - ...
-    assert laurent_coefficient(g, "z", -3) == GaussianRational(2)
-    assert laurent_coefficient(g, "z", -2) == GaussianRational(-2)
-    assert laurent_coefficient(g, "z", -1) == GaussianRational(3)
-    assert laurent_coefficient(parse_expr("z^2", ["z"]), "z", -1) == GaussianRational(0)
+    g = "(z^2 + 2)/(z^3 + z^4)"
+    assert [coefficient(g, k) for k in (-3, -2, -1)] == [const("2"), const("-2"), const("3")]
+    assert coefficient("z^2", -1) == const("0")
+    # (1/2 + i z) / (3 z^2 (1 - 2i z/3)) = 1/6 z^-2 + 4i/9 z^-1 - 8/27 + ...
+    f = "(i*z + 1/2)/(z^2*(3 - 2*i*z))"
+    assert [coefficient(f, k) for k in (-3, -2, -1, 0)] == [const(c) for c in ("0", "1/6", "4*i/9", "-8/27")]
     for text in ("w/z", "z/(z + w)"):
         with pytest.raises(ValueError, match="extra variables"):
             laurent_coefficient(parse_expr(text, ["z", "w"]), "z", -1)
@@ -119,6 +126,53 @@ def test_word_bound_zero_means_group_order():
     assert Manifest(raw).word_bound() is None
     raw["run"] = {"word_bound": "3"}
     assert Manifest(raw).word_bound() == 3
+    # Z/2 spans one word per length: 4096 words fit the limit, 4097 do not
+    raw["run"] = {"word_bound": MAX_GROUP_WORDS}
+    assert Manifest(raw).word_bound() == 4096
+    raw["run"] = {"word_bound": MAX_GROUP_WORDS + 1}
+    with pytest.raises(ManifestError, match="order 2 with word bound 4097 spans more than 4096 words"):
+        Manifest(raw).word_bound()
+
+
+def cyclic_group_manifest(n):
+    """Z/n acting trivially on one chart, with trivial lifts."""
+    els = [f"g{k}" for k in range(n)]
+    table = {f"{a},{b}": els[(i + j) % n] for i, a in enumerate(els) for j, b in enumerate(els)}
+    return {
+        "charts": [{"name": "M", "coordinates": ["z"]}],
+        "overlaps": [[0]],
+        "bundle": {"rank": 1, "connections": {"0": [[{"z": "z^-2 - 1"}]]}},
+        "group": {"elements": els, "identity": "g0", "table": table,
+                  "action": {g: {"0": {"z": "z"}} for g in els},
+                  "lifts": {g: {"0": [["1"]]} for g in els}},
+    }
+
+
+def test_unbounded_enumerations_exit_2_at_once(tmp_path, capsys):
+    # 30 charts in the one default overlap would declare 2^30 - 1 tuples
+    charts = {"charts": [{"name": f"U{k}", "coordinates": []} for k in range(30)], "bundle": {"rank": 1}}
+    # Z/3 up to length 30 spans 2^31 - 2 words; Z/12 up to its order, 11^12 + ...
+    z3 = dict(cyclic_group_manifest(3), run={"word_bound": 30})
+    for raw, mode, message in (
+        (charts, "vertex", "declares more than 4096 tuples"),
+        (z3, "equivariant", "order 3 with word bound 30 spans more than 4096 words"),
+        (cyclic_group_manifest(12), "equivariant", "order 12 with word bound 12 spans more than 4096 words"),
+    ):
+        target = tmp_path / "unbounded.json"
+        target.write_text(json.dumps(raw))
+        capsys.readouterr()
+        start = time.monotonic()
+        assert main(["--mode", mode, "--manifest", str(target)]) == 2
+        assert time.monotonic() - start < 1
+        err = capsys.readouterr().err
+        assert str(target) in err and message in err, err
+    # a bound the limit allows still runs, and the trivial group spans no
+    # words, so no bound makes it loop
+    for n, bound in ((3, 3), (1, 10 ** 15)):
+        target.write_text(json.dumps(dict(cyclic_group_manifest(n), run={"word_bound": bound})))
+        start = time.monotonic()
+        assert main(["--mode", "equivariant", "--manifest", str(target)]) == 0
+        assert time.monotonic() - start < 1
 
 
 def test_run_selftest_mode():

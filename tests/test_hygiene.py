@@ -142,3 +142,25 @@ def test_public_names_are_referenced():
         if not any(ref == name and not (p == path and first <= line <= last) for p, line, ref in refs)
     ]
     assert not unused, unused
+
+
+def test_scalars_is_an_edge_type():
+    # GaussianRational is parsed and printed but does no arithmetic, and only
+    # poly (make, const, terms), the parser and the package root import it
+    arithmetic = {f"__{op}__" for base in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow",
+                                           "matmul", "divmod")
+                  for op in (base, "r" + base, "i" + base)}
+    arithmetic |= {"__neg__", "__pos__", "__abs__", "__invert__", "__bool__", "inverse"}
+    tree = ast.parse((SRC / "scalars.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    defined |= {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert not defined & arithmetic, sorted(defined & arithmetic)
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                if "scalars" in [name.split(".")[-1] for name in names]:
+                    importers.add(path.stem)
+    assert importers == {"__init__", "exprparse", "poly"}, sorted(importers)
