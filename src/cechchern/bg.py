@@ -26,7 +26,7 @@ from .chern import (
     tot_ch_table,
 )
 from .fiber import integrate_fiber, level_forget
-from .forms import Chart, ConnectionMatrix, HoloForm, MatrixForm, apply_connection
+from .forms import Chart, ConnectionMatrix, HoloForm, MatrixForm, apply_connection, chart_map_defect
 from .ratfunc import RationalFunction
 from .report import Report
 from .simplicial import Generator, nondegenerate_generators
@@ -188,6 +188,8 @@ class FiniteGroup:
         if identity not in self.elements:
             raise ValueError("identity not among elements")
         for a in self.elements:
+            if self.elements.count(a) > 1:
+                raise ValueError(f"group element {a} is listed more than once")
             for b in self.elements:
                 if self.table.get((a, b)) not in self.elements:
                     raise ValueError(f"multiplication table entry ({a},{b}) is missing or not an element")
@@ -228,9 +230,11 @@ class EquivariantBundleData:
     """A finite-group action lifted to a trivialized bundle with connection.
 
     action[(g, chart)] gives the coordinates of x.g in the chart's own
-    coordinates (charts are assumed action-stable); lifts[(g, chart)] is
-    the frame matrix of the action on fibers over that chart, a degree-0
-    MatrixForm on it.
+    coordinates (charts are assumed action-stable), checked like a change
+    map; lifts[(g, chart)] is the frame matrix of the action on fibers over
+    that chart, a degree-0 MatrixForm on it.  Each pullback along the action
+    is taken once: pulled_lifts[(h, g, i)] is the lift of g pulled back by h,
+    pulled_connections[(g, i)] the connection pulled back by g.
     """
 
     def __init__(
@@ -245,11 +249,14 @@ class EquivariantBundleData:
         self.cover = cover
         self.rank = rank
         self.group = group
+        for what, given in (("action", action), ("lift", lifts)):
+            for g, i in given:
+                if g not in group.elements:
+                    raise ValueError(f"{what} of {g} on chart {i}: {g} is not a group element")
         self.action = {}
         self.lifts = {}
         for g in group.elements:
-            for i in range(cover.n_charts):
-                chart = cover.charts[i]
+            for i, chart in enumerate(cover.charts):
                 if g == group.identity:
                     default_map = {c: RationalFunction.variable(c) for c in chart.coordinates}
                     self.action[(g, i)] = dict(action.get((g, i), default_map))
@@ -257,26 +264,22 @@ class EquivariantBundleData:
                 else:
                     self.action[(g, i)] = dict(action[(g, i)])
                     self.lifts[(g, i)] = lifts[(g, i)]
-                missing = set(chart.coordinates) - set(self.action[(g, i)])
-                if missing:
-                    raise ValueError(f"action of {g} on chart {i} misses coordinates {sorted(missing)}")
+                defect = chart_map_defect(self.action[(g, i)], chart, chart)
+                if defect:
+                    raise ValueError(f"action of {g} on chart {i} {defect}")
                 lift = self.lifts[(g, i)]
                 if lift.rows != rank or lift.cols != rank:
                     raise ValueError(f"lift of {g} on chart {i} is not {rank} x {rank}")
                 if lift.chart != chart:
                     raise ValueError(f"lift of {g} on chart {i} lives on the wrong chart")
         self.connections = chart_connections(cover, rank, connections)
-
-    def act_pullback(self, value, g: str, i: int):
-        """Pull a form/matrix on chart i back along the action of g."""
-        chart = self.cover.charts[i]
-        return value.pullback(chart, self.action[(g, i)])
-
-    def compose_actions(self, h: str, g: str, i: int) -> CoordMap:
-        """The coordinate map of first h then g, i.e. of the element h*g."""
-        fh = self.action[(h, i)]
-        fg = self.action[(g, i)]
-        return {v: expr.substitute(fh) for v, expr in fg.items()}
+        self.pulled_lifts = {
+            (h, g, i): self.lifts[(g, i)].pullback(cover.charts[i], f)
+            for (h, i), f in self.action.items() for g in group.elements
+        }
+        self.pulled_connections = {
+            (g, i): self.connections[i].pullback(cover.charts[i], f) for (g, i), f in self.action.items()
+        }
 
     def validate(self) -> Report:
         report = Report()
@@ -286,13 +289,12 @@ class EquivariantBundleData:
         for h in self.group.elements:
             for g in self.group.elements:
                 hg = self.group.mul(h, g)
-                for i in range(self.cover.n_charts):
-                    composed = self.compose_actions(h, g, i)
-                    direct = self.action[(hg, i)]
-                    if any(direct[v] != composed[v] for v in direct):
+                for i, chart in enumerate(self.cover.charts):
+                    # first h then g is the action of h*g
+                    fh, fg, direct = (self.action[(x, i)] for x in (h, g, hg))
+                    if any(direct[v] != fg[v].substitute(fh) for v in chart.coordinates):
                         bad_action.append((h, g, i))
-                    pulled = self.act_pullback(self.lifts[(g, i)], h, i)
-                    if not (pulled * self.lifts[(h, i)] - self.lifts[(hg, i)]).is_zero:
+                    if not (self.pulled_lifts[(h, g, i)] * self.lifts[(h, i)] - self.lifts[(hg, i)]).is_zero:
                         bad_lifts.append((h, g, i))
         report.check("equivariant.action_composition", bad_action, "violated at {}")
         report.check("equivariant.lift_composition", bad_lifts, "violated at {}")
@@ -302,22 +304,18 @@ class EquivariantBundleData:
 
     def nabla_phi(self, g: str, i: int) -> MatrixForm:
         """The invariance defect d(phi_g) + (rho_g^* A) phi_g - phi_g A."""
-        a = self.connections[i]
-        return apply_connection(self.lifts[(g, i)], a, self.act_pullback(a, g, i))
+        return apply_connection(self.lifts[(g, i)], self.connections[i], self.pulled_connections[(g, i)])
 
     def word_component(self, word: Sequence[str], i: int) -> HoloForm:
         """The trace word of the action lifts along a group word, over one
         chart: the group-direction Chern component of u-power len(word)."""
-        a0 = self.connections[i]
         entries = []
         prefix = self.group.identity
-        conn_prev = a0
         for g in word:
-            h = self.act_pullback(self.lifts[(g, i)], prefix, i)
-            prefix = self.group.mul(prefix, g)
-            conn_next = self.act_pullback(a0, prefix, i)
-            entries.append((h, conn_prev, conn_next))
-            conn_prev = conn_next
+            after = self.group.mul(prefix, g)
+            conns = self.pulled_connections[(prefix, i)], self.pulled_connections[(after, i)]
+            entries.append((self.pulled_lifts[(prefix, g, i)], *conns))
+            prefix = after
         return _word_trace(entries)
 
 

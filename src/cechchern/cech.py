@@ -18,8 +18,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from . import linalg
-from .forms import Chart, HoloForm
+from .forms import Chart, HoloForm, chart_map_defect
 from .poly import collect
 from .ratfunc import RationalFunction
 from .report import Report
@@ -119,10 +118,9 @@ class Cover(_CoverBase):
 
     change_maps[(a, b)] expresses the coordinates of chart a in the
     coordinates of chart b, and is used to pull components back to anchor
-    charts when restriction lowers the minimal index.  Each map must join
-    charts of one dimension with a Jacobian determinant that is not
-    identically zero, so that pulling back never sends a nonzero function
-    to zero.
+    charts when restriction lowers the minimal index.  Each map must pass
+    forms.chart_map_defect, so every pullback along it and every composite
+    of two of them is defined.
     """
 
     def __init__(
@@ -151,14 +149,9 @@ class Cover(_CoverBase):
         for (a, b), m in self.change_maps.items():
             if not (0 <= a < len(self.charts) and 0 <= b < len(self.charts)):
                 raise CoverError(f"change map {a}->{b} names a chart outside 0..{len(self.charts) - 1}")
-            src, dst = self.charts[a].coordinates, self.charts[b].coordinates
-            if len(src) != len(dst):
-                raise CoverError(f"change map {a}->{b} joins charts of dimensions {len(src)} and {len(dst)}")
-            if set(src) - set(m):
-                raise CoverError(f"change map {a}->{b} missing coordinates {sorted(set(src) - set(m))}")
-            jacobian = [[m[u].derivative(v) for v in dst] for u in src]
-            if src and linalg.det(jacobian).is_zero:
-                raise CoverError(f"change map {a}->{b} is degenerate: its Jacobian determinant vanishes")
+            defect = chart_map_defect(m, self.charts[a], self.charts[b])
+            if defect:
+                raise CoverError(f"change map {a}->{b} {defect}")
 
     @staticmethod
     def formal(n_indices: int) -> "Cover":
@@ -224,10 +217,7 @@ class Cover(_CoverBase):
                 if b2 != b or (a != c and (a, c) not in self.change_maps):
                     continue
                 direct = self.change_map(a, c)
-                try:
-                    if any(direct[v] != m[v].substitute(m2) for v in self.charts[a].coordinates):
-                        bad.append((a, b, c))
-                except ZeroDivisionError:
+                if any(direct[v] != m[v].substitute(m2) for v in self.charts[a].coordinates):
                     bad.append((a, b, c))
         report.check("cover.change_maps_compose", bad, "inconsistent triples {}")
         return report

@@ -219,6 +219,21 @@ class HoloForm:
         return f"HoloForm<{form_str(self)} on {self.chart.name}>"
 
 
+def chart_map_defect(mapping: Mapping[str, RationalFunction], source: Chart, target: Chart) -> str:
+    """Why pulling back along mapping (target -> source, as in pullback)
+    could fail, or "" when it cannot: the map must name every coordinate of
+    source, join charts of one dimension and have a Jacobian determinant not
+    identically zero, so no nonzero function pulls back to 0 or to a pole."""
+    src, dst = source.coordinates, target.coordinates
+    if len(src) != len(dst):
+        return f"joins charts of dimensions {len(src)} and {len(dst)}"
+    if set(src) - set(mapping):
+        return f"missing coordinates {sorted(set(src) - set(mapping))}"
+    if src and linalg.det([[mapping[u].derivative(v) for v in dst] for u in src]).is_zero:
+        return "is degenerate: its Jacobian determinant vanishes"
+    return ""
+
+
 def form_str(form: HoloForm) -> str:
     """Canonical rendering: terms sorted by wedge index tuple."""
     if form.is_zero:

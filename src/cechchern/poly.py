@@ -424,13 +424,12 @@ def _content(cs: Dict[int, Polynomial]) -> Polynomial:
     return g
 
 
-def _primitive(p: Polynomial, var: str) -> Polynomial:
-    cs = _as_univariate(p, var)
-    cont = _content(cs)
+def _primitive(p: Polynomial, var: str) -> Tuple[Polynomial, Polynomial]:
+    cont = _content(_as_univariate(p, var))
     q = divexact(p, cont)
     if q is None:
         raise AssertionError("content does not divide the polynomial")
-    return q
+    return cont, q
 
 
 def _prem(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
@@ -481,22 +480,20 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         if var in a.variables:
             a, b = b, a
         return poly_gcd(a, _content(_as_univariate(b, var)))
-    ca = _content(_as_univariate(a, var))
-    cb = _content(_as_univariate(b, var))
+    ca, p = _primitive(a, var)
+    cb, q = _primitive(b, var)
     g = poly_gcd(ca, cb)
-    p = _primitive(a, var)
-    q = _primitive(b, var)
     if p.degree_in(var) < q.degree_in(var):
         p, q = q, p
     while True:
         r = _prem(p, q, var)
         if r.is_zero:
-            result = _primitive(q, var)
+            result = _primitive(q, var)[1]
             break
         if r.degree_in(var) == 0:
             result = Polynomial.one()
             break
-        p, q = q, _primitive(r, var)
+        p, q = q, _primitive(r, var)[1]
     return (g * result).monic()
 
 

@@ -518,6 +518,48 @@ def test_words_with_an_identity_letter_vanish(name):
     assert all(data.word_component(w, 0).is_zero for w in words)
 
 
+def test_equivariant_check_pulls_back_each_value_once(monkeypatch):
+    # Z/2 on one chart at rank 1, words up to length 4: four pulled-back
+    # lifts (h, g) and two pulled-back connections, each computed once when
+    # the data is built
+    from pathlib import Path
+
+    from cechchern import Manifest
+
+    calls = []
+    pullback = HoloForm.pullback
+
+    def counted(self, target, mapping):
+        calls.append(target)
+        return pullback(self, target, mapping)
+
+    monkeypatch.setattr(HoloForm, "pullback", counted)
+    manifest = Manifest.load(str(Path(__file__).parent / "fixtures" / "equivariant_z2.json"))
+    report = equivariant_check(manifest.equivariant_data(), manifest.word_bound())
+    assert report.ok, report.to_text()
+    assert len(calls) <= 6
+
+
+def test_equivariant_data_checks_its_actions():
+    # an action is refused at construction like a degenerate change map, so
+    # no pullback along it can divide by zero; so is an action or a lift of
+    # something that is not a group element
+    cover = cstar_chart_cover()
+    chart = cover.charts[0]
+    lifts = {("s", 0): mono("1", chart)}
+    for action, message in (
+        ({("s", 0): {"z": parse_expr("1", ["z"])}}, "action of s on chart 0 is degenerate"),
+        ({("s", 0): {}}, r"action of s on chart 0 missing coordinates \['z'\]"),
+        ({**inversion_action(), ("t", 0): {"z": parse_expr("z", ["z"])}}, "action of t on chart 0: t is not"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            EquivariantBundleData(cover, 1, z2_group(), action, lifts)
+    with pytest.raises(ValueError, match="lift of t on chart 0: t is not a group element"):
+        EquivariantBundleData(cover, 1, z2_group(), inversion_action(), {**lifts, ("t", 0): mono("5", chart)})
+    with pytest.raises(ValueError, match="group element s is listed more than once"):
+        FiniteGroup(["e", "s", "s"], "e", {(a, b): "e" for a in "es" for b in "es"})
+
+
 def test_equivariant_data_checks_its_connections():
     cover = cstar_chart_cover()
     other = Chart("N", ("z",))

@@ -290,6 +290,15 @@ def test_main_exit_codes(tmp_path, capsys):
         ("o3_cp1", ["vertex"], lambda raw: (
             raw.update(change_maps=[{"chart": 1, "in_chart": 0, "exprs": {"w": "0"}}]),
             raw["bundle"].update(connections={"1": [[{"w": "1/w"}]]}))),
+        # a group action is checked like a change map (a constant one pulls
+        # the lift 1/(z-1) back to a pole), and each action or lift belongs
+        # to an element of the group, which lists each element once
+        ("z2_equivariant", ["equivariant"], lambda raw: (
+            raw["group"]["action"]["s"]["0"].update(z="1"), raw["group"]["lifts"]["s"].update({"0": [["1/(z-1)"]]}))),
+        ("z2_equivariant", ["equivariant"], lambda raw: raw["group"]["action"]["s"]["0"].update(z="0")),
+        ("z2_equivariant", ["equivariant"], lambda raw: raw["group"].update(elements=["e", "s", "s"])),
+        ("z2_equivariant", ["equivariant"], lambda raw: raw["group"]["action"].update(t={"0": {"z": "z"}})),
+        ("z2_equivariant", ["equivariant"], lambda raw: raw["group"]["lifts"].update(t={"0": [["5"]]})),
     ):
         degenerate = json.loads((FIXTURES / f"{name}.json").read_text())
         edit(degenerate)
