@@ -63,12 +63,15 @@ def gamma(h: BundlePathData, max_level: Optional[int] = None) -> CechCochain:
     Component on a slot tuple T: tr(H(T_0,T_r)^{-1} dH(T_{r-1},T_r) ^ ... ^
     dH(T_0,T_1)), Čech degree r, form degree r.  Only the tuples that
     iota(., max_level) can read are built: at most max_level + n + 1 slots,
-    and no more than a lift of the longest declared base tuple has.
+    and no more than a lift of the longest declared base tuple has.  Each
+    slot transition H(x, y) and its dH is formed once per call.
     """
     cover = ProductLevelCover(h.cover, h.n)
     top = h.cover.max_tuple_len() - 1
     max_level = top if max_level is None else min(max_level, top)
     comps: Dict[Tuple, HoloForm] = {}
+    slots: Dict[Tuple, MatrixForm] = {}
+    memo: Dict[Tuple, MatrixForm] = {}
     for t in cover.all_tuples(max_level + h.n + 1):
         anchor = t[0][1]
         chart = h.cover.charts[anchor]
@@ -76,11 +79,13 @@ def gamma(h: BundlePathData, max_level: Optional[int] = None) -> CechCochain:
             comps[t] = HoloForm.constant(chart, h.rank)
             continue
         zero = ConnectionMatrix.zero(chart, h.rank)
-        word = [
-            (slot_transition_form(h, t[m], t[m + 1], anchor), zero, zero)
-            for m in range(len(t) - 1)
-        ]
-        form = _word_trace(word)
+        word = []
+        for x, y in zip(t, t[1:]):
+            key = (x, y, anchor)
+            if key not in slots:
+                slots[key] = slot_transition_form(h, x, y, anchor)
+            word.append((key, slots[key], zero, zero))
+        form = _word_trace(word, memo)
         if not form.is_zero:
             comps[t] = form
     return CechCochain(cover, comps)
@@ -234,7 +239,8 @@ class EquivariantBundleData:
     map; lifts[(g, chart)] is the frame matrix of the action on fibers over
     that chart, a degree-0 MatrixForm on it.  Each pullback along the action
     is taken once: pulled_lifts[(h, g, i)] is the lift of g pulled back by h,
-    pulled_connections[(g, i)] the connection pulled back by g.
+    pulled_connections[(g, i)] the connection pulled back by g.  The nabla of
+    each word letter (h, g, i) is taken once too, in the data's own memo.
     """
 
     def __init__(
@@ -280,6 +286,7 @@ class EquivariantBundleData:
         self.pulled_connections = {
             (g, i): self.connections[i].pullback(cover.charts[i], f) for (g, i), f in self.action.items()
         }
+        self._nablas: Dict[Tuple[str, str, int], MatrixForm] = {}
 
     def validate(self) -> Report:
         report = Report()
@@ -314,9 +321,9 @@ class EquivariantBundleData:
         for g in word:
             after = self.group.mul(prefix, g)
             conns = self.pulled_connections[(prefix, i)], self.pulled_connections[(after, i)]
-            entries.append((self.pulled_lifts[(prefix, g, i)], *conns))
+            entries.append(((prefix, g, i), self.pulled_lifts[(prefix, g, i)], *conns))
             prefix = after
-        return _word_trace(entries)
+        return _word_trace(entries, self._nablas)
 
 
 def equivariant_check(data: EquivariantBundleData, word_bound: Optional[int] = None) -> Report:

@@ -13,11 +13,20 @@ The trace words follow the master pattern
     tr( (w_L ... w_1)^{-1} nabla(w_L) ^ ... ^ nabla(w_1) ) * u^L
 
 with nabla the induced Hom-connection of each factor's endpoints.
+_word_trace evaluates every such word.  Each nabla(w) is a matrix of
+1-forms, so a word longer than the chart's dimension is 0 and is not
+evaluated.  Otherwise the letters are multiplied first, P = nabla(w_L) ...
+nabla(w_1), and tr(M^{-1} P) is taken as sum_ij (M^{-1})_ij ^ P_ji, without
+the off-diagonal entries of M^{-1} P.  Each route keeps its own memo of the
+nabla(w) it has taken: one tot_ch_table call, one gamma call, one
+EquivariantBundleData, one NerveInstance.  The EZ route
+tot_ch_simplex_via_ez keeps none, so it shares only _word_trace with the
+closed formula.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .cech import Cover, UPolyCochain
 from .forms import ConnectionMatrix, HoloForm, MatrixForm, apply_connection
@@ -227,6 +236,7 @@ class NerveInstance:
         self.k = len(morphisms)
         self._segments: Dict[Tuple[int, int], MatrixForm] = {}
         self._faces: Dict[Tuple[int, ...], HoloForm] = {}
+        self._nablas: Dict[Tuple[int, int], MatrixForm] = {}
 
     def segment(self, lo: int, hi: int) -> MatrixForm:
         """The composite morphism from object lo to object hi."""
@@ -248,9 +258,9 @@ class NerveInstance:
             return 0, HoloForm.constant(self.chart, self.rank)
         if face not in self._faces:
             self._faces[face] = _word_trace([
-                (self.segment(lo, hi), self.connections[lo], self.connections[hi])
+                ((lo, hi), self.segment(lo, hi), self.connections[lo], self.connections[hi])
                 for lo, hi in zip(face, face[1:])
-            ])
+            ], self._nablas)
         return ell, self._faces[face]
 
     def boundary_sum(self, face: Tuple[int, ...]) -> HoloForm:
@@ -279,21 +289,41 @@ def verify_face_sum_vanishing(
 # -- Tot(Ch) on vertices and higher simplices ----------------------------------------
 
 
-def _word_trace(
-    word: List[Tuple[MatrixForm, ConnectionMatrix, ConnectionMatrix]]
-) -> HoloForm:
+Letter = Tuple[Hashable, MatrixForm, ConnectionMatrix, ConnectionMatrix]
+
+
+def _word_trace(word: Sequence[Letter], memo: Optional[Dict[Hashable, MatrixForm]] = None) -> HoloForm:
     """tr((w_L..w_1)^{-1} nabla(w_L) ^ ... ^ nabla(w_1)) for a composable word.
 
-    Each entry is (degree-0 matrix, source connection, target connection),
-    all on one chart, listed first-applied first.
+    Each letter is (key, degree-0 matrix, source connection, target
+    connection), all on one chart, listed first-applied first.  With a memo,
+    the nabla of each key is taken once and kept there; the key names the
+    letter within its route.
+
+    Every nabla(w) is pure degree 1, so a word longer than the chart's
+    dimension is 0: it is returned before its composite, the composite's
+    inverse or any nabla is formed, and a singular composite of such a word
+    raises nothing.  Every caller's data validates invertibility first.
     """
-    composite = word[0][0]
-    for m, _, _ in word[1:]:
+    chart = word[0][1].chart
+    if len(word) > len(chart.coordinates):
+        return HoloForm.zero(chart)
+    composite = word[0][1]
+    for _, m, _, _ in word[1:]:
         composite = m * composite
-    prod = composite.inverse()
-    for m, a_src, a_dst in reversed(word):
-        prod = prod * apply_connection(m, a_src, a_dst)
-    return prod.trace()
+    letters = reversed(word)
+    prod = _nabla(memo, *next(letters))
+    for letter in letters:
+        prod = prod * _nabla(memo, *letter)
+    return composite.inverse().trace(prod)
+
+
+def _nabla(memo, key, m, a_src, a_dst) -> MatrixForm:
+    if memo is None:
+        return apply_connection(m, a_src, a_dst)
+    if key not in memo:
+        memo[key] = apply_connection(m, a_src, a_dst)
+    return memo[key]
 
 
 def tot_ch_vertex(data: BundleVertexData, max_level: Optional[int] = None) -> UPolyCochain:
@@ -312,6 +342,13 @@ def tot_ch_simplex(
     the global sign is (-1)^(p(p-1)/2) and each term carries
     (-1)^(s_1+...+s_p) u^(l+p).
     """
+    return _tot_ch_simplex(data, generator, max_level, {})
+
+
+def _tot_ch_simplex(
+    data: BundlePathData, generator: Generator, max_level: Optional[int], memo: Dict[Hashable, MatrixForm]
+) -> UPolyCochain:
+    """tot_ch_simplex, taking each nabla once in the caller's memo."""
     cover = data.cover
     if generator.ambient != data.n:
         raise BundleDataError(
@@ -332,7 +369,7 @@ def tot_ch_simplex(
         else:
             acc = HoloForm.zero(chart)
             for steps in step_positions(p, ell):
-                term = _word_trace(_simplex_word(data, js, t, steps, anchor))
+                term = _word_trace(_simplex_word(data, js, t, steps, anchor), memo)
                 acc = acc - term if sum(steps) % 2 else acc + term
             form = acc if global_sign > 0 else -acc
         entries.append((ell + p, t, form))
@@ -345,8 +382,9 @@ def _simplex_word(
     t: Tuple[int, ...],
     steps: Tuple[int, ...],
     anchor: int,
-) -> List[Tuple[MatrixForm, ConnectionMatrix, ConnectionMatrix]]:
-    """The staircase word for tuple t, levels js, vertical steps at `steps`."""
+) -> List[Letter]:
+    """The staircase word for tuple t, levels js, vertical steps at `steps`;
+    a letter's key names its factor, levels and chart in the anchor chart."""
     p = len(js) - 1
     ell = len(t) - 1
     word = []
@@ -357,6 +395,7 @@ def _simplex_word(
             lo, hi = js[level], js[level + 1]
             word.append(
                 (
+                    ("f", hi, lo, t[pos], anchor),
                     data.intertwiner_form(hi, lo, t[pos], anchor),
                     data.levels[lo].connection_in(t[pos], anchor),
                     data.levels[hi].connection_in(t[pos], anchor),
@@ -368,6 +407,7 @@ def _simplex_word(
             j = js[level]
             word.append(
                 (
+                    ("g", j, a, b, anchor),
                     data.levels[j].transition_form(a, b, anchor),
                     data.levels[j].connection_in(a, anchor),
                     data.levels[j].connection_in(b, anchor),
@@ -379,11 +419,13 @@ def _simplex_word(
 
 
 def tot_ch_table(data: BundlePathData, max_level: Optional[int] = None) -> Dict[Generator, UPolyCochain]:
-    """The full chain-map table over N(Z Delta^n)."""
+    """The full chain-map table over N(Z Delta^n); its generators share
+    one memo of the nabla of each letter."""
     table = {}
+    memo: Dict[Hashable, MatrixForm] = {}
     for ell in range(data.n + 1):
         for g in nondegenerate_generators(data.n, ell):
-            table[g] = tot_ch_simplex(data, g, max_level)
+            table[g] = _tot_ch_simplex(data, g, max_level, memo)
     return table
 
 
@@ -394,8 +436,9 @@ def tot_ch_simplex_via_ez(
     map to every shuffle staircase of the prism and add the
     totalization-to-Čech sign.
 
-    Shares only the composable-word evaluator with the closed formula; the
-    enumeration, signs and u-powers come from the shuffle description.
+    Shares only the composable-word evaluator with the closed formula, and
+    keeps no memo of nabla; the enumeration, signs and u-powers come from
+    the shuffle description.
     """
     cover = data.cover
     if max_level is None:
@@ -424,7 +467,7 @@ def tot_ch_simplex_via_ez(
                     else:
                         m = data.levels[js[li]].transition_form(t[ti], t[ti + 1], anchor)
                         ti += 1
-                    word.append((m, src, data.levels[js[li]].connection_in(t[ti], anchor)))
+                    word.append((None, m, src, data.levels[js[li]].connection_in(t[ti], anchor)))
                 term = _word_trace(word)
                 acc = acc + (term if sign > 0 else -term)
             form = acc if tot_sign > 0 else -acc

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .poly import collect
@@ -222,13 +222,16 @@ class HoloForm:
 def chart_map_defect(mapping: Mapping[str, RationalFunction], source: Chart, target: Chart) -> str:
     """Why pulling back along mapping (target -> source, as in pullback)
     could fail, or "" when it cannot: the map must name every coordinate of
-    source, join charts of one dimension and have a Jacobian determinant not
-    identically zero, so no nonzero function pulls back to 0 or to a pole."""
+    source and no other, join charts of one dimension and have a Jacobian
+    determinant not identically zero, so no nonzero function pulls back to 0
+    or to a pole."""
     src, dst = source.coordinates, target.coordinates
     if len(src) != len(dst):
         return f"joins charts of dimensions {len(src)} and {len(dst)}"
     if set(src) - set(mapping):
         return f"missing coordinates {sorted(set(src) - set(mapping))}"
+    if set(mapping) - set(src):
+        return f"names coordinates {sorted(set(mapping) - set(src))} that chart {source.name} lacks"
     if src and linalg.det([[mapping[u].derivative(v) for v in dst] for u in src]).is_zero:
         return "is degenerate: its Jacobian determinant vanishes"
     return ""
@@ -366,11 +369,22 @@ class MatrixForm:
             target, [[e.pullback(target, mapping) for e in row] for row in self.entries]
         )
 
-    def trace(self) -> HoloForm:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix of forms")
-        diagonal = (self.entries[i][i].terms.items() for i in range(self.rows))
-        return HoloForm.sum(self.chart, chain.from_iterable(diagonal))
+    def trace(self, other: Optional["MatrixForm"] = None) -> HoloForm:
+        """tr(self), or tr(self * other) = sum_ij self_ij ^ other_ji, which
+        forms only the wedge products that land on the diagonal."""
+        if other is None:
+            if self.rows != self.cols:
+                raise ValueError("trace of a non-square matrix of forms")
+            diagonal = (self.entries[i][i].terms.items() for i in range(self.rows))
+            return HoloForm.sum(self.chart, chain.from_iterable(diagonal))
+        if self.chart != other.chart:
+            raise ChartMismatchError("matrix product across charts")
+        if self.rows != other.cols or self.cols != other.rows:
+            raise ValueError(f"trace of a non-square product {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        return HoloForm.sum(self.chart, chain.from_iterable(
+            _wedge_terms(self.entries[i][k], other.entries[k][i])
+            for i in range(self.rows) for k in range(self.cols)
+        ))
 
     @property
     def is_zero(self) -> bool:

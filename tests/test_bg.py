@@ -550,6 +550,8 @@ def test_equivariant_data_checks_its_actions():
     for action, message in (
         ({("s", 0): {"z": parse_expr("1", ["z"])}}, "action of s on chart 0 is degenerate"),
         ({("s", 0): {}}, r"action of s on chart 0 missing coordinates \['z'\]"),
+        ({("s", 0): {"z": parse_expr("1/z", ["z"]), "q": parse_expr("5", [])}},
+         r"action of s on chart 0 names coordinates \['q'\] that chart \w+ lacks"),
         ({**inversion_action(), ("t", 0): {"z": parse_expr("z", ["z"])}}, "action of t on chart 0: t is not"),
     ):
         with pytest.raises(ValueError, match=message):

@@ -1,6 +1,7 @@
 """Chern character machinery: bundle validation, trace words, tot-level maps."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,13 +12,14 @@ from cechchern.chern import (
     BundlePathData,
     BundleVertexData,
     NerveInstance,
+    _word_trace,
     tot_ch_simplex,
     tot_ch_simplex_via_ez,
     tot_ch_table,
     tot_ch_vertex,
     verify_face_sum_vanishing,
 )
-from cechchern.forms import Chart, ConnectionMatrix, HoloForm, MatrixForm
+from cechchern.forms import Chart, ConnectionMatrix, HoloForm, MatrixForm, apply_connection
 from cechchern.simplicial import Generator, nondegenerate_generators
 
 
@@ -398,13 +400,12 @@ def test_relabelled_charts_permute_components_consistently():
         # the old formula evaluated along the reversed pair, anchored at chart 1
         word = [
             (
+                None,
                 old.transition_form(1, 0, 1),
                 old.connection_in(1, 1),
                 old.connection_in(0, 1),
             )
         ]
-        from cechchern.chern import _word_trace
-
         expected = _word_trace(word)
         # identical expressions up to the chart object itself
         assert got.terms == expected.terms
@@ -416,3 +417,147 @@ def test_generator_ambient_mismatch():
     path = BundlePathData(levels, {})
     with pytest.raises(BundleDataError):
         tot_ch_simplex(path, Generator((0, 1), 1))
+
+
+def reference_word_trace(word):
+    """The evaluation order before letters came first: the composite's
+    inverse, then every nabla multiplied in from the left, then the trace of
+    the whole last matrix."""
+    composite = word[0][1]
+    for _, m, _, _ in word[1:]:
+        composite = m * composite
+    prod = composite.inverse()
+    for _, m, a_src, a_dst in reversed(word):
+        prod = prod * apply_connection(m, a_src, a_dst)
+    return prod.trace()
+
+
+def rand_invertible(rng, chart, rank):
+    """A rank-1 monomial, or lower-unit * monomial diagonal * upper-unit."""
+    coords = chart.coordinates
+
+    def monomial():
+        powers = "*".join(f"{v}^{rng.randint(-1, 2)}" for v in coords)
+        return parse_expr(f"{rng.choice([1, -1, 2, -3])}*{powers}", coords)
+
+    if rank == 1:
+        return MatrixForm.of_functions(chart, [[monomial()]])
+
+    def poly():
+        return parse_expr(f"{rng.randint(-3, 3)}*{rng.choice(coords)} + {rng.randint(-2, 2)}", coords)
+
+    one, zero = parse_expr("1", []), parse_expr("0", [])
+    lower = MatrixForm.of_functions(chart, [[one, zero], [poly(), one]])
+    upper = MatrixForm.of_functions(chart, [[one, poly()], [zero, one]])
+    return lower * diagonal(chart, [monomial(), monomial()]) * upper
+
+
+def rand_connection(rng, chart, rank):
+    """A connection with a nonzero entry in every place of its matrix."""
+    coords = chart.coordinates
+    rows = []
+    for _ in range(rank):
+        row = []
+        for _ in range(rank):
+            form = HoloForm.zero(chart)
+            for j, v in enumerate(coords):
+                c = rng.choice([1, -1, 2]) if j == 0 else rng.randint(-1, 1)
+                form = form + HoloForm.d_coord(chart, v).scale(
+                    parse_expr(f"{c}*{rng.choice(coords)}^{rng.randint(-1, 1)}", coords))
+            row.append(form)
+        rows.append(row)
+    return ConnectionMatrix(chart, MatrixForm(chart, rows))
+
+
+def test_word_trace_matches_the_reference_order():
+    # letters first and only the diagonal of M^{-1} P give the same form as
+    # the reference; past the chart's dimension the reference is exactly 0
+    rng = random.Random(13)
+    for rank in (1, 2):
+        for dim in (1, 2, 3):
+            chart = Chart(f"R{dim}", ("x", "y", "z")[:dim])
+            for length in range(1, dim + 3):
+                conns = [rand_connection(rng, chart, rank) for _ in range(length + 1)]
+                word = [(t, rand_invertible(rng, chart, rank), conns[t], conns[t + 1]) for t in range(length)]
+                expected = reference_word_trace(word)
+                assert expected.is_zero == (length > dim), (rank, dim, length)
+                assert _word_trace(word) == expected, (rank, dim, length)
+                memo = {}
+                assert _word_trace(word, memo) == expected and len(memo) == (0 if length > dim else length)
+
+
+def count_calls(monkeypatch, names):
+    """Count calls of forms.apply_connection (through every module that
+    imported it) and of the MatrixForm methods named."""
+    from cechchern import bg, chern, forms
+
+    counts = {"apply_connection": 0, **{name: 0 for name in names}}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    nabla = counted("apply_connection", forms.apply_connection)
+    for module in (forms, chern, bg):
+        monkeypatch.setattr(module, "apply_connection", nabla)
+    for name in names:
+        monkeypatch.setattr(MatrixForm, name, counted(name, getattr(MatrixForm, name)))
+    return counts
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_each_route_takes_each_nabla_once(monkeypatch):
+    from cechchern import Manifest
+    from cechchern.bg import equivariant_check
+
+    counts = count_calls(monkeypatch, ["inverse"])
+    manifest = Manifest.load(str(FIXTURES / "simplex_gl2.json"))
+    data = manifest.path_data()
+    generators = [g for ell in range(data.n + 1) for g in nondegenerate_generators(data.n, ell)]
+
+    def ez_counts():
+        out = []
+        for g in generators:
+            counts["apply_connection"] = 0
+            tot_ch_simplex_via_ez(data, g, manifest.max_level())
+            out.append(counts["apply_connection"])
+        return out
+
+    # the EZ route keeps no memo: it takes the same nablas before and after
+    # the closed route has filled its own
+    alone = ez_counts()
+    counts["apply_connection"] = 0
+    tot_ch_table(data, manifest.max_level())
+    assert counts["apply_connection"] == 5
+    assert ez_counts() == alone == [1, 1, 6]
+    # Z/2 by z -> 1/z on a one-dimensional chart, words up to length 4: only
+    # the one-letter word (s) is evaluated, beside the invariance defect of s
+    manifest = Manifest.load(str(FIXTURES / "equivariant_z2.json"))
+    data = manifest.equivariant_data()
+    counts.update(apply_connection=0, inverse=0)
+    assert equivariant_check(data, manifest.word_bound()).ok
+    assert counts["apply_connection"] <= 2 and counts["inverse"] == 1
+
+
+def test_nerve_instance_takes_each_nabla_once(monkeypatch):
+    # the first instances of acceptance 2: at most one nabla per segment
+    # (lo, hi) of each instance, however many faces the segment lies on
+    from test_acceptance import _increasing_tuples, _rand_conn_rank2, _rand_unit_rank2
+
+    counts = count_calls(monkeypatch, [])
+    rng = random.Random(2024)
+    chart = Chart("CSTAR", ("z",))
+    segments = 0
+    for trial in range(20):
+        k = 2 + trial % 2
+        morphisms = [_rand_unit_rank2(rng, chart) for _ in range(k)]
+        instance = NerveInstance(morphisms, [_rand_conn_rank2(rng, chart) for _ in range(k + 1)])
+        for ell in range(2, k + 2):
+            for face in _increasing_tuples(k, ell):
+                assert instance.boundary_sum(face).is_zero
+        segments += k * (k + 1) // 2
+    assert 0 < counts["apply_connection"] <= segments

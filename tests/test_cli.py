@@ -285,6 +285,9 @@ def test_main_exit_codes(tmp_path, capsys):
         ("cstar_one_simplex", ["vertex", "simplex", "square", "gamma", "iota"],
          lambda raw: raw["change_maps"][1]["exprs"].update(z="0")),
         ("o3_cp1", ["vertex"], lambda raw: raw["change_maps"][1]["exprs"].update(z="2/w")),
+        # a map that names a coordinate its chart lacks
+        ("o3_cp1", ["vertex"], lambda raw: raw["change_maps"][0]["exprs"].update(q="5")),
+        ("z2_equivariant", ["equivariant"], lambda raw: raw["group"]["action"]["s"]["0"].update(q="5")),
         ("o3_cp1", ["vertex"], lambda raw: raw.update(
             change_maps=[{"chart": 1, "in_chart": 0, "exprs": {"w": "0"}}])),
         ("o3_cp1", ["vertex"], lambda raw: (

@@ -163,7 +163,7 @@ def test_trace_examples_and_graded_cyclicity():
     for _ in range(20):
         a = rand_matrix_form(rng, Z)
         b = rand_matrix_form(rng, Z)
-        assert (a * b).trace() == (b * a).trace()
+        assert (a * b).trace() == (b * a).trace() == a.trace(b)
     # 1-form valued matrices anticommute inside the trace
     dz = HoloForm.d_coord(ZW, "z")
     dw = HoloForm.d_coord(ZW, "w")
@@ -177,6 +177,13 @@ def test_trace_examples_and_graded_cyclicity():
             [[dw.scale(parse_expr(f"{rng.randint(-2, 2)}*z", ["z"])) for _ in range(2)] for _ in range(2)],
         )
         assert ((alpha * beta).trace() + (beta * alpha).trace()).is_zero
+        assert alpha.trace(beta) == (alpha * beta).trace()
+    # tr(a b) of a 2 x 3 by a 3 x 2 matrix; a product that is not square has none
+    wide = MatrixForm(ZW, [[dz.scale(parse_expr(str(i + j), [])) for j in range(3)] for i in range(2)])
+    tall = MatrixForm(ZW, [[dw.scale(parse_expr(f"{i - j}*z", ["z"])) for j in range(2)] for i in range(3)])
+    assert wide.trace(tall) == (wide * tall).trace()
+    with pytest.raises(ValueError):
+        wide.trace(wide)
 
 
 def test_pullback_vanishing_denominator_rejected():

@@ -103,6 +103,23 @@ def test_one_word_evaluator():
     assert sorted(callers) == ["bg.universal_chern", "chern._word_trace"], callers
 
 
+def test_ez_route_reads_no_nabla_memo():
+    # the EZ route cross-checks the closed formula: it passes no memo to the
+    # word evaluator they share and names nothing of the closed route, whose
+    # memo is a local of each call, never state on the data both routes read
+    tree = ast.parse((SRC / "chern.py").read_text(encoding="utf-8"))
+    fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    ez = list(ast.walk(fns["tot_ch_simplex_via_ez"]))
+    calls = [n for n in ez if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_word_trace"]
+    assert calls and all(len(c.args) == 1 and not c.keywords for c in calls)
+    names = {n.id for n in ez if isinstance(n, ast.Name)} | {n.attr for n in ez if isinstance(n, ast.Attribute)}
+    closed = {"_nabla", "_tot_ch_simplex", "tot_ch_simplex", "tot_ch_table", "_simplex_word"}
+    assert not names & closed and not [n for n in names if "memo" in n or "nablas" in n], sorted(names)
+    for name in ("tot_ch_table", "_tot_ch_simplex", "_simplex_word"):
+        stores = [n.attr for n in ast.walk(fns[name]) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)]
+        assert not stores, (name, stores)
+
+
 def test_one_matrix_type():
     # matrices of functions are degree-0 MatrixForms on their chart; no
     # second matrix type or conversion to one is left, not even in a comment
