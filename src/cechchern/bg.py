@@ -21,12 +21,13 @@ from .cech import CechCochain, Cover, ProductLevelCover, UPolyCochain
 from .chern import (
     BundlePathData,
     BundleVertexData,
+    _nabla,
     _word_trace,
     chart_connections,
     tot_ch_table,
 )
 from .fiber import integrate_fiber, level_forget
-from .forms import Chart, ConnectionMatrix, HoloForm, MatrixForm, apply_connection, chart_map_defect
+from .forms import Chart, ConnectionMatrix, HoloForm, MatrixForm, chart_map_defect
 from .ratfunc import RationalFunction
 from .report import Report
 from .simplicial import Generator, nondegenerate_generators
@@ -310,8 +311,12 @@ class EquivariantBundleData:
         return report
 
     def nabla_phi(self, g: str, i: int) -> MatrixForm:
-        """The invariance defect d(phi_g) + (rho_g^* A) phi_g - phi_g A."""
-        return apply_connection(self.lifts[(g, i)], self.connections[i], self.pulled_connections[(g, i)])
+        """The invariance defect d(phi_g) + (rho_g^* A) phi_g - phi_g A: the
+        nabla of the word letter (identity, g, i) of validated data, on which
+        the identity acts as the identity map."""
+        e = self.group.identity
+        return _nabla(self._nablas, (e, g, i), self.pulled_lifts[(e, g, i)],
+                      self.pulled_connections[(e, i)], self.pulled_connections[(g, i)])
 
     def word_component(self, word: Sequence[str], i: int) -> HoloForm:
         """The trace word of the action lifts along a group word, over one

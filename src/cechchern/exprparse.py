@@ -13,13 +13,16 @@ Integer literals plus '/' give rational constants; 'i' is the imaginary
 unit; '^' takes integer exponents, negative ones landing in the
 denominator.  A power, or a run of sums or of products, whose numerator
 or denominator degree could exceed MAX_DEGREE is an error, raised before
-anything is multiplied out.  Every error reports the offending position.
+anything is multiplied out: a power's degrees are those of its base times
+the exponent, so the operands of a run stay unexpanded powers until the
+bound of the whole run has passed.  Every error reports the offending
+position.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 from .ratfunc import RationalFunction
 from .scalars import I as IMAG_UNIT
@@ -43,6 +46,42 @@ class ExprError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class _Power:
+    """base^n for a built base, not yet multiplied out: an operand of a run
+    whose degrees are known before it is expanded."""
+
+    __slots__ = ("base", "n", "negative")
+
+    def __init__(self, base: RationalFunction, n: int, negative: bool = False):
+        self.base, self.n, self.negative = base, n, negative
+
+    def __neg__(self) -> "_Power":
+        return _Power(self.base, self.n, not self.negative)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.base.is_zero and self.n > 0
+
+
+_Operand = Union[RationalFunction, _Power]
+
+
+def _degrees(x: _Operand) -> Tuple[int, int]:
+    """The numerator and denominator degrees of an operand."""
+    if isinstance(x, _Power):
+        k = abs(x.n)
+        num, den = x.base.num.degree() * k, x.base.den.degree() * k
+        return (num, den) if x.n >= 0 else (den, num)
+    return x.num.degree(), x.den.degree()
+
+
+def _built(x: _Operand) -> RationalFunction:
+    if isinstance(x, _Power):
+        value = x.base ** x.n
+        return -value if x.negative else value
+    return x
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -92,19 +131,20 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise ExprError(f"unexpected token {val!r}", pos)
-        return value
+        return _built(value)
 
-    def expr(self) -> RationalFunction:
+    def expr(self) -> _Operand:
         return self.chain("+-", self.term)
 
-    def term(self) -> RationalFunction:
+    def term(self) -> _Operand:
         return self.chain("*/", self.unary)
 
-    def chain(self, ops: str, operand) -> RationalFunction:
+    def chain(self, ops: str, operand) -> _Operand:
         """operand (op operand)*, combined left to right once the degree
-        bound of the whole run has passed at every operator."""
-        value = operand()
-        num, den = value.num.degree(), value.den.degree()
+        bound of the whole run has passed at every operator; a lone operand
+        is passed on unexpanded."""
+        first = operand()
+        bound = None
         rest = []
         while True:
             kind, val, pos = self.peek()
@@ -114,15 +154,18 @@ class _Parser:
             rhs = operand()
             if val == "/" and rhs.is_zero:
                 raise ExprError("division by identically-zero expression", pos)
-            num, den = _OPERATORS[val][1](num, den, rhs.num.degree(), rhs.den.degree())
-            if max(num, den) > MAX_DEGREE:
-                raise ExprError(f"degree up to {max(num, den)} at {val!r} exceeds {MAX_DEGREE}", pos)
+            bound = _OPERATORS[val][1](*(bound or _degrees(first)), *_degrees(rhs))
+            if max(bound) > MAX_DEGREE:
+                raise ExprError(f"degree up to {max(bound)} at {val!r} exceeds {MAX_DEGREE}", pos)
             rest.append((val, rhs))
+        if not rest:
+            return first
+        value = _built(first)
         for val, rhs in rest:
-            value = _OPERATORS[val][0](value, rhs)
+            value = _OPERATORS[val][0](value, _built(rhs))
         return value
 
-    def unary(self) -> RationalFunction:
+    def unary(self) -> _Operand:
         sign = 1
         while True:
             kind, val, _ = self.peek()
@@ -135,7 +178,7 @@ class _Parser:
         value = self.power()
         return -value if sign < 0 else value
 
-    def power(self) -> RationalFunction:
+    def power(self) -> _Operand:
         value = self.atom()
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
@@ -143,10 +186,10 @@ class _Parser:
             n = self.exponent()
             if n < 0 and value.is_zero:
                 raise ExprError("negative power of zero expression", pos)
-            degree = abs(n) * max(value.num.degree(), value.den.degree(), 1)
+            degree = abs(n) * max(*_degrees(value), 1)
             if degree > MAX_DEGREE:
                 raise ExprError(f"power of degree {degree} exceeds {MAX_DEGREE}", pos)
-            value = value ** n
+            return _Power(_built(value), n)
         return value
 
     def exponent(self) -> int:
@@ -168,7 +211,7 @@ class _Parser:
             self.expect_op(")")
         return sign * int(val)
 
-    def atom(self) -> RationalFunction:
+    def atom(self) -> _Operand:
         kind, val, pos = self.advance()
         if kind == "int":
             return RationalFunction.const(int(val))

@@ -16,9 +16,26 @@ division and the gcd run on Python ints; a scalar factor is an int triple
 (cr, ci, d) standing for (cr + i*ci)/d, as `monic_factor` returns and
 `scaled` takes.
 
-Monomial order: graded lexicographic, variables sorted by name.  The gcd
-is computed by a primitive pseudo-remainder sequence, or by Euclid over
-Q(i) when only one variable occurs.
+Monomial order: graded lexicographic, variables sorted by name.
+
+`cofactors(a, b)` returns the monic gcd g of a and b with a/g and b/g, and
+`poly_gcd(a, b)` is its g.  Both go through one shape dispatch, `_gcd`,
+which takes the first shape that fits:
+
+- zero: the other side, made monic, with its leading coefficient as its
+  quotient;
+- a constant: g = 1, and the quotients are the operands;
+- a monomial: the least exponents over the other side's terms;
+- a divisor: when the degrees in each variable let one side divide the
+  other, one exact division; if it leaves no remainder, its quotient is
+  one cofactor and the divisor's leading coefficient the other;
+- one variable: Euclid over Q(i), continued from that division's
+  remainder, each remainder divided by its content in Z[i];
+- otherwise a primitive pseudo-remainder sequence (PRS), whose contents
+  are gcds through the same dispatch.
+
+The zero, constant and divisor shapes form the quotients themselves; after
+the others `cofactors` divides each operand by g once.
 """
 
 from __future__ import annotations
@@ -192,14 +209,18 @@ class Polynomial:
         """Exponents in descending graded-lex order (leading term first)."""
         return sorted(self._exponents(), key=_grlex, reverse=True)
 
+    def _leading(self) -> Tuple[int, int]:
+        """The real and imaginary parts of the leading numerator."""
+        if self.is_zero:
+            raise ValueError("zero polynomial has no leading term")
+        e = max(self._exponents(), key=_grlex)
+        return self.re.get(e, 0), self.im.get(e, 0)
+
     def monic_factor(self) -> Tuple[int, int, int]:
         """The factor (cr, ci, d) in lowest terms, d > 0, that makes self
         monic: den * conj(l) / |l|^2 for the leading numerator l.  It is
         (1, 0, 1) exactly when self is already monic."""
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self._exponents(), key=_grlex)
-        lr, li = self.re.get(e, 0), self.im.get(e, 0)
+        lr, li = self._leading()
         cr, ci, d = self.den * lr, -self.den * li, lr * lr + li * li
         g = gcd(cr, ci, d)
         return cr // g, ci // g, d // g
@@ -390,18 +411,61 @@ def divexact(a: Polynomial, b: Polynomial) -> Polynomial | None:
     return _from_pairs(vs, s * a.den, quot).scaled(b.den * cr, b.den * ci, 1)
 
 
-# -- gcd via primitive pseudo-remainder sequences ---------------------------------
+def _quo(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a / b for a divisor b of a."""
+    if b.is_one:
+        return a
+    q = divexact(a, b)
+    if q is None:
+        raise AssertionError("a gcd or content does not divide its argument")
+    return q
 
 
-def _univariate_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    # Euclid over Q(i), on Gaussian-integer remainders with their integer
-    # content divided out; a and b share their one variable.
-    u, v = a._pairs(a.variables), b._pairs(b.variables)
+# -- gcd: one shape dispatch ---------------------------------------------------------
+
+_ONE = Polynomial.one()
+
+
+def _norm(c: Tuple[int, int]) -> int:
+    return c[0] * c[0] + c[1] * c[1]
+
+
+def _zi_gcd(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+    """A gcd of a and b in Z[i], by Euclid with the quotient rounded to the
+    nearest Gaussian integer."""
+    while b[0] or b[1]:
+        (ar, ai), (br, bi) = a, b
+        n = _norm(b)
+        # a/b = a*conj(b)/n, each part rounded by floor((2x + n)/(2n))
+        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
+        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
+        a, b = b, (ar - qr * br + qi * bi, ai - qr * bi - qi * br)
+    return a
+
+
+def _primitive_zi(r: Pairs) -> Pairs:
+    """r divided by its content in Z[i]: the integer content first, then
+    the Gaussian content, by Euclid from the coefficient of least norm."""
+    if not r:
+        return r
+    g = gcd(*chain.from_iterable(r.values()))
+    r = {e: (x // g, y // g) for e, (x, y) in r.items()}
+    g = min(r.values(), key=_norm)
+    for c in r.values():
+        if _norm(g) == 1:
+            return r
+        g = _zi_gcd(c, g)
+    (gr, gi), n = g, _norm(g)
+    return {e: ((x * gr + y * gi) // n, (y * gr - x * gi) // n) for e, (x, y) in r.items()}
+
+
+def _euclid(variables, u: Pairs, v: Pairs) -> Polynomial:
+    """The monic gcd over Q(i) of two numerators in the one variable, by
+    Euclid on remainders with their Z[i] content divided out."""
     while v:
-        r = _reduce(u, v)[1]
-        g = gcd(*chain.from_iterable(r.values()))
-        u, v = v, {e: (x // g, y // g) for e, (x, y) in r.items()}
-    return _from_pairs(a.variables, 1, u).monic()
+        v = _primitive_zi(v)
+        u, v = v, _reduce(u, v)[1]
+    return _from_pairs(variables, 1, u).monic()
 
 
 def _as_univariate(p: Polynomial, var: str) -> Dict[int, Polynomial]:
@@ -416,20 +480,18 @@ def _as_univariate(p: Polynomial, var: str) -> Dict[int, Polynomial]:
 
 
 def _content(cs: Dict[int, Polynomial]) -> Polynomial:
-    g = Polynomial.zero()
-    for p in cs.values():
-        g = poly_gcd(g, p)
+    first, *rest = cs.values()
+    g = first.monic()
+    for p in rest:
         if g.is_one:
             break
+        g = poly_gcd(g, p)
     return g
 
 
 def _primitive(p: Polynomial, var: str) -> Tuple[Polynomial, Polynomial]:
     cont = _content(_as_univariate(p, var))
-    q = divexact(p, cont)
-    if q is None:
-        raise AssertionError("content does not divide the polynomial")
-    return cont, q
+    return cont, _quo(p, cont)
 
 
 def _prem(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
@@ -457,24 +519,11 @@ def _monomial_gcd(m: Polynomial, p: Polynomial) -> Polynomial:
     return _canonical(vs, 1, {e: 1}, {})
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd of a and b over Q(i)."""
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    if a.is_constant or b.is_constant:
-        return Polynomial.one()
-    if a.is_monomial:
-        return _monomial_gcd(a, b)
-    if b.is_monomial:
-        return _monomial_gcd(b, a)
-    common = sorted(set(a.variables) | set(b.variables))
-    if len(common) == 1:
-        return _univariate_gcd(a, b)
+def _prs_gcd(a: Polynomial, b: Polynomial, variables) -> Polynomial:
+    """The monic gcd by a primitive pseudo-remainder sequence."""
     # Main variable: the cheapest pseudo-remainder sequence comes from the
     # variable where the smaller of the two degrees is minimal.
-    var = min(common, key=lambda v: (min(a.degree_in(v), b.degree_in(v)), v))
+    var = min(variables, key=lambda v: (min(a.degree_in(v), b.degree_in(v)), v))
     if var not in a.variables or var not in b.variables:
         # One side is free of var: gcd(content of the other, that side).
         if var in a.variables:
@@ -495,6 +544,73 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
             break
         p, q = q, _primitive(r, var)[1]
     return (g * result).monic()
+
+
+def _may_divide(b: Polynomial, a: Polynomial) -> bool:
+    """Whether the degrees let b divide a: each variable of b occurs in a,
+    to at least b's degree."""
+    return all(v in a.variables and b.degree_in(v) <= a.degree_in(v) for v in b.variables)
+
+
+def _divisor_shape(flip: bool, divisor: Polynomial, other_over_g: Polynomial):
+    """(g, other/g, divisor/g), or with flip (g, divisor/g, other/g), for a
+    divisor of the other side: g is the divisor made monic, and divisor/g
+    is its leading coefficient."""
+    lr, li = divisor._leading()
+    divisor_over_g = _canonical((), divisor.den, {(): lr}, {(): li}, prune=False)
+    if flip:
+        return divisor.monic(), divisor_over_g, other_over_g
+    return divisor.monic(), other_over_g, divisor_over_g
+
+
+def _gcd(a: Polynomial, b: Polynomial):
+    """(g, a/g, b/g) for the monic gcd g of a and b over Q(i), with None for
+    a quotient that the shape taken did not form."""
+    if a.is_zero or b.is_zero:
+        # the nonzero side divides the other; gcd(0, 0) = 0 has no cofactors
+        if b.is_zero:
+            return (a, None, None) if a.is_zero else _divisor_shape(True, a, b)
+        return _divisor_shape(False, b, a)
+    if a.is_constant or b.is_constant:
+        return _ONE, a, b
+    if a.is_monomial:
+        return _monomial_gcd(a, b), None, None
+    if b.is_monomial:
+        return _monomial_gcd(b, a), None, None
+    vs = Polynomial._union_vars(a, b)
+    # b is the side whose degrees may let it divide the other
+    flip = not _may_divide(b, a)
+    if flip:
+        a, b = b, a
+    if _may_divide(b, a):
+        u, v = a._pairs(vs), b._pairs(vs)
+        quot, rem, s, (cr, ci) = _reduce(u, v)
+        if not rem:
+            # s*A = quot*(c*B) for the numerators A, B of a, b; with l the
+            # leading coefficient of B, a/g = a*lc(b)/b = quot*n/(s*den_a)
+            # for the positive integer n = c*l
+            lr, li = b._leading()
+            n = lr * cr - li * ci
+            a_over_g = _canonical(vs, s * a.den, {e: x * n for e, (x, _) in quot.items()},
+                                  {e: y * n for e, (_, y) in quot.items()})
+            return _divisor_shape(flip, b, a_over_g)
+        if len(vs) == 1:
+            return _euclid(vs, v, rem), None, None
+    return _prs_gcd(a, b, vs), None, None
+
+
+def cofactors(a: Polynomial, b: Polynomial) -> Tuple[Polynomial, Polynomial, Polynomial]:
+    """(g, a/g, b/g) for the monic gcd g of a and b over Q(i), which are not
+    both zero; each quotient is formed once, by the gcd's own shape where it
+    can."""
+    g, a_over_g, b_over_g = _gcd(a, b)
+    return (g, _quo(a, g) if a_over_g is None else a_over_g,
+            _quo(b, g) if b_over_g is None else b_over_g)
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd of a and b over Q(i)."""
+    return _gcd(a, b)[0]
 
 
 # -- display ------------------------------------------------------------------

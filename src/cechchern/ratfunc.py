@@ -6,25 +6,29 @@ normalized values, so structural equality is mathematical equality.
 
 Every operation on canonical operands cancels before it multiplies, so no
 gcd is taken of a full product (Henrici, JACM 3, 1956; Knuth, TAOCP vol. 2,
-section 4.5.1).  In graded-lex order the leading term of a product is the
-product of the leading terms, so products and exact quotients of monic
-polynomials stay monic, and `_finish` only scales both sides by the
-denominator's `monic_factor`, which divides a constant denominator out.
+section 4.5.1).  Each gcd g of p and q comes from `poly.cofactors`, with
+p/g and q/g, so no operand is divided by a gcd after it is found.  In
+graded-lex order the leading term of a product is the product of the
+leading terms, so products and exact quotients of monic polynomials stay
+monic, and `_finish` only scales both sides by the denominator's
+`monic_factor`, which divides a constant denominator out.
 
 - Powers and inverses take no gcd: powers of coprime polynomials stay
   coprime, and swapping a reduced numerator and denominator keeps them
   coprime.  `a / b` is `a * b.inverse()`, and adding to zero takes no gcd.
 - (a/b)(c/d): with g1 = gcd(a, d) and g2 = gcd(c, b) divided out, the
-  numerator (a/g1)(c/g2) is coprime to the denominator (b/g2)(d/g1).
+  numerator (a/g1)(c/g2) is coprime to the denominator (b/g2)(d/g1); a
+  denominator 1 gives its gcd 1 without any work.
 - a/b + c/d: equal denominators add their numerators and cancel
   gcd(a + c, b).  Otherwise, with g = gcd(b, d), the sum is
-  t/(b d/g) for t = a(d/g) + c(b/g), and t shares factors with the
-  denominator only through g, so only h = gcd(t, g) is cancelled; g = 1
-  leaves the sum reduced.
+  t/(g (b/g)(d/g)) for t = a(d/g) + c(b/g), and t shares factors with the
+  denominator only through g, so only h = gcd(t, g) is cancelled, and the
+  denominator is formed as (g/h)(b/g)(d/g); g = 1 leaves the sum reduced.
 - d(n/d): with g = gcd(d, d'), e = d/g and f = d'/g, the derivative is
   (n' e - n f)/(g e^2).  An irreducible factor of e divides e exactly
-  once and divides neither f nor n, so the numerator shares factors only with g, and only
-  its gcd with g is cancelled.
+  once and divides neither f nor n, so the numerator shares factors only
+  with g, and only its gcd h with g is cancelled: the denominator is
+  (g/h) e^2.
 - A polynomial evaluated at rational functions x_i -> n_i/d_i puts every
   term over the one denominator prod d_i^(deg_i p), sums the numerators as
   polynomials and normalizes once.
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
-from .poly import Polynomial, divexact, poly_gcd
+from .poly import Polynomial, cofactors
 
 
 class RationalFunction:
@@ -90,16 +94,15 @@ class RationalFunction:
     def __add__(self, o: "RationalFunction") -> "RationalFunction":
         a, b, c, d = self.num, self.den, o.num, o.den
         if b == d:
-            return _reduced(a + c, b, b)
+            return _reduced(a + c, b)
         if b.is_one:
             return RationalFunction(a * d + c, d, _normalized=True)
         if d.is_one:
             return RationalFunction(a + c * b, b, _normalized=True)
-        g = poly_gcd(b, d)
+        g, bq, dq = cofactors(b, d)
         if g.is_one:
             return RationalFunction(a * d + c * b, b * d, _normalized=True)
-        bq, dq = _quo(b, g), _quo(d, g)
-        return _reduced(a * dq + c * bq, b * dq, g)
+        return _reduced(a * dq + c * bq, g, bq * dq)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den, _normalized=True)
@@ -110,9 +113,10 @@ class RationalFunction:
     def __mul__(self, o: "RationalFunction") -> "RationalFunction":
         if self.is_zero or o.is_zero:
             return RationalFunction.zero()
-        g1 = _cross_gcd(self.num, o.den)
-        g2 = _cross_gcd(o.num, self.den)
-        return _finish(_quo(self.num, g1) * _quo(o.num, g2), _quo(self.den, g2) * _quo(o.den, g1))
+        # (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1))
+        _, a_g1, d_g1 = cofactors(self.num, o.den)
+        _, c_g2, b_g2 = cofactors(o.num, self.den)
+        return _finish(a_g1 * c_g2, b_g2 * d_g1)
 
     def __truediv__(self, o: "RationalFunction") -> "RationalFunction":
         if o.is_zero:
@@ -137,10 +141,9 @@ class RationalFunction:
             return RationalFunction.from_poly(dn)
         dd = d.derivative(var)
         if dd.is_zero:
-            return _reduced(dn, d, d)
-        g = poly_gcd(d, dd)
-        e, f = _quo(d, g), _quo(dd, g)
-        return _reduced(dn * e - n * f, g * e * e, g)
+            return _reduced(dn, d)
+        g, e, f = cofactors(d, dd)
+        return _reduced(dn * e - n * f, g, e * e)
 
     def substitute(self, mapping: Mapping[str, "RationalFunction"]) -> "RationalFunction":
         """Evaluate at var -> RationalFunction; unmapped variables persist.
@@ -177,23 +180,8 @@ class RationalFunction:
 def _normalize(num: Polynomial, den: Polynomial):
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
-    f = _reduced(num, den, den)
+    f = _reduced(num, den)
     return f.num, f.den
-
-
-def _quo(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a / b for a divisor b of a."""
-    if b.is_one:
-        return a
-    q = divexact(a, b)
-    if q is None:
-        raise AssertionError("gcd does not divide numerator and denominator")
-    return q
-
-
-def _cross_gcd(num: Polynomial, den: Polynomial) -> Polynomial:
-    """gcd(num, den), without a call when den is 1."""
-    return den if den.is_one else poly_gcd(num, den)
 
 
 def _finish(num: Polynomial, den: Polynomial) -> RationalFunction:
@@ -208,15 +196,14 @@ def _finish(num: Polynomial, den: Polynomial) -> RationalFunction:
     return RationalFunction(num, den, _normalized=True)
 
 
-def _reduced(num: Polynomial, den: Polynomial, g: Polynomial) -> RationalFunction:
-    """The canonical num/den when every common factor of num and den divides
-    g: only gcd(num, g) is cancelled."""
+def _reduced(num: Polynomial, g: Polynomial, rest: Polynomial | None = None) -> RationalFunction:
+    """The canonical num/(g rest) when every common factor of num and the
+    denominator divides g: only h = gcd(num, g) is cancelled, and the
+    denominator is formed as (g/h) rest."""
     if num.is_zero:
         return RationalFunction.zero()
-    if not g.is_constant:
-        h = poly_gcd(num, g)
-        num, den = _quo(num, h), _quo(den, h)
-    return _finish(num, den)
+    _, num, g = cofactors(num, g)
+    return _finish(num, g if rest is None else g * rest)
 
 
 def _poly_substitute(p: Polynomial, mapping: Mapping[str, RationalFunction]) -> RationalFunction:
@@ -245,7 +232,7 @@ def _poly_substitute(p: Polynomial, mapping: Mapping[str, RationalFunction]) -> 
     for i, k in enumerate(degrees):
         if not images[i].den.is_one:
             den = den * power(i, k, "den")
-    return _reduced(num, den, den)
+    return _reduced(num, den)
 
 
 def rf_str(f: RationalFunction) -> str:

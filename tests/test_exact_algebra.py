@@ -17,7 +17,7 @@ from cechchern import (
     parse_expr,
     poly_gcd,
 )
-from cechchern.poly import divexact
+from cechchern.poly import cofactors, divexact
 from cechchern.ratfunc import rf_str
 
 
@@ -269,9 +269,17 @@ def test_gcd_basic():
     assert poly_gcd(Polynomial.zero(), z ** 2) == z ** 2
 
 
+def oracle_cases():
+    """25 pairs (a*g, b*g) of random bivariate polynomials with a planted
+    common factor g."""
+    rng = random.Random(11)
+    for _ in range(25):
+        a, b, g = (rand_poly(rng, nterms=2, maxdeg=2) for _ in range(3))
+        yield a * g, b * g
+
+
 def test_gcd_matches_sympy_oracle():
     sympy = pytest.importorskip("sympy")
-    rng = random.Random(11)
     zs, ws = sympy.symbols("z w")
 
     def to_sympy(p):
@@ -286,12 +294,9 @@ def test_gcd_matches_sympy_oracle():
             expr += term
         return sympy.expand(expr)
 
-    for _ in range(25):
-        a = rand_poly(rng, nterms=2, maxdeg=2)
-        b = rand_poly(rng, nterms=2, maxdeg=2)
-        g = rand_poly(rng, nterms=2, maxdeg=2)
-        mine = poly_gcd(a * g, b * g)
-        theirs = sympy.gcd(to_sympy(a * g), to_sympy(b * g), zs, ws, extension=[sympy.I])
+    for ag, bg in oracle_cases():
+        mine = poly_gcd(ag, bg)
+        theirs = sympy.gcd(to_sympy(ag), to_sympy(bg), zs, ws, extension=[sympy.I])
         # Compare up to units: both sides must divide each other.
         mine_s = to_sympy(mine)
         if theirs == 0:
@@ -299,6 +304,62 @@ def test_gcd_matches_sympy_oracle():
             continue
         q1 = sympy.simplify(mine_s / theirs)
         assert q1.is_constant(zs, ws), (mine_s, theirs)
+
+
+def test_cofactors_are_the_gcd_and_its_quotients():
+    z, w = Polynomial.variable("z"), Polynomial.variable("w")
+    one, zero = Polynomial.one(), Polynomial.zero()
+    p = z * w + z - Polynomial.const(GaussianRational(2, 1))
+    # the oracle cases, then the zero, constant, monomial and divisor shapes
+    cases = list(oracle_cases()) + [
+        (zero, p), (p, zero), (Polynomial.const(3), p), (p, one), (z ** 2 * w, p * z),
+        (p * (z + w), p), (p, p * (z + w)), (p, p * Polynomial.const(GaussianRational(0, 3))),
+        (z ** 3 - one, z - one),
+    ]
+    for a, b in cases:
+        g, ag, bg = cofactors(a, b)
+        assert g == poly_gcd(a, b)
+        assert g * ag == a and g * bg == b, (a, b, g, ag, bg)
+    with pytest.raises(ZeroDivisionError):
+        cofactors(zero, zero)
+
+
+def test_divisor_pair_runs_no_prem(monkeypatch):
+    # one side divides the other: the gcd is that side, found by one exact
+    # division, without a pseudo-remainder sequence
+    import cechchern.poly
+
+    prems = []
+    real_prem = cechchern.poly._prem
+    monkeypatch.setattr(cechchern.poly, "_prem", lambda *args: prems.append(args) or real_prem(*args))
+    b = rf("z*w + 2*z - i*w + 1").num
+    a = b * rf("z^2 - 3*w + 5").num
+    assert cofactors(a, b) == (b, divexact(a, b), Polynomial.one())
+    assert cofactors(b, a) == (b, Polynomial.one(), divexact(a, b))
+    assert not prems
+    # a pair without a divisor still takes the PRS
+    assert poly_gcd(a, b * rf("z + w").num) == b and prems
+
+
+def test_univariate_gcd_removes_gaussian_content():
+    # Euclid over Q(i) divides each remainder by its Z[i] content, so a
+    # planted quadratic factor of a degree-63 and a degree-62 polynomial with
+    # Gaussian coefficients in [-9, 9] comes back well within the bound; with
+    # the integer content alone the coefficients swell and it takes about
+    # twice the bound
+    import time
+
+    rng = random.Random(7)
+
+    def rand_poly_z(degree):
+        return Polynomial.make(("z",), {(k,): GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
+                                        for k in range(degree + 1)})
+
+    g = rand_poly_z(2)
+    a, b = g * rand_poly_z(61), g * rand_poly_z(60)
+    start = time.perf_counter()
+    assert poly_gcd(a, b) == g.monic()
+    assert time.perf_counter() - start < 3
 
 
 # -- rational functions ------------------------------------------------------------
@@ -351,7 +412,7 @@ def test_rf_power_and_inverse_take_no_gcd(monkeypatch):
 
     f = rf("(z^2 + w)/(2*z - 3*w + 1)")
     calls = []
-    monkeypatch.setattr(cechchern.ratfunc, "poly_gcd", lambda a, b: calls.append((a, b)) or poly_gcd(a, b))
+    monkeypatch.setattr(cechchern.ratfunc, "cofactors", lambda a, b: calls.append((a, b)) or cofactors(a, b))
     f ** 5
     f.inverse()
     assert not calls
@@ -486,9 +547,8 @@ def test_rf_gcds_see_no_full_product(monkeypatch):
         (rf("(z - 1)/((z + 1)*(w + 2))"), rf("(w + i*z)/((w + 2)*(z - w))")),  # one shared factor
     ]
     degrees = []
-    real_gcd = cechchern.ratfunc.poly_gcd
-    monkeypatch.setattr(cechchern.ratfunc, "poly_gcd",
-                        lambda p, q: degrees.append((p.degree(), q.degree())) or real_gcd(p, q))
+    monkeypatch.setattr(cechchern.ratfunc, "cofactors",
+                        lambda p, q: degrees.append((p.degree(), q.degree())) or cofactors(p, q))
     for x, y in cases:
         bound = max(f.degree() for g in (x, y) for f in (g.num, g.den))
         results = [x * y, x + y, x - y, x / y]
@@ -561,6 +621,21 @@ def test_parse_degree_bound():
             rf(text)
         if star is not None:
             assert err.value.position == [i for i, ch in enumerate(text) if ch == "*"][star]
+
+
+def test_parse_run_bound_trips_before_any_power(monkeypatch):
+    # a run's operands stay unexpanded powers until the bound of the whole
+    # run has passed: a power's degrees are its base's times the exponent
+    powers = []
+    real_pow = RationalFunction.__pow__
+    monkeypatch.setattr(RationalFunction, "__pow__", lambda f, n: powers.append(n) or real_pow(f, n))
+    six = "*".join(["(1+z+w)^100"] * 6)
+    for text, message in ((six, "degree up to 300 at '\\*'"), ("*".join(["((1+z+w)^100)"] * 3), "degree up to 300"),
+                          ("((1+z+w)^100)^3", "power of degree 300"), ("-(1+z+w)^-100/(w-1)^200", "degree up to 300")):
+        with pytest.raises(ExprError, match=message):
+            rf(text)
+        assert not powers, text
+    assert rf("-(1+z)^2*(-(1+z))^-2") == rf("-1") and powers[:2] == [2, -2]
 
 
 def test_parse_serialize_roundtrip_random():
