@@ -16,7 +16,7 @@ full strength, independent of geometry.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .forms import Chart, HoloForm, chart_map_defect
 from .poly import collect
@@ -40,9 +40,9 @@ class FormalSection:
 
     __slots__ = ("form_degree", "terms")
 
-    def __init__(self, form_degree: int, terms: Mapping = ()):
+    def __init__(self, form_degree: int, terms: Mapping):
         object.__setattr__(self, "form_degree", form_degree)
-        object.__setattr__(self, "terms", {sym: c for sym, c in dict(terms).items() if c})
+        object.__setattr__(self, "terms", {sym: c for sym, c in terms.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalSection is immutable")
@@ -58,14 +58,20 @@ class FormalSection:
     def degree(self) -> int:
         return self.form_degree
 
-    def __add__(self, other: "FormalSection") -> "FormalSection":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.form_degree != other.form_degree:
+    @staticmethod
+    def total(sections: Sequence["FormalSection"]) -> "FormalSection":
+        """The sum of a nonempty list of sections, collected once: zero
+        sections add nothing, and the others must share one form degree."""
+        nonzero = [s for s in sections if s.terms]
+        if len(nonzero) <= 1:
+            return nonzero[0] if nonzero else sections[-1]
+        degree = nonzero[0].form_degree
+        if any(s.form_degree != degree for s in nonzero):
             raise ValueError("adding formal sections of different form degrees")
-        return FormalSection(self.form_degree, collect(chain(self.terms.items(), other.terms.items())))
+        return FormalSection(degree, collect(chain.from_iterable(s.terms.items() for s in nonzero)))
+
+    def __add__(self, other: "FormalSection") -> "FormalSection":
+        return FormalSection.total((self, other))
 
     def __neg__(self) -> "FormalSection":
         return FormalSection(self.form_degree, {s: -c for s, c in self.terms.items()})
@@ -75,11 +81,9 @@ class FormalSection:
 
     def map_generators(self, fn: Callable[[object], "FormalSection"]) -> "FormalSection":
         """Apply a linear map given on generators (e.g. a formal d_A)."""
-        out = None
-        for sym, c in self.terms.items():
-            image = fn(sym).scale(c)
-            out = image if out is None else out + image
-        return out if out is not None else FormalSection(self.form_degree, {})
+        if not self.terms:
+            return FormalSection(self.form_degree, {})
+        return FormalSection.total([fn(sym).scale(c) for sym, c in self.terms.items()])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalSection):
@@ -242,13 +246,11 @@ class ProductLevelCover(_CoverBase):
         return [(lvl, i) for lvl in range(self.k + 1) for i in range(self.base.n_charts)]
 
     def is_declared(self, t) -> bool:
-        if list(t) != sorted(set(t)):
+        # strictly increasing pairs have nondecreasing levels, so the ends
+        # bound them; a declared base tuple has its indices in range
+        if not t or any(a >= b for a, b in zip(t, t[1:])) or t[0][0] < 0 or t[-1][0] > self.k:
             return False
-        for lvl, i in t:
-            if lvl < 0 or lvl > self.k or i < 0 or i >= self.base.n_charts:
-                return False
-        bases = tuple(sorted(set(i for _, i in t)))
-        return self.base.is_declared(bases)
+        return tuple(sorted({i for _, i in t})) in self.base.declared
 
     def tuples_of_length(self, r: int) -> List[Tuple]:
         idx = sorted(self.indices)

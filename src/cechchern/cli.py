@@ -93,18 +93,28 @@ def _selftest() -> Report:
             ok = ok and len(entries) == shuffle_count(p, q)
             ok = ok and all(s == brute_force_shuffle_sign(mu, nu) for mu, nu, s in entries)
     report.add("selftest.shuffle_signs", ok)
-    # EZ/AW: chain maps and aw o ez = id, exhaustive n, m <= 3
+    # EZ/AW: chain maps and aw o ez = id, exhaustive n, m <= 3; each cell
+    # pair's EZ image is taken once, for both checks and for the faces
+    # of the pairs above it, which share its n and m
+    ez = {}
+
+    def ez_of(pair):
+        if pair not in ez:
+            ez[pair] = ez_map(*pair)
+        return ez[pair]
+
     ok = True
     for n in range(4):
         for m in range(4):
+            ez.clear()
             for pl in range(n + 1):
                 for pr in range(m + 1):
                     for gl in nondegenerate_generators(n, pl):
                         for gr in nondegenerate_generators(m, pr):
-                            if aw_chain(ez_map(gl, gr)) != Chain.of((gl, gr)):
+                            image = ez_of((gl, gr))
+                            if aw_chain(image) != Chain.of((gl, gr)):
                                 ok = False
-                            rhs = tensor_boundary((gl, gr)).linear(lambda pair: ez_map(*pair))
-                            if boundary_chain(ez_map(gl, gr)) != rhs:
+                            if boundary_chain(image) != tensor_boundary((gl, gr)).linear(ez_of):
                                 ok = False
     report.add("selftest.ez_aw", ok)
     # the removal bijection, exhaustive q <= 5, k <= 3

@@ -15,8 +15,9 @@ denominator.  A power, or a run of sums or of products, whose numerator
 or denominator degree could exceed MAX_DEGREE is an error, raised before
 anything is multiplied out: a power's degrees are those of its base times
 the exponent, so the operands of a run stay unexpanded powers until the
-bound of the whole run has passed.  Every error reports the offending
-position.
+bound of the whole run has passed.  A power whose coefficient size could
+exceed MAX_POWER_BITS is an error too, raised before it is built.  Every
+error reports the offending position.
 """
 
 from __future__ import annotations
@@ -35,9 +36,17 @@ MAX_NESTING = 100
 
 # The largest degree an operator's result may reach, checked before it is
 # computed (the shipped, fixture and benchmark manifests stay at degree 5 or
-# below).  A constant base of '^' counts as degree 1, so its coefficients
-# stay bounded too.
+# below).  A constant base of '^' counts as degree 1, which bounds its
+# exponent but not its coefficients.
 MAX_DEGREE = 256
+
+# The largest coefficient size of a power, in bits, checked before it is
+# built: the exponent's absolute value times the bit length of the base's
+# largest integer, numerators and denominators alike.  For a constant base
+# that is the result's own size, give or take one bit per factor; without
+# it (3^100)^129 passes as degree 129 and has 6 155 digits, more than
+# Python converts to a string (4 300).
+MAX_POWER_BITS = 4096
 
 
 class ExprError(ValueError):
@@ -82,6 +91,13 @@ def _built(x: _Operand) -> RationalFunction:
         value = x.base ** x.n
         return -value if x.negative else value
     return x
+
+
+def _integer(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than Python converts (sys.get_int_max_str_digits)
+        raise ExprError(f"integer literal of {len(text)} digits is too long", pos) from None
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -179,6 +195,7 @@ class _Parser:
         return -value if sign < 0 else value
 
     def power(self) -> _Operand:
+        named = self.peek()[0] == "name"
         value = self.atom()
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
@@ -189,7 +206,13 @@ class _Parser:
             degree = abs(n) * max(*_degrees(value), 1)
             if degree > MAX_DEGREE:
                 raise ExprError(f"power of degree {degree} exceeds {MAX_DEGREE}", pos)
-            return _Power(_built(value), n)
+            base = _built(value)
+            # a variable or i has 1-bit coefficients, so a power of it that
+            # passes the degree bound stays under MAX_POWER_BITS
+            bits = 0 if named else abs(n) * max(base.num.coeff_bits(), base.den.coeff_bits())
+            if bits > MAX_POWER_BITS:
+                raise ExprError(f"power with coefficients of {bits} bits exceeds {MAX_POWER_BITS}", pos)
+            return _Power(base, n)
         return value
 
     def exponent(self) -> int:
@@ -209,12 +232,12 @@ class _Parser:
         self.advance()
         if parenthesized:
             self.expect_op(")")
-        return sign * int(val)
+        return sign * _integer(val, pos)
 
     def atom(self) -> _Operand:
         kind, val, pos = self.advance()
         if kind == "int":
-            return RationalFunction.const(int(val))
+            return RationalFunction.const(_integer(val, pos))
         if kind == "name":
             if val == "i":
                 return RationalFunction.const(IMAG_UNIT)

@@ -15,6 +15,7 @@ from math import comb
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .cech import CechCochain, Cover, FormalSection, ProductLevelCover, apply_d_a
+from .forms import HoloForm
 from .report import Report
 
 Step = Tuple[int, ...]
@@ -31,18 +32,17 @@ def step_positions(k: int, q: int) -> List[Step]:
 def lift_tuple(base: Sequence, steps: Step) -> Lifted:
     """The lifted tuple of (level, base value) pairs determined by the steps."""
     q = len(base) - 1
-    k = len(steps)
-    bounds = (0,) + tuple(steps) + (q,)
-    if any(steps[i] > steps[i + 1] for i in range(k - 1)) or any(
-        s < 0 or s > q for s in steps
-    ):
+    steps = tuple(steps)
+    if steps != tuple(sorted(steps)) or steps and (steps[0] < 0 or steps[-1] > q):
         raise ValueError(f"invalid step position {steps} for q={q}")
-    out = []
-    for level in range(k + 1):
-        lo, hi = bounds[level], bounds[level + 1]
-        for t in range(lo, hi + 1):
-            out.append((level, base[t]))
-    return tuple(out)
+    return _lift(base, steps)
+
+
+def _lift(base: Sequence, steps: Step) -> Lifted:
+    """lift_tuple for steps already known to be a step position of base."""
+    bounds = (0,) + steps + (len(base) - 1,)
+    return tuple((level, i) for level in range(len(steps) + 1)
+                 for i in base[bounds[level]:bounds[level + 1] + 1])
 
 
 def recover_steps(lifted: Lifted) -> Step:
@@ -71,17 +71,18 @@ def step_sign(steps: Step) -> int:
 def _step_sum(cover: Cover, bases, k: int, value_at: Callable[[Lifted], object]) -> CechCochain:
     """The cochain on cover whose component on each base tuple is the sum,
     over its k-step positions s, of (-1)^(s_1+...+s_k) value_at(lifted
-    tuple); value_at returns None where there is nothing to add."""
+    tuple); value_at returns None where there is nothing to add.  Each
+    base tuple's values are collected once."""
     out = {}
     for base in bases:
-        acc = None
+        values = []
         for steps in step_positions(k, len(base) - 1):
-            val = value_at(lift_tuple(base, steps))
+            val = value_at(_lift(base, steps))
             if val is not None:
-                val = -val if step_sign(steps) < 0 else val
-                acc = val if acc is None else acc + val
-        if acc is not None:
-            out[base] = acc
+                values.append(-val if step_sign(steps) < 0 else val)
+        if values:
+            total = FormalSection.total if isinstance(values[0], FormalSection) else HoloForm.total
+            out[base] = total(values)
     return CechCochain(cover, out)
 
 

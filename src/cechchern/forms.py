@@ -144,6 +144,16 @@ class HoloForm:
                 f"forms live on different charts: {self.chart.name} vs {other.chart.name}"
             )
 
+    @staticmethod
+    def total(forms: Sequence["HoloForm"]) -> "HoloForm":
+        """The sum of a nonempty list of forms on one chart, collected once."""
+        first = forms[0]
+        if len(forms) == 1:
+            return first
+        for f in forms[1:]:
+            first._check_chart(f)
+        return HoloForm.sum(first.chart, chain.from_iterable(f.terms.items() for f in forms))
+
     def __add__(self, other: "HoloForm") -> "HoloForm":
         self._check_chart(other)
         return HoloForm.sum(self.chart, chain(self.terms.items(), other.terms.items()))

@@ -216,6 +216,11 @@ class Polynomial:
         e = max(self._exponents(), key=_grlex)
         return self.re.get(e, 0), self.im.get(e, 0)
 
+    def coeff_bits(self) -> int:
+        """The bit length of the largest integer stored: the denominator or
+        a real or imaginary numerator coefficient."""
+        return max(map(int.bit_length, chain((self.den,), self.re.values(), self.im.values())))
+
     def monic_factor(self) -> Tuple[int, int, int]:
         """The factor (cr, ci, d) in lowest terms, d > 0, that makes self
         monic: den * conj(l) / |l|^2 for the leading numerator l.  It is

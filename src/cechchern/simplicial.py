@@ -7,35 +7,52 @@ nondecreasing vertex tuples that never stall simultaneously), which is
 exactly the shuffle description: degenerate simplices never materialize.
 
 The shuffle sign is sgn(mu, nu) = (-1)^(mu_1 + (mu_2 - 1) + ... + (mu_p - p + 1)).
+
+Cells are immutable slotted objects that store their dimension and hash
+when built; each constructor checks its input in one pass.  A chain checks
+that every generator has its first generator's degree.  Nothing here
+caches across calls, so the EZ route and the step-position route that it
+cross-checks share no state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
 from typing import Callable, Dict, Iterable, List, Tuple
 
+# Cells and chains are immutable: their constructors set their slots here.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class Generator:
     """A nondegenerate cell e_{i0..il} of the standard ambient-simplex."""
 
-    indices: Tuple[int, ...]
-    ambient: int
+    __slots__ = ("indices", "ambient", "dim", "_hash")
 
-    def __post_init__(self):
-        idx = self.indices
+    def __init__(self, indices: Tuple[int, ...], ambient: int):
+        idx = tuple(indices)
         if not idx:
             raise ValueError("empty generator")
-        if list(idx) != sorted(set(idx)):
+        if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"indices must be strictly increasing: {idx}")
-        if idx[0] < 0 or idx[-1] > self.ambient:
-            raise ValueError(f"indices {idx} out of range for ambient {self.ambient}")
+        if idx[0] < 0 or idx[-1] > ambient:
+            raise ValueError(f"indices {idx} out of range for ambient {ambient}")
+        _set(self, "indices", idx)
+        _set(self, "ambient", ambient)
+        _set(self, "dim", len(idx) - 1)
+        _set(self, "_hash", hash((idx, ambient)))
 
-    @property
-    def dim(self) -> int:
-        return len(self.indices) - 1
+    def __setattr__(self, name, value):
+        raise AttributeError("Generator is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Generator:
+            return NotImplemented
+        return self.indices == other.indices and self.ambient == other.ambient
+
+    def __hash__(self):
+        return self._hash
 
     def face(self, j: int) -> "Generator":
         return Generator(self.indices[:j] + self.indices[j + 1:], self.ambient)
@@ -51,20 +68,13 @@ class Chain:
 
     def __init__(self, coeffs: Dict = None):
         clean = {g: c for g, c in (coeffs or {}).items() if c}
-        degs = {self._degree_of(g) for g in clean}
-        if len(degs) > 1:
-            raise ValueError("mixed-degree chain")
-        object.__setattr__(self, "coeffs", clean)
-
-    @staticmethod
-    def _degree_of(g):
-        if isinstance(g, Generator):
-            return g.dim
-        if isinstance(g, ProductGenerator):
-            return g.dim
-        if isinstance(g, tuple):  # tensor generator (left, right)
-            return g[0].dim + g[1].dim
-        raise TypeError(f"unsupported chain generator {g!r}")
+        dim = None
+        for g in clean:
+            if dim is None:
+                dim = _degree_of(g)
+            elif _degree_of(g) != dim:
+                raise ValueError("mixed-degree chain")
+        _set(self, "coeffs", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Chain is immutable")
@@ -116,19 +126,32 @@ class Chain:
         return " + ".join(f"{c}*{g!r}" for g, c in self)
 
 
+def _degree_of(g) -> int:
+    if isinstance(g, (Generator, ProductGenerator)):
+        return g.dim
+    if isinstance(g, tuple):  # tensor generator (left, right)
+        return g[0].dim + g[1].dim
+    raise TypeError(f"unsupported chain generator {g!r}")
+
+
 def nondegenerate_generators(n: int, ell: int) -> List[Generator]:
     """All C(n+1, ell+1) generators of N(Z Delta^n) in dimension ell."""
     if ell < 0 or ell > n:
         return []
-    return [Generator(tuple(c), n) for c in combinations(range(n + 1), ell + 1)]
+    return [Generator(c, n) for c in combinations(range(n + 1), ell + 1)]
 
 
 def boundary(g) -> Chain:
     """Alternating face sum; degenerate faces of product cells are dropped."""
     if not isinstance(g, (Generator, ProductGenerator)):
         raise TypeError(f"unsupported generator {g!r}")
-    faces = (g.face(j) for j in range(g.dim + 1)) if g.dim else ()
-    return Chain.sum((face, -1 if j % 2 else 1) for j, face in enumerate(faces) if face is not None)
+    # the faces of a nondegenerate cell are distinct, so none is collected twice
+    faces = {}
+    for j in range(g.dim + 1 if g.dim else 0):
+        face = g.face(j)
+        if face is not None:
+            faces[face] = -1 if j % 2 else 1
+    return Chain(faces)
 
 
 def boundary_chain(ch: Chain) -> Chain:
@@ -147,7 +170,6 @@ def shuffles(p: int, q: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int
     return out
 
 
-@dataclass(frozen=True)
 class ProductGenerator:
     """A nondegenerate cell of Delta^n x Delta^m as a staircase path.
 
@@ -155,34 +177,44 @@ class ProductGenerator:
     step at least one of them advances.
     """
 
-    left: Tuple[int, ...]
-    right: Tuple[int, ...]
-    left_ambient: int
-    right_ambient: int
+    __slots__ = ("left", "right", "left_ambient", "right_ambient", "dim", "_hash")
 
-    def __post_init__(self):
-        if len(self.left) != len(self.right) or not self.left:
+    def __init__(self, left: Tuple[int, ...], right: Tuple[int, ...], left_ambient: int, right_ambient: int):
+        left, right = tuple(left), tuple(right)
+        if len(left) != len(right) or not left:
             raise ValueError("paths must be nonempty and of equal length")
-        for t in range(len(self.left) - 1):
-            da = self.left[t + 1] - self.left[t]
-            db = self.right[t + 1] - self.right[t]
-            if da < 0 or db < 0:
+        for a, a1, b, b1 in zip(left, left[1:], right, right[1:]):
+            if a1 < a or b1 < b:
                 raise ValueError("paths must be nondecreasing")
-            if da == 0 and db == 0:
+            if a1 == a and b1 == b:
                 raise ValueError("degenerate product cell")
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "left_ambient", left_ambient)
+        _set(self, "right_ambient", right_ambient)
+        _set(self, "dim", len(left) - 1)
+        _set(self, "_hash", hash((left, right, left_ambient, right_ambient)))
 
-    @property
-    def dim(self) -> int:
-        return len(self.left) - 1
+    def __setattr__(self, name, value):
+        raise AttributeError("ProductGenerator is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ProductGenerator:
+            return NotImplemented
+        return (self.left == other.left and self.right == other.right
+                and self.left_ambient == other.left_ambient and self.right_ambient == other.right_ambient)
+
+    def __hash__(self):
+        return self._hash
 
     def face(self, j: int):
-        """Delete position j; None when the result is degenerate."""
-        left = self.left[:j] + self.left[j + 1:]
-        right = self.right[:j] + self.right[j + 1:]
-        for t in range(len(left) - 1):
-            if left[t] == left[t + 1] and right[t] == right[t + 1]:
-                return None
-        return ProductGenerator(left, right, self.left_ambient, self.right_ambient)
+        """Delete position j; None when the result is degenerate, which
+        happens only when the neighbours of an inner position agree."""
+        left, right = self.left, self.right
+        if 0 < j < self.dim and left[j - 1] == left[j + 1] and right[j - 1] == right[j + 1]:
+            return None
+        return ProductGenerator(left[:j] + left[j + 1:], right[:j] + right[j + 1:],
+                                self.left_ambient, self.right_ambient)
 
     def __repr__(self):
         pairs = ",".join(f"({a},{b})" for a, b in zip(self.left, self.right))
@@ -196,19 +228,20 @@ def ez_map(left: Generator, right: Generator) -> Chain:
     positions, producing the staircase (s_nu e_J, s_mu e_I).
     """
     p, q = left.dim, right.dim
+    lidx, ridx = left.indices, right.indices
     terms = []
-    for mu, nu, sign in shuffles(p, q):
-        lpath = [left.indices[0]]
-        rpath = [right.indices[0]]
+    for mu, _, sign in shuffles(p, q):
+        # li counts the left advances so far, so mu[li] is the next one
         li = ri = 0
+        lpath, rpath = [lidx[0]], [ridx[0]]
         for t in range(p + q):
-            if t in mu:
+            if li < p and mu[li] == t:
                 li += 1
             else:
                 ri += 1
-            lpath.append(left.indices[li])
-            rpath.append(right.indices[ri])
-        terms.append((ProductGenerator(tuple(lpath), tuple(rpath), left.ambient, right.ambient), sign))
+            lpath.append(lidx[li])
+            rpath.append(ridx[ri])
+        terms.append((ProductGenerator(lpath, rpath, left.ambient, right.ambient), sign))
     return Chain.sum(terms)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cechchern import Manifest, ManifestError, parse_expr
+from cechchern import Manifest, ManifestError, cli, fiber, parse_expr, simplicial
 from cechchern.cli import laurent_coefficient, main, run
 from cechchern.manifest import MAX_GROUP_WORDS
 from cechchern.serde import cochain_to_text, text_to_cochain
@@ -175,6 +175,21 @@ def test_unbounded_enumerations_exit_2_at_once(tmp_path, capsys):
         assert time.monotonic() - start < 1
 
 
+def test_oversized_constant_power_exits_2_located(tmp_path, capsys):
+    # (3^100)^129 passes the degree bound, but its 6 155 digits are more
+    # than Python prints: refused at its '^' before anything is computed
+    raw = json.loads((FIXTURES / "o3_cp1.json").read_text())
+    target = tmp_path / "big_power.json"
+    for expr, code in (("(3^100)^129 + z^3", 2), ("(2^15)^256 + z^3", 0)):
+        raw["bundle"]["transitions"] = {"0,1": [[expr]]}
+        target.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["--mode", "vertex", "--manifest", str(target), "--output", str(tmp_path / "f.txt")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert str(target) in err and "exceeds 4096 (at position 7)" in err, err
+
+
 def test_run_selftest_mode():
     out = io.StringIO()
     code = run("selftest", None, out=out)
@@ -188,6 +203,58 @@ def test_run_selftest_mode():
         "selftest.integration_identities",
     ):
         assert f"{name}: PASS" in text
+
+
+def _selftest_failures():
+    out = io.StringIO()
+    code = run("selftest", None, json_report=True, out=out)
+    return code, [c["name"] for c in json.loads(out.getvalue())["checks"] if not c["ok"]]
+
+
+def test_selftest_checks_have_power(monkeypatch):
+    # each check fails when the piece it checks is broken, so no memo or
+    # fast path can have made it vacuous
+    real_shuffles, real_ez, real_sign = simplicial.shuffles, cli.ez_map, fiber.step_sign
+
+    def flipped_shuffles(p, q):
+        out = real_shuffles(p, q)
+        if (p, q) == (2, 1):
+            mu, nu, sign = out[1]
+            out[1] = (mu, nu, -sign)
+        return out
+
+    e01 = simplicial.Generator((0, 1), 1)
+
+    def ez_missing_a_term(left, right):
+        image = real_ez(left, right)
+        if (left, right) == (e01, e01):
+            first = next(iter(image))[0]
+            image = simplicial.Chain({g: c for g, c in image.coeffs.items() if g != first})
+        return image
+
+    mutations = (
+        ("selftest.shuffle_signs", [(simplicial, "shuffles", flipped_shuffles), (cli, "shuffles", flipped_shuffles)]),
+        ("selftest.ez_aw", [(cli, "ez_map", ez_missing_a_term)]),
+        ("selftest.integration_identities", [(fiber, "step_sign", lambda steps: 1)]),
+        ("selftest.integration_identities",
+         [(fiber, "step_sign", lambda steps: -real_sign(steps) if steps == (1,) else real_sign(steps))]),
+    )
+    for check, patches in mutations:
+        with monkeypatch.context() as m:
+            for module, name, value in patches:
+                m.setattr(module, name, value)
+            code, failed = _selftest_failures()
+        assert code == 1 and check in failed, (check, failed)
+    assert _selftest_failures() == (0, [])
+
+
+def test_selftest_takes_each_ez_image_once(monkeypatch):
+    # 26 x 26 cell pairs of the simplices of dimension 0..3: one EZ map each
+    calls = []
+    real_ez = cli.ez_map
+    monkeypatch.setattr(cli, "ez_map", lambda left, right: calls.append((left, right)) or real_ez(left, right))
+    assert run("selftest", None, out=io.StringIO()) == 0
+    assert len(calls) == len(set(calls)) <= 676, len(calls)
 
 
 def test_json_report_deterministic():

@@ -5,6 +5,7 @@ independent oracle here; the library itself never imports it.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -621,6 +622,33 @@ def test_parse_degree_bound():
             rf(text)
         if star is not None:
             assert err.value.position == [i for i, ch in enumerate(text) if ch == "*"][star]
+
+
+def test_parse_power_coefficient_bound():
+    from cechchern.exprparse import MAX_POWER_BITS
+
+    assert MAX_POWER_BITS == 4096
+    # 2^15 and the denominator of z/2^15 take 16 bits, so their 256th
+    # powers sit at the limit; 2^16 takes 17, so its 241st is one bit over
+    assert rf("(2^15)^256", []) == RationalFunction.const(2 ** 3840)
+    tiny = RationalFunction.const(Fraction(1, 2 ** 3840))
+    assert rf("(2^15)^-256", []) == tiny
+    assert rf("(z/2^15)^256") == rf("z^256") * tiny
+    for text, bits in (("(2^16)^241", 4097), ("(2^16)^-241", 4097), ("(z/2^16)^241", 4097),
+                       ("(3^100)^129 + z^3", 20511), ("((2^256)^256)^256", 65792)):
+        with pytest.raises(ExprError, match=f"coefficients of {bits} bits exceeds 4096") as err:
+            rf(text)
+        assert err.value.position == text.index(")^") + 1
+
+
+def test_parse_overlong_literal_is_located():
+    if not sys.get_int_max_str_digits():
+        pytest.skip("this interpreter converts integers of any length")
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    for text in (digits, "z + " + digits, "z^" + digits, "z^(-" + digits + ")"):
+        with pytest.raises(ExprError, match=f"literal of {len(digits)} digits") as err:
+            rf(text)
+        assert err.value.position == text.index("7")
 
 
 def test_parse_run_bound_trips_before_any_power(monkeypatch):

@@ -1,6 +1,7 @@
 """Step positions, lifted tuples, the removal bijection, integration identities."""
 
 import random
+import sys
 from math import comb
 
 from cechchern.cech import CechCochain, Cover, FormalSection, ProductLevelCover
@@ -185,3 +186,23 @@ def test_support_restricted_agrees_with_full_materialization():
     # both satisfy the law; the restricted support is a subset of the full one
     assert verify_integration_identities(full, k).ok
     assert set(restricted.components) <= set(full.components)
+
+
+def test_step_sum_adds_no_pair_of_sections(monkeypatch):
+    # each base tuple's signed values are collected in one pass, not added
+    # pairwise through FormalSection.__add__
+    real_add = FormalSection.__add__
+    callers = []
+
+    def spy(self, other):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_add(self, other)
+
+    def d_a(sym):
+        kind, t = sym
+        return FormalSection(1, {("dmu", t): 1}) if kind == "mu" else FormalSection(2, {})
+
+    monkeypatch.setattr(FormalSection, "__add__", spy)
+    mu = formal_identity_cochain(Cover.formal(4), 2, 2, random.Random(5))
+    assert verify_integration_identities(mu, 2, d_a).ok
+    assert callers and "_step_sum" not in callers, sorted(set(callers))

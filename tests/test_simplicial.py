@@ -2,6 +2,9 @@
 
 from itertools import product
 
+import pytest
+
+from cechchern.fiber import lift_tuple
 from cechchern.simplicial import (
     Chain,
     Generator,
@@ -119,3 +122,73 @@ def test_aw_is_a_chain_map_exhaustive():
 def test_product_boundary_squares_to_zero():
     for cell, _ in ez_map(Generator((0, 1, 2), 2), Generator((0, 1), 1)):
         assert boundary_chain(boundary(cell)).is_zero
+
+
+def test_cells_refuse_malformed_input():
+    for indices, ambient, message in (
+        ((), 3, "empty"),
+        ((0, 2, 2), 3, "strictly increasing"),
+        ((2, 1), 3, "strictly increasing"),
+        ((-1, 2), 3, "out of range"),
+        ((0, 4), 3, "out of range"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Generator(indices, ambient)
+    for left, right, message in (
+        ((), (), "equal length"),
+        ((0, 1), (0,), "equal length"),
+        ((0, 1, 0), (0, 1, 2), "nondecreasing"),
+        ((0, 1, 2), (1, 0, 1), "nondecreasing"),
+        ((0, 1, 1), (0, 1, 1), "degenerate"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ProductGenerator(left, right, 2, 2)
+
+
+def test_equal_cells_hash_equal():
+    for make in (
+        lambda: Generator((0, 2, 3), 3),
+        lambda: ProductGenerator((0, 1, 1), (0, 0, 1), 1, 2),
+        lambda: (Generator((1,), 2), Generator((0, 2), 2)),
+    ):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert Chain.of(a, 2) == Chain.of(b, 2)
+    assert Generator((0, 2), 3) != Generator((0, 2), 4)
+    assert Generator((0, 2), 3) != Generator((0, 3), 3)
+    assert ProductGenerator((0, 1), (0, 0), 1, 1) != ProductGenerator((0, 1), (0, 0), 1, 2)
+    assert Generator((0,), 0) != ProductGenerator((0,), (0,), 0, 0)
+
+
+def test_cells_and_chains_are_immutable():
+    g = Generator((0, 1), 2)
+    cell = ProductGenerator((0, 1), (0, 0), 1, 1)
+    for obj, name in ((g, "indices"), (g, "dim"), (g, "extra"), (cell, "left"), (cell, "dim"),
+                      (Chain.of(g), "coeffs")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    assert g.indices == (0, 1) and g.dim == 1 and cell.left == (0, 1)
+
+
+def test_mixed_degree_chain_raises():
+    e0, e01 = Generator((0,), 2), Generator((0, 1), 2)
+    for coeffs in (
+        {e0: 1, e01: 1},
+        {e01: 1, e0: 1},
+        {(e0, e01): 1, (e0, e0): 1},
+        {ProductGenerator((0, 1), (0, 0), 1, 1): 1, e0: -1},
+    ):
+        with pytest.raises(ValueError, match="mixed-degree"):
+            Chain(coeffs)
+    with pytest.raises(TypeError):
+        Chain.of("e0")
+    # zero coefficients drop out before degrees are compared
+    assert Chain({e0: 0, e01: 1}) == Chain.of(e01)
+
+
+def test_lift_tuple_refuses_invalid_steps():
+    base = (0, 1, 2)
+    assert lift_tuple(base, (0, 2)) == ((0, 0), (1, 0), (1, 1), (1, 2), (2, 2))
+    for steps in ((2, 1), (1, 0, 1), (-1,), (3,), (0, 3)):
+        with pytest.raises(ValueError, match="invalid step position"):
+            lift_tuple(base, steps)
