@@ -15,9 +15,10 @@ denominator.  A power, or a run of sums or of products, whose numerator
 or denominator degree could exceed MAX_DEGREE is an error, raised before
 anything is multiplied out: a power's degrees are those of its base times
 the exponent, so the operands of a run stay unexpanded powers until the
-bound of the whole run has passed.  A power whose coefficient size could
-exceed MAX_POWER_BITS is an error too, raised before it is built.  Every
-error reports the offending position.
+bound of the whole run has passed.  A power, or a run of products and
+quotients, whose coefficient size could exceed MAX_POWER_BITS is an error
+too, raised before it is built.  Every error reports the offending
+position.
 """
 
 from __future__ import annotations
@@ -40,12 +41,14 @@ MAX_NESTING = 100
 # exponent but not its coefficients.
 MAX_DEGREE = 256
 
-# The largest coefficient size of a power, in bits, checked before it is
-# built: the exponent's absolute value times the bit length of the base's
-# largest integer, numerators and denominators alike.  For a constant base
-# that is the result's own size, give or take one bit per factor; without
-# it (3^100)^129 passes as degree 129 and has 6 155 digits, more than
-# Python converts to a string (4 300).
+# The largest coefficient size of a power or of a run of '*' and '/', in
+# bits, checked before it is built: the exponent's absolute value times the
+# bit length of the base's largest integer, numerators and denominators
+# alike, and for a run the sum over its operands, as the bit length of a
+# product is at most the sum of its factors'.  For constant operands that
+# is the result's own size, give or take one bit per factor; without it
+# (3^100)^129 passes as degree 129 and has 6 155 digits, more than Python
+# converts to a string (4 300).
 MAX_POWER_BITS = 4096
 
 
@@ -59,15 +62,15 @@ class ExprError(ValueError):
 
 class _Power:
     """base^n for a built base, not yet multiplied out: an operand of a run
-    whose degrees are known before it is expanded."""
+    whose degrees and coefficient bits are known before it is expanded."""
 
-    __slots__ = ("base", "n", "negative")
+    __slots__ = ("base", "n", "bits", "negative")
 
-    def __init__(self, base: RationalFunction, n: int, negative: bool = False):
-        self.base, self.n, self.negative = base, n, negative
+    def __init__(self, base: RationalFunction, n: int, bits: int, negative: bool = False):
+        self.base, self.n, self.bits, self.negative = base, n, bits, negative
 
     def __neg__(self) -> "_Power":
-        return _Power(self.base, self.n, not self.negative)
+        return _Power(self.base, self.n, self.bits, not self.negative)
 
     @property
     def is_zero(self) -> bool:
@@ -84,6 +87,13 @@ def _degrees(x: _Operand) -> Tuple[int, int]:
         num, den = x.base.num.degree() * k, x.base.den.degree() * k
         return (num, den) if x.n >= 0 else (den, num)
     return x.num.degree(), x.den.degree()
+
+
+def _bits(x: _Operand) -> int:
+    """A bound on the bit length of an operand's largest integer."""
+    if isinstance(x, _Power):
+        return x.bits
+    return x.num.coeff_bits() if x.den.is_one else max(x.num.coeff_bits(), x.den.coeff_bits())
 
 
 def _built(x: _Operand) -> RationalFunction:
@@ -157,10 +167,11 @@ class _Parser:
 
     def chain(self, ops: str, operand) -> _Operand:
         """operand (op operand)*, combined left to right once the degree
-        bound of the whole run has passed at every operator; a lone operand
-        is passed on unexpanded."""
+        bound of the whole run, and for '*' and '/' its coefficient bound,
+        has passed at every operator; a lone operand is passed on
+        unexpanded."""
         first = operand()
-        bound = None
+        bound = bits = None
         rest = []
         while True:
             kind, val, pos = self.peek()
@@ -173,6 +184,10 @@ class _Parser:
             bound = _OPERATORS[val][1](*(bound or _degrees(first)), *_degrees(rhs))
             if max(bound) > MAX_DEGREE:
                 raise ExprError(f"degree up to {max(bound)} at {val!r} exceeds {MAX_DEGREE}", pos)
+            if val in "*/":
+                bits = (bits or _bits(first)) + _bits(rhs)
+                if bits > MAX_POWER_BITS:
+                    raise ExprError(f"coefficients of up to {bits} bits at {val!r} exceed {MAX_POWER_BITS}", pos)
             rest.append((val, rhs))
         if not rest:
             return first
@@ -207,12 +222,11 @@ class _Parser:
             if degree > MAX_DEGREE:
                 raise ExprError(f"power of degree {degree} exceeds {MAX_DEGREE}", pos)
             base = _built(value)
-            # a variable or i has 1-bit coefficients, so a power of it that
-            # passes the degree bound stays under MAX_POWER_BITS
-            bits = 0 if named else abs(n) * max(base.num.coeff_bits(), base.den.coeff_bits())
+            # a power of a variable or of i has a 1-bit coefficient
+            bits = 1 if named else abs(n) * _bits(base)
             if bits > MAX_POWER_BITS:
                 raise ExprError(f"power with coefficients of {bits} bits exceeds {MAX_POWER_BITS}", pos)
-            return _Power(base, n)
+            return _Power(base, n, bits)
         return value
 
     def exponent(self) -> int:

@@ -31,19 +31,23 @@ which takes the first shape that fits:
   one cofactor and the divisor's leading coefficient the other;
 - one variable: Euclid over Q(i), continued from that division's
   remainder, each remainder divided by its content in Z[i];
-- otherwise a primitive pseudo-remainder sequence (PRS), whose contents
-  are gcds through the same dispatch.
+- coprime by images: for each variable x of both sides, the numerators
+  mapped to F_P[x] (i to a square root of -1, every other variable to a
+  fixed point) keep a's degree in x and have a gcd of degree 0, which
+  proves g = 1, and the quotients are the operands;
+- otherwise a subresultant pseudo-remainder sequence (PRS), whose
+  contents are gcds through the same dispatch.
 
-The zero, constant and divisor shapes form the quotients themselves; after
-the others `cofactors` divides each operand by g once.
+The zero, constant, divisor and image shapes form the quotients
+themselves; after the others `cofactors` divides each operand by g once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
-from operator import add, sub
+from math import gcd, lcm, prod
+from operator import add, getitem, sub
 from typing import Dict, Iterable, Tuple
 
 from .scalars import GaussianRational
@@ -422,7 +426,7 @@ def _quo(a: Polynomial, b: Polynomial) -> Polynomial:
         return a
     q = divexact(a, b)
     if q is None:
-        raise AssertionError("a gcd or content does not divide its argument")
+        raise AssertionError("an exact division in the gcd left a remainder")
     return q
 
 
@@ -500,16 +504,19 @@ def _primitive(p: Polynomial, var: str) -> Tuple[Polynomial, Polynomial]:
 
 
 def _prem(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
-    """Pseudo-remainder of p by q with respect to var."""
+    """The pseudo-remainder lc(q)^(δ+1)·p mod q with respect to var, for
+    δ = deg p − deg q ≥ 0: a step whose leading coefficient cancels still
+    counts its power of lc(q)."""
     dq = q.degree_in(var)
     lq = _as_univariate(q, var)[dq]
     x = Polynomial.variable(var)
-    r = p
+    r, missing = p, p.degree_in(var) - dq + 1
     while not r.is_zero and r.degree_in(var) >= dq:
         dr = r.degree_in(var)
         lr = _as_univariate(r, var)[dr]
         r = lq * r - lr * q * x ** (dr - dq)
-    return r
+        missing -= 1
+    return r * lq ** missing
 
 
 def _monomial_gcd(m: Polynomial, p: Polynomial) -> Polynomial:
@@ -525,7 +532,11 @@ def _monomial_gcd(m: Polynomial, p: Polynomial) -> Polynomial:
 
 
 def _prs_gcd(a: Polynomial, b: Polynomial, variables) -> Polynomial:
-    """The monic gcd by a primitive pseudo-remainder sequence."""
+    """The monic gcd by a subresultant pseudo-remainder sequence (Collins,
+    JACM 14, 1967; Brown and Traub, JACM 18, 1971): each pseudo-remainder
+    is divided exactly by β = g·h^δ, for the previous leading coefficient
+    g and the subresultant factor h, and one primitive part is taken at
+    the end."""
     # Main variable: the cheapest pseudo-remainder sequence comes from the
     # variable where the smaller of the two degrees is minimal.
     var = min(variables, key=lambda v: (min(a.degree_in(v), b.degree_in(v)), v))
@@ -539,16 +550,103 @@ def _prs_gcd(a: Polynomial, b: Polynomial, variables) -> Polynomial:
     g = poly_gcd(ca, cb)
     if p.degree_in(var) < q.degree_in(var):
         p, q = q, p
+    lead = h = _ONE
     while True:
+        delta = p.degree_in(var) - q.degree_in(var)
         r = _prem(p, q, var)
         if r.is_zero:
             result = _primitive(q, var)[1]
             break
         if r.degree_in(var) == 0:
-            result = Polynomial.one()
+            result = _ONE
             break
-        p, q = q, _primitive(r, var)[1]
+        p, q = q, _quo(r, lead * h ** delta)
+        lead = _as_univariate(p, var)[p.degree_in(var)]
+        if delta:
+            h = _quo(lead ** delta, h ** (delta - 1))
     return (g * result).monic()
+
+
+# The coprimality certificate maps Z[i] onto F_P, sending i to a square
+# root R of -1 (P = 119·2^23 + 1 ≡ 1 mod 4, R = 3^((P-1)/4)), and the k-th
+# variable of the operands' union to _POINTS[k].  The points are unstructured
+# residues: points in arithmetic or geometric progression make symbolic
+# determinants vanish at them, and so certify almost nothing.
+_P = 998244353
+_R = 911660635
+_POINTS = (
+    949337181, 140480114, 22624757, 713875491, 348697663, 752290847, 759305196, 887125084,
+    159516449, 525668367, 465580981, 223665142, 834220045, 862112020, 926564506, 795558188,
+    61636126, 349699645, 242272401, 459750354, 328048, 682894662, 201698139, 836183087,
+    237349055, 700251362, 329860564, 391091913, 599313467, 826651427, 554370237, 829669662,
+)
+
+
+def _images(p: Polynomial, vs) -> Tuple[list, list]:
+    """The (exponent, value in F_P) pairs of p's numerator terms, each
+    evaluated once at the points of its variables' positions in vs, and
+    the largest exponent of each of p's variables."""
+    exponents = list(p._exponents())
+    tops = list(map(max, zip(*exponents)))
+    powers = []
+    for var, top in zip(p.variables, tops):
+        point, row = _POINTS[vs.index(var)], [1]
+        for _ in range(top):
+            row.append(row[-1] * point % _P)
+        powers.append(row)
+    re, im = p.re, p.im
+    return [(e, (re.get(e, 0) + _R * im.get(e, 0)) * prod(map(getitem, powers, e)) % _P)
+            for e in exponents], tops
+
+
+def _univariate_image(images: Tuple[list, list], k: int) -> list:
+    """The dense coefficient list, lowest first, of the image with every
+    variable but the k-th set to its point and the k-th one x scaled to
+    x·point (a unit change of variable, which keeps the degree of every
+    gcd).  It runs up to the k-th variable's degree, so its last entry is
+    the image of the leading coefficient in x, maybe 0."""
+    terms, tops = images
+    dense = [0] * (tops[k] + 1)
+    for e, value in terms:
+        dense[e[k]] += value
+    return [c % _P for c in dense]
+
+
+def _gcd_degree_mod_p(u: list, v: list) -> int:
+    """The degree of the gcd in F_P[x] of dense coefficient lists, lowest
+    first, with u's leading coefficient nonzero."""
+    u = list(u)
+    while v and not v[-1]:
+        v = v[:-1]
+    while v:
+        inverse = pow(v[-1], _P - 2, _P)
+        while len(u) >= len(v):
+            factor = u[-1] * inverse % _P
+            shift = len(u) - len(v)
+            for j, c in enumerate(v):
+                u[shift + j] = (u[shift + j] - factor * c) % _P
+            while u and not u[-1]:
+                u.pop()
+        u, v = v, u
+    return len(u) - 1
+
+
+def _proven_coprime(a: Polynomial, b: Polynomial, vs) -> bool:
+    """Whether images in F_P prove gcd(a, b) = 1 (Brown, JACM 18, 1971).
+    For each variable x of both, let φ map the numerators to F_P[x]: then
+    lc_x(gcd) divides lc_x(a), which φ keeps nonzero when the image of a
+    keeps a's degree in x, so deg_x gcd is at most the degree of the gcd of
+    the images.  A gcd free of every shared variable is constant.  False
+    means only that nothing was proved."""
+    if len(vs) > len(_POINTS):
+        return False
+    ia, ib = _images(a, vs), _images(b, vs)
+    for k, var in enumerate(a.variables):
+        if var in b.variables:
+            u = _univariate_image(ia, k)
+            if not u[-1] or _gcd_degree_mod_p(u, _univariate_image(ib, b.variables.index(var))):
+                return False
+    return True
 
 
 def _may_divide(b: Polynomial, a: Polynomial) -> bool:
@@ -601,6 +699,8 @@ def _gcd(a: Polynomial, b: Polynomial):
             return _divisor_shape(flip, b, a_over_g)
         if len(vs) == 1:
             return _euclid(vs, v, rem), None, None
+    if _proven_coprime(a, b, vs):
+        return (_ONE, b, a) if flip else (_ONE, a, b)
     return _prs_gcd(a, b, vs), None, None
 
 

@@ -18,7 +18,8 @@ monic, and `_finish` only scales both sides by the denominator's
   coprime.  `a / b` is `a * b.inverse()`, and adding to zero takes no gcd.
 - (a/b)(c/d): with g1 = gcd(a, d) and g2 = gcd(c, b) divided out, the
   numerator (a/g1)(c/g2) is coprime to the denominator (b/g2)(d/g1); a
-  denominator 1 gives its gcd 1 without any work.
+  denominator 1 gives its gcd 1 without any work, and two polynomials
+  multiply without any call for a gcd.
 - a/b + c/d: equal denominators add their numerators and cancel
   gcd(a + c, b).  Otherwise, with g = gcd(b, d), the sum is
   t/(g (b/g)(d/g)) for t = a(d/g) + c(b/g), and t shares factors with the
@@ -113,6 +114,8 @@ class RationalFunction:
     def __mul__(self, o: "RationalFunction") -> "RationalFunction":
         if self.is_zero or o.is_zero:
             return RationalFunction.zero()
+        if self.den.is_one and o.den.is_one:
+            return RationalFunction(self.num * o.num, self.den, _normalized=True)
         # (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1))
         _, a_g1, d_g1 = cofactors(self.num, o.den)
         _, c_g2, b_g2 = cofactors(o.num, self.den)

@@ -190,6 +190,23 @@ def test_oversized_constant_power_exits_2_located(tmp_path, capsys):
             assert str(target) in err and "exceeds 4096 (at position 7)" in err, err
 
 
+def test_oversized_constant_product_exits_2_located(tmp_path, capsys):
+    # each 1 200-digit literal passes alone, but a product of two has more
+    # digits than Python prints: refused at its '*' before anything is
+    # multiplied out
+    raw = json.loads((FIXTURES / "o3_cp1.json").read_text())
+    target = tmp_path / "big_product.json"
+    big, half = "7" * 1200, str(2 ** 2047)
+    for expr, code in (("*".join([big] * 4) + " + z^3", 2), (f"{half}*{half} + z^3", 0)):
+        raw["bundle"]["transitions"] = {"0,1": [[expr]]}
+        target.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["--mode", "vertex", "--manifest", str(target), "--output", str(tmp_path / "f.txt")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert str(target) in err and "exceed 4096 (at position 1200)" in err, err
+
+
 def test_run_selftest_mode():
     out = io.StringIO()
     code = run("selftest", None, out=out)

@@ -363,6 +363,177 @@ def test_univariate_gcd_removes_gaussian_content():
     assert time.perf_counter() - start < 3
 
 
+def _gcd_bench():
+    # the gcd layer's microbenchmark, loaded from tools/ for its seeded cases
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "gcd_bench.py"
+    spec = importlib.util.spec_from_file_location("gcd_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _spy(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_certificate_constants():
+    from cechchern.poly import _P, _POINTS, _R
+
+    assert _P % 4 == 1 and pow(2, _P - 1, _P) == 1
+    assert _R * _R % _P == _P - 1
+    assert len(set(_POINTS)) == len(_POINTS) and all(0 < x < _P for x in _POINTS)
+
+
+def test_certificate_never_passes_a_planted_factor():
+    # a nonconstant common factor is never proven coprime, in 2 to 4
+    # variables, and the cofactors multiply back to the operands
+    from cechchern.poly import _proven_coprime
+
+    rng = random.Random(23)
+    names = ("u", "v", "w", "z")
+    checked = 0
+    while checked < 40:
+        variables = names[:rng.randint(2, 4)]
+        g = rand_poly(rng, variables, nterms=3, maxdeg=1)
+        a, b = (rand_poly(rng, variables, nterms=3, maxdeg=2) for _ in range(2))
+        if g.is_constant or a.is_zero or b.is_zero:
+            continue
+        ag, bg = a * g, b * g
+        vs = Polynomial._union_vars(ag, bg)
+        assert not _proven_coprime(ag, bg, vs), (ag, bg)
+        gcd, ag_over, bg_over = cofactors(ag, bg)
+        assert divexact(gcd, g.monic()) is not None
+        assert gcd * ag_over == ag and gcd * bg_over == bg
+        checked += 1
+
+
+def test_certificate_agrees_with_the_prs():
+    # every pair the images prove coprime has gcd 1 by the PRS too, and a
+    # coprime pair whose operands the dispatch swaps keeps the caller's order
+    from cechchern.poly import _prs_gcd, _proven_coprime
+
+    rng = random.Random(29)
+    proven = 0
+    for _ in range(60):
+        variables = ("u", "w", "z")[:rng.randint(2, 3)]
+        a, b = (rand_poly(rng, variables, nterms=4, maxdeg=2) for _ in range(2))
+        vs = Polynomial._union_vars(a, b)
+        if a.is_monomial or b.is_monomial or not _proven_coprime(a, b, vs):
+            continue
+        proven += 1
+        assert _prs_gcd(a, b, vs).is_one, (a, b)
+        assert cofactors(a, b) == (Polynomial.one(), a, b)
+    assert proven > 30
+    z, w = Polynomial.variable("z"), Polynomial.variable("w")
+    a, b = z ** 2 + w, z + w ** 2
+    assert cofactors(a, b) == (Polynomial.one(), a, b)
+    assert cofactors(b, a) == (Polynomial.one(), b, a)
+
+
+def test_vanishing_leading_coefficient_falls_through_to_the_prs(monkeypatch):
+    # with w's point at 5, lc_z(a) = w - 5 vanishes there: the image of a
+    # loses its degree in z, nothing is proven, and the PRS finds the gcd
+    import cechchern.poly
+
+    a, b = rf("(w - 5)*z^2 + w + z").num, rf("z^2 + w*z + 3").num
+    g = rf("z*w + 2*z - i*w + 1").num
+    prs = _spy(monkeypatch, cechchern.poly, "_prs_gcd")
+    assert poly_gcd(a, b).is_one and not prs
+    monkeypatch.setattr(cechchern.poly, "_POINTS", (5, 7))
+    assert poly_gcd(a, b).is_one and len(prs) == 1
+    assert poly_gcd(a * g, b * g) == g.monic()
+    # more variables than points: nothing is proven, nothing raises
+    c, before = rf("u*z + w", ("u", "w", "z")).num, len(prs)
+    assert poly_gcd(a, b * c).is_one and len(prs) > before
+
+
+def test_prem_is_the_full_pseudo_remainder():
+    # _prem(p, q) = lc(q)^(δ+1)·p mod q: its difference from that multiple
+    # of p is a multiple of q, and its degree is below q's
+    from cechchern.poly import _as_univariate, _prem
+
+    def check(p, q, var):
+        dq = q.degree_in(var)
+        lq = _as_univariate(q, var)[dq]
+        r = _prem(p, q, var)
+        assert r.is_zero or r.degree_in(var) < dq
+        assert divexact(lq ** (p.degree_in(var) - dq + 1) * p - r, q) is not None
+        return r
+
+    rng = random.Random(37)
+    for _ in range(30):
+        p, q = rand_poly(rng, nterms=4, maxdeg=3), rand_poly(rng, nterms=3, maxdeg=2)
+        var = rng.choice(("w", "z"))
+        if q.degree_in(var) == 0 or p.degree_in(var) < q.degree_in(var):
+            continue
+        check(p, q, var)
+    # one step cancels the leading coefficient down to degree 0: the two
+    # powers of lc(q) = w that no step took are still multiplied in
+    p, q = rf("z^3*w + z^2 + 1").num, rf("z*w + 1").num
+    assert check(p, q, "z") == rf("w^3").num
+
+
+def test_planted_bivariate_gcd_takes_three_contents(monkeypatch):
+    # the subresultant PRS takes the two operands' contents and one
+    # primitive part at the end; a primitive PRS took 9 at degree 6
+    import cechchern.poly
+
+    ag, bg, g = _gcd_bench().planted_pair(6)
+    contents = _spy(monkeypatch, cechchern.poly, "_content")
+    assert poly_gcd(ag, bg) == g.monic()
+    assert len(contents) <= 3
+
+
+def test_symbolic_inverse_entries_add_without_a_prs(monkeypatch):
+    # the entries of a symbolic 3x3 inverse share the determinant as their
+    # denominator, and the gcds of adding two of them are proven 1 by images
+    import cechchern.poly
+    from cechchern.linalg import inverse
+
+    names = "abcdefghk"
+    inv = inverse([[rf(names[3 * r + c], names) for c in range(3)] for r in range(3)])
+    prs = _spy(monkeypatch, cechchern.poly, "_prs_gcd")
+    total = inv[0][0] + inv[1][2]
+    assert total.den == rf("a*e*k - a*f*h - b*d*k + b*f*g + c*d*h - c*e*g", names).num
+    assert not prs
+
+
+def test_parse_coprime_bivariate_quotient_without_a_prs(monkeypatch):
+    # a degree-8 quotient of coprime dense numerators parses without a PRS
+    import cechchern.poly
+
+    rng = random.Random(5)
+
+    def dense(d):
+        return " + ".join(f"({rng.randint(-9, 9)} + {rng.randint(-9, 9)}*i)*z^{i}*w^{j}"
+                          for i in range(d + 1) for j in range(d + 1 - i))
+
+    a, b = dense(8), dense(8)
+    pa, pb = rf(a).num, rf(b).num
+    prs = _spy(monkeypatch, cechchern.poly, "_prs_gcd")
+    f = rf(f"({a})/({b})")
+    assert not prs
+    assert f.num * pb == pa * f.den and f.den == pb.monic()
+
+
+def test_gcd_bench_quick(capsys):
+    import json
+    import time
+
+    start = time.perf_counter()
+    assert _gcd_bench().main(["--quick"]) == 0
+    assert time.perf_counter() - start < 2
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line["case"] for line in lines] == ["planted-d4"]
+    assert lines[0]["seconds"] >= 0 and len(lines[0]["digest"]) == 16
+
+
 # -- rational functions ------------------------------------------------------------
 
 
@@ -639,6 +810,28 @@ def test_parse_power_coefficient_bound():
         with pytest.raises(ExprError, match=f"coefficients of {bits} bits exceeds 4096") as err:
             rf(text)
         assert err.value.position == text.index(")^") + 1
+
+
+def test_parse_product_coefficient_bound():
+    # a run of '*' and '/' is bounded by the sum of its operands' bits,
+    # before anything is multiplied out: 2^2047 takes 2048 bits, so its
+    # square sits at the limit and its product with 2^2048 is one bit over
+    half, over = str(2 ** 2047), str(2 ** 2048)
+    assert rf(f"{half}*{half}", []) == RationalFunction.const(2 ** 4094)
+    assert rf(f"{half}/{half}", []) == RationalFunction.one()
+    assert rf("(2^15)^128*(2^15)^128", []) == RationalFunction.const(2 ** 3840)
+    # the last operator of each run trips, except where a built product
+    # of 4095 bits meets another
+    for text, bits in ((f"{half}*{over}", 4097), (f"z/{half}/{over}", 4098), (f"{half}*{half}*z", 4097),
+                       ("(2^15)^128*(2^15)^128*3", 4098), (f"({half}*{half})*({half}*{half})", 8190)):
+        with pytest.raises(ExprError, match=f"coefficients of up to {bits} bits at '[*/]' exceed 4096") as err:
+            rf(text)
+        last = max(text.rfind("*"), text.rfind("/"))
+        assert err.value.position == (text.index(")*(") + 1 if ")*(" in text else last)
+    big = "7" * 1200
+    with pytest.raises(ExprError, match="exceed 4096") as err:
+        rf("*".join([big] * 4) + " + z^3", ["z"])
+    assert err.value.position == 1200
 
 
 def test_parse_overlong_literal_is_located():

@@ -1,0 +1,88 @@
+"""Microbenchmark of the gcd layer: one JSON line of seconds and digest per case.
+
+    PYTHONPATH=src python3 tools/gcd_bench.py [--quick]
+
+Cases:
+
+- `planted-d<d>` for d = 4 .. 8: the gcd of a*g and b*g, for a planted
+  common factor g of total degree 2 and cofactors a, b of total degree d in
+  (w, z).  Each polynomial keeps each monomial of its total degree bound
+  with probability 0.6, with Gaussian integer coefficients whose parts lie
+  in [-9, 9]; the draw for each d comes from its own `random.Random(7)`.
+- `universal_chern-<ell>-<n>` at (1, 3), (3, 2) and (2, 3): the universal
+  Chern form of `bg.universal_chern`, whose many-variable rational
+  functions are cancelled by gcds that are almost always 1.
+
+`--quick` runs `planted-d4` only.  Each line holds the case, the seconds
+it took and the first 16 hex digits of the SHA-256 of the printed gcd or
+form, so two trees can be compared case by case.  Uses the standard
+library only; writes nothing but stdout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import time
+from fractions import Fraction
+
+from cechchern import GaussianRational, Polynomial, poly_gcd
+from cechchern.bg import universal_chern
+
+PLANTED_DEGREES = (4, 5, 6, 7, 8)
+CHERN_CASES = ((1, 3), (3, 2), (2, 3))
+
+
+def random_poly(rng: random.Random, degree: int) -> Polynomial:
+    """A random polynomial in (w, z) of total degree at most degree."""
+    terms = {}
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            if rng.random() < 0.6:
+                terms[(i, j)] = GaussianRational(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
+    return Polynomial.make(("w", "z"), terms)
+
+
+def planted_pair(d: int):
+    """(a*g, b*g, g) for the planted case of degree d."""
+    rng = random.Random(7)
+    g, a, b = random_poly(rng, 2), random_poly(rng, d), random_poly(rng, d)
+    return a * g, b * g, g
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(str(value).encode()).hexdigest()[:16]
+
+
+def _timed(case: str, compute) -> dict:
+    start = time.perf_counter()
+    value = compute()
+    return {"case": case, "seconds": round(time.perf_counter() - start, 4), "digest": _digest(value)}
+
+
+def _form_text(form) -> str:
+    return "; ".join(f"{idx}: {c.num} / {c.den}" for idx, c in sorted(form.terms.items()))
+
+
+def cases(quick: bool):
+    for d in PLANTED_DEGREES[:1] if quick else PLANTED_DEGREES:
+        ag, bg, _ = planted_pair(d)
+        yield f"planted-d{d}", lambda ag=ag, bg=bg: poly_gcd(ag, bg)
+    if not quick:
+        for ell, n in CHERN_CASES:
+            yield f"universal_chern-{ell}-{n}", lambda ell=ell, n=n: _form_text(universal_chern(ell, n))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true", help="run planted-d4 only")
+    args = parser.parse_args(argv)
+    for case, compute in cases(args.quick):
+        print(json.dumps(_timed(case, compute)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
