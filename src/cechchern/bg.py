@@ -205,10 +205,6 @@ class FiniteGroup:
 
     def validate(self) -> Report:
         report = Report()
-        closed = all(
-            self.mul(a, b) in self.elements for a in self.elements for b in self.elements
-        )
-        report.add("group.closure", closed)
         ident = all(
             self.mul(self.identity, a) == a and self.mul(a, self.identity) == a
             for a in self.elements

@@ -272,20 +272,6 @@ class NerveInstance:
         return acc
 
 
-def verify_face_sum_vanishing(
-    morphisms: Sequence[MatrixForm],
-    connections: Sequence[ConnectionMatrix],
-    face: Tuple[int, ...],
-) -> Report:
-    """The alternating face sum of the assigned forms vanishes exactly."""
-    report = Report()
-    if len(face) < 2:
-        raise ValueError("need a face of length at least 2")
-    acc = NerveInstance(morphisms, connections).boundary_sum(face)
-    report.check(f"face_sum.face{list(face)}", acc, "residual {}")
-    return report
-
-
 # -- Tot(Ch) on vertices and higher simplices ----------------------------------------
 
 

@@ -15,8 +15,8 @@ denominator.  A power, or a run of sums or of products, whose numerator
 or denominator degree could exceed MAX_DEGREE is an error, raised before
 anything is multiplied out: a power's degrees are those of its base times
 the exponent, so the operands of a run stay unexpanded powers until the
-bound of the whole run has passed.  A power, or a run of products and
-quotients, whose coefficient size could exceed MAX_POWER_BITS is an error
+bound of the whole run has passed.  A power, or a run of sums or of
+products, whose coefficient size could exceed MAX_POWER_BITS is an error
 too, raised before it is built.  Every error reports the offending
 position.
 """
@@ -41,14 +41,18 @@ MAX_NESTING = 100
 # exponent but not its coefficients.
 MAX_DEGREE = 256
 
-# The largest coefficient size of a power or of a run of '*' and '/', in
-# bits, checked before it is built: the exponent's absolute value times the
-# bit length of the base's largest integer, numerators and denominators
-# alike, and for a run the sum over its operands, as the bit length of a
-# product is at most the sum of its factors'.  For constant operands that
-# is the result's own size, give or take one bit per factor; without it
-# (3^100)^129 passes as degree 129 and has 6 155 digits, more than Python
-# converts to a string (4 300).
+# The largest coefficient size of a power or of a run, in bits, checked
+# before it is built: the exponent's absolute value times the bit length of
+# the base's largest integer, numerators and denominators alike, and for a
+# run the sum over its operands, as the bit length of a product is at most
+# the sum of its factors', and a sum of fractions multiplies their
+# denominators.  A run of '+' and '-' whose operands are all polynomials
+# with Gaussian-integer coefficients takes its largest operand's bits
+# instead: such a sum grows by at most ceil(log2) of the operand count, a
+# few bits that the margin below the 4 300 digits Python prints absorbs.
+# For constant operands that is the result's own size, give or take one bit
+# per operand; without it (3^100)^129 passes as degree 129 and has 6 155
+# digits, too many to print.
 MAX_POWER_BITS = 4096
 
 
@@ -94,6 +98,13 @@ def _bits(x: _Operand) -> int:
     if isinstance(x, _Power):
         return x.bits
     return x.num.coeff_bits() if x.den.is_one else max(x.num.coeff_bits(), x.den.coeff_bits())
+
+
+def _integral(x: _Operand) -> bool:
+    """Whether an operand is a polynomial with Gaussian-integer coefficients."""
+    if isinstance(x, _Power):
+        return x.n >= 0 and _integral(x.base)
+    return x.den.is_one and x.num.den == 1
 
 
 def _built(x: _Operand) -> RationalFunction:
@@ -167,11 +178,10 @@ class _Parser:
 
     def chain(self, ops: str, operand) -> _Operand:
         """operand (op operand)*, combined left to right once the degree
-        bound of the whole run, and for '*' and '/' its coefficient bound,
-        has passed at every operator; a lone operand is passed on
-        unexpanded."""
+        and coefficient bounds of the whole run have passed at every
+        operator; a lone operand is passed on unexpanded."""
         first = operand()
-        bound = bits = None
+        bound = bits = top = integral = None
         rest = []
         while True:
             kind, val, pos = self.peek()
@@ -184,10 +194,14 @@ class _Parser:
             bound = _OPERATORS[val][1](*(bound or _degrees(first)), *_degrees(rhs))
             if max(bound) > MAX_DEGREE:
                 raise ExprError(f"degree up to {max(bound)} at {val!r} exceeds {MAX_DEGREE}", pos)
-            if val in "*/":
-                bits = (bits or _bits(first)) + _bits(rhs)
-                if bits > MAX_POWER_BITS:
-                    raise ExprError(f"coefficients of up to {bits} bits at {val!r} exceed {MAX_POWER_BITS}", pos)
+            if bits is None:
+                bits = top = _bits(first)
+                integral = val in "+-" and _integral(first)
+            rhs_bits = _bits(rhs)
+            bits, top, integral = bits + rhs_bits, max(top, rhs_bits), integral and _integral(rhs)
+            size = top if integral else bits
+            if size > MAX_POWER_BITS:
+                raise ExprError(f"coefficients of up to {size} bits at {val!r} exceed {MAX_POWER_BITS}", pos)
             rest.append((val, rhs))
         if not rest:
             return first

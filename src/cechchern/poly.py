@@ -29,8 +29,6 @@ which takes the first shape that fits:
 - a divisor: when the degrees in each variable let one side divide the
   other, one exact division; if it leaves no remainder, its quotient is
   one cofactor and the divisor's leading coefficient the other;
-- one variable: Euclid over Q(i), continued from that division's
-  remainder, each remainder divided by its content in Z[i];
 - coprime by images: for each variable x of both sides, the numerators
   mapped to F_P[x] (i to a square root of -1, every other variable to a
   fixed point) keep a's degree in x and have a gcd of degree 0, which
@@ -435,48 +433,6 @@ def _quo(a: Polynomial, b: Polynomial) -> Polynomial:
 _ONE = Polynomial.one()
 
 
-def _norm(c: Tuple[int, int]) -> int:
-    return c[0] * c[0] + c[1] * c[1]
-
-
-def _zi_gcd(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
-    """A gcd of a and b in Z[i], by Euclid with the quotient rounded to the
-    nearest Gaussian integer."""
-    while b[0] or b[1]:
-        (ar, ai), (br, bi) = a, b
-        n = _norm(b)
-        # a/b = a*conj(b)/n, each part rounded by floor((2x + n)/(2n))
-        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
-        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
-        a, b = b, (ar - qr * br + qi * bi, ai - qr * bi - qi * br)
-    return a
-
-
-def _primitive_zi(r: Pairs) -> Pairs:
-    """r divided by its content in Z[i]: the integer content first, then
-    the Gaussian content, by Euclid from the coefficient of least norm."""
-    if not r:
-        return r
-    g = gcd(*chain.from_iterable(r.values()))
-    r = {e: (x // g, y // g) for e, (x, y) in r.items()}
-    g = min(r.values(), key=_norm)
-    for c in r.values():
-        if _norm(g) == 1:
-            return r
-        g = _zi_gcd(c, g)
-    (gr, gi), n = g, _norm(g)
-    return {e: ((x * gr + y * gi) // n, (y * gr - x * gi) // n) for e, (x, y) in r.items()}
-
-
-def _euclid(variables, u: Pairs, v: Pairs) -> Polynomial:
-    """The monic gcd over Q(i) of two numerators in the one variable, by
-    Euclid on remainders with their Z[i] content divided out."""
-    while v:
-        v = _primitive_zi(v)
-        u, v = v, _reduce(u, v)[1]
-    return _from_pairs(variables, 1, u).monic()
-
-
 def _as_univariate(p: Polynomial, var: str) -> Dict[int, Polynomial]:
     """View p as a polynomial in var with Polynomial coefficients."""
     i = p.variables.index(var)
@@ -686,8 +642,7 @@ def _gcd(a: Polynomial, b: Polynomial):
     if flip:
         a, b = b, a
     if _may_divide(b, a):
-        u, v = a._pairs(vs), b._pairs(vs)
-        quot, rem, s, (cr, ci) = _reduce(u, v)
+        quot, rem, s, (cr, ci) = _reduce(a._pairs(vs), b._pairs(vs))
         if not rem:
             # s*A = quot*(c*B) for the numerators A, B of a, b; with l the
             # leading coefficient of B, a/g = a*lc(b)/b = quot*n/(s*den_a)
@@ -697,8 +652,6 @@ def _gcd(a: Polynomial, b: Polynomial):
             a_over_g = _canonical(vs, s * a.den, {e: x * n for e, (x, _) in quot.items()},
                                   {e: y * n for e, (_, y) in quot.items()})
             return _divisor_shape(flip, b, a_over_g)
-        if len(vs) == 1:
-            return _euclid(vs, v, rem), None, None
     if _proven_coprime(a, b, vs):
         return (_ONE, b, a) if flip else (_ONE, a, b)
     return _prs_gcd(a, b, vs), None, None

@@ -190,6 +190,26 @@ def test_oversized_constant_power_exits_2_located(tmp_path, capsys):
             assert str(target) in err and "exceeds 4096 (at position 7)" in err, err
 
 
+def test_oversized_sum_of_fractions_exits_2_located(tmp_path, capsys):
+    # each 1/(L + z) with a 1 201-digit literal L passes alone, but a sum
+    # of four multiplies their denominators to more digits than Python
+    # prints: refused at the first '+' between them
+    raw = json.loads((FIXTURES / "o3_cp1.json").read_text())
+    target = tmp_path / "big_sum.json"
+    big = str(2 ** 4094)
+    over = " + ".join(f"1/({str(k) * 1201} + z)" for k in range(1, 5))
+    for expr, code in ((over, 2), (f"{big} + {big}*z^3", 0)):
+        raw["bundle"]["transitions"] = {"0,1": [[expr]]}
+        target.write_text(json.dumps(raw))
+        for output in ([], ["--output", str(tmp_path / "f.txt")]):
+            capsys.readouterr()
+            assert main(["--mode", "vertex", "--manifest", str(target), *output]) == code
+            err = capsys.readouterr().err
+            if code:
+                position = expr.index(") + ") + 2
+                assert str(target) in err and f"at '+' exceed 4096 (at position {position})" in err, err
+
+
 def test_oversized_constant_product_exits_2_located(tmp_path, capsys):
     # each 1 200-digit literal passes alone, but a product of two has more
     # digits than Python prints: refused at its '*' before anything is

@@ -311,11 +311,12 @@ def test_cofactors_are_the_gcd_and_its_quotients():
     z, w = Polynomial.variable("z"), Polynomial.variable("w")
     one, zero = Polynomial.one(), Polynomial.zero()
     p = z * w + z - Polynomial.const(GaussianRational(2, 1))
-    # the oracle cases, then the zero, constant, monomial and divisor shapes
+    # the oracle cases, then the zero, constant, monomial and divisor
+    # shapes, and a univariate pair that no shape before the PRS settles
     cases = list(oracle_cases()) + [
         (zero, p), (p, zero), (Polynomial.const(3), p), (p, one), (z ** 2 * w, p * z),
         (p * (z + w), p), (p, p * (z + w)), (p, p * Polynomial.const(GaussianRational(0, 3))),
-        (z ** 3 - one, z - one),
+        (z ** 3 - one, z - one), ((z - one) * (z + Polynomial.const(2)), (z - one) * (z + Polynomial.const(3))),
     ]
     for a, b in cases:
         g, ag, bg = cofactors(a, b)
@@ -342,27 +343,6 @@ def test_divisor_pair_runs_no_prem(monkeypatch):
     assert poly_gcd(a, b * rf("z + w").num) == b and prems
 
 
-def test_univariate_gcd_removes_gaussian_content():
-    # Euclid over Q(i) divides each remainder by its Z[i] content, so a
-    # planted quadratic factor of a degree-63 and a degree-62 polynomial with
-    # Gaussian coefficients in [-9, 9] comes back well within the bound; with
-    # the integer content alone the coefficients swell and it takes about
-    # twice the bound
-    import time
-
-    rng = random.Random(7)
-
-    def rand_poly_z(degree):
-        return Polynomial.make(("z",), {(k,): GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
-                                        for k in range(degree + 1)})
-
-    g = rand_poly_z(2)
-    a, b = g * rand_poly_z(61), g * rand_poly_z(60)
-    start = time.perf_counter()
-    assert poly_gcd(a, b) == g.monic()
-    assert time.perf_counter() - start < 3
-
-
 def _gcd_bench():
     # the gcd layer's microbenchmark, loaded from tools/ for its seeded cases
     import importlib.util
@@ -380,6 +360,39 @@ def _spy(monkeypatch, module, name):
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
     return calls
+
+
+def test_univariate_planted_gcd_takes_the_prs(monkeypatch):
+    # a univariate pair takes the same route as a multivariate one: the
+    # subresultant PRS finds a planted quadratic factor of a degree-63 and
+    # a degree-62 polynomial with Gaussian coefficients in [-9, 9] well
+    # within the bound
+    import time
+
+    import cechchern.poly
+
+    ag, bg, g = _gcd_bench().univariate_planted_pair(61)
+    prs = _spy(monkeypatch, cechchern.poly, "_prs_gcd")
+    start = time.perf_counter()
+    assert poly_gcd(ag, bg) == g.monic()
+    assert time.perf_counter() - start < 3
+    assert len(prs) == 1
+
+
+def test_coprime_univariate_pair_is_proven_by_images(monkeypatch):
+    # a coprime pair of degree 40 and 39 is settled by the certificate,
+    # once, without a PRS
+    import cechchern.poly
+
+    a, b = _gcd_bench().univariate_coprime_pair(40)
+    assert (a.degree(), b.degree()) == (40, 39)
+    proofs = []
+    real_proof = cechchern.poly._proven_coprime
+    monkeypatch.setattr(cechchern.poly, "_proven_coprime",
+                        lambda *args: proofs.append(real_proof(*args)) or proofs[-1])
+    prs = _spy(monkeypatch, cechchern.poly, "_prs_gcd")
+    assert cofactors(a, b) == (Polynomial.one(), a, b)
+    assert proofs == [True] and not prs
 
 
 def test_certificate_constants():
@@ -832,6 +845,33 @@ def test_parse_product_coefficient_bound():
     with pytest.raises(ExprError, match="exceed 4096") as err:
         rf("*".join([big] * 4) + " + z^3", ["z"])
     assert err.value.position == 1200
+
+
+def test_parse_sum_coefficient_bound():
+    # a run of '+' and '-' of polynomials with Gaussian-integer coefficients
+    # is bounded by its largest operand's bits: 2^4095 takes 4096, so it
+    # sits at the limit and 2^4096 is one bit over.  Any other run adds up
+    # its operands' bits: z/2^2047 takes 2048, so two such operands sit at
+    # the limit and any third operand is over
+    top, over, half = str(2 ** 4095), str(2 ** 4096), str(2 ** 2047)
+    assert rf(f"{top} - {half}*z - {half}*i*w", ["w", "z"]) == (
+        RationalFunction.const(2 ** 4095) - rf("z + i*w", ["w", "z"]) * RationalFunction.const(2 ** 2047))
+    assert rf(f"z/{half} + 1/{half}") == rf("z + 1") * RationalFunction.const(Fraction(1, 2 ** 2047))
+    for text, bits in ((f"z - {over}", 4097), (f"{half}*z + {over}", 4097), (f"z/{half} + 1/{half} + z", 4097),
+                       (f"1/({half} + z) - 1/({half} + z) + 1", 4097), (f"z/{half} - 2*{half}", 4097)):
+        with pytest.raises(ExprError, match=f"coefficients of up to {bits} bits at '[+-]' exceed 4096") as err:
+            rf(text)
+        assert err.value.position == max(text.rfind(" + "), text.rfind(" - ")) + 1
+    # four 1/(L + z) with 1 201-digit literals L: refused at the first '+'
+    # between them, before their denominators are multiplied
+    text = " + ".join(f"1/({str(k) * 1201} + z)" for k in range(1, 5))
+    with pytest.raises(ExprError, match="exceed 4096") as err:
+        rf(text)
+    assert err.value.position == text.index(") + ") + 2
+    # a dense polynomial of 5 000 small terms is far inside the bound
+    rng = random.Random(3)
+    dense = " + ".join(f"{rng.randint(1, 9)}*z^{a}*w^{b}" for a in range(100) for b in range(50))
+    assert len(rf(dense).num.re) == 5000
 
 
 def test_parse_overlong_literal_is_located():

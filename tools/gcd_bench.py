@@ -9,6 +9,12 @@ Cases:
   (w, z).  Each polynomial keeps each monomial of its total degree bound
   with probability 0.6, with Gaussian integer coefficients whose parts lie
   in [-9, 9]; the draw for each d comes from its own `random.Random(7)`.
+- `univariate-d61`: the gcd of a*g and b*g in z, for a planted g of degree
+  2 and cofactors a, b of degree 61 and 60, each coefficient a Gaussian
+  integer with parts in [-9, 9], drawn in the order g, a, b from
+  `random.Random(7)`.
+- `coprime-d60`: the gcd, 1, of a and b in z of degree 60 and 59, drawn
+  the same way.
 - `universal_chern-<ell>-<n>` at (1, 3), (3, 2) and (2, 3): the universal
   Chern form of `bg.universal_chern`, whose many-variable rational
   functions are cancelled by gcds that are almost always 1.
@@ -52,6 +58,27 @@ def planted_pair(d: int):
     return a * g, b * g, g
 
 
+def univariate_poly(rng: random.Random, degree: int) -> Polynomial:
+    """A dense random polynomial in z of degree at most degree."""
+    return Polynomial.make(("z",), {(k,): GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
+                                    for k in range(degree + 1)})
+
+
+def univariate_planted_pair(d: int):
+    """(a*g, b*g, g) for g of degree 2 and a, b of degree d and d - 1."""
+    rng = random.Random(7)
+    g = univariate_poly(rng, 2)
+    a, b = univariate_poly(rng, d), univariate_poly(rng, d - 1)
+    return a * g, b * g, g
+
+
+def univariate_coprime_pair(d: int):
+    """(a, b) of degree d and d - 1 in z, drawn as for the planted pair
+    without g; their gcd is 1 at the degrees used here."""
+    rng = random.Random(7)
+    return univariate_poly(rng, d), univariate_poly(rng, d - 1)
+
+
 def _digest(value) -> str:
     return hashlib.sha256(str(value).encode()).hexdigest()[:16]
 
@@ -71,6 +98,10 @@ def cases(quick: bool):
         ag, bg, _ = planted_pair(d)
         yield f"planted-d{d}", lambda ag=ag, bg=bg: poly_gcd(ag, bg)
     if not quick:
+        ag, bg, _ = univariate_planted_pair(61)
+        yield "univariate-d61", lambda ag=ag, bg=bg: poly_gcd(ag, bg)
+        a, b = univariate_coprime_pair(60)
+        yield "coprime-d60", lambda a=a, b=b: poly_gcd(a, b)
         for ell, n in CHERN_CASES:
             yield f"universal_chern-{ell}-{n}", lambda ell=ell, n=n: _form_text(universal_chern(ell, n))
 
