@@ -18,14 +18,17 @@ the exponent, so the operands of a run stay unexpanded powers until the
 bound of the whole run has passed.  A power, or a run of sums or of
 products, whose coefficient size could exceed MAX_POWER_BITS is an error
 too, raised before it is built.  Every error reports the offending
-position.
+position.  A run of sums of polynomials is added in one pass, with no
+partial sums.
 """
 
 from __future__ import annotations
 
 import re
+from operator import add, mul, sub, truediv
 from typing import List, Sequence, Tuple, Union
 
+from .poly import Polynomial
 from .ratfunc import RationalFunction
 from .scalars import I as IMAG_UNIT
 
@@ -179,7 +182,8 @@ class _Parser:
     def chain(self, ops: str, operand) -> _Operand:
         """operand (op operand)*, combined left to right once the degree
         and coefficient bounds of the whole run have passed at every
-        operator; a lone operand is passed on unexpanded."""
+        operator, or, for a run of '+' and '-' of polynomials, summed in one
+        pass; a lone operand is passed on unexpanded."""
         first = operand()
         bound = bits = top = integral = None
         rest = []
@@ -205,9 +209,13 @@ class _Parser:
             rest.append((val, rhs))
         if not rest:
             return first
-        value = _built(first)
-        for val, rhs in rest:
-            value = _OPERATORS[val][0](value, _built(rhs))
+        value, built = _built(first), [_built(rhs) for _, rhs in rest]
+        if ops == "+-" and value.den.is_one and all(b.den.is_one for b in built):
+            # a sum of polynomials: every term collected in one pass
+            nums = (b.num if val == "+" else -b.num for (val, _), b in zip(rest, built))
+            return RationalFunction.from_poly(Polynomial.sum([value.num, *nums]))
+        for (val, _), b in zip(rest, built):
+            value = _OPERATORS[val][0](value, b)
         return value
 
     def unary(self) -> _Operand:
@@ -286,10 +294,10 @@ class _Parser:
 # Each operator with bounds on the numerator and denominator degrees of
 # a op b, from those of a (n, d) and of b (m, e).
 _OPERATORS = {
-    "+": (RationalFunction.__add__, lambda n, d, m, e: (max(n + e, m + d), d + e)),
-    "-": (RationalFunction.__sub__, lambda n, d, m, e: (max(n + e, m + d), d + e)),
-    "*": (RationalFunction.__mul__, lambda n, d, m, e: (n + m, d + e)),
-    "/": (RationalFunction.__truediv__, lambda n, d, m, e: (n + e, d + m)),
+    "+": (add, lambda n, d, m, e: (max(n + e, m + d), d + e)),
+    "-": (sub, lambda n, d, m, e: (max(n + e, m + d), d + e)),
+    "*": (mul, lambda n, d, m, e: (n + m, d + e)),
+    "/": (truediv, lambda n, d, m, e: (n + e, d + m)),
 }
 
 

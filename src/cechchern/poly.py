@@ -1,22 +1,30 @@
 """Sparse multivariate polynomials over Q(i), stored over the Gaussian integers.
 
 A polynomial stores a sorted tuple of variable names, one positive integer
-denominator `den`, and two dicts `re` and `im` that map exponent tuples
-(aligned with the variables) to the nonzero integer real and imaginary
-parts of the numerators: the coefficient of x^e is (re[e] + i*im[e])/den.
-Real data never touches the imaginary dict.  The canonical form keeps
-exactly the variables that occur with positive exponent somewhere, stores
-no zero part and has gcd(den, every part) = 1, so structural equality is
-mathematical equality across different ambient variable sets.
+denominator `den`, and two dicts `re` and `im` that map packed exponents to
+the nonzero integer real and imaginary parts of the numerators: the
+coefficient of x^e is (re[k] + i*im[k])/den for the key k of e.  Real data
+never touches the imaginary dict.  The canonical form keeps exactly the
+variables that occur with positive exponent somewhere, stores no zero part
+and has gcd(den, every part) = 1, so structural equality is mathematical
+equality across different ambient variable sets.
 
-GaussianRational appears only at the edges: `make` and `const` take one,
-and `terms` (a fresh exponent -> GaussianRational dict, which printing
-reads) returns them.  Sums, products, powers, derivatives, scaling, exact
-division and the gcd run on Python ints; a scalar factor is an int triple
-(cr, ci, d) standing for (cr + i*ci)/d, as `monic_factor` returns and
-`scaled` takes.
+A key packs x^e (Johnson, SIGSAM Bull. 8(3), 1974; Monagan and Pearce,
+CASC 2007) into fields of FIELD = 32 bits: the total degree on top, then
+the exponents in variable order.  Graded-lex order (variables sorted by
+name) is int order, so the leading term has the largest key, and a
+product's key is the sum of its factors'.  The layout depends only on the
+variables, so equal values have equal keys and hashes.  `make` and `*`
+raise ValueError for a total degree that would reach 2^32 instead of
+carrying into the next field.  Each polynomial finds its total degree and
+its degree in each variable at most once.
 
-Monomial order: graded lexicographic, variables sorted by name.
+Exponent tuples and GaussianRational appear only at the edges: `make`
+takes both, `const` a GaussianRational or an int, and `terms` (a fresh
+exponent -> GaussianRational dict), `monomials` and `sorted_exponents`
+return tuples.  The arithmetic, exact division and the gcd run on Python
+ints; a scalar factor is an int triple (cr, ci, d) standing for
+(cr + i*ci)/d, as `monic_factor` returns and `scaled` takes.
 
 `cofactors(a, b)` returns the monic gcd g of a and b with a/g and b/g, and
 `poly_gcd(a, b)` is its g.  Both go through one shape dispatch, `_gcd`,
@@ -43,17 +51,22 @@ themselves; after the others `cofactors` divides each operand by g once.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd, lcm, prod
-from operator import add, getitem, sub
+from operator import or_
 from typing import Dict, Iterable, Tuple
 
 from .scalars import GaussianRational
 
 Exponent = Tuple[int, ...]
-Ints = Dict[Exponent, int]
-# exponent -> (real, imaginary) integer part, for the division loops
-Pairs = Dict[Exponent, Tuple[int, int]]
+# packed exponent -> integer part
+Ints = Dict[int, int]
+# packed exponent -> (real, imaginary) integer part, for the division loops
+Pairs = Dict[int, Tuple[int, int]]
+
+FIELD = 32
+_MASK = (1 << FIELD) - 1
 
 
 def collect(terms: Iterable[Tuple[object, object]]) -> Dict:
@@ -65,18 +78,69 @@ def collect(terms: Iterable[Tuple[object, object]]) -> Dict:
     return out
 
 
-def _grlex(e: Exponent):
-    """The graded-lex sort key of an exponent."""
-    return sum(e), e
+@lru_cache(maxsize=64)
+def _shifts(n: int) -> Tuple[int, ...]:
+    """The bit offsets of the n exponent fields of a key, first variable first."""
+    return tuple(range(FIELD * (n - 1), -1, -FIELD))
+
+
+def _fits(total: int) -> int:
+    if total > _MASK:
+        raise ValueError(f"total degree {total} does not fit a {FIELD}-bit exponent field")
+    return total
+
+
+def _pack(e: Iterable[int]) -> int:
+    """The key of the exponents e."""
+    e = list(e)
+    key = _fits(sum(e))
+    for x in e:
+        if x < 0:
+            raise ValueError(f"negative exponent {x}")
+        key = key << FIELD | x
+    return key
+
+
+def _unpack(key: int, n: int) -> Exponent:
+    return tuple([key >> s & _MASK for s in _shifts(n)])
+
+
+@lru_cache(maxsize=1024)
+def _runs(src: Tuple[str, ...], dst: Tuple[str, ...]) -> tuple:
+    """How a key over the variables src moves onto dst: (source offset,
+    mask, target offset) for each run of fields that stays adjacent, the
+    total degree's included, top first; a lone run is padded with one that
+    moves nothing, so that there are always at least two."""
+    n, m = len(src), len(dst)
+    runs: list = []
+    fields = chain([(FIELD * n, FIELD * m)], ((s, FIELD * (m - 1 - dst.index(v)))
+                                              for v, s in zip(src, _shifts(n)) if v in dst))
+    for a, b in fields:
+        if runs and runs[-1][0] == a + FIELD and runs[-1][2] == b + FIELD:
+            runs[-1] = (a, runs[-1][1] << FIELD | _MASK, b)
+        else:
+            runs.append((a, _MASK, b))
+    return tuple(runs) if len(runs) > 1 else (runs[0], (0, 0, 0))
+
+
+def _rekey(d: Ints, src: Tuple[str, ...], dst: Tuple[str, ...]) -> Ints:
+    """d with its keys over the variables src re-packed over dst, a superset
+    or a subset of src that keeps every variable occurring in d."""
+    if not d:
+        return {}
+    runs = _runs(src, dst)
+    if len(runs) == 2:
+        (a, m, b), (a2, m2, b2) = runs
+        return {(k >> a & m) << b | (k >> a2 & m2) << b2: c for k, c in d.items()}
+    return {sum((k >> a & m) << b for a, m, b in runs): c for k, c in d.items()}
 
 
 def _convolve(*factors: Tuple[Ints, Ints]) -> Ints:
     """The sum of the products of the given pairs of term dicts."""
-    return collect((tuple(map(add, ea, eb)), ca * cb)
-                   for a, b in factors for ea, ca in a.items() for eb, cb in b.items())
+    return collect((ka + kb, ca * cb) for a, b in factors for ka, ca in a.items() for kb, cb in b.items())
 
 
-def _times(d: Ints, k: int) -> Iterable[Tuple[Exponent, int]]:
+def _times(d: Ints, k: int) -> Iterable[Tuple[int, int]]:
     return d.items() if k == 1 else ((e, c * k) for e, c in d.items())
 
 
@@ -97,11 +161,12 @@ def _canonical(variables, den: int, re: Ints, im: Ints, prune: bool = True) -> "
             re = {e: c // g for e, c in re.items()}
             im = {e: c // g for e, c in im.items()}
     if prune:
-        used = [i for i, column in enumerate(zip(*chain(re, im))) if any(column)]
-        if len(used) != len(variables):
-            variables = tuple(variables[i] for i in used)
-            re = {tuple(e[i] for i in used): c for e, c in re.items()}
-            im = {tuple(e[i] for i in used): c for e, c in im.items()}
+        # a variable occurs when its field of the OR of the keys is nonzero
+        used = reduce(or_, chain(re, im))
+        kept = tuple(v for v, s in zip(variables, _shifts(len(variables))) if used >> s & _MASK)
+        if len(kept) != len(variables):
+            re, im = _rekey(re, variables, kept), _rekey(im, variables, kept)
+            variables = kept
     return Polynomial(variables, den, re, im)
 
 
@@ -117,7 +182,9 @@ def _from_pairs(variables, den: int, pairs: Pairs, prune: bool = True) -> "Polyn
 
 
 class Polynomial:
-    __slots__ = ("variables", "den", "re", "im")
+    # _total and _degrees cache the total degree and the degree in each
+    # variable; each stays unset until it is first known
+    __slots__ = ("variables", "den", "re", "im", "_total", "_degrees")
 
     def __init__(self, variables: Tuple[str, ...], den: int, re: Ints, im: Ints):
         # Internal constructor: inputs must already be canonical.
@@ -141,18 +208,21 @@ class Polynomial:
             raise ValueError(f"variables {variables} are not sorted and distinct")
         if any(len(exp) != len(variables) for exp in terms):
             raise ValueError("exponent length does not match variables")
-        split = {e: _split(GaussianRational.coerce(c)) for e, c in terms.items()}
+        split = {_pack(e): _split(GaussianRational.coerce(c)) for e, c in terms.items()}
         den = lcm(*(d for _, _, d in split.values()))
         return _canonical(variables, den, {e: r * (den // d) for e, (r, _, d) in split.items()},
                           {e: i * (den // d) for e, (_, i, d) in split.items()})
 
     @staticmethod
     def const(c) -> "Polynomial":
+        if type(c) is int:
+            # an integer is canonical as it stands
+            return Polynomial((), 1, {0: c} if c else {}, {})
         return Polynomial.make((), {(): c})
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        return Polynomial((name,), 1, {(1,): 1}, {})
+        return Polynomial((name,), 1, {1 << FIELD | 1: 1}, {})
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -160,7 +230,7 @@ class Polynomial:
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial((), 1, {(): 1}, {})
+        return Polynomial((), 1, {0: 1}, {})
 
     # -- basic queries ------------------------------------------------------
 
@@ -174,15 +244,18 @@ class Polynomial:
 
     @property
     def is_one(self) -> bool:
-        return not self.variables and self.den == 1 and self.re == {(): 1} and not self.im
+        return not self.variables and self.den == 1 and self.re == {0: 1} and not self.im
 
     @property
     def terms(self) -> Dict[Exponent, GaussianRational]:
         """A fresh exponent -> GaussianRational dict of the nonzero terms."""
-        return {e: GaussianRational(Fraction(self.re.get(e, 0), self.den), Fraction(self.im.get(e, 0), self.den))
-                for e in self._exponents()}
+        n = len(self.variables)
+        return {_unpack(k, n): self._coefficient(k) for k in self._exponents()}
 
-    def _exponents(self) -> Iterable[Exponent]:
+    def _coefficient(self, k: int) -> GaussianRational:
+        return GaussianRational(Fraction(self.re.get(k, 0), self.den), Fraction(self.im.get(k, 0), self.den))
+
+    def _exponents(self) -> Iterable[int]:
         # in the order the terms were made, which fixes the order of sums
         # over them (and so their intermediate values)
         return dict.fromkeys(chain(self.re, self.im))
@@ -193,30 +266,46 @@ class Polynomial:
 
     def degree(self) -> int:
         """The total degree; 0 for constants and for zero."""
-        return max(map(sum, chain(self.re, self.im)), default=0)
+        total = getattr(self, "_total", None)
+        if total is None:
+            if not self.variables:
+                return 0
+            total = max(chain(self.re, self.im)) >> FIELD * len(self.variables)
+            object.__setattr__(self, "_total", total)
+        return total
+
+    def _degree_vector(self) -> Tuple[int, ...]:
+        """The degree in each variable, in variable order."""
+        degrees = getattr(self, "_degrees", None)
+        if degrees is None:
+            keys = [*self.re, *self.im]
+            degrees = tuple([max([k >> s & _MASK for k in keys]) for s in _shifts(len(self.variables))])
+            object.__setattr__(self, "_degrees", degrees)
+        return degrees
 
     def degree_in(self, var: str) -> int:
         if var not in self.variables:
             return 0
-        i = self.variables.index(var)
-        return max((e[i] for e in chain(self.re, self.im)), default=0)
+        return self._degree_vector()[self.variables.index(var)]
 
     def monomials(self) -> Iterable[Tuple[Exponent, "Polynomial"]]:
         """Each term's exponent with its coefficient as a constant polynomial."""
-        for e in self._exponents():
-            r, i = self.re.get(e, 0), self.im.get(e, 0)
-            yield e, _canonical((), self.den, {(): r}, {(): i}, prune=False)
+        n = len(self.variables)
+        for k in self._exponents():
+            r, i = self.re.get(k, 0), self.im.get(k, 0)
+            yield _unpack(k, n), _canonical((), self.den, {0: r}, {0: i}, prune=False)
 
     def sorted_exponents(self) -> list:
         """Exponents in descending graded-lex order (leading term first)."""
-        return sorted(self._exponents(), key=_grlex, reverse=True)
+        n = len(self.variables)
+        return [_unpack(k, n) for k in sorted(self._exponents(), reverse=True)]
 
     def _leading(self) -> Tuple[int, int]:
         """The real and imaginary parts of the leading numerator."""
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self._exponents(), key=_grlex)
-        return self.re.get(e, 0), self.im.get(e, 0)
+        k = max(chain(self.re, self.im))
+        return self.re.get(k, 0), self.im.get(k, 0)
 
     def coeff_bits(self) -> int:
         """The bit length of the largest integer stored: the denominator or
@@ -236,45 +325,45 @@ class Polynomial:
 
     def _embedded(self, variables: Tuple[str, ...]) -> Tuple[Ints, Ints]:
         """The real and imaginary dicts re-keyed onto a superset tuple of
-        variables; with the same variables these are the polynomial's own
-        dicts, not to be mutated."""
-        if variables == self.variables:
+        variables; with the same variables, or none (every key of a
+        constant is 0), these are the polynomial's own dicts, not to be
+        mutated."""
+        if variables == self.variables or not self.variables:
             return self.re, self.im
-        pos = [variables.index(v) for v in self.variables]
-        n = len(variables)
-
-        def rekey(d: Ints) -> Ints:
-            out: Ints = {}
-            for e, c in d.items():
-                full = [0] * n
-                for p, k in zip(pos, e):
-                    full[p] = k
-                out[tuple(full)] = c
-            return out
-
-        return rekey(self.re), rekey(self.im)
+        return _rekey(self.re, self.variables, variables), _rekey(self.im, self.variables, variables)
 
     def _pairs(self, variables: Tuple[str, ...]) -> Pairs:
         re, im = self._embedded(variables)
         return {e: (re.get(e, 0), im.get(e, 0)) for e in dict.fromkeys(chain(re, im))}
 
     @staticmethod
-    def _union_vars(a: "Polynomial", b: "Polynomial") -> Tuple[str, ...]:
-        if a.variables == b.variables:
-            return a.variables
-        return tuple(sorted(set(a.variables) | set(b.variables)))
+    def _union_vars(*polys: "Polynomial") -> Tuple[str, ...]:
+        first = polys[0].variables
+        for p in polys:
+            if p.variables != first:
+                return tuple(sorted(set().union(*(p.variables for p in polys))))
+        return first
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        vs = Polynomial._union_vars(self, other)
-        (ar, ai), (br, bi) = self._embedded(vs), other._embedded(vs)
-        den = lcm(self.den, other.den)
-        ka, kb = den // self.den, den // other.den
-        re = collect(chain(_times(ar, ka), _times(br, kb)))
-        im = collect(chain(_times(ai, ka), _times(bi, kb)))
+    @staticmethod
+    def sum(polys: Iterable["Polynomial"]) -> "Polynomial":
+        """The sum of one or more polynomials, their terms collected in one
+        pass, in the order given."""
+        polys = tuple(polys)
+        vs = Polynomial._union_vars(*polys)
+        den = lcm(*[p.den for p in polys])
+        res, ims = [], []
+        for p in polys:
+            r, i = p._embedded(vs)
+            res.append(_times(r, den // p.den))
+            ims.append(_times(i, den // p.den))
+        re, im = collect(chain.from_iterable(res)), collect(chain.from_iterable(ims))
         # every variable occurs in some term, so only a cancellation prunes
         return _canonical(vs, den, re, im, prune=0 in re.values() or 0 in im.values())
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return Polynomial.sum((self, other))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.variables, self.den, {e: -c for e, c in self.re.items()},
@@ -291,13 +380,17 @@ class Polynomial:
             return self
         if self.is_one:
             return other
+        total = _fits(self.degree() + other.degree())
         vs = Polynomial._union_vars(self, other)
         (ar, ai), (br, bi) = self._embedded(vs), other._embedded(vs)
         # (ar + i ai)(br + i bi): only products of nonzero parts are formed,
         # and no variable of a product of nonzero factors cancels
         re = _convolve((ar, br), (ai, {e: -c for e, c in bi.items()}))
         im = _convolve((ar, bi), (ai, br))
-        return _canonical(vs, self.den * other.den, re, im, prune=False)
+        out = _canonical(vs, self.den * other.den, re, im, prune=False)
+        # the product of the leading terms leads, so the degrees add
+        object.__setattr__(out, "_total", total)
+        return out
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -323,11 +416,14 @@ class Polynomial:
     def derivative(self, var: str) -> "Polynomial":
         if var not in self.variables:
             return Polynomial.zero()
-        i = self.variables.index(var)
+        n = len(self.variables)
+        s = FIELD * (n - 1 - self.variables.index(var))
+        # one less in var's field and in the total degree's
+        step = (1 << FIELD * n) + (1 << s)
 
         # lowering one exponent is injective, so no two terms meet
         def lower(d: Ints) -> Ints:
-            return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in d.items() if e[i]}
+            return {k - step: c * e for k, c in d.items() if (e := k >> s & _MASK)}
 
         return _canonical(self.variables, self.den, lower(self.re), lower(self.im))
 
@@ -357,8 +453,13 @@ class Polynomial:
 # -- exact division -------------------------------------------------------------
 
 
-def _exp_divides(e: Exponent, f: Exponent) -> bool:
-    return all(x <= y for x, y in zip(e, f))
+def _divides(e: int, f: int) -> bool:
+    """Whether the monomial of key e divides that of key f, field by field."""
+    while e:
+        if e & _MASK > f & _MASK:
+            return False
+        e, f = e >> FIELD, f >> FIELD
+    return True
 
 
 def _reduce(rem: Pairs, divisor: Pairs):
@@ -368,7 +469,7 @@ def _reduce(rem: Pairs, divisor: Pairs):
     (q, r, s, c) with s*rem = q*(c*divisor) + r over Z[i] and s a positive
     integer.  The remainder is scaled only by what each step needs to stay
     integral."""
-    eb = max(divisor, key=_grlex)
+    eb = max(divisor)
     lr, li = divisor[eb]
     c = (lr, -li) if li else (1 if lr > 0 else -1, 0)
     if c != (1, 0):
@@ -377,8 +478,8 @@ def _reduce(rem: Pairs, divisor: Pairs):
     n = divisor[eb][0]
     rem, quot, s = dict(rem), {}, 1
     while rem:
-        er = max(rem, key=_grlex)
-        if not _exp_divides(eb, er):
+        er = max(rem)
+        if not _divides(eb, er):
             break
         rr, ri = rem[er]
         g = gcd(n, rr, ri)
@@ -388,11 +489,11 @@ def _reduce(rem: Pairs, divisor: Pairs):
             quot = {e: (x * m, y * m) for e, (x, y) in quot.items()}
             s *= m
         qr, qi = rr // g, ri // g
-        shift = tuple(map(sub, er, eb))
+        shift = er - eb
         quot[shift] = (qr, qi)
         # rem -= (q * x^shift) * divisor
         for e, (x, y) in divisor.items():
-            key = tuple(map(add, shift, e))
+            key = shift + e
             old = rem.get(key, (0, 0))
             new = (old[0] - (qr * x - qi * y), old[1] - (qr * y + qi * x))
             if new[0] or new[1]:
@@ -435,12 +536,15 @@ _ONE = Polynomial.one()
 
 def _as_univariate(p: Polynomial, var: str) -> Dict[int, Polynomial]:
     """View p as a polynomial in var with Polynomial coefficients."""
-    i = p.variables.index(var)
+    n, i = len(p.variables), p.variables.index(var)
+    s, top = FIELD * (n - 1 - i), FIELD * (n - 1)
     out: Dict[int, Tuple[Ints, Ints]] = {}
     rest = p.variables[:i] + p.variables[i + 1:]
     for part, d in enumerate((p.re, p.im)):
-        for e, c in d.items():
-            out.setdefault(e[i], ({}, {}))[part][e[:i] + e[i + 1:]] = c
+        for k, c in d.items():
+            # var's field dropped, and its exponent taken off the total
+            e = k >> s & _MASK
+            out.setdefault(e, ({}, {}))[part][(k >> s + FIELD << s | k & (1 << s) - 1) - (e << top)] = c
     return {k: _canonical(rest, p.den, re, im) for k, (re, im) in out.items()}
 
 
@@ -479,12 +583,8 @@ def _monomial_gcd(m: Polynomial, p: Polynomial) -> Polynomial:
     # gcd(monomial, p) = the largest monomial dividing every term of p,
     # capped by m; no PRS needed.
     vs = Polynomial._union_vars(m, p)
-    (em,) = m._pairs(vs)
-    mins = None
-    for e in p._pairs(vs):
-        mins = e if mins is None else tuple(min(x, y) for x, y in zip(mins, e))
-    e = tuple(min(x, y) for x, y in zip(em, mins))
-    return _canonical(vs, 1, {e: 1}, {})
+    keys = [*m._pairs(vs), *p._pairs(vs)]
+    return _canonical(vs, 1, {_pack(min(k >> s & _MASK for k in keys) for s in _shifts(len(vs))): 1}, {})
 
 
 def _prs_gcd(a: Polynomial, b: Polynomial, variables) -> Polynomial:
@@ -539,11 +639,11 @@ _POINTS = (
 
 
 def _images(p: Polynomial, vs) -> Tuple[list, list]:
-    """The (exponent, value in F_P) pairs of p's numerator terms, each
-    evaluated once at the points of its variables' positions in vs, and
-    the largest exponent of each of p's variables."""
-    exponents = list(p._exponents())
-    tops = list(map(max, zip(*exponents)))
+    """The (key, value in F_P) pairs of p's numerator terms, each evaluated
+    once at the points of its variables' positions in vs, and p's degree in
+    each of its variables."""
+    tops = p._degree_vector()
+    shifts = _shifts(len(tops))
     powers = []
     for var, top in zip(p.variables, tops):
         point, row = _POINTS[vs.index(var)], [1]
@@ -551,8 +651,8 @@ def _images(p: Polynomial, vs) -> Tuple[list, list]:
             row.append(row[-1] * point % _P)
         powers.append(row)
     re, im = p.re, p.im
-    return [(e, (re.get(e, 0) + _R * im.get(e, 0)) * prod(map(getitem, powers, e)) % _P)
-            for e in exponents], tops
+    return [(k, (re.get(k, 0) + _R * im.get(k, 0)) * prod(row[k >> s & _MASK] for row, s in zip(powers, shifts)) % _P)
+            for k in p._exponents()], tops
 
 
 def _univariate_image(images: Tuple[list, list], k: int) -> list:
@@ -562,9 +662,10 @@ def _univariate_image(images: Tuple[list, list], k: int) -> list:
     gcd).  It runs up to the k-th variable's degree, so its last entry is
     the image of the leading coefficient in x, maybe 0."""
     terms, tops = images
+    s = FIELD * (len(tops) - 1 - k)
     dense = [0] * (tops[k] + 1)
-    for e, value in terms:
-        dense[e[k]] += value
+    for key, value in terms:
+        dense[key >> s & _MASK] += value
     return [c % _P for c in dense]
 
 
@@ -616,7 +717,7 @@ def _divisor_shape(flip: bool, divisor: Polynomial, other_over_g: Polynomial):
     divisor of the other side: g is the divisor made monic, and divisor/g
     is its leading coefficient."""
     lr, li = divisor._leading()
-    divisor_over_g = _canonical((), divisor.den, {(): lr}, {(): li}, prune=False)
+    divisor_over_g = _canonical((), divisor.den, {0: lr}, {0: li}, prune=False)
     if flip:
         return divisor.monic(), divisor_over_g, other_over_g
     return divisor.monic(), other_over_g, divisor_over_g
@@ -690,11 +791,10 @@ def poly_str(p: Polynomial) -> str:
         return "0"
     from .scalars import gaussian_str
 
-    terms = p.terms
     pieces = []
-    for e in p.sorted_exponents():
-        c = terms[e]
-        mono = _monomial_str(p.variables, e)
+    for k in sorted(p._exponents(), reverse=True):
+        c = p._coefficient(k)
+        mono = _monomial_str(p.variables, _unpack(k, len(p.variables)))
         if not mono:
             pieces.append(gaussian_str(c))
         elif c.is_one:

@@ -68,6 +68,59 @@ def test_poly_make_takes_sorted_distinct_variables():
         Polynomial.make(("z", "z"), one)
 
 
+def test_sorted_exponents_are_descending_grlex_random():
+    # packed keys order terms as (total degree, exponent tuple) does, and
+    # the cached degrees agree with the terms
+    rng = random.Random(31)
+    names = ("u", "v", "w", "z")
+    for _ in range(200):
+        variables = tuple(sorted(rng.sample(names, rng.randint(1, 4))))
+        p = rand_poly(rng, variables, nterms=rng.randint(1, 8), maxdeg=rng.choice([1, 3, 7]))
+        exponents = list(p.terms)
+        assert p.sorted_exponents() == sorted(exponents, key=lambda e: (sum(e), e), reverse=True)
+        assert p.degree() == max(map(sum, exponents), default=0)
+        for i, v in enumerate(p.variables):
+            assert p.degree_in(v) == max(e[i] for e in exponents)
+
+
+def test_equal_values_over_different_variables_have_equal_keys():
+    # a value built over more variables than it uses is pruned to the same
+    # variables, keys, dicts and hash as the value built over those alone
+    rng = random.Random(37)
+    names = ("u", "v", "w", "z")
+    for _ in range(100):
+        used = tuple(sorted(rng.sample(names, rng.randint(0, 3))))
+        wider = tuple(sorted(set(used) | set(rng.sample(names, rng.randint(1, 4)))))
+        terms = {tuple(rng.randint(1, 4) for _ in used): rand_gauss(rng) for _ in range(3)}
+        p = Polynomial.make(used, terms)
+        spread = {tuple(e[used.index(v)] if v in used else 0 for v in wider): c for e, c in terms.items()}
+        q = Polynomial.make(wider, spread)
+        x = rng.choice([v for v in names if v not in used])
+        extra = Polynomial.variable(x)
+        for other in (q, (p + extra) - extra, (p * extra).derivative(x)):
+            assert (other.variables, other.den, other.re, other.im) == (p.variables, p.den, p.re, p.im)
+            assert hash(other) == hash(p)
+    assert Polynomial.const(5) == Polynomial.make((), {(): GaussianRational(5)})
+    assert Polynomial.const(0) == Polynomial.zero() and Polynomial.const(1).is_one
+
+
+def test_total_degree_stays_inside_its_field():
+    # a total degree of 2^32 - 1 fits; one that would reach 2^32 raises
+    # instead of carrying into the next field
+    z, w = Polynomial.variable("z"), Polynomial.variable("w")
+    top = z ** (2 ** 32 - 1)
+    assert top.degree() == top.degree_in("z") == 2 ** 32 - 1
+    assert top.sorted_exponents() == [(2 ** 32 - 1,)]
+    assert (top.derivative("z") * z).scaled(1, 0, 2 ** 32 - 1) == top
+    for build in (lambda: z ** (2 ** 32), lambda: top * z, lambda: top * w,
+                  lambda: z ** (2 ** 31) * w ** (2 ** 31),
+                  lambda: Polynomial.make(("w", "z"), {(2 ** 31, 2 ** 31): GaussianRational(1)})):
+        with pytest.raises(ValueError, match="does not fit"):
+            build()
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial.make(("z",), {(-1,): GaussianRational(1)})
+
+
 def test_divexact_roundtrip_random():
     rng = random.Random(3)
     for _ in range(40):
@@ -179,7 +232,7 @@ def assert_canonical(p):
     assert all(parts)
     assert gcd(p.den, *parts) == 1
     assert list(p.variables) == sorted(set(p.variables))
-    exponents = list(p.re) + list(p.im)
+    exponents = list(p.terms)
     for i, v in enumerate(p.variables):
         assert any(e[i] for e in exponents), (v, p)
     if p.is_zero:
@@ -847,7 +900,7 @@ def test_parse_product_coefficient_bound():
     assert err.value.position == 1200
 
 
-def test_parse_sum_coefficient_bound():
+def test_parse_sum_coefficient_bound(monkeypatch):
     # a run of '+' and '-' of polynomials with Gaussian-integer coefficients
     # is bounded by its largest operand's bits: 2^4095 takes 4096, so it
     # sits at the limit and 2^4096 is one bit over.  Any other run adds up
@@ -868,10 +921,13 @@ def test_parse_sum_coefficient_bound():
     with pytest.raises(ExprError, match="exceed 4096") as err:
         rf(text)
     assert err.value.position == text.index(") + ") + 2
-    # a dense polynomial of 5 000 small terms is far inside the bound
+    # a dense polynomial of 5 000 small terms is far inside the bound, and
+    # its terms are summed in one pass, with no sum of two operands
     rng = random.Random(3)
     dense = " + ".join(f"{rng.randint(1, 9)}*z^{a}*w^{b}" for a in range(100) for b in range(50))
+    rf_adds, poly_adds = (_spy(monkeypatch, cls, "__add__") for cls in (RationalFunction, Polynomial))
     assert len(rf(dense).num.re) == 5000
+    assert not rf_adds and not poly_adds
 
 
 def test_parse_overlong_literal_is_located():

@@ -1,4 +1,4 @@
-"""Microbenchmark of the gcd layer: one JSON line of seconds and digest per case.
+"""Microbenchmark of the poly layer: one JSON line of seconds and digest per case.
 
     PYTHONPATH=src python3 tools/gcd_bench.py [--quick]
 
@@ -18,6 +18,12 @@ Cases:
 - `universal_chern-<ell>-<n>` at (1, 3), (3, 2) and (2, 3): the universal
   Chern form of `bg.universal_chern`, whose many-variable rational
   functions are cancelled by gcds that are almost always 1.
+- `product-t<t>` for t = 40 and 80: 20 times each, the products of two
+  pairs of dense polynomials of t terms, one pair in (w, z) and one in
+  (u, v, w, z).  Each polynomial takes t distinct monomials at random
+  among those of the lowest total degree bound that has t, with Gaussian
+  integer coefficients of real part in [1, 9] and imaginary part in
+  [-9, 9]; both pairs of each t come from one `random.Random(7)`.
 
 `--quick` runs `planted-d4` only.  Each line holds the case, the seconds
 it took and the first 16 hex digits of the SHA-256 of the printed gcd or
@@ -33,12 +39,16 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 from cechchern import GaussianRational, Polynomial, poly_gcd
 from cechchern.bg import universal_chern
 
 PLANTED_DEGREES = (4, 5, 6, 7, 8)
 CHERN_CASES = ((1, 3), (3, 2), (2, 3))
+PRODUCT_TERMS = (40, 80)
+PRODUCT_REPEATS = 20
 
 
 def random_poly(rng: random.Random, degree: int) -> Polynomial:
@@ -79,6 +89,31 @@ def univariate_coprime_pair(d: int):
     return univariate_poly(rng, d), univariate_poly(rng, d - 1)
 
 
+def dense_poly(rng: random.Random, names: tuple, terms: int) -> Polynomial:
+    """A polynomial in names of the given number of terms, dense below the
+    lowest total degree bound that holds them."""
+    d = 0
+    while comb(d + len(names), len(names)) < terms:
+        d += 1
+    monomials = [e for e in product(range(d + 1), repeat=len(names)) if sum(e) <= d]
+    return Polynomial.make(names, {e: GaussianRational(rng.randint(1, 9), rng.randint(-9, 9))
+                                   for e in rng.sample(monomials, terms)})
+
+
+def product_pairs(terms: int) -> list:
+    """The two pairs of the product case of the given term count."""
+    rng = random.Random(7)
+    return [(dense_poly(rng, names, terms), dense_poly(rng, names, terms))
+            for names in (("w", "z"), ("u", "v", "w", "z"))]
+
+
+def products(pairs: list) -> str:
+    for _ in range(PRODUCT_REPEATS - 1):
+        for a, b in pairs:
+            a * b
+    return "; ".join(str(a * b) for a, b in pairs)
+
+
 def _digest(value) -> str:
     return hashlib.sha256(str(value).encode()).hexdigest()[:16]
 
@@ -104,6 +139,9 @@ def cases(quick: bool):
         yield "coprime-d60", lambda a=a, b=b: poly_gcd(a, b)
         for ell, n in CHERN_CASES:
             yield f"universal_chern-{ell}-{n}", lambda ell=ell, n=n: _form_text(universal_chern(ell, n))
+        for terms in PRODUCT_TERMS:
+            pairs = product_pairs(terms)
+            yield f"product-t{terms}", lambda pairs=pairs: products(pairs)
 
 
 def main(argv=None) -> int:
