@@ -122,9 +122,10 @@ class Cover(_CoverBase):
 
     change_maps[(a, b)] expresses the coordinates of chart a in the
     coordinates of chart b, and is used to pull components back to anchor
-    charts when restriction lowers the minimal index.  Each map must pass
-    forms.chart_map_defect, so every pullback along it and every composite
-    of two of them is defined.
+    charts when restriction lowers the minimal index.  CoverError is raised
+    unless each map passes forms.chart_map_defect (so every pullback along
+    it and every composite of two is defined), every chart of an overlap
+    maps into its anchor, and the maps compose.
     """
 
     def __init__(
@@ -156,6 +157,18 @@ class Cover(_CoverBase):
             defect = chart_map_defect(m, self.charts[a], self.charts[b])
             if defect:
                 raise CoverError(f"change map {a}->{b} {defect}")
+        # every overlap with coordinates re-expresses each chart in its anchor
+        missing = sorted({(a, t[0]) for t in self.declared if len(t) > 1 and self.charts[t[0]].coordinates
+                          for a in t[1:] if (a, t[0]) not in self.change_maps})
+        if missing:
+            raise CoverError(f"missing pairs {missing}")
+        # a -> b -> c must agree with a -> c, and a -> b -> a with the identity
+        maps = sorted(self.change_maps.items())
+        bad = [(a, b, c) for (a, b), m in maps for (b2, c), m2 in maps
+               if b2 == b and (a == c or (a, c) in self.change_maps)
+               and any(self.change_map(a, c)[v] != m[v].substitute(m2) for v in self.charts[a].coordinates)]
+        if bad:
+            raise CoverError(f"inconsistent triples {bad}")
 
     @staticmethod
     def formal(n_indices: int) -> "Cover":
@@ -200,31 +213,6 @@ class Cover(_CoverBase):
         if src == dst:
             return value
         return value.pullback(self.chart_of_index(dst), self.change_map(src, dst))
-
-    def validate(self) -> Report:
-        report = Report()
-        # downward closure is enforced at construction; check change maps.
-        missing = []
-        for t in sorted(self.declared):
-            if len(t) < 2 or not self.charts[t[0]].coordinates:
-                continue
-            for a in t[1:]:
-                try:
-                    self.change_map(a, t[0])
-                except CoverError:
-                    missing.append((a, t[0]))
-        report.check("cover.change_maps_present", sorted(set(missing)), "missing pairs {}")
-        # a -> b -> c must agree with a -> c, and a -> b -> a with the identity
-        bad = []
-        for (a, b), m in sorted(self.change_maps.items()):
-            for (b2, c), m2 in sorted(self.change_maps.items()):
-                if b2 != b or (a != c and (a, c) not in self.change_maps):
-                    continue
-                direct = self.change_map(a, c)
-                if any(direct[v] != m[v].substitute(m2) for v in self.charts[a].coordinates):
-                    bad.append((a, b, c))
-        report.check("cover.change_maps_compose", bad, "inconsistent triples {}")
-        return report
 
 
 class ProductLevelCover(_CoverBase):
@@ -483,22 +471,19 @@ def validate_chain_map(table: ChainMapTable, max_level: Optional[int] = None) ->
     With the forms presheaf (internal differential zero) D is the Čech
     differential applied slice-wise.  Reports the first violating tuple
     per generator.  A table cut off at Čech degree max_level is compared
-    only up to it: above the cutoff D(T e) has no table to match.
+    only up to it: above the cutoff D(T e) has no table to match.  A table
+    that is not complete over one simplex, as tot_ch_table and iota build
+    it, raises ValueError.
     """
-    report = Report()
-    if not table:
-        report.add("chain_map.nonempty", False, "empty table")
-        return report
     ambient = {g.ambient for g in table}
     if len(ambient) != 1:
-        report.add("chain_map.ambient", False, f"mixed ambients {sorted(ambient)}")
-        return report
+        raise ValueError(f"a chain-map table needs one ambient simplex, not {sorted(ambient)}")
     n = ambient.pop()
     expected = {g for ell in range(n + 1) for g in nondegenerate_generators(n, ell)}
     missing = expected - set(table)
-    report.check("chain_map.complete_table", sorted(g.indices for g in missing), "missing generators {}")
     if missing:
-        return report
+        raise ValueError(f"chain-map table misses generators {sorted(g.indices for g in missing)}")
+    report = Report()
     for g in sorted(expected, key=lambda g: (g.dim, g.indices)):
         if g.dim == 0:
             continue

@@ -1,7 +1,9 @@
 """Command-line driver: manifest ingestion, mode dispatch, reporting.
 
 Exit codes: 0 when every check passes, 1 on a failed verification, 2 on
-manifest or expression errors.  The residue oracle lives here:
+manifest or expression errors.  `run` reads the whole manifest, reports
+its mode's data.validate() and computes only when that passes.  The
+residue oracle lives here:
 `laurent_coefficient` reads a Laurent coefficient of a one-variable
 function by series division on constant polynomials, independently of the
 cochain machinery.  Vertex mode reports the residue of each rank-1 pair
@@ -149,7 +151,6 @@ def run(
     out=sys.stdout,
 ):
     start = time.monotonic()
-    report = Report()
     artifact_text = None
     if mode == "selftest":
         if max_level is not None:
@@ -160,44 +161,36 @@ def run(
             raise ManifestError("this mode requires --manifest")
         manifest = Manifest.load(manifest_path)
         level = manifest.max_level(max_level)
-        cover_report = manifest.cover.validate()
-        if not cover_report.ok:
-            # an unusable cover is a manifest defect, not a failed theorem
-            raise ManifestError(f"{manifest.source}: {cover_report.failures()[0].witness}")
-        report.extend(cover_report)
+        word_bound = None
         if mode == "vertex":
             data = manifest.vertex_data()
-            report.extend(data.validate())
-            if report.ok:
-                cocycle = tot_ch_vertex(data, level)
-                closed = cocycle.delta().is_zero
-                report.add("vertex.delta_closed", closed)
-                _residue_check(manifest, data, cocycle, report)
-                artifact_text = cochain_to_text(cocycle)
-        elif mode in ("simplex", "gamma", "iota"):
+        elif mode in ("simplex", "gamma", "iota", "square"):
             data = manifest.path_data()
-            report.extend(data.validate())
-            if report.ok and mode == "gamma":
-                closed = gamma(data)
-                report.add("gamma.delta_closed", closed.delta().is_zero)
-                even = all(
-                    (len(t) - 1 + v.degree()) % 2 == 0 for t, v in closed.components.items()
-                )
-                report.add("gamma.even_degree", even)
-                if even:
-                    artifact_text = cochain_to_text(UPolyCochain.from_even(closed))
-            elif report.ok:
-                table = tot_ch_table(data, level) if mode == "simplex" else iota(gamma(data, level), level)
-                report.extend(validate_chain_map(table, level))
-                artifact_text = table_to_text(table)
-        elif mode == "square":
-            data = manifest.path_data()
-            report.extend(verify_square(data, level))
         elif mode == "equivariant":
             data = manifest.equivariant_data()
-            report.extend(equivariant_check(data, manifest.word_bound()))
+            word_bound = manifest.word_bound()
         else:
             raise ManifestError(f"unknown mode {mode!r}")
+        report = data.validate()
+        if report.ok and mode == "vertex":
+            cocycle = tot_ch_vertex(data, level)
+            report.add("vertex.delta_closed", cocycle.delta().is_zero)
+            _residue_check(data, cocycle, report)
+            artifact_text = cochain_to_text(cocycle)
+        elif report.ok and mode == "gamma":
+            # every component on r + 1 slots is a trace word of r letters of
+            # degree 1, so its total degree is 2r
+            closed = gamma(data)
+            report.add("gamma.delta_closed", closed.delta().is_zero)
+            artifact_text = cochain_to_text(UPolyCochain.from_even(closed))
+        elif report.ok and mode == "square":
+            report.extend(verify_square(data, level))
+        elif report.ok and mode == "equivariant":
+            report.extend(equivariant_check(data, word_bound))
+        elif report.ok:
+            table = tot_ch_table(data, level) if mode == "simplex" else iota(gamma(data, level), level)
+            report.extend(validate_chain_map(table, level))
+            artifact_text = table_to_text(table)
     elapsed = time.monotonic() - start
     if output and artifact_text is not None:
         with open(output, "w", encoding="utf-8") as fh:
@@ -213,7 +206,7 @@ def run(
     return 0 if report.ok else 1
 
 
-def _residue_check(manifest, data, cocycle, report):
+def _residue_check(data, cocycle, report):
     """Report the residue of each rank-1 pair component on a one-coordinate
     chart; the line always passes, as no expected residue is known."""
     cover = data.cover

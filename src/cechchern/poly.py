@@ -140,6 +140,18 @@ def _convolve(*factors: Tuple[Ints, Ints]) -> Ints:
     return collect((ka + kb, ca * cb) for a, b in factors for ka, ca in a.items() for kb, cb in b.items())
 
 
+def _gauss_pow(r: int, i: int, n: int) -> Tuple[int, int]:
+    """(r + i*i)^n for n >= 0, by binary powering."""
+    out_r, out_i = 1, 0
+    while n:
+        if n & 1:
+            out_r, out_i = out_r * r - out_i * i, out_r * i + out_i * r
+        n >>= 1
+        if n:
+            r, i = r * r - i * i, 2 * r * i
+    return out_r, out_i
+
+
 def _times(d: Ints, k: int) -> Iterable[Tuple[int, int]]:
     return d.items() if k == 1 else ((e, c * k) for e, c in d.items())
 
@@ -395,6 +407,15 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if n and self.is_monomial and not self.is_zero:
+            # c*x^e to the n is c^n*x^(n*e): its key times n, which no field
+            # carries out of once the total degree fits
+            total = _fits(self.degree() * n)
+            (k,) = self._exponents()
+            cr, ci = _gauss_pow(self.re.get(k, 0), self.im.get(k, 0), n)
+            out = _canonical(self.variables, self.den ** n, {k * n: cr}, {k * n: ci}, prune=False)
+            object.__setattr__(out, "_total", total)
+            return out
         out, base = Polynomial.one(), self
         while n:
             if n & 1:

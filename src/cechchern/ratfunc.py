@@ -129,7 +129,8 @@ class RationalFunction:
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
             return self.inverse() ** -n
-        return RationalFunction(self.num ** n, self.den ** n, _normalized=True)
+        den = self.den if self.den.is_one else self.den ** n
+        return RationalFunction(self.num ** n, den, _normalized=True)
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero:

@@ -333,8 +333,11 @@ def test_square_locates_perturbed_data():
         ],
         {(1, 0): mono("z^5", cover.charts[0]), (1, 1): mono("1", cover.charts[1])},
     )
-    report = verify_square(bad)
-    assert not report.ok
+    # the law is part of the data: validate() locates the break, and
+    # verify_square is only run on data that passed it
+    report = bad.validate()
+    assert [(item.name, item.witness) for item in report.failures()] == [
+        ("path.intertwining", "violated at (level, a, b) = [(1, 0, 1)]")]
 
 
 def test_square_cross_chart_intertwiners():
@@ -605,6 +608,5 @@ def test_equivariant_bad_composition_detected():
         {("s", 0): mono("1 + z", cover.charts[0])},  # (rho_s^* phi_s) phi_s = (1+z)^2/z != 1
         conn_a(cover, "0"),
     )
-    report = equivariant_check(data)
-    assert not report.ok
-    assert any("lift_composition" in item.name for item in report.failures())
+    report = data.validate()
+    assert [item.name for item in report.failures()] == ["equivariant.lift_composition"]

@@ -37,7 +37,7 @@ def formal_cochain(cover, degree, rng=None, form_degree=0):
 
 
 def test_cover_declaration_and_closure():
-    cover = Cover([Chart(f"U{i}", ("z",)) for i in range(3)], [(0, 1, 2)])
+    cover = Cover([Chart(f"U{i}", ()) for i in range(3)], [(0, 1, 2)])
     assert cover.is_declared((0, 2))
     assert cover.is_declared((1,))
     with pytest.raises(CoverError):
@@ -59,12 +59,16 @@ def test_cover_declares_a_bounded_closure():
 
 
 def test_cover_validation_change_maps():
-    cover = cp1_cover()
-    assert cover.validate().ok
-    broken = Cover([Chart("U0", ("z",)), Chart("U1", ("w",))], [(0, 1)])
-    assert not broken.validate().ok
-    # a change map between charts outside 0..n-1 is rejected, never read from the end
+    # the change maps are checked where the cover is built: each chart of
+    # an overlap maps into its anchor, and the maps compose
     charts = [Chart("U0", ("z",)), Chart("U1", ("w",))]
+    cp1_cover()
+    with pytest.raises(CoverError, match=r"^missing pairs \[\(1, 0\)\]$"):
+        Cover(charts, [(0, 1)])
+    skew = {(1, 0): {"w": parse_expr("1/z", ["z"])}, (0, 1): {"z": parse_expr("2/w", ["w"])}}
+    with pytest.raises(CoverError, match=r"^inconsistent triples \[\(0, 1, 0\), \(1, 0, 1\)\]$"):
+        Cover(charts, [(0, 1)], skew)
+    # a change map between charts outside 0..n-1 is rejected, never read from the end
     for key in ((-1, 0), (0, -1), (2, 0)):
         with pytest.raises(CoverError):
             Cover(charts, [(0, 1)], {key: {"w": parse_expr("1/z", ["z"]), "z": parse_expr("1/w", ["w"])}})
@@ -125,7 +129,6 @@ def test_restrict_functorial_on_towers():
             (3, 2): {"y": parse_expr("1/v", ["v"])},
         },
     )
-    assert cover.validate().ok
     forms = {
         i: HoloForm.function(cover.charts[i], parse_expr(f"{c}^2 + {c}", [c])).d()
         for i, c in [(1, "w"), (2, "v"), (3, "y")]
@@ -289,3 +292,13 @@ def test_validate_chain_map_constant_and_flipped():
     assert not validate_chain_map(bad, 1).ok
     names = [item.name for item in report.failures()]
     assert any("e[0, 1]" in n or "e[0,1]" in n.replace(" ", "") for n in names)
+    # the report holds only the e[...] conditions: a table that is not a
+    # complete one over one simplex is refused instead
+    assert [item.name for item in report.items] == ["chain_map.e[0, 1]", "chain_map.e[0, 2]",
+                                                    "chain_map.e[1, 2]", "chain_map.e[0, 1, 2]"]
+    partial = {g: v for g, v in table.items() if g.dim < 2}
+    mixed = {**table, Generator((0,), 1): zero}
+    for broken, message in (({}, r"one ambient simplex, not \[\]"), (mixed, r"not \[1, 2\]"),
+                            (partial, r"misses generators \[\(0, 1, 2\)\]")):
+        with pytest.raises(ValueError, match=message):
+            validate_chain_map(broken)

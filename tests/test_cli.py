@@ -511,21 +511,23 @@ def _golden_id(mode, name, level):
     return "-".join([mode] + ([name] if name else []) + ([f"max{level}"] if level is not None else []))
 
 
-@pytest.mark.parametrize(
-    "mode, name, level, code",
-    [pytest.param(mode, name, level, code, id=_golden_id(mode, name, level))
-     for mode, name, level, code in (
-         ("vertex", "o3_cp1", None, 0), ("simplex", "cstar_one_simplex", None, 0),
-         ("gamma", "cstar_one_simplex", None, 0), ("iota", "cstar_one_simplex", None, 0),
-         ("square", "cstar_one_simplex", None, 0), ("equivariant", "z2_equivariant", None, 0),
-         ("equivariant", "z2_equivariant_control", None, 1), ("selftest", None, None, 0),
-         # a cutoff below the top Čech degree checks the table only up to it
-         ("simplex", "cstar_one_simplex", 0, 0), ("iota", "cstar_one_simplex", 0, 0),
-         # the first (valid, twin) pair of seed 1 of each benchmark workload
-         ("simplex", "simplex_gl2", None, 0), ("simplex", "simplex_gl2_twin", None, 1),
-         ("square", "square_rat", None, 0), ("square", "square_rat_twin", None, 1),
-         ("equivariant", "equivariant_z2", None, 0), ("equivariant", "equivariant_z2_twin", None, 1))],
-)
+GOLDEN_RUNS = [
+    pytest.param(mode, name, level, code, id=_golden_id(mode, name, level))
+    for mode, name, level, code in (
+        ("vertex", "o3_cp1", None, 0), ("simplex", "cstar_one_simplex", None, 0),
+        ("gamma", "cstar_one_simplex", None, 0), ("iota", "cstar_one_simplex", None, 0),
+        ("square", "cstar_one_simplex", None, 0), ("equivariant", "z2_equivariant", None, 0),
+        ("equivariant", "z2_equivariant_control", None, 1), ("selftest", None, None, 0),
+        # a cutoff below the top Čech degree checks the table only up to it
+        ("simplex", "cstar_one_simplex", 0, 0), ("iota", "cstar_one_simplex", 0, 0),
+        # the first (valid, twin) pair of seed 1 of each benchmark workload
+        ("simplex", "simplex_gl2", None, 0), ("simplex", "simplex_gl2_twin", None, 1),
+        ("square", "square_rat", None, 0), ("square", "square_rat_twin", None, 1),
+        ("equivariant", "equivariant_z2", None, 0), ("equivariant", "equivariant_z2_twin", None, 1))
+]
+
+
+@pytest.mark.parametrize("mode, name, level, code", GOLDEN_RUNS)
 def test_golden_artifacts(tmp_path, mode, name, level, code):
     # square, equivariant and selftest write no artifact: only the report is pinned
     out = io.StringIO()
@@ -543,6 +545,40 @@ def test_golden_artifacts(tmp_path, mode, name, level, code):
         assert artifact.read_bytes() == golden_artifact.read_bytes()
     else:
         assert not artifact.exists()
+
+
+@pytest.mark.parametrize("mode, name, level, code", GOLDEN_RUNS)
+def test_report_has_one_line_per_check(mode, name, level, code):
+    # every check is one `name: PASS|FAIL[ -- witness]` line, no witness
+    # holds a report of its own, and one `overall:` line ends the report
+    manifest = str(FIXTURES / f"{name}.json") if name else None
+    text, payload = io.StringIO(), io.StringIO()
+    assert run(mode, manifest, max_level=level, out=text) == code
+    run(mode, manifest, max_level=level, json_report=True, out=payload)
+    checks = json.loads(payload.getvalue())["checks"]
+    lines = text.getvalue().splitlines()
+    assert lines[-1].startswith("elapsed: ")
+    assert lines[-2] == f"overall: {'PASS' if code == 0 else 'FAIL'}"
+    assert len(lines) == len(checks) + 2
+    for line, check in zip(lines, checks):
+        assert "\n" not in check["witness"] and not check["name"].startswith("overall")
+        witness = f" -- {check['witness']}" if check["witness"] else ""
+        assert line == f"{check['name']}: {'PASS' if check['ok'] else 'FAIL'}{witness}"
+
+
+def test_inverse_pairs_can_fail(tmp_path):
+    # a pair given both ways is checked as g_ba * g_ab = 1, which also fails
+    # when one side is singular: no separate invertibility line is needed
+    raw = json.loads((FIXTURES / "o3_cp1.json").read_text())
+    for bundle in ({"rank": 1, "transitions": {"0,1": [["z^3"]], "1,0": [["2/z^3"]]}},
+                   {"rank": 2, "transitions": {"0,1": [["z", "z"], ["1", "1"]], "1,0": [["1", "0"], ["0", "1"]]}}):
+        raw["bundle"] = bundle
+        target = tmp_path / "pairs.json"
+        target.write_text(json.dumps(raw))
+        out = io.StringIO()
+        assert run("vertex", str(target), json_report=True, out=out) == 1
+        failures = [(c["name"], c["witness"]) for c in json.loads(out.getvalue())["checks"] if not c["ok"]]
+        assert failures == [("bundle.inverse_pairs", "g_ba * g_ab != 1 at [(0, 1)]")], bundle
 
 
 def test_serde_multicoordinate_roundtrip():

@@ -656,6 +656,16 @@ def test_rf_power_and_inverse_take_no_gcd(monkeypatch):
     assert not calls
 
 
+def test_power_of_a_monomial_multiplies_no_polynomials(monkeypatch):
+    # z^40 scales the key of z by 40 and leaves the denominator 1 alone,
+    # and a Gaussian coefficient is raised on its own
+    base, expected = rf("(1 + i)*z*w^2/3"), rf("(-4 - 4*i)*z^5*w^10/243")
+    muls = _spy(monkeypatch, Polynomial, "__mul__")
+    assert rf("z^40", ["z"]).num.sorted_exponents() == [(40,)]
+    assert base ** 5 == expected
+    assert not muls
+
+
 def test_rf_field_axioms_random():
     rng = random.Random(13)
     for _ in range(50):

@@ -181,3 +181,19 @@ def test_scalars_is_an_edge_type():
                 if "scalars" in [name.split(".")[-1] for name in names]:
                     importers.add(path.stem)
     assert importers == {"__init__", "exprparse", "poly"}, sorted(importers)
+
+
+def test_only_the_cli_calls_validate():
+    # each input check runs where its data is built or in one validate();
+    # cli.run is the only caller of a validate(), apart from the two that
+    # gather their parts' reports
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(f"{path.stem}.{node.name}", node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        scopes += [(f"{path.stem}.{cls.name}.{node.name}", node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for name, fn in scopes:
+            callers += [name for node in ast.walk(fn) if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute) and node.func.attr == "validate"]
+    assert sorted(callers) == ["bg.EquivariantBundleData.validate", "chern.BundlePathData.validate", "cli.run"], callers

@@ -14,8 +14,10 @@ Every run goes through `cechchern.cli.main` of its tree, one child process
 per tree.  Compared: the exit code, the report without its `elapsed` line,
 the error message with the temporary directory replaced by `<dir>`, and the
 bytes of the artifact written by `--output`.  An exception that escapes
-`main` is recorded as its type and message.  Exit status 1 on any
-difference, 0 otherwise.  Uses the standard library only; reads
+`main` is recorded as its type and message.  The first 20 differences are
+printed in full; then the report differences are grouped by the lines
+found only in a and only in b, each group with its count.  Exit status 1
+on any difference, 0 otherwise.  Uses the standard library only; reads
 `perfbench/` and writes only to the temporary directory.
 """
 
@@ -25,6 +27,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -141,6 +144,14 @@ def main(argv=None) -> int:
     print(f"{len(argvs)} runs over {len(paths)} manifests, {artifacts} artifacts, {len(diffs)} differences")
     for run, field, x, y in diffs[:20]:
         print(f"{run}: {field}\n  a: {x!r:.300}\n  b: {y!r:.300}")
+    groups = Counter()
+    for _, field, x, y in diffs:
+        if field == "report":
+            a_lines, b_lines = Counter(x.splitlines()), Counter(y.splitlines())
+            groups[tuple((a_lines - b_lines).elements()), tuple((b_lines - a_lines).elements())] += 1
+    for (only_a, only_b), count in groups.most_common():
+        print(f"{count} report differences with these lines only in a (-) and only in b (+):")
+        print("".join(f"  - {line}\n" for line in only_a) + "".join(f"  + {line}\n" for line in only_b), end="")
     return 1 if diffs else 0
 
 
