@@ -8,16 +8,16 @@ moves use the active level's cocycle, vertical moves compose
 intertwiners, and the square-commutation law makes the result
 path-independent.  gamma applies the bare trace word with the operator d
 (no connection) to those slot transitions; iota forgets levels and
-integrates over the fiber, attaching u-powers; beta forgets the
-connections, rebuilding the levels as product bundles with the flat local
-connections that feed the closed-formula cocycles.
+integrates over the fiber; beta forgets the connections, rebuilding the
+levels as product bundles with the flat local connections that feed the
+closed-formula cocycles.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .cech import CechCochain, Cover, ProductLevelCover, UPolyCochain
+from .cech import CechCochain, Cover, ProductLevelCover
 from .chern import (
     BundlePathData,
     BundleVertexData,
@@ -92,38 +92,32 @@ def gamma(h: BundlePathData, max_level: Optional[int] = None) -> CechCochain:
     return CechCochain(cover, comps)
 
 
-def iota(
-    c: CechCochain, max_level: Optional[int] = None
-) -> Dict[Generator, UPolyCochain]:
-    """Integrate a closed even cochain on the multi-level cover down to a
+def iota(c: CechCochain, max_level: Optional[int] = None) -> Dict[Generator, CechCochain]:
+    """Integrate a gamma-shaped cochain on the multi-level cover down to a
     chain-map table over the normalized chains of the level simplex.
 
+    Every component on r + 1 slots must be an r-form, so each base tuple
+    gathers forms of one degree, which is its u-power; ValueError otherwise.
     The entry of e_{j_0..j_p} forgets every level outside j_0..j_p and
     integrates over the p-step fiber, with sign (-1)^(p(p-1)/2).
     """
     if not isinstance(c.cover, ProductLevelCover):
         raise ValueError("iota expects a cochain on a product-level cover")
-    # one piece per form degree, so that every integrated value is pure
-    pieces: Dict[int, Dict[Tuple, HoloForm]] = {}
     for t, v in c.components.items():
-        if (len(t) - 1 + v.degree()) % 2:
-            raise ValueError(f"component on {t} has odd total degree")
-        pieces.setdefault(v.degree(), {})[t] = v
+        if v.degree() != len(t) - 1:
+            raise ValueError(f"component on {t} is a {v.degree()}-form, not a {len(t) - 1}-form")
     n = c.cover.k
-    base = c.cover.base
     if max_level is None:
-        max_level = base.max_tuple_len() - 1
-    table: Dict[Generator, UPolyCochain] = {}
+        max_level = c.cover.base.max_tuple_len() - 1
+    table: Dict[Generator, CechCochain] = {}
     for ell in range(n + 1):
         for g in nondegenerate_generators(n, ell):
-            entry = UPolyCochain.zero(base)
             longest = max_level + ell + 1
-            for comps in pieces.values():
-                mu = CechCochain(c.cover, {t: v for t, v in comps.items() if len(t) <= longest})
-                for j in reversed(range(n + 1)):
-                    if j not in g.indices:
-                        mu = level_forget(mu, j)
-                entry = entry + UPolyCochain.from_even(integrate_fiber(mu, ell), ell)
+            mu = CechCochain._declared(c.cover, {t: v for t, v in c.components.items() if len(t) <= longest})
+            for j in reversed(range(n + 1)):
+                if j not in g.indices:
+                    mu = level_forget(mu, j)
+            entry = integrate_fiber(mu, ell)
             table[g] = -entry if (ell * (ell - 1) // 2) % 2 else entry
     return table
 
@@ -139,8 +133,8 @@ def verify_square(h: BundlePathData, max_level: Optional[int] = None) -> Report:
         diff = left[g] - right[g]
         witness = ""
         if not diff.is_zero:
-            t, m, v = diff.items()[0]
-            witness = f"tuple {t}, u^{m}: {v}"
+            t, v = diff.items()[0]
+            witness = f"tuple {t}, u^{v.degree()}: {v}"
         report.add(f"square.e{list(g.indices)}", diff.is_zero, witness)
     return report
 

@@ -1,4 +1,4 @@
-"""Covers, Čech cochains, the Čech and total differentials, u-truncation.
+"""Covers, Čech cochains, the Čech and total differentials.
 
 Only strictly increasing index tuples with distinct indices are stored;
 repeated-index components are never materialized.  Every component on a
@@ -11,6 +11,10 @@ geometric restriction) and a formal free presheaf (FormalSection values,
 restriction relabels the tuple and leaves the expression alone).  The
 formal presheaf exists to test the purely combinatorial identities at
 full strength, independent of geometry.
+
+A holomorphic Chern component is a trace word of L letters of degree 1,
+an L-form at u^L, so the u-power of every component is its form degree:
+a cochain stores the forms alone and prints u^{v.degree()}.
 """
 
 from __future__ import annotations
@@ -258,18 +262,26 @@ class ProductLevelCover(_CoverBase):
 
 
 class CechCochain:
-    """An assignment of presheaf values to declared increasing tuples."""
+    """An assignment of presheaf values to declared increasing tuples;
+    CoverError is raised for a component on an undeclared tuple."""
 
     def __init__(self, cover, components: Mapping[Tuple, object]):
-        comps = {}
-        for t, v in components.items():
-            t = tuple(t)
+        components = {tuple(t): v for t, v in components.items()}
+        for t in components:
             if not cover.is_declared(t):
                 raise CoverError(f"component on undeclared tuple {t}")
-            if not v.is_zero:
-                comps[t] = v
+        self._fill(cover, components)
+
+    @staticmethod
+    def _declared(cover, components: Mapping[Tuple, object]) -> "CechCochain":
+        """The constructor for tuples declared by construction: no check."""
+        c = CechCochain.__new__(CechCochain)
+        c._fill(cover, components)
+        return c
+
+    def _fill(self, cover, components: Mapping[Tuple, object]):
         self.cover = cover
-        self.components = comps
+        self.components = {t: v for t, v in components.items() if not v.is_zero}
 
     @property
     def is_zero(self) -> bool:
@@ -278,19 +290,23 @@ class CechCochain:
     def component(self, t: Tuple):
         return self.components.get(tuple(t))
 
+    def items(self) -> List[Tuple[Tuple, object]]:
+        """The (tuple, value) components, shortest tuples first, for output."""
+        return sorted(self.components.items(), key=lambda tv: (len(tv[0]), tv[0]))
+
     def cech_degrees(self) -> set:
         return {len(t) - 1 for t in self.components}
 
     @staticmethod
     def sum(cover, terms: Iterable[Tuple[Tuple, object]]) -> "CechCochain":
         """The cochain of a stream of (tuple, value) terms, collected once."""
-        return CechCochain(cover, collect(terms))
+        return CechCochain._declared(cover, collect(terms))
 
     def __add__(self, other: "CechCochain") -> "CechCochain":
         return CechCochain.sum(self.cover, chain(self.components.items(), other.components.items()))
 
     def __neg__(self) -> "CechCochain":
-        return CechCochain(self.cover, {t: -v for t, v in self.components.items()})
+        return CechCochain._declared(self.cover, {t: -v for t, v in self.components.items()})
 
     def __sub__(self, other: "CechCochain") -> "CechCochain":
         return self + (-other)
@@ -317,10 +333,10 @@ class CechCochain:
         """Čech differential: the face sum on every tuple one longer."""
         lengths = {len(t) + 1 for t in self.components}
         tuples = [t for r in lengths for t in self.cover.tuples_of_length(r)]
-        return CechCochain(self.cover, {t: v for t in tuples if (v := self.delta_at(t)) is not None})
+        return CechCochain._declared(self.cover, {t: v for t in tuples if (v := self.delta_at(t)) is not None})
 
     def map_values(self, fn) -> "CechCochain":
-        return CechCochain(self.cover, {t: fn(t, v) for t, v in self.components.items()})
+        return CechCochain._declared(self.cover, {t: fn(t, v) for t, v in self.components.items()})
 
     def __repr__(self):
         return f"CechCochain({len(self.components)} components)"
@@ -334,7 +350,7 @@ def apply_d_a(c: CechCochain, d_a: Optional[Callable]) -> CechCochain:
     """The internal differential on every component: d_A given on
     generators for formal sections, on values for forms; None is d_A = 0."""
     if d_a is None:
-        return CechCochain(c.cover, {})
+        return CechCochain._declared(c.cover, {})
     return c.map_values(lambda t, v: v.map_generators(d_a) if isinstance(v, FormalSection) else d_a(v))
 
 
@@ -367,113 +383,18 @@ def tot_differential(c: CechCochain, d_a: Optional[Callable] = None) -> CechCoch
     return apply_d_a(c, d_a) + _negate_even(c).delta()
 
 
-class UPolyCochain:
-    """A u-graded truncated cochain: slices indexed by the u-power m.
-
-    A slice of form degree k at power m sits in degree k - 2m; anything in
-    positive degree (k > 2m) is discarded at construction, implementing the
-    quotient semantics of the truncation.
-    """
-
-    def __init__(self, cover, slices: Mapping[int, CechCochain]):
-        self.cover = cover
-        clean: Dict[int, CechCochain] = {}
-        for m, sl in slices.items():
-            if m < 0:
-                raise ValueError("negative u-power")
-            comps = {
-                t: v
-                for t, v in sl.components.items()
-                if v.degree() <= 2 * m
-            }
-            if comps:
-                clean[m] = CechCochain(cover, comps)
-        self.slices = clean
-
-    @staticmethod
-    def zero(cover) -> "UPolyCochain":
-        return UPolyCochain(cover, {})
-
-    @staticmethod
-    def from_forms(cover, entries: Iterable[Tuple[int, Tuple, object]]) -> "UPolyCochain":
-        """Collect (u-power, tuple, value) entries into slices; zero values
-        are skipped."""
-        slices: Dict[int, Dict[Tuple, object]] = {}
-        for m, t, v in entries:
-            if not v.is_zero:
-                slices.setdefault(m, {})[t] = v
-        return UPolyCochain(cover, {m: CechCochain(cover, comps) for m, comps in slices.items()})
-
-    @staticmethod
-    def from_even(cochain: CechCochain, shift: int = 0) -> "UPolyCochain":
-        """Embed an even cochain into the u-graded complex: a component of
-        total degree 2d (Čech degree + form degree + shift) lands at u^d."""
-        entries = []
-        for t, v in cochain.components.items():
-            total = _total_degree(t, v) + shift
-            if total % 2:
-                raise ValueError(f"component on {t} has odd total degree")
-            entries.append((total // 2, t, v))
-        return UPolyCochain.from_forms(cochain.cover, entries)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.slices
-
-    def u_powers(self) -> List[int]:
-        return sorted(self.slices)
-
-    def component(self, t: Tuple, m: int):
-        sl = self.slices.get(m)
-        return sl.component(t) if sl else None
-
-    def items(self):
-        """Iterate (tuple, m, value) sorted for deterministic output."""
-        out = []
-        for m, sl in self.slices.items():
-            for t, v in sl.components.items():
-                out.append((t, m, v))
-        out.sort(key=lambda x: ((len(x[0]),) + tuple(map(_flatkey, x[0])), x[1]))
-        return out
-
-    def __add__(self, other: "UPolyCochain") -> "UPolyCochain":
-        return UPolyCochain(self.cover, collect(chain(self.slices.items(), other.slices.items())))
-
-    def __neg__(self) -> "UPolyCochain":
-        return UPolyCochain(self.cover, {m: -sl for m, sl in self.slices.items()})
-
-    def __sub__(self, other: "UPolyCochain") -> "UPolyCochain":
-        return self + (-other)
-
-    def delta(self) -> "UPolyCochain":
-        return UPolyCochain(self.cover, {m: sl.delta() for m, sl in self.slices.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UPolyCochain):
-            return NotImplemented
-        return self.slices == other.slices
-
-    def __repr__(self):
-        n = sum(len(sl.components) for sl in self.slices.values())
-        return f"UPolyCochain({n} components over u-powers {self.u_powers()})"
-
-
-def _flatkey(x):
-    return x if isinstance(x, tuple) else (x,)
-
-
-ChainMapTable = Dict[Generator, UPolyCochain]
+ChainMapTable = Dict[Generator, CechCochain]
 
 
 def validate_chain_map(table: ChainMapTable, max_level: Optional[int] = None) -> Report:
     """Check T(d e) = D(T e) for every generator in the table.
 
     With the forms presheaf (internal differential zero) D is the Čech
-    differential applied slice-wise.  Reports the first violating tuple
-    per generator.  A table cut off at Čech degree max_level is compared
-    only up to it: above the cutoff D(T e) has no table to match.  A table
-    that is not complete over one simplex, as tot_ch_table and iota build
-    it, raises ValueError.
+    differential.  Reports the first violating tuple per generator.  A
+    table cut off at Čech degree max_level is compared only up to it:
+    above the cutoff D(T e) has no table to match.  A table that is not
+    complete over one simplex, as tot_ch_table and iota build it, raises
+    ValueError.
     """
     ambient = {g.ambient for g in table}
     if len(ambient) != 1:
@@ -487,11 +408,14 @@ def validate_chain_map(table: ChainMapTable, max_level: Optional[int] = None) ->
     for g in sorted(expected, key=lambda g: (g.dim, g.indices)):
         if g.dim == 0:
             continue
-        lhs = UPolyCochain.zero(table[g].cover)
+        lhs = CechCochain._declared(table[g].cover, {})
         for face, c in boundary(g).coeffs.items():
             lhs = lhs + table[face] if c > 0 else lhs - table[face]
         diff = lhs - table[g].delta()
-        wrong = [(t, m, v) for t, m, v in diff.items() if max_level is None or len(t) <= max_level + 1]
-        witness = "tuple {}, u^{}: {}".format(*wrong[0]) if wrong else ""
+        wrong = [(t, v) for t, v in diff.items() if max_level is None or len(t) <= max_level + 1]
+        witness = ""
+        if wrong:
+            t, v = wrong[0]
+            witness = f"tuple {t}, u^{v.degree()}: {v}"
         report.add(f"chain_map.e{list(g.indices)}", not wrong, witness)
     return report

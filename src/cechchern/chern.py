@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from .cech import Cover, UPolyCochain
+from .cech import CechCochain, Cover
 from .forms import ConnectionMatrix, HoloForm, MatrixForm, apply_connection
 from .fiber import step_positions
 from .linalg import SingularMatrixError
@@ -309,28 +309,28 @@ def _nabla(memo, key, m, a_src, a_dst) -> MatrixForm:
     return memo[key]
 
 
-def tot_ch_vertex(data: BundleVertexData, max_level: Optional[int] = None) -> UPolyCochain:
+def tot_ch_vertex(data: BundleVertexData, max_level: Optional[int] = None) -> CechCochain:
     """The degree-0 cocycle: Tot(Ch) of the one-level path at the vertex e_0."""
     return tot_ch_simplex(BundlePathData([data], {}), Generator((0,), 0), max_level)
 
 
 def tot_ch_simplex(
     data: BundlePathData, generator: Generator, max_level: Optional[int] = None
-) -> UPolyCochain:
+) -> CechCochain:
     """The cochain assigned to a generator e_{j_0..j_p} of the n-simplex.
 
     Sums over step positions s_1 <= ... <= s_p the signed trace word with
     vertical factors f^(j_m, j_{m-1}) inserted at the step indices and
     horizontal factors from the level active between consecutive steps;
     the global sign is (-1)^(p(p-1)/2) and each term carries
-    (-1)^(s_1+...+s_p) u^(l+p).
+    (-1)^(s_1+...+s_p); a word of l+p letters is an (l+p)-form, at u^(l+p).
     """
     return _tot_ch_simplex(data, generator, max_level, {})
 
 
 def _tot_ch_simplex(
     data: BundlePathData, generator: Generator, max_level: Optional[int], memo: Dict[Hashable, MatrixForm]
-) -> UPolyCochain:
+) -> CechCochain:
     """tot_ch_simplex, taking each nabla once in the caller's memo."""
     cover = data.cover
     if generator.ambient != data.n:
@@ -342,21 +342,20 @@ def _tot_ch_simplex(
     js = generator.indices
     p = generator.dim
     global_sign = -1 if (p * (p - 1) // 2) % 2 else 1
-    entries = []
+    comps = {}
     for t in cover.all_tuples(max_level + 1):
         ell = len(t) - 1
         anchor = t[0]
         chart = cover.charts[anchor]
         if p == 0 and ell == 0:
-            form = HoloForm.constant(chart, data.rank)
+            comps[t] = HoloForm.constant(chart, data.rank)
         else:
             acc = HoloForm.zero(chart)
             for steps in step_positions(p, ell):
                 term = _word_trace(_simplex_word(data, js, t, steps, anchor), memo)
                 acc = acc - term if sum(steps) % 2 else acc + term
-            form = acc if global_sign > 0 else -acc
-        entries.append((ell + p, t, form))
-    return UPolyCochain.from_forms(cover, entries)
+            comps[t] = acc if global_sign > 0 else -acc
+    return CechCochain(cover, comps)
 
 
 def _simplex_word(
@@ -401,7 +400,7 @@ def _simplex_word(
     return word
 
 
-def tot_ch_table(data: BundlePathData, max_level: Optional[int] = None) -> Dict[Generator, UPolyCochain]:
+def tot_ch_table(data: BundlePathData, max_level: Optional[int] = None) -> Dict[Generator, CechCochain]:
     """The full chain-map table over N(Z Delta^n); its generators share
     one memo of the nabla of each letter."""
     table = {}
@@ -414,14 +413,14 @@ def tot_ch_table(data: BundlePathData, max_level: Optional[int] = None) -> Dict[
 
 def tot_ch_simplex_via_ez(
     data: BundlePathData, generator: Generator, max_level: Optional[int] = None
-) -> UPolyCochain:
+) -> CechCochain:
     """Independent route to the same cochain: apply the presheaf-level Chern
     map to every shuffle staircase of the prism and add the
     totalization-to-Čech sign.
 
     Shares only the composable-word evaluator with the closed formula, and
-    keeps no memo of nabla; the enumeration, signs and u-powers come from
-    the shuffle description.
+    keeps no memo of nabla; the enumeration and signs come from the
+    shuffle description.
     """
     cover = data.cover
     if max_level is None:
@@ -429,13 +428,13 @@ def tot_ch_simplex_via_ez(
     js = generator.indices
     p = generator.dim
     tot_sign = -1 if (p * (p - 1) // 2) % 2 else 1
-    entries = []
+    comps = {}
     for t in cover.all_tuples(max_level + 1):
         ell = len(t) - 1
         anchor = t[0]
         chart = cover.charts[anchor]
         if p == 0 and ell == 0:
-            form = HoloForm.constant(chart, data.rank)
+            comps[t] = HoloForm.constant(chart, data.rank)
         else:
             acc = HoloForm.zero(chart)
             for mu, nu, sign in shuffles(p, ell):
@@ -453,6 +452,5 @@ def tot_ch_simplex_via_ez(
                     word.append((None, m, src, data.levels[js[li]].connection_in(t[ti], anchor)))
                 term = _word_trace(word)
                 acc = acc + (term if sign > 0 else -term)
-            form = acc if tot_sign > 0 else -acc
-        entries.append((ell + p, t, form))
-    return UPolyCochain.from_forms(cover, entries)
+            comps[t] = acc if tot_sign > 0 else -acc
+    return CechCochain(cover, comps)

@@ -20,7 +20,7 @@ import time
 from typing import Optional
 
 from .bg import equivariant_check, gamma, iota, verify_square
-from .cech import CoverError, Cover, FormalSection, UPolyCochain, validate_chain_map
+from .cech import CoverError, Cover, FormalSection, validate_chain_map
 from .chern import tot_ch_table, tot_ch_vertex
 from .exprparse import ExprError
 from .fiber import (
@@ -178,11 +178,9 @@ def run(
             _residue_check(data, cocycle, report)
             artifact_text = cochain_to_text(cocycle)
         elif report.ok and mode == "gamma":
-            # every component on r + 1 slots is a trace word of r letters of
-            # degree 1, so its total degree is 2r
             closed = gamma(data)
             report.add("gamma.delta_closed", closed.delta().is_zero)
-            artifact_text = cochain_to_text(UPolyCochain.from_even(closed))
+            artifact_text = cochain_to_text(closed)
         elif report.ok and mode == "square":
             report.extend(verify_square(data, level))
         elif report.ok and mode == "equivariant":
@@ -216,7 +214,7 @@ def _residue_check(data, cocycle, report):
         chart = cover.charts[t[0]]
         if len(chart.coordinates) != 1:
             continue
-        comp = cocycle.component(t, 1)
+        comp = cocycle.component(t)
         var = chart.coordinates[0]
         if comp is None:
             residue = Polynomial.zero()

@@ -83,7 +83,7 @@ def _step_sum(cover: Cover, bases, k: int, value_at: Callable[[Lifted], object])
         if values:
             total = FormalSection.total if isinstance(values[0], FormalSection) else HoloForm.total
             out[base] = total(values)
-    return CechCochain(cover, out)
+    return CechCochain._declared(cover, out)
 
 
 def integrate_fiber(mu: CechCochain, k: int) -> CechCochain:
@@ -110,7 +110,7 @@ def level_forget(mu: CechCochain, j: int) -> CechCochain:
             continue
         relabeled = tuple((lvl if lvl < j else lvl - 1, i) for lvl, i in t)
         out[relabeled] = v
-    return CechCochain(target, out)
+    return CechCochain._declared(target, out)
 
 
 # -- the bijection lemma -------------------------------------------------------------

@@ -97,8 +97,14 @@ class Manifest:
             raise ManifestError(f"{self.source}: missing 'charts'")
         charts = []
         for entry in raw["charts"]:
-            charts.append(Chart(entry["name"], tuple(entry.get("coordinates", ()))))
-        overlaps = [tuple(t) for t in raw.get("overlaps", [])]
+            coords = entry.get("coordinates", [])
+            if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
+                raise ManifestError(
+                    f"{self.source}: coordinates of chart {entry['name']!r} must be a list of strings"
+                )
+            charts.append(Chart(entry["name"], tuple(coords)))
+        overlaps = [tuple(self._integer(i, "overlap chart index", 0, len(charts) - 1) for i in t)
+                    for t in raw.get("overlaps", [])]
         if not overlaps:
             overlaps = [tuple(range(len(charts)))]
         change = {}

@@ -1,10 +1,12 @@
-"""Canonical text format for u-graded cochains.
+"""Canonical text format for cochains of holomorphic forms.
 
 One component per line:
 
     (i0,...,il) | u^m | (coeff)*dz^dw + (coeff)
 
-Tuples are sorted lexicographically (length first), coefficients use the
+The u-power m of a component is its form degree: it is printed for the
+reader, and parsing refuses a line whose form has another degree.  Tuples
+are sorted lexicographically (length first), coefficients use the
 canonical expression strings, wedge factors are written d<coordinate>.
 Parsing is exact, so files round-trip bit-for-bit.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 import ast
 from typing import List, Tuple
 
-from .cech import UPolyCochain
+from .cech import CechCochain
 from .exprparse import parse_expr
 from .forms import Chart, HoloForm
 
@@ -64,15 +66,15 @@ def _tuple_to_text(t: Tuple) -> str:
     return repr(tuple(t)).replace(" ", "")
 
 
-def cochain_to_text(c: UPolyCochain) -> str:
-    lines = []
-    for t, m, form in c.items():
-        lines.append(f"{_tuple_to_text(t)} | u^{m} | {form}")
+def cochain_to_text(c: CechCochain) -> str:
+    lines = [f"{_tuple_to_text(t)} | u^{form.degree()} | {form}" for t, form in c.items()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def text_to_cochain(text: str, cover) -> UPolyCochain:
-    entries = []
+def text_to_cochain(text: str, cover) -> CechCochain:
+    """The cochain of a text; ValueError for a tuple given twice or a u^m
+    that is not its form's degree, CoverError for an undeclared tuple."""
+    comps = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -82,8 +84,13 @@ def text_to_cochain(text: str, cover) -> UPolyCochain:
         if not isinstance(t, tuple):
             t = (t,)
         m = int(u_part.removeprefix("u^"))
-        entries.append((m, t, text_to_form(form_part, cover.anchor(t))))
-    return UPolyCochain.from_forms(cover, entries)
+        form = text_to_form(form_part, cover.anchor(t))
+        if t in comps:
+            raise ValueError(f"tuple {t} is given twice")
+        if not form.is_zero and form.degree() != m:
+            raise ValueError(f"tuple {t}: u^{m} carries a {form.degree()}-form")
+        comps[t] = form
+    return CechCochain(cover, comps)
 
 
 def table_to_text(table) -> str:

@@ -86,7 +86,7 @@ def test_acceptance_1_line_bundles_on_cp1():
             if n == 0
             else HoloForm(cover.charts[0], {(0,): parse_expr(f"{n}/z", ["z"])})
         )
-        got = cocycle.component((0, 1), 1)
+        got = cocycle.component((0, 1))
         if got != expected:
             ok = False
             detail.append(f"n={n}: wrong pair component")

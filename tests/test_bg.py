@@ -205,10 +205,10 @@ def test_iota_vertex_slice_and_chain_map():
     )
     c = gamma(h)
     table = iota(c)
-    # the ell = 0 generator picks out the level slice with matching u-powers
+    # the ell = 0 generator picks out the level slice
     g1 = Generator((1,), 1)
     entry = table[g1]
-    assert entry.component((0, 1), 1) == HoloForm(
+    assert entry.component((0, 1)) == HoloForm(
         cover.charts[0], {(0,): parse_expr("1/z", ["z"])}
     )
     report = validate_chain_map(table)
@@ -234,23 +234,22 @@ def test_iota_detects_non_closed_input():
     assert not report.ok
 
 
-def test_iota_keeps_form_degrees_apart():
-    # two lifts of one base pair carry forms of degree 0 and 2: they land
-    # at different u-powers instead of being added together
+def test_iota_refuses_a_form_off_its_slot_count():
+    # a component on r + 1 slots must be an r-form, as gamma's are: on three
+    # slots a 2-form passes, and a 1-form or a 0-form is refused, the 0-form
+    # although its total degree is even
     from cechchern.cech import CechCochain
 
     charts = [Chart(f"U{i}", ("w", "z")) for i in range(2)]
     ident = {"w": parse_expr("w", ["w"]), "z": parse_expr("z", ["z"])}
     cover = Cover(charts, [(0, 1)], {(0, 1): ident, (1, 0): ident})
     plc = ProductLevelCover(cover, 1)
-    low = {((0, 0), (0, 1), (1, 1)): HoloForm.constant(charts[0], 1)}
+    three = ((0, 0), (0, 1), (1, 1))
     dwdz = HoloForm.d_coord(charts[0], "w").wedge(HoloForm.d_coord(charts[0], "z"))
-    high = {((0, 0), (1, 0), (1, 1)): dwdz}
-    both = iota(CechCochain(plc, {**low, **high}))
-    edge = Generator((0, 1), 1)
-    assert both[edge] == iota(CechCochain(plc, low))[edge] + iota(CechCochain(plc, high))[edge]
-    assert both[edge].component((0, 1), 1) == HoloForm.constant(charts[0], -1)
-    assert both[edge].component((0, 1), 2) == dwdz
+    assert iota(CechCochain(plc, {three: dwdz}))[Generator((0, 1), 1)].component((0, 1)) == -dwdz
+    for form, degree in ((HoloForm.constant(charts[0], 1), 0), (HoloForm.d_coord(charts[0], "w"), 1)):
+        with pytest.raises(ValueError, match=f"is a {degree}-form, not a 2-form"):
+            iota(CechCochain(plc, {three: form}))
 
 
 def test_iota_rejects_odd_degree():
@@ -275,7 +274,7 @@ def test_square_on_line_bundles():
         report = verify_square(h)
         assert report.ok, report.to_text()
         coc = tot_ch_vertex(beta(h).levels[0])
-        assert coc.component((0, 1), 1) == HoloForm(
+        assert coc.component((0, 1)) == HoloForm(
             h.cover.charts[0], {(0,): parse_expr(f"{k}/z", ["z"])}
         )
 
@@ -309,7 +308,7 @@ def test_square_identity_data():
     table = tot_ch_table(beta(h))
     for g, entry in table.items():
         if g.dim == 0:
-            assert sorted(entry.slices) == [0]
+            assert all(len(t) == 1 for t in entry.components)
         else:
             assert entry.is_zero
 

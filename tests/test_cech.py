@@ -1,4 +1,4 @@
-"""Čech complex mechanics: restriction, delta, total differentials, truncation."""
+"""Čech complex mechanics: restriction, delta, total differentials."""
 
 import random
 from itertools import combinations
@@ -14,7 +14,6 @@ from cechchern.cech import (
     MAX_DECLARED_TUPLES,
     tot_differential,
     tot_to_cech,
-    UPolyCochain,
     total_differential,
     validate_chain_map,
 )
@@ -226,24 +225,30 @@ def test_tot_to_cech_signs_and_conjugation():
             assert lhs == rhs
 
 
-def test_u_truncate():
-    cover = cp1_cover()
-    two_form_chart = Chart("P", ("z", "w"))
-    flat = Cover([two_form_chart], [(0,)])
-    omega = CechCochain(
-        flat, {(0,): HoloForm(two_form_chart, {(0, 1): parse_expr("1", [])})}
-    )
-    assert not UPolyCochain(flat, {1: omega}).is_zero  # k=2 <= 2m=2
-    assert UPolyCochain(flat, {0: omega}).is_zero  # k=2 > 0
-    const = CechCochain(flat, {(0,): HoloForm.constant(two_form_chart, 3)})
-    assert not UPolyCochain(flat, {0: const}).is_zero
-    three = CechCochain(
-        flat, {(0,): HoloForm(two_form_chart, {(0,): parse_expr("z", ["z"])}).wedge(
-            HoloForm.d_coord(two_form_chart, "w")
-        ).wedge(HoloForm.function(two_form_chart, parse_expr("1", [])))}
-    )
-    # degree-2 form at m=1 survives; at m=0 it is truncated away
-    assert UPolyCochain(flat, {1: three}).slices
+def test_undeclared_tuple_is_refused():
+    # the public constructor checks every tuple; the builders that make
+    # tuples declared by construction skip the check
+    cover = Cover.formal(3)
+    narrow = Cover(cover.charts, [(0, 1), (1, 2)])
+    x = FormalSection.generator("x")
+    with pytest.raises(CoverError, match=r"undeclared tuple \(0, 2\)"):
+        CechCochain(narrow, {(0, 2): x})
+    with pytest.raises(CoverError, match="undeclared tuple"):
+        CechCochain(narrow, {(0, 1, 2): x})
+    assert CechCochain(narrow, {(1, 2): x}).component((1, 2)) == x
+
+
+def test_selftest_checks_few_tuples(monkeypatch):
+    # every remaining check is of a formal test cochain that
+    # fiber.formal_identity_cochain builds through the public constructor
+    from cechchern import cech, cli
+
+    calls = []
+    for cls in (cech.Cover, cech.ProductLevelCover):
+        real = cls.is_declared
+        monkeypatch.setattr(cls, "is_declared", lambda self, t, real=real: calls.append(t) or real(self, t))
+    assert cli._selftest().ok
+    assert len(calls) == 1214, len(calls)
 
 
 def test_negation_takes_no_gcd(monkeypatch):
@@ -256,36 +261,32 @@ def test_negation_takes_no_gcd(monkeypatch):
     f = parse_expr("(z^2 + w)/(2*z - 3*w + 1)", ["z", "w"])
     c = CechCochain(flat, {(0,): HoloForm(chart, {(0,): f, (1,): f})})
     d = CechCochain(flat, {(0,): HoloForm(chart, {(0,): parse_expr("z/(w + 1)", ["z", "w"]), (1,): f})})
-    u, v = UPolyCochain(flat, {1: c}), UPolyCochain(flat, {1: d})
     calls = []
     monkeypatch.setattr(cechchern.ratfunc, "cofactors", lambda a, b: calls.append((a, b)) or cofactors(a, b))
-    neg, uneg = -c, -u
+    neg = -c
     assert not calls
     assert neg.component((0,)) == HoloForm(chart, {(0,): -f, (1,): -f})
-    assert uneg == UPolyCochain(flat, {1: neg})
     assert c - d == c + (-d)
-    assert u - v == u + (-v)
-    assert (c - c).is_zero and (u - u).is_zero
+    assert (c - c).is_zero
 
 
 def test_validate_chain_map_constant_and_flipped():
     from cechchern.simplicial import Generator, nondegenerate_generators
-    from cechchern.cech import UPolyCochain
 
     cover = Cover.formal(3)
     closed = CechCochain(cover, {(i,): FormalSection(0, {"r": 2}) for i in range(3)})
-    zero = UPolyCochain.zero(cover)
+    zero = CechCochain(cover, {})
     table = {}
     for ell in range(0, 3):
         for g in nondegenerate_generators(2, ell):
-            table[g] = UPolyCochain(cover, {0: closed}) if ell == 0 else zero
+            table[g] = closed if ell == 0 else zero
     report = validate_chain_map(table)
     assert report.ok, report.to_text()
 
     # flip one vertex value: the e[j0,j1] conditions must locate it
     bad = dict(table)
     flipped = CechCochain(cover, {(i,): FormalSection(0, {"r": -2 if i == 1 else 2}) for i in range(3)})
-    bad[Generator((1,), 2)] = UPolyCochain(cover, {0: flipped})
+    bad[Generator((1,), 2)] = flipped
     report = validate_chain_map(bad)
     assert not report.ok
     # a cutoff at the flipped tuple's own degree still finds it

@@ -185,9 +185,9 @@ def test_tot_ch_vertex_line_bundles():
         coc = tot_ch_vertex(data)
         # vertices carry the rank
         for i in range(2):
-            got = coc.component((i,), 0)
+            got = coc.component((i,))
             assert got == HoloForm.constant(data.cover.charts[i], 1)
-        c01 = coc.component((0, 1), 1)
+        c01 = coc.component((0, 1))
         if n == 0:
             assert c01 is None
         else:
@@ -207,9 +207,9 @@ def test_tot_ch_vertex_identity_transitions():
         {i: conn(cover.charts[i], ("z^2",)) for i in range(3)},
     )
     coc = tot_ch_vertex(data)
-    assert sorted(coc.slices) == [0]
+    assert sorted(coc.components) == [(0,), (1,), (2,)]
     for i in range(3):
-        assert coc.component((i,), 0) == HoloForm.constant(cover.charts[i], 1)
+        assert coc.component((i,)) == HoloForm.constant(cover.charts[i], 1)
     assert coc.delta().is_zero
 
 
@@ -238,7 +238,7 @@ def test_tot_ch_vertex_closed_on_three_charts():
             )
             ell, form = instance.face_value(tuple(range(len(t))))
             assert ell == len(t) - 1
-            assert (coc.component(t, ell) or HoloForm.zero(cover.charts[t[0]])) == form, t
+            assert (coc.component(t) or HoloForm.zero(cover.charts[t[0]])) == form, t
 
 
 def test_tot_ch_simplex_reduces_to_vertex():
@@ -263,10 +263,10 @@ def test_tot_ch_simplex_intertwiner_component():
     assert path.validate().ok
     g01 = Generator((0, 1), 1)
     table_entry = tot_ch_simplex(path, g01)
-    got = table_entry.component((0,), 1)
+    got = table_entry.component((0,))
     # F = f^(1,0)_0 = z^2, A = 0: tr(F^-1 dF) = 2 dz/z
     assert got == HoloForm(cover.charts[0], {(0,): parse_expr("2/z", ["z"])})
-    got1 = table_entry.component((1,), 1)
+    got1 = table_entry.component((1,))
     assert got1 is None  # f at chart 1 is constant 1
 
 
@@ -393,7 +393,7 @@ def test_relabelled_charts_permute_components_consistently():
             swapped_cover, 1, {(0, 1): mono(f"w^{n}", swapped_cover.charts[0])}
         )
         new_coc = tot_ch_vertex(swapped)
-        got = new_coc.component((0, 1), 1)
+        got = new_coc.component((0, 1))
         # the old formula evaluated along the reversed pair, anchored at chart 1
         word = [
             (

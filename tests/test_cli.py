@@ -44,7 +44,7 @@ def test_manifest_loads_and_builds():
     assert data.rank == 1
     assert data.validate().ok
     cocycle = tot_ch_vertex(data)
-    assert cocycle.component((0, 1), 1) is not None
+    assert cocycle.component((0, 1)) is not None
 
 
 def test_manifest_errors():
@@ -93,14 +93,14 @@ def test_run_simplex_square_iota_modes():
 
 def test_gamma_artifact_roundtrips(tmp_path):
     from cechchern.bg import gamma
-    from cechchern.cech import ProductLevelCover, UPolyCochain
+    from cechchern.cech import ProductLevelCover
 
     out = io.StringIO()
     artifact = tmp_path / "gamma.txt"
     code = run("gamma", str(FIXTURES / "cstar_one_simplex.json"), output=str(artifact), out=out)
     assert code == 0
     man = Manifest.load(str(FIXTURES / "cstar_one_simplex.json"))
-    closed = UPolyCochain.from_even(gamma(man.path_data()))
+    closed = gamma(man.path_data())
     cover = ProductLevelCover(man.cover, 1)
     text = artifact.read_text()
     assert "((0,0),(0,1))" in text
@@ -581,29 +581,59 @@ def test_inverse_pairs_can_fail(tmp_path):
         assert failures == [("bundle.inverse_pairs", "g_ba * g_ab != 1 at [(0, 1)]")], bundle
 
 
+def test_overlaps_and_coordinates_are_read_strictly(tmp_path, capsys):
+    # an overlap entry is a chart index like any other, and a decimal string
+    # reads as its int; a chart's coordinates are a list of strings, never a
+    # string split into letters
+    def exit_code(edit, mode="vertex"):
+        raw = json.loads((FIXTURES / "o3_cp1.json").read_text())
+        edit(raw)
+        target = tmp_path / "strict.json"
+        target.write_text(json.dumps(raw))
+        capsys.readouterr()
+        code = main(["--mode", mode, "--manifest", str(target)])
+        out, err = capsys.readouterr()
+        return code, out.split("elapsed")[0], err.replace(str(target), "<manifest>")
+
+    passing = exit_code(lambda raw: None)
+    assert passing[0] == 0
+    assert exit_code(lambda raw: raw.update(overlaps=[["0", "1"]])) == passing
+    for overlaps, message in (([[False, True]], "overlap chart index False is not an integer"),
+                              ([[0.0, 1.0]], "overlap chart index 0.0 is not an integer"),
+                              ([["0", "x"]], "overlap chart index 'x' is not an integer"),
+                              ([[0, 1.5]], "overlap chart index 1.5 is not an integer"),
+                              ([[0, 2]], "overlap chart index 2 outside 0..1")):
+        code, _, err = exit_code(lambda raw: raw.update(overlaps=overlaps))
+        assert (code, err) == (2, f"error: <manifest>: {message}\n"), overlaps
+    for coordinates in ("z", "zw", ["z", 1], {"z": 0}, None):
+        code, _, err = exit_code(lambda raw: raw["charts"][0].update(coordinates=coordinates))
+        assert (code, err) == (2, "error: <manifest>: coordinates of chart 'U0' must be a list of strings\n")
+
+
 def test_serde_multicoordinate_roundtrip():
-    from cechchern.cech import CechCochain, Cover, UPolyCochain
+    from cechchern.cech import CechCochain, Cover, CoverError
     from cechchern.forms import Chart, HoloForm
 
     chart = Chart("P", ("z", "w"))
-    cover = Cover([chart], [(0,)])
-    mixed = HoloForm(
-        chart,
-        {
-            (): parse_expr("1/2", []),
-            (0,): parse_expr("(z + w)/(z*w)", ["z", "w"]),
-            (0, 1): parse_expr("3*i*z^2", ["z"]),
-        },
-    )
-    coc = UPolyCochain(
-        cover,
-        {2: CechCochain(cover, {(0,): HoloForm(chart, {(0, 1): mixed.coefficient((0, 1))})}),
-         1: CechCochain(cover, {(0,): HoloForm(chart, {(0,): mixed.coefficient((0,))})}),
-         0: CechCochain(cover, {(0,): HoloForm(chart, {(): mixed.coefficient(())})})},
-    )
+    ident = {"z": parse_expr("z", ["z"]), "w": parse_expr("w", ["w"])}
+    maps = {(a, b): ident for a in range(3) for b in range(3) if a != b}
+    cover = Cover([chart] * 3, [(0, 1, 2)], maps)
+    coc = CechCochain(cover, {
+        (0,): HoloForm(chart, {(): parse_expr("1/2", [])}),
+        (0, 1): HoloForm(chart, {(0,): parse_expr("(z + w)/(z*w)", ["z", "w"])}),
+        (0, 1, 2): HoloForm(chart, {(0, 1): parse_expr("3*i*z^2", ["z"])}),
+    })
     text = cochain_to_text(coc)
-    assert "dz^dw" in text
+    assert "| u^2 | " in text and "dz^dw" in text
     assert text_to_cochain(text, cover) == coc
+    # a line's u-power is its form's degree, and a tuple is given once
+    with pytest.raises(ValueError, match=r"tuple \(0, 1\): u\^2 carries a 1-form"):
+        text_to_cochain(text.replace("| u^1 |", "| u^2 |"), cover)
+    with pytest.raises(ValueError, match=r"tuple \(0,\) is given twice"):
+        text_to_cochain(text + text.splitlines()[0], cover)
+    # a tuple the cover does not declare is refused as by the constructor
+    with pytest.raises(CoverError, match=r"undeclared tuple \(0, 1, 2\)"):
+        text_to_cochain(text, Cover([chart] * 3, [(0, 1), (1, 2)], maps))
 
 
 def test_max_level_override():
@@ -613,8 +643,7 @@ def test_max_level_override():
     assert code == 0
     man = Manifest.load(str(FIXTURES / "o3_cp1.json"))
     cocycle = tot_ch_vertex(man.vertex_data(), 0)
-    assert sorted(cocycle.slices) == [0]
-    assert all(len(t) == 1 for t in cocycle.slices[0].components)
+    assert all(len(t) == 1 for t in cocycle.components)
 
 
 def test_console_entrypoint():

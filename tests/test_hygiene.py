@@ -197,3 +197,16 @@ def test_only_the_cli_calls_validate():
             callers += [name for node in ast.walk(fn) if isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute) and node.func.attr == "validate"]
     assert sorted(callers) == ["bg.EquivariantBundleData.validate", "chern.BundlePathData.validate", "cli.run"], callers
+
+
+def test_one_cochain_type():
+    # a component's u-power is its form degree, so a cochain stores forms
+    # alone: no u-graded container or slice of one is left, not even in a
+    # comment
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in ("UPolyCochain", ".slices", "_flatkey")
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert not found, found
