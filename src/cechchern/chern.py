@@ -244,27 +244,27 @@ class NerveInstance:
             self._segments[key] = self.morphisms[hi - 1] * self.segment(lo, hi - 1)
         return self._segments[key]
 
-    def face_value(self, face: Tuple[int, ...]) -> Tuple[int, HoloForm]:
-        """(u-power, form) assigned to the face e_{i_0..i_l}: the constant
-        rank on vertices, the trace word of the face's segments in general."""
+    def face_value(self, face: Tuple[int, ...]) -> HoloForm:
+        """The form assigned to the face e_{i_0..i_l}, an l-form at u^l: the
+        constant rank on vertices, the trace word of the face's segments in
+        general."""
         face = tuple(face)
         if list(face) != sorted(set(face)) or face[0] < 0 or face[-1] > self.k:
             raise ValueError(f"bad face tuple {face}")
-        ell = len(face) - 1
-        if ell == 0:
-            return 0, HoloForm.constant(self.chart, self.rank)
+        if len(face) == 1:
+            return HoloForm.constant(self.chart, self.rank)
         if face not in self._faces:
             self._faces[face] = _word_trace([
                 ((lo, hi), self.segment(lo, hi), self.connections[lo], self.connections[hi])
                 for lo, hi in zip(face, face[1:])
             ], self._nablas)
-        return ell, self._faces[face]
+        return self._faces[face]
 
     def boundary_sum(self, face: Tuple[int, ...]) -> HoloForm:
         """The image of the alternating face sum of e_face."""
         acc = HoloForm.zero(self.chart)
         for g, c in boundary(Generator(tuple(face), self.k)).coeffs.items():
-            _, form = self.face_value(g.indices)
+            form = self.face_value(g.indices)
             acc = acc + form if c > 0 else acc - form
         return acc
 

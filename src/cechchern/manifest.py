@@ -103,8 +103,11 @@ class Manifest:
                     f"{self.source}: coordinates of chart {entry['name']!r} must be a list of strings"
                 )
             charts.append(Chart(entry["name"], tuple(coords)))
+        overlaps = raw.get("overlaps", [])
+        if not isinstance(overlaps, list) or not all(isinstance(t, list) for t in overlaps):
+            raise ManifestError(f"{self.source}: overlaps must be a list of chart-index lists")
         overlaps = [tuple(self._integer(i, "overlap chart index", 0, len(charts) - 1) for i in t)
-                    for t in raw.get("overlaps", [])]
+                    for t in overlaps]
         if not overlaps:
             overlaps = [tuple(range(len(charts)))]
         change = {}

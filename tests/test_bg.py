@@ -308,7 +308,7 @@ def test_square_identity_data():
     table = tot_ch_table(beta(h))
     for g, entry in table.items():
         if g.dim == 0:
-            assert all(len(t) == 1 for t in entry.components)
+            assert {len(t) for t in entry.components} == {1}
         else:
             assert entry.is_zero
 

@@ -107,16 +107,16 @@ def test_ch_nerve_examples():
     zero1 = ConnectionMatrix.zero(chart, 1)
     f = mono("z", chart)
     # rank 1, f = z, A = 0: tr(f^-1 df) u = dz/z u
-    upow, form = NerveInstance([f], [zero1, zero1]).face_value((0, 1))
-    assert upow == 1
+    form = NerveInstance([f], [zero1, zero1]).face_value((0, 1))
+    assert form.degree() == 1
     assert form == HoloForm(chart, {(0,): parse_expr("1/z", ["z"])})
     # l = 0 face: the constant rank
-    upow, form = NerveInstance([f], [zero1, zero1]).face_value((0,))
-    assert upow == 0 and form == HoloForm.constant(chart, 1)
+    form = NerveInstance([f], [zero1, zero1]).face_value((0,))
+    assert form == HoloForm.constant(chart, 1)
     # l = 2 body on a one-variable chart: a 2-form, identically zero
     g = mono("z^2", chart)
-    upow, form = NerveInstance([f, g], [zero1] * 3).face_value((0, 1, 2))
-    assert upow == 2 and form.is_zero
+    form = NerveInstance([f, g], [zero1] * 3).face_value((0, 1, 2))
+    assert form.is_zero
 
 
 def test_face_sum_hand_instance():
@@ -236,8 +236,7 @@ def test_tot_ch_vertex_closed_on_three_charts():
                 [data.transition_form(a, b, t[0]) for a, b in zip(t, t[1:])],
                 [data.connection_in(i, t[0]) for i in t],
             )
-            ell, form = instance.face_value(tuple(range(len(t))))
-            assert ell == len(t) - 1
+            form = instance.face_value(tuple(range(len(t))))
             assert (coc.component(t) or HoloForm.zero(cover.charts[t[0]])) == form, t
 
 

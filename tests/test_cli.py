@@ -605,6 +605,9 @@ def test_overlaps_and_coordinates_are_read_strictly(tmp_path, capsys):
                               ([[0, 2]], "overlap chart index 2 outside 0..1")):
         code, _, err = exit_code(lambda raw: raw.update(overlaps=overlaps))
         assert (code, err) == (2, f"error: <manifest>: {message}\n"), overlaps
+    for overlaps in (5, [5], [[0, 1], "01"], {"0": [0, 1]}):
+        code, _, err = exit_code(lambda raw: raw.update(overlaps=overlaps))
+        assert (code, err) == (2, "error: <manifest>: overlaps must be a list of chart-index lists\n"), overlaps
     for coordinates in ("z", "zw", ["z", 1], {"z": 0}, None):
         code, _, err = exit_code(lambda raw: raw["charts"][0].update(coordinates=coordinates))
         assert (code, err) == (2, "error: <manifest>: coordinates of chart 'U0' must be a list of strings\n")
@@ -643,7 +646,7 @@ def test_max_level_override():
     assert code == 0
     man = Manifest.load(str(FIXTURES / "o3_cp1.json"))
     cocycle = tot_ch_vertex(man.vertex_data(), 0)
-    assert all(len(t) == 1 for t in cocycle.components)
+    assert {len(t) for t in cocycle.components} == {1}
 
 
 def test_console_entrypoint():
