@@ -1,4 +1,4 @@
-"""Covers, Čech cochains, the Čech and total differentials.
+"""Covers, Čech cochains and the Čech differential.
 
 Only strictly increasing index tuples with distinct indices are stored;
 repeated-index components are never materialized.  Every component on a
@@ -12,6 +12,10 @@ restriction relabels the tuple and leaves the expression alone).  The
 formal presheaf exists to test the purely combinatorial identities at
 full strength, independent of geometry.
 
+Holomorphic forms have d_A = 0, so the total differential of a cochain of
+forms is δ, and δ is the only differential here: the one caller of an
+internal d_A, the integration identities, applies it in `fiber`.
+
 A holomorphic Chern component is a trace word of L letters of degree 1,
 an L-form at u^L, so the u-power of every component is its form degree:
 a cochain stores the forms alone and prints u^{v.degree()}.
@@ -20,7 +24,7 @@ a cochain stores the forms alone and prints u^{v.degree()}.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .forms import Chart, HoloForm, chart_map_defect
 from .poly import collect
@@ -51,10 +55,6 @@ class FormalSection:
     def __setattr__(self, name, value):
         raise AttributeError("FormalSection is immutable")
 
-    @staticmethod
-    def generator(sym, form_degree: int = 0) -> "FormalSection":
-        return FormalSection(form_degree, {sym: 1})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -82,12 +82,6 @@ class FormalSection:
 
     def scale(self, c: int) -> "FormalSection":
         return FormalSection(self.form_degree, {s: x * c for s, x in self.terms.items()})
-
-    def map_generators(self, fn: Callable[[object], "FormalSection"]) -> "FormalSection":
-        """Apply a linear map given on generators (e.g. a formal d_A)."""
-        if not self.terms:
-            return FormalSection(self.form_degree, {})
-        return FormalSection.total([fn(sym).scale(c) for sym, c in self.terms.items()])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalSection):
@@ -335,52 +329,8 @@ class CechCochain:
         tuples = [t for r in lengths for t in self.cover.tuples_of_length(r)]
         return CechCochain._declared(self.cover, {t: v for t in tuples if (v := self.delta_at(t)) is not None})
 
-    def map_values(self, fn) -> "CechCochain":
-        return CechCochain._declared(self.cover, {t: fn(t, v) for t, v in self.components.items()})
-
     def __repr__(self):
         return f"CechCochain({len(self.components)} components)"
-
-
-def _total_degree(t: Tuple, v) -> int:
-    return len(t) - 1 + v.degree()
-
-
-def apply_d_a(c: CechCochain, d_a: Optional[Callable]) -> CechCochain:
-    """The internal differential on every component: d_A given on
-    generators for formal sections, on values for forms; None is d_A = 0."""
-    if d_a is None:
-        return CechCochain._declared(c.cover, {})
-    return c.map_values(lambda t, v: v.map_generators(d_a) if isinstance(v, FormalSection) else d_a(v))
-
-
-def _negate_even(c: CechCochain) -> CechCochain:
-    """-(-1)^{|v|} v on every component v of total degree |v|."""
-    return c.map_values(lambda t, v: v if _total_degree(t, v) % 2 else -v)
-
-
-def total_differential(c: CechCochain, d_a: Optional[Callable] = None) -> CechCochain:
-    """D(c) = delta(c) - (-1)^{|c|} d_A(c); for the forms presheaf d_A = 0."""
-    return c.delta() + apply_d_a(_negate_even(c), d_a)
-
-
-def tot_to_cech(c: CechCochain) -> CechCochain:
-    """Total-complex to Čech-complex identification.
-
-    Each bidegree piece of total degree d picks up (-1)^(d(d+1)/2); this
-    conjugates the total differential into the Čech-side differential D.
-    """
-
-    def flip(t, v):
-        d = _total_degree(t, v)
-        return -v if (d * (d + 1) // 2) % 2 else v
-
-    return c.map_values(flip)
-
-
-def tot_differential(c: CechCochain, d_a: Optional[Callable] = None) -> CechCochain:
-    """The differential on the total complex: d(c) = d_A(c) - (-1)^{|c|} delta(c)."""
-    return apply_d_a(c, d_a) + _negate_even(c).delta()
 
 
 ChainMapTable = Dict[Generator, CechCochain]

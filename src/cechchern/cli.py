@@ -151,7 +151,8 @@ def run(
     out=sys.stdout,
 ):
     start = time.monotonic()
-    artifact_text = None
+    # (serializer, artifact): the artifact's text is built only for --output
+    artifact = None
     if mode == "selftest":
         if max_level is not None:
             read_integer(max_level, "--max-level", 0)
@@ -176,11 +177,11 @@ def run(
             cocycle = tot_ch_vertex(data, level)
             report.add("vertex.delta_closed", cocycle.delta().is_zero)
             _residue_check(data, cocycle, report)
-            artifact_text = cochain_to_text(cocycle)
+            artifact = cochain_to_text, cocycle
         elif report.ok and mode == "gamma":
             closed = gamma(data)
             report.add("gamma.delta_closed", closed.delta().is_zero)
-            artifact_text = cochain_to_text(closed)
+            artifact = cochain_to_text, closed
         elif report.ok and mode == "square":
             report.extend(verify_square(data, level))
         elif report.ok and mode == "equivariant":
@@ -188,9 +189,10 @@ def run(
         elif report.ok:
             table = tot_ch_table(data, level) if mode == "simplex" else iota(gamma(data, level), level)
             report.extend(validate_chain_map(table, level))
-            artifact_text = table_to_text(table)
+            artifact = table_to_text, table
+    artifact_text = artifact[0](artifact[1]) if output and artifact else None
     elapsed = time.monotonic() - start
-    if output and artifact_text is not None:
+    if artifact_text is not None:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(artifact_text)
     if json_report:

@@ -17,14 +17,16 @@ anything is multiplied out: a power's degrees are those of its base times
 the exponent, so the operands of a run stay unexpanded powers until the
 bound of the whole run has passed.  A power, or a run of sums or of
 products, whose coefficient size could exceed MAX_POWER_BITS is an error
-too, raised before it is built.  Every error reports the offending
-position.  A run of sums of polynomials is added in one pass, with no
-partial sums.
+too, raised before it is built, and so is one whose numerator or
+denominator could have more than MAX_TERMS terms.  Every error reports
+the offending position.  A run of sums of polynomials is added in one
+pass, with no partial sums.
 """
 
 from __future__ import annotations
 
 import re
+from math import comb
 from operator import add, mul, sub, truediv
 from typing import List, Sequence, Tuple, Union
 
@@ -52,11 +54,18 @@ MAX_DEGREE = 256
 # denominators.  A run of '+' and '-' whose operands are all polynomials
 # with Gaussian-integer coefficients takes its largest operand's bits
 # instead: such a sum grows by at most ceil(log2) of the operand count, a
-# few bits that the margin below the 4 300 digits Python prints absorbs.
+# few bits that the margin below the 4 300 digits of a literal absorbs.
 # For constant operands that is the result's own size, give or take one bit
-# per operand; without it (3^100)^129 passes as degree 129 and has 6 155
-# digits, too many to print.
+# per operand; without it (3^100)^129 passes as degree 129 with 6 155 digits.
 MAX_POWER_BITS = 4096
+
+# The most terms a numerator or denominator of a power or of a run may have,
+# checked before it is built (the shipped, fixture and benchmark manifests
+# stay at 30 or below): at most C(D+v, v) for degree D in v variables, and
+# below that C(n+t-1, t-1) for p^n with p of t terms, or for a run those of
+# its result before cancellation.  Without it (1+a+b+c+d)^256 passes every
+# other bound with about 1.9 * 10^8 terms; (1+a+b)^139, with 9 870, takes 1 s.
+MAX_TERMS = 10000
 
 
 class ExprError(ValueError):
@@ -69,15 +78,15 @@ class ExprError(ValueError):
 
 class _Power:
     """base^n for a built base, not yet multiplied out: an operand of a run
-    whose degrees and coefficient bits are known before it is expanded."""
+    whose degrees, coefficient bits and terms are known before it is built."""
 
-    __slots__ = ("base", "n", "bits", "negative")
+    __slots__ = ("base", "n", "bits", "terms", "negative")
 
-    def __init__(self, base: RationalFunction, n: int, bits: int, negative: bool = False):
-        self.base, self.n, self.bits, self.negative = base, n, bits, negative
+    def __init__(self, base: RationalFunction, n: int, bits: int, terms, negative: bool = False):
+        self.base, self.n, self.bits, self.terms, self.negative = base, n, bits, terms, negative
 
     def __neg__(self) -> "_Power":
-        return _Power(self.base, self.n, self.bits, not self.negative)
+        return _Power(self.base, self.n, self.bits, self.terms, not self.negative)
 
     @property
     def is_zero(self) -> bool:
@@ -101,6 +110,21 @@ def _bits(x: _Operand) -> int:
     if isinstance(x, _Power):
         return x.bits
     return x.num.coeff_bits() if x.den.is_one else max(x.num.coeff_bits(), x.den.coeff_bits())
+
+
+def _power_terms(p: Polynomial, n: int) -> int:
+    """A bound on the terms of p^n, n >= 0."""
+    t, v = p.term_count(), len(p.variables)
+    return min(comb(n + t - 1, t - 1), comb(n * p.degree() + v, v)) if t > 1 else t
+
+
+def _terms(x: _Operand) -> Tuple[int, int]:
+    """Bounds on the terms of an operand's numerator and denominator."""
+    return x.terms if isinstance(x, _Power) else (x.num.term_count(), x.den.term_count())
+
+
+def _variables(x: _Operand) -> tuple:
+    return (x.base if isinstance(x, _Power) else x).variables
 
 
 def _integral(x: _Operand) -> bool:
@@ -185,7 +209,7 @@ class _Parser:
         operator, or, for a run of '+' and '-' of polynomials, summed in one
         pass; a lone operand is passed on unexpanded."""
         first = operand()
-        bound = bits = top = integral = None
+        bound = bits = top = integral = terms = None
         rest = []
         while True:
             kind, val, pos = self.peek()
@@ -201,6 +225,13 @@ class _Parser:
             if bits is None:
                 bits = top = _bits(first)
                 integral = val in "+-" and _integral(first)
+            terms = _OPERATORS[val][2](*(terms or _terms(first)), *_terms(rhs))
+            if max(terms) > MAX_TERMS:
+                # the monomials of the degree bound in the run's variables cap it
+                v = len(set().union(*(_variables(x) for x in (first, rhs, *(x for _, x in rest)))))
+                terms = [min(n, comb(d + v, v)) for n, d in zip(terms, bound)]
+                if max(terms) > MAX_TERMS:
+                    raise ExprError(f"up to {max(terms)} terms at {val!r} exceed {MAX_TERMS}", pos)
             rhs_bits = _bits(rhs)
             bits, top, integral = bits + rhs_bits, max(top, rhs_bits), integral and _integral(rhs)
             size = top if integral else bits
@@ -243,12 +274,15 @@ class _Parser:
             degree = abs(n) * max(*_degrees(value), 1)
             if degree > MAX_DEGREE:
                 raise ExprError(f"power of degree {degree} exceeds {MAX_DEGREE}", pos)
-            base = _built(value)
-            # a power of a variable or of i has a 1-bit coefficient
-            bits = 1 if named else abs(n) * _bits(base)
+            base, k = _built(value), abs(n)
+            # a power of a variable or of i has a 1-bit coefficient and one term
+            bits = 1 if named else k * _bits(base)
             if bits > MAX_POWER_BITS:
                 raise ExprError(f"power with coefficients of {bits} bits exceeds {MAX_POWER_BITS}", pos)
-            return _Power(base, n, bits)
+            terms = (1, 1) if named else (_power_terms(base.num, k), _power_terms(base.den, k))[::1 if n >= 0 else -1]
+            if max(terms) > MAX_TERMS:
+                raise ExprError(f"power of up to {max(terms)} terms exceeds {MAX_TERMS}", pos)
+            return _Power(base, n, bits, terms)
         return value
 
     def exponent(self) -> int:
@@ -292,12 +326,13 @@ class _Parser:
 
 
 # Each operator with bounds on the numerator and denominator degrees of
-# a op b, from those of a (n, d) and of b (m, e).
+# a op b, from those of a (n, d) and of b (m, e), and then with bounds on
+# their term counts before cancellation, from those of a and of b.
 _OPERATORS = {
-    "+": (add, lambda n, d, m, e: (max(n + e, m + d), d + e)),
-    "-": (sub, lambda n, d, m, e: (max(n + e, m + d), d + e)),
-    "*": (mul, lambda n, d, m, e: (n + m, d + e)),
-    "/": (truediv, lambda n, d, m, e: (n + e, d + m)),
+    "+": (add, lambda n, d, m, e: (max(n + e, m + d), d + e), lambda n, d, m, e: (n * e + m * d, d * e)),
+    "-": (sub, lambda n, d, m, e: (max(n + e, m + d), d + e), lambda n, d, m, e: (n * e + m * d, d * e)),
+    "*": (mul, lambda n, d, m, e: (n + m, d + e), lambda n, d, m, e: (n * m, d * e)),
+    "/": (truediv, lambda n, d, m, e: (n + e, d + m), lambda n, d, m, e: (n * e, d * m)),
 }
 
 

@@ -6,6 +6,10 @@ A k-step position 0 <= s_1 <= ... <= s_k <= q splits a base tuple
 Integration over the fiber sums the lifted components with sign
 (-1)^(s_1 + ... + s_k); level-forgetting realizes the face maps of the
 level direction.
+
+The integration identities are also checked with a formal internal
+differential d_A (`apply_d_a`, the only one here: forms have d_A = 0), on
+the formal data of `formal_identity_cochain` that the selftest builds.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .cech import CechCochain, Cover, FormalSection, ProductLevelCover, apply_d_a
+from .cech import CechCochain, Cover, FormalSection, ProductLevelCover
 from .forms import HoloForm
 from .report import Report
 
@@ -43,25 +47,6 @@ def _lift(base: Sequence, steps: Step) -> Lifted:
     bounds = (0,) + steps + (len(base) - 1,)
     return tuple((level, i) for level in range(len(steps) + 1)
                  for i in base[bounds[level]:bounds[level + 1] + 1])
-
-
-def recover_steps(lifted: Lifted) -> Step:
-    """Invert lift_tuple: the base positions where the level increments."""
-    steps = []
-    pos = 0
-    for t in range(1, len(lifted)):
-        prev_level, here_level = lifted[t - 1][0], lifted[t][0]
-        if here_level == prev_level:
-            pos += 1
-        elif here_level == prev_level + 1:
-            steps.append(pos)
-        else:
-            raise ValueError("not a lifted tuple: level jump")
-    return tuple(steps)
-
-
-def lifted_tuples(base: Sequence, k: int) -> List[Tuple[Step, Lifted]]:
-    return [(s, lift_tuple(base, s)) for s in step_positions(k, len(base) - 1)]
 
 
 def step_sign(steps: Step) -> int:
@@ -145,12 +130,8 @@ def verify_bijection(base: Sequence, k: int) -> Report:
     if len(set(base)) != len(base):
         raise ValueError("base indices must be distinct")
     q = len(base) - 1
-    count = len(step_positions(k, q))
-    report.add(
-        f"bijection.count_q{q}_k{k}",
-        count == comb(q + k, k),
-        f"|J_k| = {count}, C({q + k},{k}) = {comb(q + k, k)}",
-    )
+    count, expected = len(step_positions(k, q)), comb(q + k, k)
+    report.add(f"bijection.count_q{q}_k{k}", count == expected, f"|J_k| = {count}, C({q + k},{k}) = {expected}")
 
     # Codomain, enumerated independently from the definitions.
     codomain = set()
@@ -186,29 +167,24 @@ def verify_bijection(base: Sequence, k: int) -> Report:
             tag = _classify_removal(steps, len(base), ell)
             image.append((tag, lifted[:ell] + lifted[ell + 1:]))
 
-    injective = len(image) == len(set(image))
-    surjective = set(image) == codomain
-    report.add(
-        f"bijection.injective_q{q}_k{k}",
-        injective,
-        "" if injective else "duplicate image element",
-    )
-    report.add(
-        f"bijection.surjective_q{q}_k{k}",
-        surjective,
-        ""
-        if surjective
-        else f"missed {len(codomain - set(image))}, extra {len(set(image) - codomain)}",
-    )
-    report.add(
-        f"bijection.sizes_q{q}_k{k}",
-        len(image) == len(codomain),
-        f"domain {len(image)}, codomain {len(codomain)}",
-    )
+    found = set(image)
+    report.check(f"bijection.injective_q{q}_k{k}", len(image) != len(found), "duplicate image element")
+    report.add(f"bijection.surjective_q{q}_k{k}", found == codomain,
+               f"missed {len(codomain - found)}, extra {len(found - codomain)}" if found != codomain else "")
+    report.add(f"bijection.sizes_q{q}_k{k}", len(image) == len(codomain),
+               f"domain {len(image)}, codomain {len(codomain)}")
     return report
 
 
 # -- the two integration identities ----------------------------------------------------
+
+
+def apply_d_a(c: CechCochain, d_a: Optional[Callable]) -> CechCochain:
+    """The internal differential on every component of a cochain of formal
+    sections, d_A given on generators; None is d_A = 0, that of forms."""
+    return CechCochain._declared(c.cover, {
+        t: FormalSection.total([d_a(sym).scale(x) for sym, x in v.terms.items()])
+        for t, v in c.components.items()} if d_a else {})
 
 
 def _integrate_delta(mu: CechCochain, k: int, q: int) -> CechCochain:
@@ -227,8 +203,8 @@ def verify_integration_identities(
 
         int_k delta(mu) = (-1)^k delta(int_k mu) + sum_j (-1)^j int_{k-1} forget_j(mu).
 
-    mu must have pure Čech degree; the exchange law is verified on every
-    declared base tuple two below it.
+    mu must have pure Čech degree and, with d_a, formal sections; the
+    exchange law is verified on every declared base tuple two below it.
     """
     report = Report()
     degrees = mu.cech_degrees()
@@ -255,19 +231,6 @@ def verify_integration_identities(
         witness = f"tuple {t}: {diff.components[t]!r}"
     report.add("integration.cech_differential", diff.is_zero, witness)
     return report
-
-
-def random_formal_level_cochain(
-    base_cover: Cover, k: int, cech_degree: int, rng, form_degree: int = 0
-) -> CechCochain:
-    """Independent random generators on every declared tuple of the given
-    Čech degree of the k-level cover; the strongest formal test data."""
-    cover = ProductLevelCover(base_cover, k)
-    comps = {}
-    for t in cover.tuples_of_length(cech_degree + 1):
-        coeff = rng.randint(1, 9)
-        comps[t] = FormalSection(form_degree, {("mu", t): coeff})
-    return CechCochain(cover, comps)
 
 
 def formal_identity_cochain(

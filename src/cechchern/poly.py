@@ -21,10 +21,10 @@ its degree in each variable at most once.
 
 Exponent tuples and GaussianRational appear only at the edges: `make`
 takes both, `const` a GaussianRational or an int, and `terms` (a fresh
-exponent -> GaussianRational dict), `monomials` and `sorted_exponents`
-return tuples.  The arithmetic, exact division and the gcd run on Python
-ints; a scalar factor is an int triple (cr, ci, d) standing for
-(cr + i*ci)/d, as `monic_factor` returns and `scaled` takes.
+exponent -> GaussianRational dict) and `monomials` return tuples.  The
+arithmetic, exact division and the gcd run on Python ints; a scalar
+factor is an int triple (cr, ci, d) standing for (cr + i*ci)/d, as
+`monic_factor` returns and `scaled` takes.
 
 `cofactors(a, b)` returns the monic gcd g of a and b with a/g and b/g, and
 `poly_gcd(a, b)` is its g.  Both go through one shape dispatch, `_gcd`,
@@ -272,9 +272,12 @@ class Polynomial:
         # over them (and so their intermediate values)
         return dict.fromkeys(chain(self.re, self.im))
 
+    def term_count(self) -> int:
+        return len(self.re.keys() | self.im.keys()) if self.im else len(self.re)
+
     @property
     def is_monomial(self) -> bool:
-        return len(self._exponents()) <= 1
+        return self.term_count() <= 1
 
     def degree(self) -> int:
         """The total degree; 0 for constants and for zero."""
@@ -306,11 +309,6 @@ class Polynomial:
         for k in self._exponents():
             r, i = self.re.get(k, 0), self.im.get(k, 0)
             yield _unpack(k, n), _canonical((), self.den, {0: r}, {0: i}, prune=False)
-
-    def sorted_exponents(self) -> list:
-        """Exponents in descending graded-lex order (leading term first)."""
-        n = len(self.variables)
-        return [_unpack(k, n) for k in sorted(self._exponents(), reverse=True)]
 
     def _leading(self) -> Tuple[int, int]:
         """The real and imaginary parts of the leading numerator."""

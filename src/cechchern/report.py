@@ -37,9 +37,6 @@ class Report:
     def ok(self) -> bool:
         return all(item.ok for item in self.items)
 
-    def failures(self) -> List[CheckItem]:
-        return [item for item in self.items if not item.ok]
-
     def to_text(self) -> str:
         lines = [item.line() for item in self.items]
         lines.append(f"overall: {'PASS' if self.ok else 'FAIL'}")

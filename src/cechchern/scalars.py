@@ -11,6 +11,7 @@ immutable and hashable.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -65,8 +66,18 @@ class GaussianRational:
 I = GaussianRational(0, 1)
 
 
+# str(int) raises past sys.get_int_max_str_digits(), at least 640 digits;
+# a Decimal prints the same digits at any length
+_SHORT = 10 ** 600
+
+
+def _int_str(n: int) -> str:
+    return str(n) if -_SHORT < n < _SHORT else str(Decimal(n))
+
+
 def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = _int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
 
 
 def _imag_str(q: Fraction) -> str:

@@ -2,6 +2,8 @@
 
 import io
 import json
+import random
+import re
 import subprocess
 import sys
 import time
@@ -227,6 +229,83 @@ def test_oversized_constant_product_exits_2_located(tmp_path, capsys):
             assert str(target) in err and "exceed 4096 (at position 1200)" in err, err
 
 
+def test_long_coefficients_print_exactly(tmp_path, capsys):
+    # a rank-4 transition of random 1 200-digit literals passes every
+    # parser bound; its cocycle holds integers of more than the 4 300
+    # digits str() prints, and the artifact must hold each one exactly
+    rng = random.Random(4300)
+
+    def literal():
+        return str(rng.randrange(10 ** 1199, 10 ** 1200))
+
+    raw = json.loads((FIXTURES / "o3_cp1.json").read_text())
+    rows = [[f"{literal()}*z + {literal()}" if r == c else literal() for c in range(4)] for r in range(4)]
+    raw["bundle"] = {"rank": 4, "transitions": {"0,1": rows}}
+    target, artifact = tmp_path / "rank4.json", tmp_path / "rank4.txt"
+    target.write_text(json.dumps(raw))
+    for output in ([], ["--output", str(artifact)]):
+        capsys.readouterr()
+        assert main(["--mode", "vertex", "--manifest", str(target), *output]) == 0, capsys.readouterr().err
+    text = artifact.read_text()
+    cocycle = tot_ch_vertex(Manifest.load(str(target)).vertex_data())
+    expected = set()
+    for _, form in cocycle.items():
+        for f in form.terms.values():
+            for c in (*f.num.terms.values(), *f.den.terms.values()):
+                expected.update((abs(c.re.numerator), c.re.denominator, abs(c.im.numerator), c.im.denominator))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = {str(n) for n in expected if n >= 10 ** 10}
+        longest = max(map(len, digits))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert longest > 4300
+    assert {found for found in re.findall(r"\d+", text) if len(found) > 10} == digits
+
+
+def test_term_bound_exits_2_located(tmp_path, capsys):
+    # (1+z)^99*(1+w)^99 has 100*100 terms, at the limit; one more term
+    # passes it and is refused at the '+' before the sum is built
+    from cechchern.exprparse import MAX_TERMS
+
+    assert MAX_TERMS == 10000
+    ident = {"w": "w", "z": "z"}
+    plane = {
+        "charts": [{"name": f"U{i}", "coordinates": ["w", "z"]} for i in range(2)],
+        "overlaps": [[0, 1]],
+        "change_maps": [{"chart": 0, "in_chart": 1, "exprs": ident}, {"chart": 1, "in_chart": 0, "exprs": ident}],
+    }
+    target = tmp_path / "terms.json"
+    for expr, code in (("(1+z)^99*(1+w)^99 + 1", 2), ("(1+z)^99*(1+w)^99", 0)):
+        plane["bundle"] = {"rank": 1, "transitions": {"0,1": [[expr]]}}
+        target.write_text(json.dumps(plane))
+        capsys.readouterr()
+        assert main(["--mode", "vertex", "--manifest", str(target)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert str(target) in err and "up to 10001 terms at '+' exceed 10000 (at position 18)" in err, err
+
+
+def test_artifact_is_serialized_only_for_output(monkeypatch, tmp_path):
+    # a run without --output builds no artifact text; with it, the bytes
+    # are those of the serializer
+    calls = []
+    for name in ("cochain_to_text", "table_to_text"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda x, real=real, name=name: calls.append(name) or real(x))
+    for mode, fixture, serializer in (("vertex", "o3_cp1.json", "cochain_to_text"),
+                                      ("gamma", "cstar_one_simplex.json", "cochain_to_text"),
+                                      ("simplex", "cstar_one_simplex.json", "table_to_text"),
+                                      ("iota", "cstar_one_simplex.json", "table_to_text")):
+        calls.clear()
+        assert run(mode, str(FIXTURES / fixture), out=io.StringIO()) == 0
+        assert calls == [], mode
+        artifact = tmp_path / f"{mode}.txt"
+        assert run(mode, str(FIXTURES / fixture), output=str(artifact), out=io.StringIO()) == 0
+        assert calls == [serializer] and artifact.stat().st_size > 0, (mode, calls)
+
+
 def test_run_selftest_mode():
     out = io.StringIO()
     code = run("selftest", None, out=out)
@@ -351,13 +430,14 @@ def test_main_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(target) in err and "transition (0,1) is singular" in err
     # a product whose degree would pass the parser's bound: six factors of
-    # (1+z+w)^100 on a two-dimensional chart
+    # (1+z)^90 and (1+w)^90 on a two-dimensional chart, whose first product
+    # stays within the term bound
     ident = {"w": "w", "z": "z"}
     plane = {
         "charts": [{"name": f"U{i}", "coordinates": ["w", "z"]} for i in range(2)],
         "overlaps": [[0, 1]],
         "change_maps": [{"chart": 0, "in_chart": 1, "exprs": ident}, {"chart": 1, "in_chart": 0, "exprs": ident}],
-        "bundle": {"rank": 1, "transitions": {"0,1": [["*".join(["(1+z+w)^100"] * 6)]]}},
+        "bundle": {"rank": 1, "transitions": {"0,1": [["*".join(["(1+z)^90", "(1+w)^90"] * 3)]]}},
     }
     target = tmp_path / "plane.json"
     target.write_text(json.dumps(plane))

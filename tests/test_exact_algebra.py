@@ -18,12 +18,17 @@ from cechchern import (
     parse_expr,
     poly_gcd,
 )
-from cechchern.poly import cofactors, divexact
+from cechchern.poly import _unpack, cofactors, divexact
 from cechchern.ratfunc import rf_str
 
 
 def rf(text, variables=("z", "w")):
     return parse_expr(text, variables)
+
+
+def sorted_exponents(p):
+    """The exponent tuples of p in descending packed-key order, leading term first."""
+    return [_unpack(k, len(p.variables)) for k in sorted(p._exponents(), reverse=True)]
 
 
 # -- polynomials --------------------------------------------------------------------
@@ -77,7 +82,7 @@ def test_sorted_exponents_are_descending_grlex_random():
         variables = tuple(sorted(rng.sample(names, rng.randint(1, 4))))
         p = rand_poly(rng, variables, nterms=rng.randint(1, 8), maxdeg=rng.choice([1, 3, 7]))
         exponents = list(p.terms)
-        assert p.sorted_exponents() == sorted(exponents, key=lambda e: (sum(e), e), reverse=True)
+        assert sorted_exponents(p) == sorted(exponents, key=lambda e: (sum(e), e), reverse=True)
         assert p.degree() == max(map(sum, exponents), default=0)
         for i, v in enumerate(p.variables):
             assert p.degree_in(v) == max(e[i] for e in exponents)
@@ -110,7 +115,7 @@ def test_total_degree_stays_inside_its_field():
     z, w = Polynomial.variable("z"), Polynomial.variable("w")
     top = z ** (2 ** 32 - 1)
     assert top.degree() == top.degree_in("z") == 2 ** 32 - 1
-    assert top.sorted_exponents() == [(2 ** 32 - 1,)]
+    assert sorted_exponents(top) == [(2 ** 32 - 1,)]
     assert (top.derivative("z") * z).scaled(1, 0, 2 ** 32 - 1) == top
     for build in (lambda: z ** (2 ** 32), lambda: top * z, lambda: top * w,
                   lambda: z ** (2 ** 31) * w ** (2 ** 31),
@@ -661,7 +666,7 @@ def test_power_of_a_monomial_multiplies_no_polynomials(monkeypatch):
     # and a Gaussian coefficient is raised on its own
     base, expected = rf("(1 + i)*z*w^2/3"), rf("(-4 - 4*i)*z^5*w^10/243")
     muls = _spy(monkeypatch, Polynomial, "__mul__")
-    assert rf("z^40", ["z"]).num.sorted_exponents() == [(40,)]
+    assert sorted_exponents(rf("z^40", ["z"]).num) == [(40,)]
     assert base ** 5 == expected
     assert not muls
 
@@ -863,12 +868,54 @@ def test_parse_degree_bound():
     assert rf("z^200 + z^100").num.degree() == 200
     assert rf("(1+z)^128*(1+z)^128").num.degree() == 256
     four = "(1+z)^256*(1+z)^256*(1+z)^256*(1+z)^256"
-    six = "*".join(["(1+z+w)^100"] * 6)
+    six = "*".join(["(1+z)^90", "(1+w)^90"] * 3)
     for text, star in ((four, 0), (six, 1), ("1/z^200 - 1/w^100", None), ("z^200/(1/w^100)", None)):
         with pytest.raises(ExprError, match="exceeds 256") as err:
             rf(text)
         if star is not None:
             assert err.value.position == [i for i, ch in enumerate(text) if ch == "*"][star]
+
+
+def test_parse_term_bound():
+    # a power's terms are bounded by the multisets of its base's terms and
+    # by the monomials of its degree, a run's by its result before
+    # cancellation, capped by the monomials of its degree bound
+    from cechchern.exprparse import MAX_TERMS
+
+    assert MAX_TERMS == 10000
+    names = ["a", "b", "c", "d", "z"]
+    assert rf("z^256", names).num.degree() == 256
+    assert len(rf("(1+a+b+c+d)^19", names).num.re) == 8855
+    assert len(rf("(1+z)^128*(1+z)^128", names).num.re) == 257
+    for text, message in (("(1+a+b+c+d)^20", "power of up to 10626 terms"),
+                          ("(1+a+b+c+d)^256", "power of up to 186043585 terms"),
+                          ("z/(1+a+b+c+d)^20", "power of up to 10626 terms"),
+                          ("(1+a+b+c+d)^-20", "power of up to 10626 terms")):
+        with pytest.raises(ExprError, match=message) as err:
+            rf(text, names)
+        assert err.value.position == text.rindex("^")
+    for text, message, position in (("(1+a)^99*(1+b)^99 + 1", "up to 10001 terms at '\\+'", 18),
+                                    ("(1+a)^99/(1+b)^-100", "up to 10100 terms at '/'", 8),
+                                    ("1/(1+a)^99 + 1/(1+b)^100", "up to 10100 terms at '\\+'", 11)):
+        with pytest.raises(ExprError, match=message) as err:
+            rf(text, names)
+        assert err.value.position == position
+
+
+def test_long_integers_print_exactly():
+    # ints past the 4 300 digits str() prints are split, never refused
+    rng = random.Random(43)
+    values = [10 ** 600, -(10 ** 600), 10 ** 600 - 1, 10 ** 5000, -(10 ** 12345) * 3 + 1]
+    values += [rng.randrange(-(10 ** 20000), 10 ** 20000) for _ in range(20)]
+    values += [rng.randrange(10 ** 700) * 10 ** rng.randrange(600, 5000) for _ in range(20)]
+    printed = [str(GaussianRational(Fraction(v, 7 ** 6000), v)) for v in values]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(GaussianRational(Fraction(v, 7 ** 6000), v)) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert printed == expected
 
 
 def test_parse_power_coefficient_bound():
@@ -956,9 +1003,10 @@ def test_parse_run_bound_trips_before_any_power(monkeypatch):
     powers = []
     real_pow = RationalFunction.__pow__
     monkeypatch.setattr(RationalFunction, "__pow__", lambda f, n: powers.append(n) or real_pow(f, n))
-    six = "*".join(["(1+z+w)^100"] * 6)
-    for text, message in ((six, "degree up to 300 at '\\*'"), ("*".join(["((1+z+w)^100)"] * 3), "degree up to 300"),
-                          ("((1+z+w)^100)^3", "power of degree 300"), ("-(1+z+w)^-100/(w-1)^200", "degree up to 300")):
+    six = "*".join(["(1+z)^90", "(1+w)^90"] * 3)
+    for text, message in ((six, "degree up to 270 at '\\*'"), ("*".join(["((1+z)^90)", "((1+w)^90)"] * 2), "degree up to 270"),
+                          ("((1+z+w)^100)^3", "power of degree 300"), ("-(1+z+w)^-100/(w-1)^200", "degree up to 300"),
+                          ("*".join(["(1+z+w)^100"] * 6), "up to 20301 terms at '\\*'")):
         with pytest.raises(ExprError, match=message):
             rf(text)
         assert not powers, text

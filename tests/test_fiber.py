@@ -1,4 +1,8 @@
-"""Step positions, lifted tuples, the removal bijection, integration identities."""
+"""Step positions, lifted tuples, the removal bijection, integration identities.
+
+The inverse of lift_tuple, the list of a base's lifted tuples and the
+fully random formal level cochain serve only these tests, so they are
+defined here rather than in the library."""
 
 import random
 import sys
@@ -12,13 +16,40 @@ from cechchern.fiber import (
     integrate_fiber,
     level_forget,
     lift_tuple,
-    lifted_tuples,
-    random_formal_level_cochain,
-    recover_steps,
     step_positions,
     verify_bijection,
     verify_integration_identities,
 )
+
+
+def recover_steps(lifted):
+    """Invert lift_tuple: the base positions where the level increments."""
+    steps = []
+    pos = 0
+    for t in range(1, len(lifted)):
+        prev_level, here_level = lifted[t - 1][0], lifted[t][0]
+        if here_level == prev_level:
+            pos += 1
+        elif here_level == prev_level + 1:
+            steps.append(pos)
+        else:
+            raise ValueError("not a lifted tuple: level jump")
+    return tuple(steps)
+
+
+def lifted_tuples(base, k):
+    return [(s, lift_tuple(base, s)) for s in step_positions(k, len(base) - 1)]
+
+
+def random_formal_level_cochain(base_cover, k, cech_degree, rng, form_degree=0):
+    """Independent random generators on every declared tuple of the given
+    Čech degree of the k-level cover; the strongest formal test data."""
+    cover = ProductLevelCover(base_cover, k)
+    comps = {}
+    for t in cover.tuples_of_length(cech_degree + 1):
+        coeff = rng.randint(1, 9)
+        comps[t] = FormalSection(form_degree, {("mu", t): coeff})
+    return CechCochain(cover, comps)
 
 
 def test_step_positions_examples():
@@ -91,12 +122,12 @@ def test_level_forget_relabels():
     base = Cover.formal(2)
     cover = ProductLevelCover(base, 2)
     t = ((0, 0), (2, 1))
-    mu = CechCochain(cover, {t: FormalSection.generator("g")})
+    mu = CechCochain(cover, {t: FormalSection(0, {"g": 1})})
     out = level_forget(mu, 1)
-    assert out.component(((0, 0), (1, 1))) == FormalSection.generator("g")
+    assert out.component(((0, 0), (1, 1))) == FormalSection(0, {"g": 1})
     # tuples touching the forgotten level disappear
     t2 = ((1, 0), (2, 1))
-    mu2 = CechCochain(cover, {t2: FormalSection.generator("h")})
+    mu2 = CechCochain(cover, {t2: FormalSection(0, {"h": 1})})
     assert level_forget(mu2, 1).is_zero
 
 
