@@ -19,22 +19,38 @@ bound of the whole run has passed.  A power, or a run of sums or of
 products, whose coefficient size could exceed MAX_POWER_BITS is an error
 too, raised before it is built, and so is one whose numerator or
 denominator could have more than MAX_TERMS terms.  Every error reports
-the offending position.  A run of sums of polynomials is added in one
-pass, with no partial sums.
+the offending position.
+
+Integers, 'i', variables, their integer powers (negative ones included)
+and products of these are Laurent monomials: one Gaussian-integer
+coefficient and one packed key over the sorted declared variables, the
+sum of the keys of its factors (see `poly`), whose fields may be negative.
+A run of '+' and '-' of such monomials and of polynomials collects every
+term into one term dict, shifts each variable by its least exponent and
+puts the run over one monomial denominator, which leaves it coprime and
+monic without a gcd.  RationalFunction arithmetic starts only at '/', at a
+product with an operand that is not a monomial, at a power of a base that
+is not one, or at a negative power of a coefficient that is not a unit.
+The bounds read a monomial's degrees, bits and terms as those of the
+RationalFunction it stands for, so they raise the same errors at the same
+positions whichever way a run is built.
 """
 
 from __future__ import annotations
 
 import re
-from math import comb
+from functools import reduce
+from itertools import chain
+from math import comb, lcm
 from operator import add, mul, sub, truediv
 from typing import List, Sequence, Tuple, Union
 
-from .poly import Polynomial
+from .poly import _MASK, FIELD, Ints, Polynomial, _canonical, _gauss_pow, _shifts, _times, collect
 from .ratfunc import RationalFunction
-from .scalars import I as IMAG_UNIT
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+# an integer, a name, an operator or, in the last group, any other character
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])|(\S))")
+_KINDS = (None, "int", "name", "op")
 
 # Each parenthesis level costs a handful of interpreter frames; past this
 # depth the parser stops with an ExprError before Python's recursion limit.
@@ -76,13 +92,95 @@ class ExprError(ValueError):
         self.position = position
 
 
+def _exponents(key: int, n: int) -> List[int]:
+    """The n exponents packed in a key, first variable first, where a field
+    may be negative: a negative field borrowed one from the field above."""
+    out = []
+    for _ in range(n):
+        e = key & _MASK
+        if e > _MASK >> 1:
+            e -= 1 << FIELD
+        out.append(e)
+        key = (key - e) >> FIELD
+    return out[::-1]
+
+
+class _Monomial:
+    """(re + i*im) * x^e for Gaussian-integer parts and integer exponents e,
+    packed into one key over the parser's sorted variables `names`, so that
+    the key of a product is the sum of its factors'.  Zero has the key 0,
+    and `laurent` says whether some exponent is negative."""
+
+    __slots__ = ("key", "re", "im", "names", "laurent")
+
+    def __init__(self, key: int, re: int, im: int, names: Tuple[str, ...], laurent: bool = False):
+        # laurent=True means that some exponent may be negative, and is checked
+        if not (re or im):
+            key, laurent = 0, False
+        elif laurent:
+            laurent = min(_exponents(key, len(names))) < 0
+        self.key, self.re, self.im, self.names, self.laurent = key, re, im, names, laurent
+
+    @property
+    def is_zero(self) -> bool:
+        return not (self.re or self.im)
+
+    @property
+    def variables(self) -> tuple:
+        return tuple(v for v, e in zip(self.names, _exponents(self.key, len(self.names))) if e)
+
+    def degrees(self) -> Tuple[int, int]:
+        """The degrees of the numerator and the denominator of its fraction."""
+        if not self.laurent:
+            return self.key >> FIELD * len(self.names), 0
+        e = _exponents(self.key, len(self.names))
+        return sum(x for x in e if x > 0), -sum(x for x in e if x < 0)
+
+    def __neg__(self) -> "_Monomial":
+        return _Monomial(self.key, -self.re, -self.im, self.names, self.laurent)
+
+    def __mul__(self, other: "_Monomial") -> "_Monomial":
+        re, im = self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+        return _Monomial(self.key + other.key, re, im, self.names, self.laurent or other.laurent)
+
+    def __pow__(self, n: int) -> "_Monomial":
+        # a negative power is taken of a unit only, whose inverse is its conjugate
+        re, im = _gauss_pow(self.re, self.im if n >= 0 else -self.im, abs(n))
+        return _Monomial(self.key * n, re, im, self.names, self.laurent or n < 0)
+
+
+def _fraction(names: Tuple[str, ...], den: int, re: Ints, im: Ints, laurent: bool) -> RationalFunction:
+    """The canonical (re + i*im)/den for term dicts keyed over names, whose
+    fields may be negative when laurent: each variable is shifted by its
+    least exponent over the nonzero terms, below 0, and the result is put
+    over that monomial, which is monic and shares no factor with it."""
+    den_poly = Polynomial.one()
+    if laurent:
+        n = len(names)
+        keys = [k for d in (re, im) for k, c in d.items() if c]
+        lows = [min(0, *column) for column in zip(*(_exponents(k, n) for k in keys))]
+        shift = sum(-low * (1 << FIELD * n | 1 << s) for low, s in zip(lows, _shifts(n)))
+        if shift:
+            re, im = {k + shift: c for k, c in re.items()}, {k + shift: c for k, c in im.items()}
+            den_poly = _canonical(names, 1, {shift: 1}, {})
+    return RationalFunction(_canonical(names, den, re, im), den_poly, _normalized=True)
+
+
+def _rf(x: Union[RationalFunction, _Monomial]) -> RationalFunction:
+    """A built operand as a RationalFunction."""
+    if isinstance(x, _Monomial):
+        return _fraction(x.names, 1, {x.key: x.re}, {x.key: x.im}, x.laurent)
+    return x
+
+
 class _Power:
     """base^n for a built base, not yet multiplied out: an operand of a run
-    whose degrees, coefficient bits and terms are known before it is built."""
+    whose degrees, coefficient bits and terms are known before it is built.
+    A monomial base has a Gaussian-integer power: n >= 0, or it is a unit."""
 
     __slots__ = ("base", "n", "bits", "terms", "negative")
 
-    def __init__(self, base: RationalFunction, n: int, bits: int, terms, negative: bool = False):
+    def __init__(self, base, n: int, bits: int, terms, negative: bool = False):
         self.base, self.n, self.bits, self.terms, self.negative = base, n, bits, terms, negative
 
     def __neg__(self) -> "_Power":
@@ -93,20 +191,24 @@ class _Power:
         return self.base.is_zero and self.n > 0
 
 
-_Operand = Union[RationalFunction, _Power]
+_Operand = Union[RationalFunction, _Monomial, _Power]
 
 
 def _degrees(x: _Operand) -> Tuple[int, int]:
     """The numerator and denominator degrees of an operand."""
+    if isinstance(x, _Monomial):
+        return x.degrees()
     if isinstance(x, _Power):
         k = abs(x.n)
-        num, den = x.base.num.degree() * k, x.base.den.degree() * k
-        return (num, den) if x.n >= 0 else (den, num)
+        num, den = _degrees(x.base)
+        return (num * k, den * k) if x.n >= 0 else (den * k, num * k)
     return x.num.degree(), x.den.degree()
 
 
 def _bits(x: _Operand) -> int:
     """A bound on the bit length of an operand's largest integer."""
+    if isinstance(x, _Monomial):
+        return max(1, x.re.bit_length(), x.im.bit_length())
     if isinstance(x, _Power):
         return x.bits
     return x.num.coeff_bits() if x.den.is_one else max(x.num.coeff_bits(), x.den.coeff_bits())
@@ -120,6 +222,8 @@ def _power_terms(p: Polynomial, n: int) -> int:
 
 def _terms(x: _Operand) -> Tuple[int, int]:
     """Bounds on the terms of an operand's numerator and denominator."""
+    if isinstance(x, _Monomial):
+        return (0 if x.is_zero else 1), 1
     return x.terms if isinstance(x, _Power) else (x.num.term_count(), x.den.term_count())
 
 
@@ -129,12 +233,14 @@ def _variables(x: _Operand) -> tuple:
 
 def _integral(x: _Operand) -> bool:
     """Whether an operand is a polynomial with Gaussian-integer coefficients."""
+    if isinstance(x, _Monomial):
+        return not x.laurent
     if isinstance(x, _Power):
         return x.n >= 0 and _integral(x.base)
     return x.den.is_one and x.num.den == 1
 
 
-def _built(x: _Operand) -> RationalFunction:
+def _built(x: _Operand) -> Union[RationalFunction, _Monomial]:
     if isinstance(x, _Power):
         value = x.base ** x.n
         return -value if x.negative else value
@@ -150,20 +256,12 @@ def _integer(text: str, pos: int) -> int:
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ExprError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-            break
-        if m.group(1):
-            tokens.append(("int", m.group(1), m.start(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind == 4:
+            # located where the whitespace before it starts
+            raise ExprError(f"unexpected character {m.group(4)!r}", m.start())
+        tokens.append((_KINDS[kind], m.group(kind), m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -171,7 +269,10 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 class _Parser:
     def __init__(self, text: str, variables: Sequence[str]):
         self.text = text
-        self.variables = set(variables)
+        self.names = tuple(sorted(set(variables)))
+        n = len(self.names)
+        # the key of each variable: 1 in its field and in the total degree's
+        self.keys = {v: 1 << FIELD * n | 1 << s for v, s in zip(self.names, _shifts(n))}
         self.tokens = _tokenize(text)
         self.k = 0
         self.depth = 0
@@ -195,7 +296,7 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise ExprError(f"unexpected token {val!r}", pos)
-        return _built(value)
+        return _rf(_built(value))
 
     def expr(self) -> _Operand:
         return self.chain("+-", self.term)
@@ -204,10 +305,11 @@ class _Parser:
         return self.chain("*/", self.unary)
 
     def chain(self, ops: str, operand) -> _Operand:
-        """operand (op operand)*, combined left to right once the degree
-        and coefficient bounds of the whole run have passed at every
-        operator, or, for a run of '+' and '-' of polynomials, summed in one
-        pass; a lone operand is passed on unexpanded."""
+        """operand (op operand)*, combined once the degree and coefficient
+        bounds of the whole run have passed at every operator: a run of '*'
+        of monomials into one monomial, a run of '+' and '-' of monomials and
+        polynomials into one term dict, and any other run left to right as
+        RationalFunctions; a lone operand is passed on unexpanded."""
         first = operand()
         bound = bits = top = integral = terms = None
         rest = []
@@ -240,14 +342,40 @@ class _Parser:
             rest.append((val, rhs))
         if not rest:
             return first
-        value, built = _built(first), [_built(rhs) for _, rhs in rest]
-        if ops == "+-" and value.den.is_one and all(b.den.is_one for b in built):
-            # a sum of polynomials: every term collected in one pass
-            nums = (b.num if val == "+" else -b.num for (val, _), b in zip(rest, built))
-            return RationalFunction.from_poly(Polynomial.sum([value.num, *nums]))
-        for (val, _), b in zip(rest, built):
-            value = _OPERATORS[val][0](value, b)
+        built = [_built(first), *(_built(rhs) for _, rhs in rest)]
+        if ops == "+-":
+            if all(isinstance(b, _Monomial) or b.den.is_one for b in built):
+                return self.run_sum(built, [1, *(1 if val == "+" else -1 for val, _ in rest)])
+        elif all(isinstance(b, _Monomial) for b in built) and all(val == "*" for val, _ in rest):
+            return reduce(mul, built)
+        value = _rf(built[0])
+        for (val, _), b in zip(rest, built[1:]):
+            value = _OPERATORS[val][0](value, _rf(b))
         return value
+
+    def run_sum(self, built: list, signs: List[int]) -> Union[RationalFunction, _Monomial]:
+        """The sum of signed monomials and polynomials, their terms collected
+        in one pass over the least common denominator of the polynomials; a
+        single Gaussian-integer term stays a monomial."""
+        den = lcm(*(b.num.den for b in built if not isinstance(b, _Monomial)))
+        res, ims = [], []
+        for b, sign in zip(built, signs):
+            if isinstance(b, _Monomial):
+                f = sign * den
+                res.append(((b.key, b.re * f),))
+                if b.im:
+                    ims.append(((b.key, b.im * f),))
+            else:
+                f = sign * (den // b.num.den)
+                re, im = b.num._embedded(self.names)
+                res.append(_times(re, f))
+                ims.append(_times(im, f))
+        re, im = collect(chain.from_iterable(res)), collect(chain.from_iterable(ims))
+        laurent = any(isinstance(b, _Monomial) and b.laurent for b in built)
+        if den == 1 and len(re) <= 1 and len(keys := re.keys() | im.keys()) <= 1:
+            (k,) = keys or (0,)
+            return _Monomial(k, re.get(k, 0), im.get(k, 0), self.names, laurent)
+        return _fraction(self.names, den, re, im, laurent)
 
     def unary(self) -> _Operand:
         sign = 1
@@ -275,11 +403,18 @@ class _Parser:
             if degree > MAX_DEGREE:
                 raise ExprError(f"power of degree {degree} exceeds {MAX_DEGREE}", pos)
             base, k = _built(value), abs(n)
-            # a power of a variable or of i has a 1-bit coefficient and one term
+            if isinstance(base, _Monomial) and n < 0 and base.re ** 2 + base.im ** 2 != 1:
+                # only a unit has a Gaussian-integer inverse
+                base = _rf(base)
+            # a power of a variable or of i has a 1-bit coefficient
             bits = 1 if named else k * _bits(base)
             if bits > MAX_POWER_BITS:
                 raise ExprError(f"power with coefficients of {bits} bits exceeds {MAX_POWER_BITS}", pos)
-            terms = (1, 1) if named else (_power_terms(base.num, k), _power_terms(base.den, k))[::1 if n >= 0 else -1]
+            if isinstance(base, _Monomial):
+                # as many terms as the base: one, or none for zero
+                terms = _terms(base)
+            else:
+                terms = (_power_terms(base.num, k), _power_terms(base.den, k))[::1 if n >= 0 else -1]
             if max(terms) > MAX_TERMS:
                 raise ExprError(f"power of up to {max(terms)} terms exceeds {MAX_TERMS}", pos)
             return _Power(base, n, bits, terms)
@@ -307,12 +442,12 @@ class _Parser:
     def atom(self) -> _Operand:
         kind, val, pos = self.advance()
         if kind == "int":
-            return RationalFunction.const(_integer(val, pos))
+            return _Monomial(0, _integer(val, pos), 0, self.names)
         if kind == "name":
             if val == "i":
-                return RationalFunction.const(IMAG_UNIT)
-            if val in self.variables:
-                return RationalFunction.variable(val)
+                return _Monomial(0, 0, 1, self.names)
+            if val in self.keys:
+                return _Monomial(self.keys[val], 1, 0, self.names)
             raise ExprError(f"unknown variable {val!r}", pos)
         if kind == "op" and val == "(":
             self.depth += 1

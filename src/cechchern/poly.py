@@ -414,13 +414,13 @@ class Polynomial:
             out = _canonical(self.variables, self.den ** n, {k * n: cr}, {k * n: ci}, prune=False)
             object.__setattr__(out, "_total", total)
             return out
-        out, base = Polynomial.one(), self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
+        # one product by the base per step: a factor of few terms keeps each
+        # product cheap, which beats squaring two dense powers for a sparse
+        # multivariate base (Fateman, Stud. Appl. Math. 53, 1974); a dense
+        # univariate power loses, (1 + x)^256 by about 4 times
+        out = Polynomial.one()
+        for _ in range(n):
+            out = out * self
         return out
 
     def scaled(self, cr: int, ci: int, d: int) -> "Polynomial":

@@ -37,7 +37,7 @@ monic, and `_finish` only scales both sides by the denominator's
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, List, Mapping
 
 from .poly import Polynomial, cofactors
 
@@ -213,17 +213,19 @@ def _reduced(num: Polynomial, g: Polynomial, rest: Polynomial | None = None) -> 
 def _poly_substitute(p: Polynomial, mapping: Mapping[str, RationalFunction]) -> RationalFunction:
     images = [mapping[v] if v in mapping else RationalFunction.variable(v) for v in p.variables]
     degrees = [p.degree_in(v) for v in p.variables]
-    # Cache the powers of each image's numerator and denominator.
-    powers: Dict[tuple, Polynomial] = {}
+    # the powers of each image's numerator and denominator, each one product
+    # from the power below it: rows[i, part][k] = part^k
+    rows: Dict[tuple, List[Polynomial]] = {}
 
     def power(i: int, k: int, part: str) -> Polynomial:
-        key = (i, k, part)
-        if key not in powers:
-            powers[key] = getattr(images[i], part) ** k
-        return powers[key]
+        row = rows.setdefault((i, part), [Polynomial.one()])
+        while len(row) <= k:
+            row.append(row[-1] * getattr(images[i], part))
+        return row[k]
 
-    # every term over the one denominator prod_i den_i^(deg_i p)
-    num = Polynomial.zero()
+    # every term over the one denominator prod_i den_i^(deg_i p), and the
+    # numerators summed in one pass
+    terms = [Polynomial.zero()]
     for e, c in p.monomials():
         term = c
         for i, k in enumerate(e):
@@ -231,7 +233,8 @@ def _poly_substitute(p: Polynomial, mapping: Mapping[str, RationalFunction]) -> 
                 term = term * power(i, k, "num")
             if k < degrees[i] and not images[i].den.is_one:
                 term = term * power(i, degrees[i] - k, "den")
-        num = num + term
+        terms.append(term)
+    num = Polynomial.sum(terms)
     den = Polynomial.one()
     for i, k in enumerate(degrees):
         if not images[i].den.is_one:

@@ -63,9 +63,6 @@ class GaussianRational:
         return gaussian_str(self)
 
 
-I = GaussianRational(0, 1)
-
-
 # str(int) raises past sys.get_int_max_str_digits(), at least 640 digits;
 # a Decimal prints the same digits at any length
 _SHORT = 10 ** 600

@@ -1021,3 +1021,64 @@ def test_parse_serialize_roundtrip_random():
     # Constants with mixed complex coefficients survive too.
     g = RationalFunction.const(GaussianRational(Fraction(-1, 2), Fraction(3, 7)))
     assert parse_expr(rf_str(g), []) == g
+
+
+def _draw_laurent_run(rng):
+    """A random run of Laurent monomials in w and z as text, with its value
+    built from the same draw by Polynomial.make and RationalFunction
+    arithmetic: signs, doubled signs, powers of i, a variable repeated in one
+    term, zero terms, cancelling pairs, negative exponents and whitespace."""
+
+    def pad(s):
+        return " " * rng.randint(0, 2) + s + " " * rng.randint(0, 1)
+
+    units = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    pieces, value = [], RationalFunction.zero()
+    for t in range(rng.randint(1, 6)):
+        sign = rng.choice(["+", "-", "--", "- -", "+-"] if t else ["", "-", "+", "--", "-+"])
+        k, n = rng.choice([0, 1, 1, 2, 3, 12, 97]), rng.randint(-3, 5)
+        factors = [pad(str(k))] if k != 1 or rng.random() < 0.3 else []
+        if n or rng.random() < 0.2:
+            factors.append(pad("i" if n == 1 else f"i^{n}" if n >= 0 else f"i^({n})"))
+        exps = [0, 0]
+        for _ in range(rng.randint(0, 3)):
+            j, e = rng.randrange(2), rng.choice([1, 1, 2, 3, -1, -2, 0])
+            exps[j] += e
+            power = "" if e == 1 else f"^{e}" if rng.random() < 0.5 or e >= 0 else f"^({e})"
+            factors.append(pad("wz"[j] + power))
+        text = "*".join(factors) or pad("1")
+        repeats = 2 if rng.random() < 0.15 else 1
+        for r in range(repeats):
+            # a repeated term comes back with the opposite sign: w - w
+            s = sign if r == 0 else ("-" if sign.count("-") % 2 == 0 else "+")
+            pieces.append(s + text)
+            c = (-1) ** s.count("-") * k
+            re, im = units[n % 4]
+            num = Polynomial.make(("w", "z"), {tuple(max(e, 0) for e in exps): GaussianRational(c * re, c * im)})
+            den = Polynomial.make(("w", "z"), {tuple(max(-e, 0) for e in exps): 1})
+            value = value + RationalFunction(num, den)
+    return "".join(pieces), value
+
+
+def test_parse_laurent_runs_match_built_values_random():
+    rng = random.Random(23)
+    for _ in range(400):
+        text, value = _draw_laurent_run(rng)
+        assert parse_expr(text, ["w", "z"]) == value, text
+
+
+def test_parse_runs_multiply_no_polynomials(monkeypatch):
+    # a run of monomials or Laurent monomials is one term dict: no product
+    # or power of polynomials or rational functions is formed
+    texts = ["-12*w^2*z - 27*w*z - 15*z^2 + 24*w + 27*z - 11", "z^2 + 2*z - 3 + 3*z^-2 - 2*z^-3 - z^-4",
+             "2*i*w^-1*z^(-2) - w*w^2*z + i^3 - 0*w + w - w", "-(3 - 4*i)*w^-3"]
+    rng = random.Random(29)
+    draws = [_draw_laurent_run(rng) for _ in range(40)]
+    spies = [_spy(monkeypatch, Polynomial, "__mul__"), _spy(monkeypatch, RationalFunction, "__mul__"),
+             _spy(monkeypatch, RationalFunction, "__pow__")]
+    values = [parse_expr(text, ["w", "z"]) for text in texts + [text for text, _ in draws]]
+    assert not any(spies)
+    monkeypatch.undo()
+    assert values[len(texts):] == [value for _, value in draws]
+    assert values[1] == rf("(z^6 + 2*z^5 - 3*z^4 + 3*z^2 - 2*z - 1)/z^4", ["z"])
+    assert values[2].den == Polynomial.make(("w", "z"), {(1, 2): 1})

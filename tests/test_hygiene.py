@@ -60,13 +60,13 @@ def test_manifest_keeps_benchmark_methods():
 
 
 def test_one_collector():
-    # every keyed sum of the arithmetic, form and Čech layers adds its terms
-    # through the one collector in poly
+    # every keyed sum of the arithmetic, parser, form and Čech layers adds its
+    # terms through the one collector in poly
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     defined = [name for name, tree in trees.items() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and node.name == "collect"]
     assert defined == ["poly"], defined
-    for name in ("poly", "forms", "cech"):
+    for name in ("poly", "forms", "cech", "exprparse"):
         nodes = list(ast.walk(trees[name]))
         assert any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "collect" for n in nodes), name
         if name != "poly":
@@ -184,7 +184,7 @@ def test_public_names_are_referenced():
 
 def test_scalars_is_an_edge_type():
     # GaussianRational is parsed and printed but does no arithmetic, and only
-    # poly (make, const, terms), the parser and the package root import it
+    # poly (make, const, terms) and the package root import it
     arithmetic = {f"__{op}__" for base in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow",
                                            "matmul", "divmod")
                   for op in (base, "r" + base, "i" + base)}
@@ -201,7 +201,7 @@ def test_scalars_is_an_edge_type():
                 names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
                 if "scalars" in [name.split(".")[-1] for name in names]:
                     importers.add(path.stem)
-    assert importers == {"__init__", "exprparse", "poly"}, sorted(importers)
+    assert importers == {"__init__", "poly"}, sorted(importers)
 
 
 def test_only_the_cli_calls_validate():

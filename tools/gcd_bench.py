@@ -24,6 +24,11 @@ Cases:
   among those of the lowest total degree bound that has t, with Gaussian
   integer coefficients of real part in [1, 9] and imaginary part in
   [-9, 9]; both pairs of each t come from one `random.Random(7)`.
+- `power-ab139` and `power-x256`: (1 + a + b)^139 and (1 + x)^256 by
+  `Polynomial.__pow__`, which multiplies by the base once per step.  The
+  first (9 870 terms) is about the costliest power a parsed expression may
+  take within `MAX_TERMS`; the second, at `MAX_DEGREE`, is where repeated
+  multiplication loses most to squaring.
 
 `--quick` runs `planted-d4` only.  Each line holds the case, the seconds
 it took and the first 16 hex digits of the SHA-256 of the printed gcd or
@@ -49,6 +54,8 @@ PLANTED_DEGREES = (4, 5, 6, 7, 8)
 CHERN_CASES = ((1, 3), (3, 2), (2, 3))
 PRODUCT_TERMS = (40, 80)
 PRODUCT_REPEATS = 20
+# case name -> (variables, exponent) of (1 + the sum of the variables)^exponent
+POWERS = {"power-ab139": (("a", "b"), 139), "power-x256": (("x",), 256)}
 
 
 def random_poly(rng: random.Random, degree: int) -> Polynomial:
@@ -142,6 +149,9 @@ def cases(quick: bool):
         for terms in PRODUCT_TERMS:
             pairs = product_pairs(terms)
             yield f"product-t{terms}", lambda pairs=pairs: products(pairs)
+        for case, (names, n) in POWERS.items():
+            base = Polynomial.sum([Polynomial.one(), *map(Polynomial.variable, names)])
+            yield case, lambda base=base, n=n: base ** n
 
 
 def main(argv=None) -> int:
