@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import chain
-from math import comb, lcm
+from math import comb
 from operator import add, mul, sub, truediv
 from typing import List, Sequence, Tuple, Union
 
-from .poly import _MASK, FIELD, Ints, Polynomial, _canonical, _gauss_pow, _shifts, _times, collect
+from .poly import _MASK, FIELD, Ints, Polynomial, _canonical, _gauss_pow, _shifts, _sum_terms
 from .ratfunc import RationalFunction
 
 # an integer, a name, an operator or, in the last group, any other character
@@ -118,7 +117,7 @@ class _Monomial:
         if not (re or im):
             key, laurent = 0, False
         elif laurent:
-            laurent = min(_exponents(key, len(names))) < 0
+            laurent = any(e < 0 for e in _exponents(key, len(names)))
         self.key, self.re, self.im, self.names, self.laurent = key, re, im, names, laurent
 
     @property
@@ -357,20 +356,10 @@ class _Parser:
         """The sum of signed monomials and polynomials, their terms collected
         in one pass over the least common denominator of the polynomials; a
         single Gaussian-integer term stays a monomial."""
-        den = lcm(*(b.num.den for b in built if not isinstance(b, _Monomial)))
-        res, ims = [], []
-        for b, sign in zip(built, signs):
-            if isinstance(b, _Monomial):
-                f = sign * den
-                res.append(((b.key, b.re * f),))
-                if b.im:
-                    ims.append(((b.key, b.im * f),))
-            else:
-                f = sign * (den // b.num.den)
-                re, im = b.num._embedded(self.names)
-                res.append(_times(re, f))
-                ims.append(_times(im, f))
-        re, im = collect(chain.from_iterable(res)), collect(chain.from_iterable(ims))
+        den, re, im = _sum_terms(
+            (sign, 1, {b.key: b.re}, {b.key: b.im} if b.im else {}) if isinstance(b, _Monomial)
+            else (sign, b.num.den, *b.num._embedded(self.names))
+            for b, sign in zip(built, signs))
         laurent = any(isinstance(b, _Monomial) and b.laurent for b in built)
         if den == 1 and len(re) <= 1 and len(keys := re.keys() | im.keys()) <= 1:
             (k,) = keys or (0,)

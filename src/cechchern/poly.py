@@ -156,6 +156,21 @@ def _times(d: Ints, k: int) -> Iterable[Tuple[int, int]]:
     return d.items() if k == 1 else ((e, c * k) for e, c in d.items())
 
 
+def _sum_terms(parts: Iterable[Tuple[int, int, Ints, Ints]]) -> Tuple[int, Ints, Ints]:
+    """The sum of fractions sign * (re + i*im)/den, given as (sign, den, re,
+    im) with their dicts keyed over the same variables: the least common
+    denominator and the real and imaginary numerators over it, each key's
+    terms added once and in the order given."""
+    parts = tuple(parts)
+    den = lcm(*[d for _, d, _, _ in parts])
+    res, ims = [], []
+    for sign, d, re, im in parts:
+        f = sign * (den // d)
+        res.append(_times(re, f))
+        ims.append(_times(im, f))
+    return den, collect(chain.from_iterable(res)), collect(chain.from_iterable(ims))
+
+
 def _canonical(variables, den: int, re: Ints, im: Ints, prune: bool = True) -> "Polynomial":
     """The canonical polynomial (re + i*im)/den: zero parts dropped, the
     integer content shared with den divided out, den made positive and,
@@ -362,13 +377,7 @@ class Polynomial:
         pass, in the order given."""
         polys = tuple(polys)
         vs = Polynomial._union_vars(*polys)
-        den = lcm(*[p.den for p in polys])
-        res, ims = [], []
-        for p in polys:
-            r, i = p._embedded(vs)
-            res.append(_times(r, den // p.den))
-            ims.append(_times(i, den // p.den))
-        re, im = collect(chain.from_iterable(res)), collect(chain.from_iterable(ims))
+        den, re, im = _sum_terms((1, p.den, *p._embedded(vs)) for p in polys)
         # every variable occurs in some term, so only a cancellation prunes
         return _canonical(vs, den, re, im, prune=0 in re.values() or 0 in im.values())
 

@@ -829,6 +829,10 @@ def test_parse_negative_exponent_sugar():
     assert rf("z^-2", ["z"]) == rf("1/z^2", ["z"])
     assert rf("z^(-3)", ["z"]) == rf("1/z^3", ["z"])
     assert rf("(1+z)^-1", ["z"]) == rf("1/(1+z)", ["z"])
+    # a negative power of a unit with no variables declared
+    for text, c, n in (("i^-1", GaussianRational(0, 1), -1), ("1^-1", 1, -1), ("(-1)^-3", -1, -3),
+                       ("(-i)^-3", GaussianRational(0, -1), -3)):
+        assert parse_expr(text, []) == RationalFunction.const(c) ** n, text
 
 
 def test_parse_errors_report_position():

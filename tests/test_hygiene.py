@@ -60,13 +60,13 @@ def test_manifest_keeps_benchmark_methods():
 
 
 def test_one_collector():
-    # every keyed sum of the arithmetic, parser, form and Čech layers adds its
-    # terms through the one collector in poly
+    # every keyed sum of the arithmetic, form and Čech layers adds its terms
+    # through the one collector in poly
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     defined = [name for name, tree in trees.items() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and node.name == "collect"]
     assert defined == ["poly"], defined
-    for name in ("poly", "forms", "cech", "exprparse"):
+    for name in ("poly", "forms", "cech"):
         nodes = list(ast.walk(trees[name]))
         assert any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "collect" for n in nodes), name
         if name != "poly":
