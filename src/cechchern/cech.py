@@ -363,9 +363,14 @@ def validate_chain_map(table: ChainMapTable, max_level: Optional[int] = None) ->
             lhs = lhs + table[face] if c > 0 else lhs - table[face]
         diff = lhs - table[g].delta()
         wrong = [(t, v) for t, v in diff.items() if max_level is None or len(t) <= max_level + 1]
-        witness = ""
-        if wrong:
-            t, v = wrong[0]
-            witness = f"tuple {t}, u^{v.degree()}: {v}"
-        report.add(f"chain_map.e{list(g.indices)}", not wrong, witness)
+        report.add(f"chain_map.e{list(g.indices)}", not wrong, component_witness(wrong))
     return report
+
+
+def component_witness(components) -> str:
+    """The first of a list of (tuple, form) components as a failure's
+    witness, or "" when the list is empty."""
+    if not components:
+        return ""
+    t, v = components[0]
+    return f"tuple {t}, u^{v.degree()}: {v}"

@@ -20,7 +20,7 @@ import time
 from typing import Optional
 
 from .bg import equivariant_check, gamma, iota, verify_square
-from .cech import CoverError, Cover, FormalSection, validate_chain_map
+from .cech import CoverError, Cover, FormalSection, component_witness, validate_chain_map
 from .chern import tot_ch_table, tot_ch_vertex
 from .exprparse import ExprError
 from .fiber import (
@@ -175,12 +175,12 @@ def run(
         report = data.validate()
         if report.ok and mode == "vertex":
             cocycle = tot_ch_vertex(data, level)
-            report.add("vertex.delta_closed", cocycle.delta().is_zero)
+            _delta_check(report, "vertex.delta_closed", cocycle)
             _residue_check(data, cocycle, report)
             artifact = cochain_to_text, cocycle
         elif report.ok and mode == "gamma":
             closed = gamma(data)
-            report.add("gamma.delta_closed", closed.delta().is_zero)
+            _delta_check(report, "gamma.delta_closed", closed)
             artifact = cochain_to_text, closed
         elif report.ok and mode == "square":
             report.extend(verify_square(data, level))
@@ -204,6 +204,13 @@ def run(
         out.write(report.to_text() + "\n")
         out.write(f"elapsed: {elapsed:.3f}s\n")
     return 0 if report.ok else 1
+
+
+def _delta_check(report, name, cochain):
+    """Report whether the cochain is δ-closed, with δ's first component as
+    the witness of a failure."""
+    delta = cochain.delta().items()
+    report.add(name, not delta, component_witness(delta))
 
 
 def _residue_check(data, cocycle, report):

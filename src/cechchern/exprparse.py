@@ -258,8 +258,7 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     for m in _TOKEN.finditer(text):
         kind = m.lastindex
         if kind == 4:
-            # located where the whitespace before it starts
-            raise ExprError(f"unexpected character {m.group(4)!r}", m.start())
+            raise ExprError(f"unexpected character {m.group(4)!r}", m.start(4))
         tokens.append((_KINDS[kind], m.group(kind), m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens

@@ -17,7 +17,6 @@ nabla(f) = d(f) + A_dst * f - f * A_src.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -28,16 +27,32 @@ from .ratfunc import RationalFunction
 IndexTuple = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Chart:
     """A coordinate chart: a name plus an ordered tuple of coordinates."""
 
-    name: str
-    coordinates: Tuple[str, ...]
+    __slots__ = ("name", "coordinates")
 
-    def __post_init__(self):
-        if len(set(self.coordinates)) != len(self.coordinates):
-            raise ValueError(f"duplicate coordinates in chart {self.name}")
+    def __init__(self, name: str, coordinates: Tuple[str, ...]):
+        if len(set(coordinates)) != len(coordinates):
+            raise ValueError(f"duplicate coordinates in chart {name}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "coordinates", coordinates)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Chart is immutable")
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Chart):
+            return NotImplemented
+        return self.name == other.name and self.coordinates == other.coordinates
+
+    def __hash__(self):
+        return hash((self.name, self.coordinates))
+
+    def __repr__(self):
+        return f"Chart(name={self.name!r}, coordinates={self.coordinates!r})"
 
     def index_of(self, coordinate: str) -> int:
         return self.coordinates.index(coordinate)
@@ -192,20 +207,15 @@ class HoloForm:
         mapping supplies, for each coordinate of self.chart, its expression
         in the coordinates of the target chart.
         """
-        subs = {}
-        for coord in self.chart.coordinates:
-            if coord not in mapping:
-                raise ValueError(f"pullback map missing coordinate {coord!r}")
-            subs[coord] = mapping[coord]
-        d_images = {
-            coord: HoloForm(target, {(j,): expr.derivative(v) for j, v in enumerate(target.coordinates)})
-            for coord, expr in subs.items()
-        }
+        return self._pulled(target, *_pullback_map(self.chart, target, mapping))
+
+    def _pulled(self, target: Chart, subs, d_images) -> "HoloForm":
+        """The pullback, given _pullback_map's substitution and forms."""
         terms = []
         for idx, c in self.terms.items():
             term = HoloForm.function(target, c.substitute(subs))
             for i in idx:
-                term = term.wedge(d_images[self.chart.coordinates[i]])
+                term = term.wedge(d_images[i])
             terms.extend(term.terms.items())
         return HoloForm.sum(target, terms)
 
@@ -227,6 +237,22 @@ class HoloForm:
 
     def __repr__(self):
         return f"HoloForm<{form_str(self)} on {self.chart.name}>"
+
+
+def _pullback_map(chart: Chart, target: Chart, mapping: Mapping[str, RationalFunction]):
+    """The substitution of a rational map target -> chart and the form
+    d(image) of each coordinate of chart, in its order: computed once and
+    shared by every form pulled back along the map."""
+    subs = {}
+    for coord in chart.coordinates:
+        if coord not in mapping:
+            raise ValueError(f"pullback map missing coordinate {coord!r}")
+        subs[coord] = mapping[coord]
+    d_images = [
+        HoloForm(target, {(j,): expr.derivative(v) for j, v in enumerate(target.coordinates)})
+        for expr in subs.values()
+    ]
+    return subs, d_images
 
 
 def chart_map_defect(mapping: Mapping[str, RationalFunction], source: Chart, target: Chart) -> str:
@@ -375,8 +401,9 @@ class MatrixForm:
         return MatrixForm(self.chart, [[e.d() for e in row] for row in self.entries])
 
     def pullback(self, target: Chart, mapping) -> "MatrixForm":
+        pullback_map = _pullback_map(self.chart, target, mapping)
         return MatrixForm(
-            target, [[e.pullback(target, mapping) for e in row] for row in self.entries]
+            target, [[e._pulled(target, *pullback_map) for e in row] for row in self.entries]
         )
 
     def trace(self, other: Optional["MatrixForm"] = None) -> HoloForm:
@@ -420,19 +447,30 @@ class MatrixForm:
         return f"MatrixForm({self.rows}x{self.cols} on {self.chart.name})"
 
 
-@dataclass(frozen=True)
 class ConnectionMatrix:
     """Local connection nabla = d + A; A is an r x r matrix of 1-forms."""
 
-    chart: Chart
-    matrix: MatrixForm
+    __slots__ = ("chart", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.chart != self.chart:
+    def __init__(self, chart: Chart, matrix: MatrixForm):
+        if matrix.chart != chart:
             raise ChartMismatchError("connection matrix on the wrong chart")
-        degs = self.matrix.degrees()
+        degs = matrix.degrees()
         if degs - {1}:
             raise ValueError(f"connection matrix must be pure degree 1, found degrees {sorted(degs)}")
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConnectionMatrix is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConnectionMatrix):
+            return NotImplemented
+        return self.chart == other.chart and self.matrix == other.matrix
+
+    def __repr__(self):
+        return f"ConnectionMatrix(chart={self.chart!r}, matrix={self.matrix!r})"
 
     @staticmethod
     def zero(chart: Chart, rank: int) -> "ConnectionMatrix":

@@ -2,15 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List
 
 
-@dataclass(frozen=True)
 class CheckItem:
-    name: str
-    ok: bool
-    witness: str = ""
+    __slots__ = ("name", "ok", "witness")
+
+    def __init__(self, name: str, ok: bool, witness: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CheckItem is immutable")
+
+    def _fields(self):
+        return self.name, self.ok, self.witness
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CheckItem):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"CheckItem(name={self.name!r}, ok={self.ok!r}, witness={self.witness!r})"
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -18,9 +36,19 @@ class CheckItem:
         return f"{self.name}: {status}{suffix}"
 
 
-@dataclass
 class Report:
-    items: List[CheckItem] = field(default_factory=list)
+    __slots__ = ("items",)
+
+    def __init__(self):
+        self.items: List[CheckItem] = []
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Report):
+            return NotImplemented
+        return self.items == other.items
+
+    def __repr__(self):
+        return f"Report(items={self.items!r})"
 
     def add(self, name: str, ok: bool, witness: str = ""):
         self.items.append(CheckItem(name, bool(ok), witness))

@@ -13,7 +13,6 @@ Parsing is exact, so files round-trip bit-for-bit.
 
 from __future__ import annotations
 
-import ast
 from typing import List, Tuple
 
 from .cech import CechCochain
@@ -74,6 +73,8 @@ def cochain_to_text(c: CechCochain) -> str:
 def text_to_cochain(text: str, cover) -> CechCochain:
     """The cochain of a text; ValueError for a tuple given twice or a u^m
     that is not its form's degree, CoverError for an undeclared tuple."""
+    import ast  # here, not at the top: no CLI run reads an artifact back
+
     comps = {}
     for line in text.splitlines():
         line = line.strip()

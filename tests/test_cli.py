@@ -15,6 +15,7 @@ from cechchern import Manifest, ManifestError, cli, fiber, parse_expr, simplicia
 from cechchern.cli import laurent_coefficient, main, run
 from cechchern.manifest import MAX_GROUP_WORDS
 from cechchern.serde import cochain_to_text, text_to_cochain
+from cechchern.cech import CechCochain
 from cechchern.chern import tot_ch_vertex
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -77,6 +78,19 @@ def test_run_vertex_mode_and_artifact(tmp_path):
     written = artifact.read_text()
     assert written == cochain_to_text(cocycle)
     assert text_to_cochain(written, man.cover) == cocycle
+
+
+def test_delta_closed_failure_names_a_tuple(monkeypatch):
+    def doubled(data, level):
+        # the cocycle with its first component doubled is no longer closed
+        cocycle = tot_ch_vertex(data, level)
+        t, v = cocycle.items()[0]
+        return CechCochain(cocycle.cover, {**cocycle.components, t: v + v})
+
+    monkeypatch.setattr(cli, "tot_ch_vertex", doubled)
+    out = io.StringIO()
+    assert run("vertex", str(FIXTURES / "o3_cp1.json"), out=out) == 1
+    assert re.search(r"^vertex\.delta_closed: FAIL -- tuple \(0, 1\), u\^0: \(-1\)$", out.getvalue(), re.M), out.getvalue()
 
 
 def test_run_vertex_broken_cocycle_exits_1():

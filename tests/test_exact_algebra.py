@@ -843,6 +843,11 @@ def test_parse_errors_report_position():
         rf("q + 1", ["z"])
     with pytest.raises(ExprError):
         rf("z ^ w", ["z", "w"])
+    # an unexpected character is located at itself, not at the blanks before it
+    for text in ("z  $", "z\t$", "$"):
+        with pytest.raises(ExprError, match="unexpected character") as err:
+            parse_expr(text, ["z"])
+        assert err.value.position == text.index("$"), text
 
 
 def test_parse_nesting_bound():

@@ -110,6 +110,21 @@ def test_pullback_commutes_with_d_and_composes():
     assert form.pullback(Z, phi).pullback(X, psi) == form.pullback(X, comp)
 
 
+def test_matrix_pullback_takes_the_jacobian_once(monkeypatch):
+    # the forms d(image) of the map are built once per matrix, not per entry
+    calls = []
+    derivative = RationalFunction.derivative
+    monkeypatch.setattr(RationalFunction, "derivative", lambda f, v: calls.append(v) or derivative(f, v))
+    X = Chart("X", ("x", "y"))
+    phi = {"z": parse_expr("x*y", ["x", "y"]), "w": parse_expr("1/y + x", ["x", "y"])}
+    dz, dw = HoloForm.d_coord(ZW, "z"), HoloForm.d_coord(ZW, "w")
+    a = ConnectionMatrix(ZW, MatrixForm(ZW, [[dz, dw.scale(parse_expr("z*w", ["z", "w"]))], [dw, dz + dw]]))
+    pulled = a.pullback(X, phi)
+    # one 2 x 2 Jacobian: entry by entry it took 16 derivatives
+    assert len(calls) == 4
+    assert pulled.matrix.entries == tuple(tuple(e.pullback(X, phi) for e in row) for row in a.matrix.entries)
+
+
 def rand_matrix_form(rng, chart, n=2):
     grid = []
     for _ in range(n):

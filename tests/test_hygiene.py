@@ -1,8 +1,11 @@
 """Package hygiene: no library assert statements, a loadable package root,
-the names the benchmark imports, and no public name that nothing uses."""
+the names the benchmark imports, a CLI import without dataclasses, and no
+public name that nothing uses."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import cechchern
@@ -51,6 +54,16 @@ def test_benchmark_imports_resolve():
                     and not hasattr(aliases[node.value.id], node.attr)):
                 missing.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert not missing, missing
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every CLI run is a fresh interpreter that pays for its imports: none
+    # may pull in dataclasses or what it loads (inspect, dis, tokenize, ast)
+    code = f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import cechchern.cli; print(*sys.modules)"
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "cechchern.cli" in loaded
+    assert not {"dataclasses", "inspect", "dis", "tokenize", "ast"} & set(loaded)
 
 
 def test_manifest_keeps_benchmark_methods():

@@ -8,7 +8,9 @@ commit unpacked into an empty directory) holding `perfbench/run.py`.  Pair k
 runs `python3 perfbench/run.py --workload W --seed S --seconds T --trace X`
 once in each tree, the parent first when k is even and the change first when
 k is odd, so that a drift of the host over time does not favour one side.
-Runs use PYTHONDONTWRITEBYTECODE=1, so the trees stay as clean as they came.
+Runs use PYTHONDONTWRITEBYTECODE=1, so the trees stay as clean as they came;
+a tree that already holds a __pycache__ directory under src/ or perfbench/
+is refused (exit 2), as stale bytecode would cut its setup_s.
 
 FILE receives JSON: every run's metrics, and per workload and metric each
 side's median and quartiles and how many pairs each side won.  For the
@@ -22,6 +24,7 @@ Uses the standard library only; writes nothing but FILE.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import math
 import os
@@ -113,6 +116,10 @@ def main(argv=None) -> int:
     for tree in trees.values():
         if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
             parser.error(f"{tree} holds no perfbench/run.py")
+        stale = [path for top in ("src", "perfbench")
+                 for path in glob.glob(os.path.join(tree, top, "**", "__pycache__"), recursive=True)]
+        if stale:
+            parser.error(f"{stale[0]} holds bytecode, which would cut setup_s: benchmark clean trees")
     with open(os.path.join(trees["parent"], "BENCHMARK.json"), "r", encoding="utf-8") as fh:
         bench = json.load(fh)
     runs = []
