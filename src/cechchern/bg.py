@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .cech import CechCochain, Cover, ProductLevelCover
+from .cech import CechCochain, Cover, ProductLevelCover, component_witness
 from .chern import (
     BundlePathData,
     BundleVertexData,
@@ -131,11 +131,7 @@ def verify_square(h: BundlePathData, max_level: Optional[int] = None) -> Report:
     right = tot_ch_table(beta(h), max_level)
     for g in sorted(right, key=lambda g: (g.dim, g.indices)):
         diff = left[g] - right[g]
-        witness = ""
-        if not diff.is_zero:
-            t, v = diff.items()[0]
-            witness = f"tuple {t}, u^{v.degree()}: {v}"
-        report.add(f"square.e{list(g.indices)}", diff.is_zero, witness)
+        report.add(f"square.e{list(g.indices)}", diff.is_zero, component_witness(diff.items()))
     return report
 
 

@@ -31,6 +31,7 @@ from .poly import collect
 from .ratfunc import RationalFunction
 from .report import Report
 from .simplicial import Generator, boundary, nondegenerate_generators
+from .value import Value
 
 
 # The most index tuples a cover may declare, its overlaps' subsets included
@@ -43,7 +44,7 @@ class CoverError(ValueError):
     pass
 
 
-class FormalSection:
+class FormalSection(Value):
     """An integer combination of abstract generators with one form degree."""
 
     __slots__ = ("form_degree", "terms")
@@ -51,9 +52,6 @@ class FormalSection:
     def __init__(self, form_degree: int, terms: Mapping):
         object.__setattr__(self, "form_degree", form_degree)
         object.__setattr__(self, "terms", {sym: c for sym, c in terms.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalSection is immutable")
 
     @property
     def is_zero(self) -> bool:
@@ -340,11 +338,11 @@ def validate_chain_map(table: ChainMapTable, max_level: Optional[int] = None) ->
     """Check T(d e) = D(T e) for every generator in the table.
 
     With the forms presheaf (internal differential zero) D is the Čech
-    differential.  Reports the first violating tuple per generator.  A
-    table cut off at Čech degree max_level is compared only up to it:
-    above the cutoff D(T e) has no table to match.  A table that is not
-    complete over one simplex, as tot_ch_table and iota build it, raises
-    ValueError.
+    differential; a vertex has d e = 0, so its cochain must be δ-closed.
+    Reports the first violating tuple per generator.  A table cut off at
+    Čech degree max_level is compared only up to it: above the cutoff
+    D(T e) has no table to match.  A table that is not complete over one
+    simplex, as tot_ch_table and iota build it, raises ValueError.
     """
     ambient = {g.ambient for g in table}
     if len(ambient) != 1:
@@ -356,8 +354,6 @@ def validate_chain_map(table: ChainMapTable, max_level: Optional[int] = None) ->
         raise ValueError(f"chain-map table misses generators {sorted(g.indices for g in missing)}")
     report = Report()
     for g in sorted(expected, key=lambda g: (g.dim, g.indices)):
-        if g.dim == 0:
-            continue
         lhs = CechCochain._declared(table[g].cover, {})
         for face, c in boundary(g).coeffs.items():
             lhs = lhs + table[face] if c > 0 else lhs - table[face]

@@ -315,7 +315,10 @@ def tot_ch_vertex(data: BundleVertexData, max_level: Optional[int] = None) -> Ce
 
 
 def tot_ch_simplex(
-    data: BundlePathData, generator: Generator, max_level: Optional[int] = None
+    data: BundlePathData,
+    generator: Generator,
+    max_level: Optional[int] = None,
+    memo: Optional[Dict[Hashable, MatrixForm]] = None,
 ) -> CechCochain:
     """The cochain assigned to a generator e_{j_0..j_p} of the n-simplex.
 
@@ -324,14 +327,10 @@ def tot_ch_simplex(
     horizontal factors from the level active between consecutive steps;
     the global sign is (-1)^(p(p-1)/2) and each term carries
     (-1)^(s_1+...+s_p); a word of l+p letters is an (l+p)-form, at u^(l+p).
+    Each nabla is taken once in `memo`, a fresh one when it is None.
     """
-    return _tot_ch_simplex(data, generator, max_level, {})
-
-
-def _tot_ch_simplex(
-    data: BundlePathData, generator: Generator, max_level: Optional[int], memo: Dict[Hashable, MatrixForm]
-) -> CechCochain:
-    """tot_ch_simplex, taking each nabla once in the caller's memo."""
+    if memo is None:
+        memo = {}
     cover = data.cover
     if generator.ambient != data.n:
         raise BundleDataError(
@@ -407,7 +406,7 @@ def tot_ch_table(data: BundlePathData, max_level: Optional[int] = None) -> Dict[
     memo: Dict[Hashable, MatrixForm] = {}
     for ell in range(data.n + 1):
         for g in nondegenerate_generators(data.n, ell):
-            table[g] = _tot_ch_simplex(data, g, max_level, memo)
+            table[g] = tot_ch_simplex(data, g, max_level, memo)
     return table
 
 

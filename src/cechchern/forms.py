@@ -23,11 +23,12 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 from . import linalg
 from .poly import collect
 from .ratfunc import RationalFunction
+from .value import Value
 
 IndexTuple = Tuple[int, ...]
 
 
-class Chart:
+class Chart(Value):
     """A coordinate chart: a name plus an ordered tuple of coordinates."""
 
     __slots__ = ("name", "coordinates")
@@ -37,22 +38,6 @@ class Chart:
             raise ValueError(f"duplicate coordinates in chart {name}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "coordinates", coordinates)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Chart is immutable")
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Chart):
-            return NotImplemented
-        return self.name == other.name and self.coordinates == other.coordinates
-
-    def __hash__(self):
-        return hash((self.name, self.coordinates))
-
-    def __repr__(self):
-        return f"Chart(name={self.name!r}, coordinates={self.coordinates!r})"
 
     def index_of(self, coordinate: str) -> int:
         return self.coordinates.index(coordinate)
@@ -87,7 +72,7 @@ def _merge_wedge(a: IndexTuple, b: IndexTuple):
     return tuple(merged), sign
 
 
-class HoloForm:
+class HoloForm(Value):
     """A holomorphic form on a chart; mixed degrees are allowed."""
 
     __slots__ = ("chart", "terms")
@@ -103,9 +88,6 @@ class HoloForm:
                 clean[idx] = coeff
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HoloForm is immutable")
 
     # -- construction -----------------------------------------------------------
 
@@ -298,7 +280,7 @@ def _wedge_terms(a: HoloForm, b: HoloForm):
                 yield merged, c if sign > 0 else -c
 
 
-class MatrixForm:
+class MatrixForm(Value):
     """A rectangular matrix of HoloForms on a common chart."""
 
     __slots__ = ("chart", "rows", "cols", "entries")
@@ -316,9 +298,6 @@ class MatrixForm:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tuple(tuple(row) for row in entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixForm is immutable")
 
     @staticmethod
     def zero(chart: Chart, rows: int, cols: int) -> "MatrixForm":
@@ -447,10 +426,12 @@ class MatrixForm:
         return f"MatrixForm({self.rows}x{self.cols} on {self.chart.name})"
 
 
-class ConnectionMatrix:
+class ConnectionMatrix(Value):
     """Local connection nabla = d + A; A is an r x r matrix of 1-forms."""
 
     __slots__ = ("chart", "matrix")
+    # unhashable, as its matrix is
+    __hash__ = None
 
     def __init__(self, chart: Chart, matrix: MatrixForm):
         if matrix.chart != chart:
@@ -460,17 +441,6 @@ class ConnectionMatrix:
             raise ValueError(f"connection matrix must be pure degree 1, found degrees {sorted(degs)}")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConnectionMatrix is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConnectionMatrix):
-            return NotImplemented
-        return self.chart == other.chart and self.matrix == other.matrix
-
-    def __repr__(self):
-        return f"ConnectionMatrix(chart={self.chart!r}, matrix={self.matrix!r})"
 
     @staticmethod
     def zero(chart: Chart, rank: int) -> "ConnectionMatrix":

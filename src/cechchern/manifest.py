@@ -30,15 +30,13 @@ class ManifestError(ValueError):
 
 
 def _located(build):
-    """Turn malformed input met while building into a ManifestError that
-    names the manifest."""
+    """Turn malformed input met while building, a ManifestError included,
+    into a ManifestError that names the manifest."""
 
     @functools.wraps(build)
     def located(self, *args, **kwargs):
         try:
             return build(self, *args, **kwargs)
-        except ManifestError:
-            raise
         except (AttributeError, KeyError, TypeError, ValueError, IndexError) as err:
             detail = f"missing key {err}" if isinstance(err, KeyError) else err
             raise ManifestError(f"{self.source}: {detail}") from err
@@ -85,7 +83,7 @@ class Manifest:
     def _run_section(self) -> dict:
         run = self.raw.get("run", {})
         if not isinstance(run, dict):
-            raise ManifestError(f"{self.source}: 'run' must be an object")
+            raise ManifestError("'run' must be an object")
         return run
 
     # -- cover ------------------------------------------------------------------
@@ -94,50 +92,42 @@ class Manifest:
     def _build_cover(self) -> Cover:
         raw = self.raw
         if "charts" not in raw:
-            raise ManifestError(f"{self.source}: missing 'charts'")
+            raise ManifestError("missing 'charts'")
         charts = []
         for entry in raw["charts"]:
             coords = entry.get("coordinates", [])
             if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
-                raise ManifestError(
-                    f"{self.source}: coordinates of chart {entry['name']!r} must be a list of strings"
-                )
+                raise ManifestError(f"coordinates of chart {entry['name']!r} must be a list of strings")
             charts.append(Chart(entry["name"], tuple(coords)))
         overlaps = raw.get("overlaps", [])
         if not isinstance(overlaps, list) or not all(isinstance(t, list) for t in overlaps):
-            raise ManifestError(f"{self.source}: overlaps must be a list of chart-index lists")
-        overlaps = [tuple(self._integer(i, "overlap chart index", 0, len(charts) - 1) for i in t)
+            raise ManifestError("overlaps must be a list of chart-index lists")
+        overlaps = [tuple(read_integer(i, "overlap chart index", 0, len(charts) - 1) for i in t)
                     for t in overlaps]
         if not overlaps:
             overlaps = [tuple(range(len(charts)))]
         change = {}
         for cm in raw.get("change_maps", []):
-            src = self._integer(cm["chart"], "chart index", 0, len(charts) - 1)
-            dst = self._integer(cm["in_chart"], "chart index", 0, len(charts) - 1)
+            src = read_integer(cm["chart"], "chart index", 0, len(charts) - 1)
+            dst = read_integer(cm["in_chart"], "chart index", 0, len(charts) - 1)
             exprs = {}
             for coord, text in cm["exprs"].items():
                 exprs[coord] = self._parse(text, charts[dst].coordinates)
             change[(src, dst)] = exprs
         return Cover(charts, overlaps, change)
 
-    def _integer(self, value, what: str, low: int, high: Optional[int] = None) -> int:
-        try:
-            return read_integer(value, what, low, high)
-        except ManifestError as err:
-            raise ManifestError(f"{self.source}: {err}") from None
-
     def _parse(self, text: str, variables):
         try:
             return parse_expr(str(text), list(variables))
         except ExprError as err:
-            raise ManifestError(f"{self.source}: bad expression {text!r}: {err}") from err
+            raise ManifestError(f"bad expression {text!r}: {err}") from err
 
     # -- bundle sections ----------------------------------------------------------
 
     def _parse_matrix(self, entries, chart: Chart, what: str) -> MatrixForm:
         """A degree-0 matrix on the chart whose coordinates its entries use."""
         if not isinstance(entries, list) or not entries:
-            raise ManifestError(f"{self.source}: {what} must be a nonempty matrix")
+            raise ManifestError(f"{what} must be a nonempty matrix")
         return MatrixForm.of_functions(
             chart, [[self._parse(e, chart.coordinates) for e in row] for row in entries]
         )
@@ -147,8 +137,8 @@ class Manifest:
         for key, entries in mapping.items():
             parts = [p.strip() for p in str(key).split(",")]
             if len(parts) != 2:
-                raise ManifestError(f"{self.source}: bad transition key {key!r}")
-            a, b = (self._integer(p, "chart index", 0, self.cover.n_charts - 1) for p in parts)
+                raise ManifestError(f"bad transition key {key!r}")
+            a, b = (read_integer(p, "chart index", 0, self.cover.n_charts - 1) for p in parts)
             anchor = self.cover.charts[min(a, b)]
             out[(a, b)] = self._parse_matrix(entries, anchor, f"transition {key}")
         return out
@@ -156,7 +146,7 @@ class Manifest:
     def _parse_connections(self, mapping, rank) -> Dict[int, ConnectionMatrix]:
         out = {}
         for key, entries in (mapping or {}).items():
-            i = self._integer(key, "chart index", 0, self.cover.n_charts - 1)
+            i = read_integer(key, "chart index", 0, self.cover.n_charts - 1)
             chart = self.cover.charts[i]
             rows = [
                 [
@@ -170,15 +160,15 @@ class Manifest:
             ]
             matrix = MatrixForm(chart, rows)
             if matrix.rows != rank or matrix.cols != rank:
-                raise ManifestError(f"{self.source}: connection on chart {i} has wrong shape")
+                raise ManifestError(f"connection on chart {i} has wrong shape")
             out[i] = ConnectionMatrix(chart, matrix)
         return out
 
-    def bundle_rank(self) -> int:
+    def _bundle_rank(self) -> int:
         bundle = self.raw.get("bundle")
         if not bundle:
-            raise ManifestError(f"{self.source}: missing 'bundle' section")
-        return self._integer(bundle["rank"], "bundle rank", 1)
+            raise ManifestError("missing 'bundle' section")
+        return read_integer(bundle["rank"], "bundle rank", 1)
 
     def _level_entries(self) -> list:
         """The raw levels of the bundle; a single-level bundle is its own
@@ -188,9 +178,7 @@ class Manifest:
         if not levels:
             return [bundle]
         if "connections" in bundle:
-            raise ManifestError(
-                f"{self.source}: a bundle with 'levels' keeps its connections on each level"
-            )
+            raise ManifestError("a bundle with 'levels' keeps its connections on each level")
         return levels
 
     def _level(self, entry, rank: int) -> BundleVertexData:
@@ -200,17 +188,17 @@ class Manifest:
 
     @_located
     def vertex_data(self) -> BundleVertexData:
-        return self._level(self._level_entries()[0], self.bundle_rank())
+        return self._level(self._level_entries()[0], self._bundle_rank())
 
     @_located
     def path_data(self) -> BundlePathData:
-        rank = self.bundle_rank()
+        rank = self._bundle_rank()
         levels = [self._level(entry, rank) for entry in self._level_entries()]
         intertwiners = {}
         for level_key, per_chart in self.raw["bundle"].get("intertwiners", {}).items():
-            p = self._integer(level_key, "intertwiner level", 1, len(levels) - 1)
+            p = read_integer(level_key, "intertwiner level", 1, len(levels) - 1)
             for chart_key, entries in per_chart.items():
-                i = self._integer(chart_key, "chart index", 0, self.cover.n_charts - 1)
+                i = read_integer(chart_key, "chart index", 0, self.cover.n_charts - 1)
                 intertwiners[(p, i)] = self._parse_matrix(
                     entries, self.cover.charts[i], f"intertwiner level {p} chart {i}"
                 )
@@ -220,8 +208,8 @@ class Manifest:
     def equivariant_data(self) -> EquivariantBundleData:
         group_raw = self.raw.get("group")
         if not group_raw:
-            raise ManifestError(f"{self.source}: missing 'group' section")
-        rank = self.bundle_rank()
+            raise ManifestError("missing 'group' section")
+        rank = self._bundle_rank()
         table = {}
         for key, val in group_raw["table"].items():
             a, b = [p.strip() for p in str(key).split(",")]
@@ -230,7 +218,7 @@ class Manifest:
         action = {}
         for g, per_chart in group_raw.get("action", {}).items():
             for chart_key, exprs in per_chart.items():
-                i = self._integer(chart_key, "chart index", 0, self.cover.n_charts - 1)
+                i = read_integer(chart_key, "chart index", 0, self.cover.n_charts - 1)
                 chart = self.cover.charts[i]
                 action[(g, i)] = {
                     coord: self._parse(text, chart.coordinates) for coord, text in exprs.items()
@@ -238,7 +226,7 @@ class Manifest:
         lifts = {}
         for g, per_chart in group_raw.get("lifts", {}).items():
             for chart_key, entries in per_chart.items():
-                i = self._integer(chart_key, "chart index", 0, self.cover.n_charts - 1)
+                i = read_integer(chart_key, "chart index", 0, self.cover.n_charts - 1)
                 lifts[(g, i)] = self._parse_matrix(
                     entries, self.cover.charts[i], f"lift of {g} on chart {i}"
                 )
@@ -248,16 +236,16 @@ class Manifest:
     @_located
     def max_level(self, override: Optional[int] = None) -> Optional[int]:
         if override is not None:
-            return self._integer(override, "--max-level", 0)
+            return read_integer(override, "--max-level", 0)
         value = self.run.get("max_level")
-        return None if value is None else self._integer(value, "max_level", 0)
+        return None if value is None else read_integer(value, "max_level", 0)
 
     @_located
     def word_bound(self) -> Optional[int]:
         """The equivariant word-length bound; absent or 0 means the group
         order.  The words it spans may not pass MAX_GROUP_WORDS."""
         value = self.run.get("word_bound")
-        bound = None if value is None else self._integer(value, "word_bound", 0) or None
+        bound = None if value is None else read_integer(value, "word_bound", 0) or None
         order = len(self.raw["group"]["elements"])
         count, words = 0, 1
         # each length adds a word unless the group is trivial, so a bound
@@ -267,7 +255,7 @@ class Manifest:
             count += words
             if count > MAX_GROUP_WORDS:
                 raise ManifestError(
-                    f"{self.source}: a group of order {order} with word bound {bound or order} "
+                    f"a group of order {order} with word bound {bound or order} "
                     f"spans more than {MAX_GROUP_WORDS} words"
                 )
         return bound

@@ -58,6 +58,7 @@ from operator import or_
 from typing import Dict, Iterable, Tuple
 
 from .scalars import GaussianRational
+from .value import Value
 
 Exponent = Tuple[int, ...]
 # packed exponent -> integer part
@@ -208,7 +209,7 @@ def _from_pairs(variables, den: int, pairs: Pairs, prune: bool = True) -> "Polyn
                       {e: c[1] for e, c in pairs.items()}, prune)
 
 
-class Polynomial:
+class Polynomial(Value):
     # _total and _degrees cache the total degree and the degree in each
     # variable; each stays unset until it is first known
     __slots__ = ("variables", "den", "re", "im", "_total", "_degrees")
@@ -219,9 +220,6 @@ class Polynomial:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     # -- construction ------------------------------------------------------
 

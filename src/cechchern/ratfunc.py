@@ -40,9 +40,10 @@ from __future__ import annotations
 from typing import Dict, List, Mapping
 
 from .poly import Polynomial, cofactors
+from .value import Value
 
 
-class RationalFunction:
+class RationalFunction(Value):
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial, _normalized: bool = False):
@@ -50,9 +51,6 @@ class RationalFunction:
             num, den = _normalize(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     # -- construction ---------------------------------------------------------
 

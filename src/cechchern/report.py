@@ -4,31 +4,16 @@ from __future__ import annotations
 
 from typing import List
 
+from .value import Value
 
-class CheckItem:
+
+class CheckItem(Value):
     __slots__ = ("name", "ok", "witness")
 
     def __init__(self, name: str, ok: bool, witness: str = ""):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CheckItem is immutable")
-
-    def _fields(self):
-        return self.name, self.ok, self.witness
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CheckItem):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return f"CheckItem(name={self.name!r}, ok={self.ok!r}, witness={self.witness!r})"
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

@@ -15,10 +15,12 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
+from .value import Value
+
 Scalarish = Union["GaussianRational", Fraction, int]
 
 
-class GaussianRational:
+class GaussianRational(Value):
     """A number re + im*i with exact rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
@@ -30,9 +32,6 @@ class GaussianRational:
             im = Fraction(im)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     @staticmethod
     def coerce(x: Scalarish) -> "GaussianRational":

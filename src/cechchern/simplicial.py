@@ -21,11 +21,13 @@ from itertools import chain, combinations
 from math import comb
 from typing import Callable, Dict, Iterable, List, Tuple
 
+from .value import Value
+
 # Cells and chains are immutable: their constructors set their slots here.
 _set = object.__setattr__
 
 
-class Generator:
+class Generator(Value):
     """A nondegenerate cell e_{i0..il} of the standard ambient-simplex."""
 
     __slots__ = ("indices", "ambient", "dim", "_hash")
@@ -43,9 +45,6 @@ class Generator:
         _set(self, "dim", len(idx) - 1)
         _set(self, "_hash", hash((idx, ambient)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Generator is immutable")
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not Generator:
             return NotImplemented
@@ -61,7 +60,7 @@ class Generator:
         return "e[" + ",".join(map(str, self.indices)) + "]"
 
 
-class Chain:
+class Chain(Value):
     """Integer combination of generators of a single degree."""
 
     __slots__ = ("coeffs",)
@@ -75,9 +74,6 @@ class Chain:
             elif _degree_of(g) != dim:
                 raise ValueError("mixed-degree chain")
         _set(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Chain is immutable")
 
     @staticmethod
     def of(g, coeff: int = 1) -> "Chain":
@@ -170,7 +166,7 @@ def shuffles(p: int, q: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int
     return out
 
 
-class ProductGenerator:
+class ProductGenerator(Value):
     """A nondegenerate cell of Delta^n x Delta^m as a staircase path.
 
     left/right are nondecreasing vertex tuples of equal length; at every
@@ -194,9 +190,6 @@ class ProductGenerator:
         _set(self, "right_ambient", right_ambient)
         _set(self, "dim", len(left) - 1)
         _set(self, "_hash", hash((left, right, left_ambient, right_ambient)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProductGenerator is immutable")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not ProductGenerator:

@@ -224,7 +224,8 @@ def test_validate_chain_map_constant_and_flipped():
     assert any("e[0, 1]" in n or "e[0,1]" in n.replace(" ", "") for n in names)
     # the report holds only the e[...] conditions: a table that is not a
     # complete one over one simplex is refused instead
-    assert [item.name for item in report.items] == ["chain_map.e[0, 1]", "chain_map.e[0, 2]",
+    assert [item.name for item in report.items] == ["chain_map.e[0]", "chain_map.e[1]", "chain_map.e[2]",
+                                                    "chain_map.e[0, 1]", "chain_map.e[0, 2]",
                                                     "chain_map.e[1, 2]", "chain_map.e[0, 1, 2]"]
     partial = {g: v for g, v in table.items() if g.dim < 2}
     mixed = {**table, Generator((0,), 1): zero}

@@ -17,6 +17,7 @@ from cechchern.manifest import MAX_GROUP_WORDS
 from cechchern.serde import cochain_to_text, text_to_cochain
 from cechchern.cech import CechCochain
 from cechchern.chern import tot_ch_vertex
+from cechchern.forms import HoloForm
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -91,6 +92,23 @@ def test_delta_closed_failure_names_a_tuple(monkeypatch):
     out = io.StringIO()
     assert run("vertex", str(FIXTURES / "o3_cp1.json"), out=out) == 1
     assert re.search(r"^vertex\.delta_closed: FAIL -- tuple \(0, 1\), u\^0: \(-1\)$", out.getvalue(), re.M), out.getvalue()
+
+
+def test_chain_map_checks_vertex_cocycles(monkeypatch):
+    real = cli.tot_ch_table
+
+    def bumped(data, level):
+        # the same 0-form on (0,) added to every vertex entry: e[0, 1] sees
+        # only the difference of two vertices, which the bump leaves unchanged
+        table = real(data, level)
+        bump = CechCochain(data.cover, {(0,): HoloForm.constant(data.cover.charts[0], 1)})
+        return {g: c + bump if g.dim == 0 else c for g, c in table.items()}
+
+    monkeypatch.setattr(cli, "tot_ch_table", bumped)
+    out = io.StringIO()
+    assert run("simplex", str(FIXTURES / "cstar_one_simplex.json"), out=out) == 1
+    assert re.search(r"^chain_map\.e\[0\]: FAIL -- tuple \(0, 1\), ", out.getvalue(), re.M), out.getvalue()
+    assert "chain_map.e[0, 1]: PASS" in out.getvalue()
 
 
 def test_run_vertex_broken_cocycle_exits_1():

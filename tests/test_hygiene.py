@@ -66,6 +66,21 @@ def test_cli_import_loads_no_dataclasses():
     assert not {"dataclasses", "inspect", "dis", "tokenize", "ast"} & set(loaded)
 
 
+def test_one_immutability_guard():
+    # value types subclass value.Value for their immutability instead of
+    # each writing its own guard
+    found = [
+        f"{path.stem}.{cls.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if (isinstance(node, ast.FunctionDef) and node.name == "__setattr__")
+        or (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__setattr__" for t in node.targets))
+    ]
+    assert found == ["value.Value"], found
+
+
 def test_manifest_keeps_benchmark_methods():
     for name in ("load", "path_data", "max_level"):
         assert callable(getattr(cechchern.Manifest, name, None)), name
@@ -126,9 +141,9 @@ def test_ez_route_reads_no_nabla_memo():
     calls = [n for n in ez if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_word_trace"]
     assert calls and all(len(c.args) == 1 and not c.keywords for c in calls)
     names = {n.id for n in ez if isinstance(n, ast.Name)} | {n.attr for n in ez if isinstance(n, ast.Attribute)}
-    closed = {"_nabla", "_tot_ch_simplex", "tot_ch_simplex", "tot_ch_table", "_simplex_word"}
+    closed = {"_nabla", "tot_ch_simplex", "tot_ch_table", "_simplex_word"}
     assert not names & closed and not [n for n in names if "memo" in n or "nablas" in n], sorted(names)
-    for name in ("tot_ch_table", "_tot_ch_simplex", "_simplex_word"):
+    for name in ("tot_ch_table", "tot_ch_simplex", "_simplex_word"):
         stores = [n.attr for n in ast.walk(fns[name]) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)]
         assert not stores, (name, stores)
 
