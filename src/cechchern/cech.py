@@ -61,25 +61,25 @@ class FormalSection(Value):
         return self.form_degree
 
     @staticmethod
-    def total(sections: Sequence["FormalSection"]) -> "FormalSection":
-        """The sum of a nonempty list of sections, collected once: zero
-        sections add nothing, and the others must share one form degree."""
-        nonzero = [s for s in sections if s.terms]
-        if len(nonzero) <= 1:
-            return nonzero[0] if nonzero else sections[-1]
-        degree = nonzero[0].form_degree
-        if any(s.form_degree != degree for s in nonzero):
+    def total(scaled: Sequence[Tuple[int, "FormalSection"]]) -> "FormalSection":
+        """The sum of c*s over a nonempty list of (c, s) pairs, collected
+        once: zero sections add nothing, and the others must share one form
+        degree."""
+        nonzero = [(c, s) for c, s in scaled if s.terms]
+        if not nonzero:
+            return scaled[-1][1]
+        degree = nonzero[0][1].form_degree
+        if any(s.form_degree != degree for _, s in nonzero):
             raise ValueError("adding formal sections of different form degrees")
-        return FormalSection(degree, collect(chain.from_iterable(s.terms.items() for s in nonzero)))
+        if len(nonzero) == 1 and nonzero[0][0] == 1:
+            return nonzero[0][1]
+        return FormalSection(degree, collect((sym, c * x) for c, s in nonzero for sym, x in s.terms.items()))
 
     def __add__(self, other: "FormalSection") -> "FormalSection":
-        return FormalSection.total((self, other))
+        return FormalSection.total(((1, self), (1, other)))
 
     def __neg__(self) -> "FormalSection":
         return FormalSection(self.form_degree, {s: -c for s, c in self.terms.items()})
-
-    def scale(self, c: int) -> "FormalSection":
-        return FormalSection(self.form_degree, {s: x * c for s, x in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalSection):
@@ -310,16 +310,15 @@ class CechCochain:
 
     def delta_at(self, t: Tuple):
         """The component of the Čech differential on t: the alternating sum
-        of the face components restricted to t; None when no face has one."""
-        acc = None
+        of the face components restricted to t, collected once by the
+        values' `total` from (sign, value) pairs; None when no face has one."""
+        signed = []
         for j in range(len(t)):
             face = t[:j] + t[j + 1:]
             comp = self.components.get(face)
             if comp is not None:
-                val = self.cover.restrict(comp, face, t)
-                val = -val if j % 2 else val
-                acc = val if acc is None else acc + val
-        return acc
+                signed.append((-1 if j % 2 else 1, self.cover.restrict(comp, face, t)))
+        return type(signed[0][1]).total(signed) if signed else None
 
     def delta(self) -> "CechCochain":
         """Čech differential: the face sum on every tuple one longer."""

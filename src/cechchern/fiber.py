@@ -19,7 +19,6 @@ from math import comb
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .cech import CechCochain, Cover, FormalSection, ProductLevelCover
-from .forms import HoloForm
 from .report import Report
 
 Step = Tuple[int, ...]
@@ -57,17 +56,17 @@ def _step_sum(cover: Cover, bases, k: int, value_at: Callable[[Lifted], object])
     """The cochain on cover whose component on each base tuple is the sum,
     over its k-step positions s, of (-1)^(s_1+...+s_k) value_at(lifted
     tuple); value_at returns None where there is nothing to add.  Each
-    base tuple's values are collected once."""
+    base tuple's values go to their type's `total` as (sign, value) pairs,
+    which adds them in one collection and negates coefficients, not values."""
     out = {}
     for base in bases:
-        values = []
+        signed = []
         for steps in step_positions(k, len(base) - 1):
             val = value_at(_lift(base, steps))
             if val is not None:
-                values.append(-val if step_sign(steps) < 0 else val)
-        if values:
-            total = FormalSection.total if isinstance(values[0], FormalSection) else HoloForm.total
-            out[base] = total(values)
+                signed.append((step_sign(steps), val))
+        if signed:
+            out[base] = type(signed[0][1]).total(signed)
     return CechCochain._declared(cover, out)
 
 
@@ -183,7 +182,7 @@ def apply_d_a(c: CechCochain, d_a: Optional[Callable]) -> CechCochain:
     """The internal differential on every component of a cochain of formal
     sections, d_A given on generators; None is d_A = 0, that of forms."""
     return CechCochain._declared(c.cover, {
-        t: FormalSection.total([d_a(sym).scale(x) for sym, x in v.terms.items()])
+        t: FormalSection.total([(x, d_a(sym)) for sym, x in v.terms.items()])
         for t, v in c.components.items()} if d_a else {})
 
 

@@ -142,14 +142,15 @@ class HoloForm(Value):
             )
 
     @staticmethod
-    def total(forms: Sequence["HoloForm"]) -> "HoloForm":
-        """The sum of a nonempty list of forms on one chart, collected once."""
-        first = forms[0]
-        if len(forms) == 1:
+    def total(signed: Sequence[Tuple[int, "HoloForm"]]) -> "HoloForm":
+        """The sum of s*f over a nonempty list of (s, f) pairs, s = +-1 and
+        every f on one chart, collected once."""
+        sign, first = signed[0]
+        if len(signed) == 1 and sign == 1:
             return first
-        for f in forms[1:]:
+        for _, f in signed[1:]:
             first._check_chart(f)
-        return HoloForm.sum(first.chart, chain.from_iterable(f.terms.items() for f in forms))
+        return HoloForm.sum(first.chart, ((i, c if s == 1 else -c) for s, f in signed for i, c in f.terms.items()))
 
     def __add__(self, other: "HoloForm") -> "HoloForm":
         self._check_chart(other)

@@ -188,7 +188,8 @@ class Manifest:
 
     @_located
     def vertex_data(self) -> BundleVertexData:
-        return self._level(self._level_entries()[0], self._bundle_rank())
+        rank = self._bundle_rank()
+        return self._level(self._level_entries()[0], rank)
 
     @_located
     def path_data(self) -> BundlePathData:

@@ -9,10 +9,19 @@ exactly the shuffle description: degenerate simplices never materialize.
 The shuffle sign is sgn(mu, nu) = (-1)^(mu_1 + (mu_2 - 1) + ... + (mu_p - p + 1)).
 
 Cells are immutable slotted objects that store their dimension and hash
-when built; each constructor checks its input in one pass.  A chain checks
-that every generator has its first generator's degree.  Nothing here
-caches across calls, so the EZ route and the step-position route that it
-cross-checks share no state.
+when built.  The public constructors check their input in one pass: a
+generator that its indices increase strictly inside the ambient simplex, a
+product cell its staircase, a chain that every generator has its first
+generator's degree.  The builders here skip those checks where their
+output is valid by construction, through each type's private `_valid`:
+a face of a strictly increasing tuple or of a staircase is one too once
+`face` has refused a vertex and the degenerate case, an EZ path advances
+one side by one index at each step, and the terms of one `boundary`,
+`tensor_boundary`, `ez_map` or `aw_map` call are distinct cells of one
+degree with coefficient +-1.  `Chain.linear` checks one degree per image
+and leaves the full check to the public constructor when two images
+differ.  Nothing here caches across calls, so the EZ route and the
+step-position route that it cross-checks share no state.
 """
 
 from __future__ import annotations
@@ -40,6 +49,16 @@ class Generator(Value):
             raise ValueError(f"indices must be strictly increasing: {idx}")
         if idx[0] < 0 or idx[-1] > ambient:
             raise ValueError(f"indices {idx} out of range for ambient {ambient}")
+        self._fill(idx, ambient)
+
+    @staticmethod
+    def _valid(idx: Tuple[int, ...], ambient: int) -> "Generator":
+        """The constructor for a tuple valid by construction: no check."""
+        g = Generator.__new__(Generator)
+        g._fill(idx, ambient)
+        return g
+
+    def _fill(self, idx: Tuple[int, ...], ambient: int):
         _set(self, "indices", idx)
         _set(self, "ambient", ambient)
         _set(self, "dim", len(idx) - 1)
@@ -54,7 +73,8 @@ class Generator(Value):
         return self._hash
 
     def face(self, j: int) -> "Generator":
-        return Generator(self.indices[:j] + self.indices[j + 1:], self.ambient)
+        _check_face(self, j)
+        return Generator._valid(self.indices[:j] + self.indices[j + 1:], self.ambient)
 
     def __repr__(self):
         return "e[" + ",".join(map(str, self.indices)) + "]"
@@ -76,6 +96,14 @@ class Chain(Value):
         _set(self, "coeffs", clean)
 
     @staticmethod
+    def _valid(coeffs: Dict) -> "Chain":
+        """The constructor for nonzero coefficients on cells of one degree:
+        no check."""
+        ch = Chain.__new__(Chain)
+        _set(ch, "coeffs", coeffs)
+        return ch
+
+    @staticmethod
     def of(g, coeff: int = 1) -> "Chain":
         return Chain({g: coeff})
 
@@ -92,8 +120,25 @@ class Chain(Value):
         return Chain(out)
 
     def linear(self, fn: Callable[[object], "Chain"]) -> "Chain":
-        """The image under the linear extension of a map on generators."""
-        return Chain.sum((h, c * k) for g, c in self.coeffs.items() for h, k in fn(g).coeffs.items())
+        """The image under the linear extension of a map on generators,
+        collected once.  Each image is a chain, so one degree per image is
+        checked; images of two degrees get the public constructor's check."""
+        out: Dict = {}
+        dim, mixed = None, False
+        for g, c in self.coeffs.items():
+            image = fn(g).coeffs
+            if not image:
+                continue
+            d = _degree_of(next(iter(image)))
+            if dim is None:
+                dim = d
+            elif d != dim:
+                mixed = True
+            for h, k in image.items():
+                out[h] = out.get(h, 0) + c * k
+        if mixed:
+            return Chain(out)
+        return Chain._valid({h: k for h, k in out.items() if k})
 
     def __add__(self, other: "Chain") -> "Chain":
         return Chain.sum(chain(self.coeffs.items(), other.coeffs.items()))
@@ -130,11 +175,17 @@ def _degree_of(g) -> int:
     raise TypeError(f"unsupported chain generator {g!r}")
 
 
+def _check_face(g, j: int):
+    """Refuse a face that is no cell: a vertex has none, and j names a position."""
+    if not 0 <= j <= g.dim or not g.dim:
+        raise ValueError(f"{g!r} has no face {j}")
+
+
 def nondegenerate_generators(n: int, ell: int) -> List[Generator]:
     """All C(n+1, ell+1) generators of N(Z Delta^n) in dimension ell."""
     if ell < 0 or ell > n:
         return []
-    return [Generator(c, n) for c in combinations(range(n + 1), ell + 1)]
+    return [Generator._valid(c, n) for c in combinations(range(n + 1), ell + 1)]
 
 
 def boundary(g) -> Chain:
@@ -147,7 +198,7 @@ def boundary(g) -> Chain:
         face = g.face(j)
         if face is not None:
             faces[face] = -1 if j % 2 else 1
-    return Chain(faces)
+    return Chain._valid(faces)
 
 
 def boundary_chain(ch: Chain) -> Chain:
@@ -184,6 +235,17 @@ class ProductGenerator(Value):
                 raise ValueError("paths must be nondecreasing")
             if a1 == a and b1 == b:
                 raise ValueError("degenerate product cell")
+        self._fill(left, right, left_ambient, right_ambient)
+
+    @staticmethod
+    def _valid(left: Tuple[int, ...], right: Tuple[int, ...], left_ambient: int,
+               right_ambient: int) -> "ProductGenerator":
+        """The constructor for a staircase valid by construction: no check."""
+        g = ProductGenerator.__new__(ProductGenerator)
+        g._fill(left, right, left_ambient, right_ambient)
+        return g
+
+    def _fill(self, left, right, left_ambient: int, right_ambient: int):
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "left_ambient", left_ambient)
@@ -203,11 +265,12 @@ class ProductGenerator(Value):
     def face(self, j: int):
         """Delete position j; None when the result is degenerate, which
         happens only when the neighbours of an inner position agree."""
+        _check_face(self, j)
         left, right = self.left, self.right
         if 0 < j < self.dim and left[j - 1] == left[j + 1] and right[j - 1] == right[j + 1]:
             return None
-        return ProductGenerator(left[:j] + left[j + 1:], right[:j] + right[j + 1:],
-                                self.left_ambient, self.right_ambient)
+        return ProductGenerator._valid(left[:j] + left[j + 1:], right[:j] + right[j + 1:],
+                                       self.left_ambient, self.right_ambient)
 
     def __repr__(self):
         pairs = ",".join(f"({a},{b})" for a, b in zip(self.left, self.right))
@@ -218,11 +281,12 @@ def ez_map(left: Generator, right: Generator) -> Chain:
     """Eilenberg-Zilber: e_J (x) e_I -> signed sum over (p,q)-shuffles.
 
     The left path advances at the mu positions, the right at the nu
-    positions, producing the staircase (s_nu e_J, s_mu e_I).
+    positions, producing the staircase (s_nu e_J, s_mu e_I).  Distinct
+    shuffles give distinct staircases, so each term is built once.
     """
     p, q = left.dim, right.dim
     lidx, ridx = left.indices, right.indices
-    terms = []
+    terms = {}
     for mu, _, sign in shuffles(p, q):
         # li counts the left advances so far, so mu[li] is the next one
         li = ri = 0
@@ -234,20 +298,21 @@ def ez_map(left: Generator, right: Generator) -> Chain:
                 ri += 1
             lpath.append(lidx[li])
             rpath.append(ridx[ri])
-        terms.append((ProductGenerator(lpath, rpath, left.ambient, right.ambient), sign))
-    return Chain.sum(terms)
+        terms[ProductGenerator._valid(tuple(lpath), tuple(rpath), left.ambient, right.ambient)] = sign
+    return Chain._valid(terms)
 
 
 def aw_map(g: ProductGenerator) -> Chain:
-    """Alexander-Whitney: front face of the left path (x) back face of the right."""
-    terms = []
+    """Alexander-Whitney: front face of the left path (x) back face of the
+    right; each split position s gives its own term."""
+    terms = {}
     for s in range(g.dim + 1):
         front = g.left[: s + 1]
         back = g.right[s:]
         if len(set(front)) != len(front) or len(set(back)) != len(back):
             continue  # degenerate tensor factor: zero in normalized chains
-        terms.append(((Generator(front, g.left_ambient), Generator(back, g.right_ambient)), 1))
-    return Chain.sum(terms)
+        terms[(Generator(front, g.left_ambient), Generator(back, g.right_ambient))] = 1
+    return Chain._valid(terms)
 
 
 def aw_chain(ch: Chain) -> Chain:
@@ -255,13 +320,13 @@ def aw_chain(ch: Chain) -> Chain:
 
 
 def tensor_boundary(pair: Tuple[Generator, Generator]) -> Chain:
-    """Koszul boundary on N (x) N: d(a (x) b) = da (x) b + (-1)^dim(a) a (x) db."""
+    """Koszul boundary on N (x) N: d(a (x) b) = da (x) b + (-1)^dim(a) a (x) db.
+    The two sums' terms differ in their left degree, so none collides."""
     a, b = pair
     sign = -1 if a.dim % 2 else 1
-    return Chain.sum(chain(
-        (((g, b), c) for g, c in boundary(a).coeffs.items()),
-        (((a, g), sign * c) for g, c in boundary(b).coeffs.items()),
-    ))
+    terms = {(g, b): c for g, c in boundary(a).coeffs.items()}
+    terms.update(((a, g), sign * c) for g, c in boundary(b).coeffs.items())
+    return Chain._valid(terms)
 
 
 def brute_force_shuffle_sign(mu: Iterable[int], nu: Iterable[int]) -> int:

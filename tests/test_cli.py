@@ -65,6 +65,23 @@ def test_manifest_errors():
         Manifest(bad).vertex_data()
 
 
+def test_vertex_and_path_builders_name_the_same_defect():
+    chart = {"name": "U", "coordinates": ["z"]}
+    for raw in (
+        {"charts": [chart]},
+        {"charts": [chart], "overlaps": [[0]], "bundle": {"rank": 0, "transitions": {}}},
+        {"charts": [chart], "overlaps": [[0]],
+         "bundle": {"rank": "two", "connections": {}, "levels": [{"transitions": {}}]}},
+    ):
+        messages = []
+        for build in ("vertex_data", "path_data"):
+            with pytest.raises(ManifestError) as err:
+                getattr(Manifest(raw, source="m.json"), build)()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], messages
+    assert messages[0].startswith("m.json: ") and "bundle rank" in messages[0]
+
+
 def test_run_vertex_mode_and_artifact(tmp_path):
     out = io.StringIO()
     artifact = tmp_path / "cocycle.txt"
@@ -380,9 +397,17 @@ def test_selftest_checks_have_power(monkeypatch):
             image = simplicial.Chain({g: c for g, c in image.coeffs.items() if g != first})
         return image
 
+    def ez_with_a_flipped_sign(left, right):
+        image = real_ez(left, right)
+        if (left, right) == (e01, e01):
+            first = next(iter(image))[0]
+            image = simplicial.Chain({g: -c if g == first else c for g, c in image.coeffs.items()})
+        return image
+
     mutations = (
         ("selftest.shuffle_signs", [(simplicial, "shuffles", flipped_shuffles), (cli, "shuffles", flipped_shuffles)]),
         ("selftest.ez_aw", [(cli, "ez_map", ez_missing_a_term)]),
+        ("selftest.ez_aw", [(cli, "ez_map", ez_with_a_flipped_sign)]),
         ("selftest.integration_identities", [(fiber, "step_sign", lambda steps: 1)]),
         ("selftest.integration_identities",
          [(fiber, "step_sign", lambda steps: -real_sign(steps) if steps == (1,) else real_sign(steps))]),

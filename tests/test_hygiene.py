@@ -259,3 +259,17 @@ def test_one_cochain_type():
         if name in path.read_text(encoding="utf-8")
     ]
     assert not found, found
+
+
+def test_ez_and_step_routes_cache_nothing():
+    # the EZ route and the step-position route cross-check each other, so
+    # neither memoizes across calls: no functools cache in their modules
+    cached = {"lru_cache", "cache", "cached_property"}
+    for name in ("simplicial", "fiber"):
+        tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        found = [f"line {n.lineno}" for n in ast.walk(tree)
+                 if isinstance(n, ast.Import) and any(a.name == "functools" for a in n.names)
+                 or isinstance(n, ast.ImportFrom) and n.module == "functools"
+                 or isinstance(n, ast.Name) and n.id in cached
+                 or isinstance(n, ast.Attribute) and n.attr in cached]
+        assert not found, (name, found)

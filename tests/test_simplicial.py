@@ -186,6 +186,59 @@ def test_mixed_degree_chain_raises():
     assert Chain({e0: 0, e01: 1}) == Chain.of(e01)
 
 
+def test_linear_refuses_images_of_two_degrees():
+    e01, e02 = Generator((0, 1), 2), Generator((0, 2), 2)
+    # e01 keeps degree 1, e02 goes to its boundary in degree 0
+    mixed = {e01: Chain.of(e01), e02: boundary(e02)}
+    with pytest.raises(ValueError, match="mixed-degree"):
+        Chain({e01: 1, e02: 1}).linear(mixed.__getitem__)
+    # images of two degrees whose degree-1 terms cancel leave a chain of degree 0
+    e12 = Generator((1, 2), 2)
+    cancel = {e01: Chain.of(e01), e02: boundary(e02), e12: Chain.of(e01, -1)}
+    assert Chain({e01: 1, e02: 1, e12: 1}).linear(cancel.__getitem__) == boundary(e02)
+    assert Chain.of(e01).linear(lambda g: Chain.zero()).is_zero
+
+
+def _rebuilt(cell):
+    """The cell rebuilt through its public constructor, which checks it."""
+    if isinstance(cell, Generator):
+        return Generator(list(cell.indices), cell.ambient)
+    if isinstance(cell, ProductGenerator):
+        return ProductGenerator(list(cell.left), list(cell.right), cell.left_ambient, cell.right_ambient)
+    return tuple(_rebuilt(g) for g in cell)
+
+
+def test_unchecked_builders_agree_with_the_public_constructors():
+    # ez_map, boundary, face and nondegenerate_generators skip the cell
+    # checks: each cell they build must be the checked one
+    built = []
+    for n, m in product(range(4), range(4)):
+        left = [g for ell in range(n + 1) for g in nondegenerate_generators(n, ell)]
+        right = [g for ell in range(m + 1) for g in nondegenerate_generators(m, ell)]
+        built += left + right
+        for gl, gr in product(left, right):
+            image = ez_map(gl, gr)
+            built += list(image.coeffs) + list(tensor_boundary((gl, gr)).coeffs)
+            for cell in image.coeffs:
+                built += list(boundary(cell).coeffs) + list(aw_map(cell).coeffs)
+                built += [face for j in range(cell.dim + 1 if cell.dim else 0) if (face := cell.face(j)) is not None]
+        for g in left:
+            built += list(boundary(g).coeffs) + [g.face(j) for j in range(g.dim + 1 if g.dim else 0)]
+    assert len(built) > 10_000
+    for cell in built:
+        checked = _rebuilt(cell)
+        assert cell == checked and checked == cell and hash(cell) == hash(checked), cell
+
+
+def test_faces_refuse_a_vertex_and_positions_out_of_range():
+    e01 = Generator((0, 1), 1)
+    cell = ProductGenerator((0, 1, 1), (0, 0, 1), 1, 1)
+    for g, j in ((Generator((0,), 0), 0), (ProductGenerator((0,), (0,), 0, 0), 0),
+                 (e01, -1), (e01, 2), (cell, -1), (cell, 3)):
+        with pytest.raises(ValueError, match="has no face"):
+            g.face(j)
+
+
 def test_lift_tuple_refuses_invalid_steps():
     base = (0, 1, 2)
     assert lift_tuple(base, (0, 2)) == ((0, 0), (1, 0), (1, 1), (1, 2), (2, 2))
