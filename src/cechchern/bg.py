@@ -27,7 +27,7 @@ from .chern import (
     tot_ch_table,
 )
 from .fiber import integrate_fiber, level_forget
-from .forms import Chart, ConnectionMatrix, HoloForm, MatrixForm, chart_map_defect
+from .forms import ChangeMap, Chart, ConnectionMatrix, HoloForm, MatrixForm
 from .ratfunc import RationalFunction
 from .report import Report
 from .simplicial import Generator, nondegenerate_generators
@@ -219,8 +219,9 @@ class EquivariantBundleData:
     """A finite-group action lifted to a trivialized bundle with connection.
 
     action[(g, chart)] gives the coordinates of x.g in the chart's own
-    coordinates (charts are assumed action-stable), checked like a change
-    map; lifts[(g, chart)] is the frame matrix of the action on fibers over
+    coordinates (charts are assumed action-stable), built once into a
+    ChangeMap from the chart to itself, checked like a change map;
+    lifts[(g, chart)] is the frame matrix of the action on fibers over
     that chart, a degree-0 MatrixForm on it.  Each pullback along the action
     is taken once: pulled_lifts[(h, g, i)] is the lift of g pulled back by h,
     pulled_connections[(g, i)] the connection pulled back by g.  The nabla of
@@ -249,14 +250,15 @@ class EquivariantBundleData:
             for i, chart in enumerate(cover.charts):
                 if g == group.identity:
                     default_map = {c: RationalFunction.variable(c) for c in chart.coordinates}
-                    self.action[(g, i)] = dict(action.get((g, i), default_map))
+                    images = action.get((g, i), default_map)
                     self.lifts[(g, i)] = lifts.get((g, i), MatrixForm.identity(chart, rank))
                 else:
-                    self.action[(g, i)] = dict(action[(g, i)])
+                    images = action[(g, i)]
                     self.lifts[(g, i)] = lifts[(g, i)]
-                defect = chart_map_defect(self.action[(g, i)], chart, chart)
-                if defect:
-                    raise ValueError(f"action of {g} on chart {i} {defect}")
+                try:
+                    self.action[(g, i)] = ChangeMap(images, chart, chart)
+                except ValueError as err:
+                    raise ValueError(f"action of {g} on chart {i} {err}") from err
                 lift = self.lifts[(g, i)]
                 if lift.rows != rank or lift.cols != rank:
                     raise ValueError(f"lift of {g} on chart {i} is not {rank} x {rank}")
@@ -264,11 +266,10 @@ class EquivariantBundleData:
                     raise ValueError(f"lift of {g} on chart {i} lives on the wrong chart")
         self.connections = chart_connections(cover, rank, connections)
         self.pulled_lifts = {
-            (h, g, i): self.lifts[(g, i)].pullback(cover.charts[i], f)
-            for (h, i), f in self.action.items() for g in group.elements
+            (h, g, i): self.lifts[(g, i)].pullback(f) for (h, i), f in self.action.items() for g in group.elements
         }
         self.pulled_connections = {
-            (g, i): self.connections[i].pullback(cover.charts[i], f) for (g, i), f in self.action.items()
+            (g, i): self.connections[i].pullback(f) for (g, i), f in self.action.items()
         }
         self._nablas: Dict[Tuple[str, str, int], MatrixForm] = {}
 
@@ -280,10 +281,10 @@ class EquivariantBundleData:
         for h in self.group.elements:
             for g in self.group.elements:
                 hg = self.group.mul(h, g)
-                for i, chart in enumerate(self.cover.charts):
+                for i in range(self.cover.n_charts):
                     # first h then g is the action of h*g
                     fh, fg, direct = (self.action[(x, i)] for x in (h, g, hg))
-                    if any(direct[v] != fg[v].substitute(fh) for v in chart.coordinates):
+                    if any(direct.images[v] != fh.pull(f) for v, f in fg.images.items()):
                         bad_action.append((h, g, i))
                     if not (self.pulled_lifts[(h, g, i)] * self.lifts[(h, i)] - self.lifts[(hg, i)]).is_zero:
                         bad_lifts.append((h, g, i))

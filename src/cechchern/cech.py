@@ -4,7 +4,10 @@ Only strictly increasing index tuples with distinct indices are stored;
 repeated-index components are never materialized.  Every component on a
 tuple T is expressed in the anchor chart, the chart of min(T), and
 restriction pulls back along the declared coordinate-change maps exactly
-when the minimum changes.
+when the minimum changes.  Each map is a forms.ChangeMap value, built once
+with the cover; on CP^n, products and toric covers every image is a
+Laurent monomial, and a component whose coefficients have monomial
+denominators pulls back by re-keying exponents (the routes are in `forms`).
 
 Two presheaves are supported: holomorphic forms (HoloForm values,
 geometric restriction) and a formal free presheaf (FormalSection values,
@@ -26,7 +29,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .forms import Chart, HoloForm, chart_map_defect
+from .forms import ChangeMap, Chart, HoloForm
 from .poly import collect
 from .ratfunc import RationalFunction
 from .report import Report
@@ -117,11 +120,12 @@ class Cover(_CoverBase):
     """A finite chart cover with declared nonempty overlaps.
 
     change_maps[(a, b)] expresses the coordinates of chart a in the
-    coordinates of chart b, and is used to pull components back to anchor
-    charts when restriction lowers the minimal index.  CoverError is raised
-    unless each map passes forms.chart_map_defect (so every pullback along
-    it and every composite of two is defined), every chart of an overlap
-    maps into its anchor, and the maps compose.
+    coordinates of chart b, and is built into the ChangeMap that pulls
+    components back to anchor charts when restriction lowers the minimal
+    index.  CoverError is raised unless each map is a ChangeMap (so every
+    pullback along it and every composite of two is defined), every chart
+    of an overlap maps into its anchor, and the maps compose under
+    ChangeMap.pull.
     """
 
     def __init__(
@@ -146,13 +150,14 @@ class Cover(_CoverBase):
             if len(declared) > MAX_DECLARED_TUPLES:
                 raise CoverError(f"the overlaps declare more than {MAX_DECLARED_TUPLES} tuples")
         self.declared = declared
-        self.change_maps = {tuple(k): dict(v) for k, v in (change_maps or {}).items()}
-        for (a, b), m in self.change_maps.items():
+        self.change_maps = {}
+        for (a, b), images in (change_maps or {}).items():
             if not (0 <= a < len(self.charts) and 0 <= b < len(self.charts)):
                 raise CoverError(f"change map {a}->{b} names a chart outside 0..{len(self.charts) - 1}")
-            defect = chart_map_defect(m, self.charts[a], self.charts[b])
-            if defect:
-                raise CoverError(f"change map {a}->{b} {defect}")
+            try:
+                self.change_maps[(a, b)] = ChangeMap(images, self.charts[a], self.charts[b])
+            except ValueError as err:
+                raise CoverError(f"change map {a}->{b} {err}") from err
         # every overlap with coordinates re-expresses each chart in its anchor
         missing = sorted({(a, t[0]) for t in self.declared if len(t) > 1 and self.charts[t[0]].coordinates
                           for a in t[1:] if (a, t[0]) not in self.change_maps})
@@ -162,7 +167,8 @@ class Cover(_CoverBase):
         maps = sorted(self.change_maps.items())
         bad = [(a, b, c) for (a, b), m in maps for (b2, c), m2 in maps
                if b2 == b and (a == c or (a, c) in self.change_maps)
-               and any(self.change_map(a, c)[v] != m[v].substitute(m2) for v in self.charts[a].coordinates)]
+               and (direct := self.change_map(a, c).images)
+               and any(direct[v] != m2.pull(f) for v, f in m.images.items())]
         if bad:
             raise CoverError(f"inconsistent triples {bad}")
 
@@ -194,10 +200,9 @@ class Cover(_CoverBase):
     def chart_of_index(self, i) -> Chart:
         return self.charts[i]
 
-    def change_map(self, a, b) -> Mapping[str, RationalFunction]:
+    def change_map(self, a, b) -> ChangeMap:
         if a == b:
-            chart = self.chart_of_index(a)
-            return {c: RationalFunction.variable(c) for c in chart.coordinates}
+            return ChangeMap.identity(self.chart_of_index(a))
         key = (a, b)
         if key not in self.change_maps:
             raise CoverError(f"missing change map from chart {a} to chart {b}")
@@ -208,7 +213,7 @@ class Cover(_CoverBase):
         index src in the chart of index dst."""
         if src == dst:
             return value
-        return value.pullback(self.chart_of_index(dst), self.change_map(src, dst))
+        return value.pullback(self.change_map(src, dst))
 
 
 class ProductLevelCover(_CoverBase):

@@ -44,8 +44,8 @@ from math import comb
 from operator import add, mul, sub, truediv
 from typing import List, Sequence, Tuple, Union
 
-from .poly import _MASK, FIELD, Ints, Polynomial, _canonical, _gauss_pow, _shifts, _sum_terms
-from .ratfunc import RationalFunction
+from .poly import FIELD, Polynomial, _gauss_pow, _sum_terms
+from .ratfunc import RationalFunction, _exponents, _fraction, _unit_keys
 
 # an integer, a name, an operator or, in the last group, any other character
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])|(\S))")
@@ -91,19 +91,6 @@ class ExprError(ValueError):
         self.position = position
 
 
-def _exponents(key: int, n: int) -> List[int]:
-    """The n exponents packed in a key, first variable first, where a field
-    may be negative: a negative field borrowed one from the field above."""
-    out = []
-    for _ in range(n):
-        e = key & _MASK
-        if e > _MASK >> 1:
-            e -= 1 << FIELD
-        out.append(e)
-        key = (key - e) >> FIELD
-    return out[::-1]
-
-
 class _Monomial:
     """(re + i*im) * x^e for Gaussian-integer parts and integer exponents e,
     packed into one key over the parser's sorted variables `names`, so that
@@ -146,23 +133,6 @@ class _Monomial:
         # a negative power is taken of a unit only, whose inverse is its conjugate
         re, im = _gauss_pow(self.re, self.im if n >= 0 else -self.im, abs(n))
         return _Monomial(self.key * n, re, im, self.names, self.laurent or n < 0)
-
-
-def _fraction(names: Tuple[str, ...], den: int, re: Ints, im: Ints, laurent: bool) -> RationalFunction:
-    """The canonical (re + i*im)/den for term dicts keyed over names, whose
-    fields may be negative when laurent: each variable is shifted by its
-    least exponent over the nonzero terms, below 0, and the result is put
-    over that monomial, which is monic and shares no factor with it."""
-    den_poly = Polynomial.one()
-    if laurent:
-        n = len(names)
-        keys = [k for d in (re, im) for k, c in d.items() if c]
-        lows = [min(0, *column) for column in zip(*(_exponents(k, n) for k in keys))]
-        shift = sum(-low * (1 << FIELD * n | 1 << s) for low, s in zip(lows, _shifts(n)))
-        if shift:
-            re, im = {k + shift: c for k, c in re.items()}, {k + shift: c for k, c in im.items()}
-            den_poly = _canonical(names, 1, {shift: 1}, {})
-    return RationalFunction(_canonical(names, den, re, im), den_poly, _normalized=True)
 
 
 def _rf(x: Union[RationalFunction, _Monomial]) -> RationalFunction:
@@ -268,9 +238,7 @@ class _Parser:
     def __init__(self, text: str, variables: Sequence[str]):
         self.text = text
         self.names = tuple(sorted(set(variables)))
-        n = len(self.names)
-        # the key of each variable: 1 in its field and in the total degree's
-        self.keys = {v: 1 << FIELD * n | 1 << s for v, s in zip(self.names, _shifts(n))}
+        self.keys = _unit_keys(self.names)
         self.tokens = _tokenize(text)
         self.k = 0
         self.depth = 0

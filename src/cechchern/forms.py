@@ -3,8 +3,16 @@
 A HoloForm lives on a named chart and stores coefficients keyed by the
 strictly increasing tuple of coordinate indices spanning each wedge
 monomial dz_{i1} ^ ... ^ dz_{ik}.  The holomorphic de Rham operator, the
-wedge product, pullback along rational maps and the induced connection on
-Hom-bundles all act on this representation.
+wedge product, pullback and the induced connection on Hom-bundles all act
+on this representation.
+
+Forms pull back along ChangeMap values, each built once when its data
+loads, with its Jacobian forms.  `ChangeMap.pull` returns a function f
+unchanged when f is constant or the map is the identity of one coordinate
+tuple; re-keys f's exponents (`ratfunc._pull_laurent`, no product and no
+gcd) when every image is a Laurent monomial c x^K, as on CP^n, products
+and toric charts, and f's denominator is a monomial; and otherwise calls
+`RationalFunction.substitute`.
 
 MatrixForm is the one matrix type: transitions, intertwiners, action
 lifts and symbolic group elements are degree-0 MatrixForms on their chart,
@@ -22,7 +30,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .poly import collect
-from .ratfunc import RationalFunction
+from .ratfunc import RationalFunction, _laurent_monomial, _pull_laurent, _unit_keys
 from .value import Value
 
 IndexTuple = Tuple[int, ...]
@@ -184,21 +192,23 @@ class HoloForm(Value):
                     terms.append((merged, dc if sign > 0 else -dc))
         return HoloForm.sum(self.chart, terms)
 
-    def pullback(self, target: Chart, mapping: Mapping[str, RationalFunction]) -> "HoloForm":
-        """Pull back along the rational map target -> self.chart.
+    def pullback(self, change_map: "ChangeMap") -> "HoloForm":
+        """Pull back along a change map from its target chart to this form's."""
+        return self._pulled(change_map)
 
-        mapping supplies, for each coordinate of self.chart, its expression
-        in the coordinates of the target chart.
-        """
-        return self._pulled(target, *_pullback_map(self.chart, target, mapping))
-
-    def _pulled(self, target: Chart, subs, d_images) -> "HoloForm":
-        """The pullback, given _pullback_map's substitution and forms."""
+    def _pulled(self, change_map: "ChangeMap") -> "HoloForm":
+        # the pullback of a form, alone or in a matrix; the benchmark's
+        # tracer times `pullback`, the entry point for a form alone
+        if self.chart != change_map.source:
+            raise ChartMismatchError(f"form on {self.chart.name} pulled back from {change_map.source.name}")
+        target = change_map.target
+        if change_map._identity:
+            return HoloForm(target, self.terms)
         terms = []
         for idx, c in self.terms.items():
-            term = HoloForm.function(target, c.substitute(subs))
+            term = HoloForm.function(target, change_map.pull(c))
             for i in idx:
-                term = term.wedge(d_images[i])
+                term = term.wedge(change_map.d_images[i])
             terms.extend(term.terms.items())
         return HoloForm.sum(target, terms)
 
@@ -222,38 +232,57 @@ class HoloForm(Value):
         return f"HoloForm<{form_str(self)} on {self.chart.name}>"
 
 
-def _pullback_map(chart: Chart, target: Chart, mapping: Mapping[str, RationalFunction]):
-    """The substitution of a rational map target -> chart and the form
-    d(image) of each coordinate of chart, in its order: computed once and
-    shared by every form pulled back along the map."""
-    subs = {}
-    for coord in chart.coordinates:
-        if coord not in mapping:
-            raise ValueError(f"pullback map missing coordinate {coord!r}")
-        subs[coord] = mapping[coord]
-    d_images = [
-        HoloForm(target, {(j,): expr.derivative(v) for j, v in enumerate(target.coordinates)})
-        for expr in subs.values()
-    ]
-    return subs, d_images
+class ChangeMap(Value):
+    """A coordinate change from a target chart to a source chart: the image
+    of each source coordinate in the target's coordinates and, in the
+    source's order, the form d(image) of each.  The constructor refuses,
+    naming the defect, a map that misses a coordinate of source or names
+    another, joins charts of two dimensions or has a Jacobian determinant
+    that vanishes identically, so no nonzero function pulls back to 0 or to
+    a pole."""
 
+    __slots__ = ("source", "target", "images", "d_images", "_identity", "_laurent")
 
-def chart_map_defect(mapping: Mapping[str, RationalFunction], source: Chart, target: Chart) -> str:
-    """Why pulling back along mapping (target -> source, as in pullback)
-    could fail, or "" when it cannot: the map must name every coordinate of
-    source and no other, join charts of one dimension and have a Jacobian
-    determinant not identically zero, so no nonzero function pulls back to 0
-    or to a pole."""
-    src, dst = source.coordinates, target.coordinates
-    if len(src) != len(dst):
-        return f"joins charts of dimensions {len(src)} and {len(dst)}"
-    if set(src) - set(mapping):
-        return f"missing coordinates {sorted(set(src) - set(mapping))}"
-    if set(mapping) - set(src):
-        return f"names coordinates {sorted(set(mapping) - set(src))} that chart {source.name} lacks"
-    if src and linalg.det([[mapping[u].derivative(v) for v in dst] for u in src]).is_zero:
-        return "is degenerate: its Jacobian determinant vanishes"
-    return ""
+    def __init__(self, images: Mapping[str, RationalFunction], source: Chart, target: Chart):
+        src, dst = source.coordinates, target.coordinates
+        if len(src) != len(dst):
+            raise ValueError(f"joins charts of dimensions {len(src)} and {len(dst)}")
+        if set(src) - set(images):
+            raise ValueError(f"missing coordinates {sorted(set(src) - set(images))}")
+        if set(images) - set(src):
+            raise ValueError(f"names coordinates {sorted(set(images) - set(src))} that chart {source.name} lacks")
+        images = {u: images[u] for u in src}
+        jacobian = [[f.derivative(v) for v in dst] for f in images.values()]
+        if src and linalg.det(jacobian).is_zero:
+            raise ValueError("is degenerate: its Jacobian determinant vanishes")
+        names = tuple(sorted(dst))
+        keys = _unit_keys(names)
+        laurent = {u: _laurent_monomial(f, keys) for u, f in images.items()}
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "d_images", tuple(
+            HoloForm(target, {(j,): d for j, d in enumerate(row)}) for row in jacobian
+        ))
+        object.__setattr__(self, "_identity", src == dst and all(
+            f == RationalFunction.variable(u) for u, f in images.items()
+        ))
+        object.__setattr__(self, "_laurent", None if None in laurent.values() else (laurent, names))
+
+    @staticmethod
+    def identity(chart: Chart) -> "ChangeMap":
+        return ChangeMap({c: RationalFunction.variable(c) for c in chart.coordinates}, chart, chart)
+
+    def pull(self, f: RationalFunction) -> RationalFunction:
+        """f, a function of the source coordinates, in the target's, by the
+        identity, the monomial or the general route (see the module)."""
+        if self._identity or not (f.num.variables or f.den.variables):
+            return f
+        if self._laurent is not None and f.den.term_count() == 1:
+            pulled = _pull_laurent(f, *self._laurent)
+            if pulled is not None:
+                return pulled
+        return f.substitute(self.images)
 
 
 def form_str(form: HoloForm) -> str:
@@ -380,11 +409,8 @@ class MatrixForm(Value):
     def d(self) -> "MatrixForm":
         return MatrixForm(self.chart, [[e.d() for e in row] for row in self.entries])
 
-    def pullback(self, target: Chart, mapping) -> "MatrixForm":
-        pullback_map = _pullback_map(self.chart, target, mapping)
-        return MatrixForm(
-            target, [[e._pulled(target, *pullback_map) for e in row] for row in self.entries]
-        )
+    def pullback(self, change_map: ChangeMap) -> "MatrixForm":
+        return MatrixForm(change_map.target, [[e._pulled(change_map) for e in row] for row in self.entries])
 
     def trace(self, other: Optional["MatrixForm"] = None) -> HoloForm:
         """tr(self), or tr(self * other) = sum_ij self_ij ^ other_ji, which
@@ -451,8 +477,8 @@ class ConnectionMatrix(Value):
     def rank(self) -> int:
         return self.matrix.rows
 
-    def pullback(self, target: Chart, mapping) -> "ConnectionMatrix":
-        return ConnectionMatrix(target, self.matrix.pullback(target, mapping))
+    def pullback(self, change_map: ChangeMap) -> "ConnectionMatrix":
+        return ConnectionMatrix(change_map.target, self.matrix.pullback(change_map))
 
 
 def apply_connection(f: MatrixForm, a_src: ConnectionMatrix, a_dst: ConnectionMatrix) -> MatrixForm:

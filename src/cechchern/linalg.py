@@ -4,7 +4,7 @@ A grid is a sequence of equal-length rows of RationalFunctions.  Inverses
 go through adjugate/determinant so entries stay inside the field;
 determinants are computed by cofactor expansion, which is fine at the
 small ranks this library works with.  MatrixForm.det/inverse and the
-Jacobian check of forms.chart_map_defect call these functions.
+Jacobian check of the forms.ChangeMap constructor call these functions.
 """
 
 from __future__ import annotations

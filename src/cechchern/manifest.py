@@ -25,6 +25,20 @@ from .forms import Chart, ConnectionMatrix, HoloForm, MatrixForm
 MAX_GROUP_WORDS = 4096
 
 
+# The keys each object of a manifest may hold, by its place: a misspelt key
+# would otherwise be ignored and its default used.  A single-level bundle
+# is its own level.
+KEYS = {
+    "the top level": {"charts", "overlaps", "change_maps", "bundle", "group", "run"},
+    "charts": {"name", "coordinates"},
+    "change_maps": {"chart", "in_chart", "exprs"},
+    "bundle": {"rank", "transitions", "connections", "levels", "intertwiners"},
+    "bundle.levels": {"transitions", "connections"},
+    "group": {"elements", "identity", "table", "action", "lifts"},
+    "run": {"max_level", "word_bound"},
+}
+
+
 class ManifestError(ValueError):
     pass
 
@@ -65,6 +79,7 @@ class Manifest:
     def __init__(self, raw: dict, source: str = "<memory>"):
         self.raw = raw
         self.source = source
+        self._check_keys()
         self.cover = self._build_cover()
         self.run = self._run_section()
 
@@ -78,6 +93,25 @@ class Manifest:
         except json.JSONDecodeError as err:
             raise ManifestError(f"manifest is not valid JSON: {err}") from err
         return Manifest(raw, source=path)
+
+    @_located
+    def _check_keys(self):
+        """Refuse a key outside its object's set in KEYS; an object of the
+        wrong type is left to the reader of its section."""
+        raw = self.raw
+        if not isinstance(raw, dict):
+            return
+        bundle = raw.get("bundle")
+        levels = bundle.get("levels") if isinstance(bundle, dict) else None
+        found = [("the top level", raw), *((name, raw.get(name)) for name in ("bundle", "group", "run"))]
+        for where, entries in (("charts", raw.get("charts")), ("change_maps", raw.get("change_maps")),
+                               ("bundle.levels", levels)):
+            if isinstance(entries, list):
+                found += [(f"{where}[{j}]", entry) for j, entry in enumerate(entries)]
+        for where, obj in found:
+            unknown = obj.keys() - KEYS[where.split("[")[0]] if isinstance(obj, dict) else ()
+            if unknown:
+                raise ManifestError(f"unknown key {min(unknown)!r} in {where}")
 
     @_located
     def _run_section(self) -> dict:

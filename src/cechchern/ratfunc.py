@@ -33,13 +33,20 @@ monic, and `_finish` only scales both sides by the denominator's
 - A polynomial evaluated at rational functions x_i -> n_i/d_i puts every
   term over the one denominator prod d_i^(deg_i p), sums the numerators as
   polynomials and normalizes once.
+
+A Laurent polynomial is a term dict over packed keys whose fields may be
+negative: the key of x^e is the sum of e_v times the key of x_v, so keys
+add like exponents.  `_fraction` puts one over the monomial of its least
+exponents, canonical without a gcd; the parser builds its runs with it,
+and `_pull_laurent` its values at Laurent monomials c_v x^K_v.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from math import lcm
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .poly import Polynomial, cofactors
+from .poly import _MASK, FIELD, Ints, Polynomial, _canonical, _gauss_pow, _shifts, _unpack, cofactors
 from .value import Value
 
 
@@ -238,6 +245,96 @@ def _poly_substitute(p: Polynomial, mapping: Mapping[str, RationalFunction]) -> 
         if not images[i].den.is_one:
             den = den * power(i, k, "den")
     return _reduced(num, den)
+
+
+def _exponents(key: int, n: int) -> List[int]:
+    """The n exponents packed in a key, first variable first, where a field
+    may be negative: a negative field borrowed one from the field above."""
+    out = []
+    for _ in range(n):
+        e = key & _MASK
+        if e > _MASK >> 1:
+            e -= 1 << FIELD
+        out.append(e)
+        key = (key - e) >> FIELD
+    return out[::-1]
+
+
+def _unit_keys(names: Tuple[str, ...]) -> Dict[str, int]:
+    """The key of each of the sorted variables names: 1 in its field and in
+    the total degree's."""
+    n = len(names)
+    return {v: 1 << FIELD * n | 1 << s for v, s in zip(names, _shifts(n))}
+
+
+def _fraction(names: Tuple[str, ...], den: int, re: Ints, im: Ints, laurent: bool) -> RationalFunction:
+    """The canonical (re + i*im)/den for term dicts keyed over names, whose
+    fields may be negative when laurent: each variable is shifted by its
+    least exponent over the nonzero terms, below 0, and the result is put
+    over that monomial, which is monic and shares no factor with it."""
+    den_poly = Polynomial.one()
+    if laurent:
+        n = len(names)
+        keys = [k for d in (re, im) for k, c in d.items() if c]
+        lows = [min(0, *column) for column in zip(*(_exponents(k, n) for k in keys))]
+        shift = sum(-low * unit for low, unit in zip(lows, _unit_keys(names).values()))
+        if shift:
+            re, im = {k + shift: c for k, c in re.items()}, {k + shift: c for k, c in im.items()}
+            den_poly = _canonical(names, 1, {shift: 1}, {})
+    return RationalFunction(_canonical(names, den, re, im), den_poly, _normalized=True)
+
+
+# a Laurent monomial (a + i*b)/q * x^K as its Laurent key K and ints a, b, q
+LaurentMonomial = Tuple[int, int, int, int]
+
+
+def _laurent_monomial(f: RationalFunction, keys: Dict[str, int]) -> Optional[LaurentMonomial]:
+    """f as a Laurent monomial over the variables of keys, their _unit_keys;
+    None when it is not one."""
+    num, den = f.num, f.den
+    if num.term_count() != 1 or den.term_count() != 1 or not {*num.variables, *den.variables} <= keys.keys():
+        return None
+    # a canonical monomial denominator is monic: its coefficient is 1
+    (k,), (d,) = num.re.keys() | num.im.keys(), den.re
+    key = sum(e * keys[v] for v, e in zip(num.variables, _unpack(k, len(num.variables))))
+    key -= sum(e * keys[v] for v, e in zip(den.variables, _unpack(d, len(den.variables))))
+    return key, num.re.get(k, 0), num.im.get(k, 0), num.den
+
+
+def _power(term: LaurentMonomial, monomials: List[LaurentMonomial], exponents) -> LaurentMonomial:
+    """term times the product of monomials[j]^exponents[j], exponents >= 0."""
+    key, r, i, q = term
+    for (k, a, b, c), e in zip(monomials, exponents):
+        key += e * k
+        if e and (a, b, c) != (1, 0, 1):
+            pa, pb = _gauss_pow(a, b, e)
+            r, i, q = r * pa - i * pb, r * pb + i * pa, q * c ** e
+    return key, r, i, q
+
+
+def _pull_laurent(f: RationalFunction, images: Mapping[str, LaurentMonomial],
+                  names: Tuple[str, ...]) -> Optional[RationalFunction]:
+    """f, whose denominator x^d is a monomial, at v -> c_v x^K_v for Laurent
+    keys K_v over names; None when a variable of f has no image.  Its term
+    x^e goes to the key sum (e_v - d_v) K_v with the coefficient prod
+    c_v^(e_v - d_v).  A nondegenerate map has an invertible exponent matrix,
+    so no two terms get one key: nothing is collected and no gcd taken."""
+    num, den = f.num, f.den
+    parts, below = [images.get(v) for v in num.variables], [images.get(v) for v in den.variables]
+    if None in parts or None in below:
+        return None
+    # x^-d is a product of the inverse images, 1/c = q conj(c)/|c|^2 x^-K
+    inverses = [(-k, q * a, -q * b, a * a + b * b) for k, a, b, q in below]
+    (d,) = den.re
+    base, r0, i0, q0 = _power((0, 1, 0, 1), inverses, _unpack(d, len(below)))
+    terms = []
+    for k in num._exponents():
+        r, i = num.re.get(k, 0), num.im.get(k, 0)
+        terms.append(_power((base, r * r0 - i * i0, r * i0 + i * r0, q0), parts, _unpack(k, len(parts))))
+    common = lcm(*[q for *_, q in terms])
+    re = {key: r * (common // q) for key, r, _, q in terms if r}
+    im = {key: i * (common // q) for key, _, i, q in terms if i}
+    return _fraction(names, num.den * common, re, im, True)
 
 
 def rf_str(f: RationalFunction) -> str:

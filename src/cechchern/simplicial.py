@@ -11,13 +11,15 @@ The shuffle sign is sgn(mu, nu) = (-1)^(mu_1 + (mu_2 - 1) + ... + (mu_p - p + 1)
 Cells are immutable slotted objects that store their dimension and hash
 when built.  The public constructors check their input in one pass: a
 generator that its indices increase strictly inside the ambient simplex, a
-product cell its staircase, a chain that every generator has its first
-generator's degree.  The builders here skip those checks where their
-output is valid by construction, through each type's private `_valid`:
-a face of a strictly increasing tuple or of a staircase is one too once
-`face` has refused a vertex and the degenerate case, an EZ path advances
-one side by one index at each step, and the terms of one `boundary`,
-`tensor_boundary`, `ez_map` or `aw_map` call are distinct cells of one
+product cell its staircase inside the two ambient simplices, a chain that
+every generator has its first generator's degree.  The builders here skip
+those checks where their output is valid by construction, through each
+type's private `_valid`: a face of a strictly increasing tuple or of a
+staircase is one too once `face` has refused a vertex and the degenerate
+case, an EZ path advances one side by one index at each step, the
+distinct front and back vertices of a product cell's `aw_map` split are
+a generator each, and the terms of one `boundary`, `tensor_boundary`,
+`ez_map` or `aw_map` call are distinct cells of one
 degree with coefficient +-1.  `Chain.linear` checks one degree per image
 and leaves the full check to the public constructor when two images
 differ.  Nothing here caches across calls, so the EZ route and the
@@ -235,6 +237,8 @@ class ProductGenerator(Value):
                 raise ValueError("paths must be nondecreasing")
             if a1 == a and b1 == b:
                 raise ValueError("degenerate product cell")
+        if left[0] < 0 or left[-1] > left_ambient or right[0] < 0 or right[-1] > right_ambient:
+            raise ValueError(f"paths {left}, {right} out of range for ambients {left_ambient}, {right_ambient}")
         self._fill(left, right, left_ambient, right_ambient)
 
     @staticmethod
@@ -311,7 +315,7 @@ def aw_map(g: ProductGenerator) -> Chain:
         back = g.right[s:]
         if len(set(front)) != len(front) or len(set(back)) != len(back):
             continue  # degenerate tensor factor: zero in normalized chains
-        terms[(Generator(front, g.left_ambient), Generator(back, g.right_ambient))] = 1
+        terms[(Generator._valid(front, g.left_ambient), Generator._valid(back, g.right_ambient))] = 1
     return Chain._valid(terms)
 
 

@@ -15,7 +15,7 @@ from cechchern import Manifest, ManifestError, cli, fiber, parse_expr, simplicia
 from cechchern.cli import laurent_coefficient, main, run
 from cechchern.manifest import MAX_GROUP_WORDS
 from cechchern.serde import cochain_to_text, text_to_cochain
-from cechchern.cech import CechCochain
+from cechchern.cech import CechCochain, CoverError
 from cechchern.chern import tot_ch_vertex
 from cechchern.forms import HoloForm
 
@@ -660,7 +660,11 @@ GOLDEN_RUNS = [
         # the first (valid, twin) pair of seed 1 of each benchmark workload
         ("simplex", "simplex_gl2", None, 0), ("simplex", "simplex_gl2_twin", None, 1),
         ("square", "square_rat", None, 0), ("square", "square_rat_twin", None, 1),
-        ("equivariant", "equivariant_z2", None, 0), ("equivariant", "equivariant_z2_twin", None, 1))
+        ("equivariant", "equivariant_z2", None, 0), ("equivariant", "equivariant_z2_twin", None, 1),
+        # CP^2 on its three standard charts: monomial change maps, with
+        # connections that send pullbacks down the monomial and the general
+        # route of ChangeMap.pull
+        ("vertex", "cp2_monomial", None, 0))
 ]
 
 
@@ -748,6 +752,54 @@ def test_overlaps_and_coordinates_are_read_strictly(tmp_path, capsys):
     for coordinates in ("z", "zw", ["z", 1], {"z": 0}, None):
         code, _, err = exit_code(lambda raw: raw["charts"][0].update(coordinates=coordinates))
         assert (code, err) == (2, "error: <manifest>: coordinates of chart 'U0' must be a list of strings\n")
+
+
+def test_misspelt_keys_exit_2_located(tmp_path, capsys):
+    # each manifest object has a closed key set: a misspelt key is refused
+    # by name and place, never ignored in favour of its default
+    for name, mode, edit, message in (
+        ("o3_cp1", "vertex", lambda raw: raw["bundle"].update(conections={}), "'conections' in bundle"),
+        ("o3_cp1", "vertex", lambda raw: raw.update(run={"max_levl": 0}), "'max_levl' in run"),
+        ("o3_cp1", "vertex", lambda raw: raw.update(overlap=[[0, 1]]), "'overlap' in the top level"),
+        ("o3_cp1", "vertex", lambda raw: raw["charts"][1].update(coords=["w"]), "'coords' in charts[1]"),
+        ("o3_cp1", "vertex", lambda raw: raw["change_maps"][0].update(expr={}), "'expr' in change_maps[0]"),
+        ("cstar_one_simplex", "square", lambda raw: raw["bundle"]["levels"][1].update(intertwiners={}),
+         "'intertwiners' in bundle.levels[1]"),
+        ("z2_equivariant", "equivariant", lambda raw: raw["group"].update(lift={}), "'lift' in group"),
+    ):
+        raw = json.loads((FIXTURES / f"{name}.json").read_text())
+        edit(raw)
+        target = tmp_path / "misspelt.json"
+        target.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["--mode", mode, "--manifest", str(target)]) == 2, message
+        assert capsys.readouterr().err == f"error: {target}: unknown key {message}\n"
+
+
+def test_composition_checks_have_power(tmp_path, capsys):
+    # the composition checks go through ChangeMap.pull: on CP^2 a monomial
+    # map off by a constant breaks the cover (exit 2), and an action of
+    # order 4 breaks the group law s*s = e (exit 1)
+    raw = json.loads((FIXTURES / "cp2_monomial.json").read_text())
+    raw["change_maps"][2]["exprs"]["v0"] = "2/u1"
+    with pytest.raises(ManifestError) as err:
+        Manifest(raw, source="m.json")
+    assert isinstance(err.value.__cause__, CoverError)
+    triples = "[(0, 1, 0), (1, 0, 1), (1, 0, 2), (1, 2, 0), (2, 1, 0)]"
+    assert str(err.value) == f"m.json: inconsistent triples {triples}"
+    target = tmp_path / "cp2.json"
+    target.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["--mode", "vertex", "--manifest", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {target}: inconsistent triples {triples}\n"
+    raw = json.loads((FIXTURES / "z2_equivariant.json").read_text())
+    raw["group"]["action"]["s"]["0"]["z"] = "i*z"
+    target.write_text(json.dumps(raw))
+    out = io.StringIO()
+    assert run("equivariant", str(target), json_report=True, out=out) == 1
+    checks = {c["name"]: c for c in json.loads(out.getvalue())["checks"]}
+    assert not checks["equivariant.action_composition"]["ok"]
+    assert checks["equivariant.action_composition"]["witness"] == "violated at [('s', 's', 0)]"
 
 
 def test_serde_multicoordinate_roundtrip():

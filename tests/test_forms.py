@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from cechchern import parse_expr
+from cechchern import linalg, parse_expr
 from cechchern.forms import (
+    ChangeMap,
     Chart,
     ChartMismatchError,
     ConnectionMatrix,
@@ -80,15 +81,17 @@ def test_pullback_examples():
     W = Chart("W", ("w",))
     # dw under w = 1/z becomes -z^-2 dz
     dw = HoloForm.d_coord(W, "w")
-    phi = {"w": parse_expr("1/z", ["z"])}
-    assert dw.pullback(Z, phi) == HoloForm(Z, {(0,): parse_expr("-1/z^2", ["z"])})
+    phi = ChangeMap({"w": parse_expr("1/z", ["z"])}, W, Z)
+    assert dw.pullback(phi) == HoloForm(Z, {(0,): parse_expr("-1/z^2", ["z"])})
     # w dw pulls back to -z^-3 dz
     wdw = dw.scale(RationalFunction.variable("w"))
-    assert wdw.pullback(Z, phi) == HoloForm(Z, {(0,): parse_expr("-1/z^3", ["z"])})
+    assert wdw.pullback(phi) == HoloForm(Z, {(0,): parse_expr("-1/z^3", ["z"])})
     # identity map leaves forms alone
-    ident = {"z": parse_expr("z", ["z"])}
     f = fn("z^2 + 1", Z) + HoloForm.d_coord(Z, "z").scale(parse_expr("1/z", ["z"]))
-    assert f.pullback(Z, ident) == f
+    assert f.pullback(ChangeMap.identity(Z)) == f
+    # a form pulls back only along a map from its own chart
+    with pytest.raises(ChartMismatchError):
+        f.pullback(phi)
 
 
 def test_pullback_commutes_with_d_and_composes():
@@ -97,21 +100,22 @@ def test_pullback_commutes_with_d_and_composes():
     for _ in range(15):
         a, b = rng.randint(1, 3), rng.randint(-3, -1)
         form = HoloForm.function(W, parse_expr(f"w^{a} + {a}/w", ["w"]))
-        phi = {"w": parse_expr(f"z^{b} + {a}", ["z"])}
-        lhs = form.d().pullback(Z, phi)
-        rhs = form.pullback(Z, phi).d()
+        phi = ChangeMap({"w": parse_expr(f"z^{b} + {a}", ["z"])}, W, Z)
+        lhs = form.d().pullback(phi)
+        rhs = form.pullback(phi).d()
         assert lhs == rhs
     # functoriality: pullback along a composition equals iterated pullback
     X = Chart("X", ("x",))
-    phi = {"w": parse_expr("1/z", ["z"])}      # W <- Z
-    psi = {"z": parse_expr("x^2", ["x"])}      # Z <- X
-    comp = {"w": parse_expr("1/x^2", ["x"])}   # W <- X
+    phi = ChangeMap({"w": parse_expr("1/z", ["z"])}, W, Z)      # W <- Z
+    psi = ChangeMap({"z": parse_expr("x^2", ["x"])}, Z, X)      # Z <- X
+    comp = ChangeMap({"w": parse_expr("1/x^2", ["x"])}, W, X)   # W <- X
     form = HoloForm.function(W, parse_expr("w^3 + w", ["w"])).d()
-    assert form.pullback(Z, phi).pullback(X, psi) == form.pullback(X, comp)
+    assert form.pullback(phi).pullback(psi) == form.pullback(comp)
 
 
 def test_matrix_pullback_takes_the_jacobian_once(monkeypatch):
-    # the forms d(image) of the map are built once per matrix, not per entry
+    # the forms d(image) of the map are built once, with the map, and no
+    # pullback along it takes a derivative
     calls = []
     derivative = RationalFunction.derivative
     monkeypatch.setattr(RationalFunction, "derivative", lambda f, v: calls.append(v) or derivative(f, v))
@@ -119,10 +123,12 @@ def test_matrix_pullback_takes_the_jacobian_once(monkeypatch):
     phi = {"z": parse_expr("x*y", ["x", "y"]), "w": parse_expr("1/y + x", ["x", "y"])}
     dz, dw = HoloForm.d_coord(ZW, "z"), HoloForm.d_coord(ZW, "w")
     a = ConnectionMatrix(ZW, MatrixForm(ZW, [[dz, dw.scale(parse_expr("z*w", ["z", "w"]))], [dw, dz + dw]]))
-    pulled = a.pullback(X, phi)
+    change = ChangeMap(phi, ZW, X)
+    pulled = a.pullback(change)
     # one 2 x 2 Jacobian: entry by entry it took 16 derivatives
     assert len(calls) == 4
-    assert pulled.matrix.entries == tuple(tuple(e.pullback(X, phi) for e in row) for row in a.matrix.entries)
+    assert pulled.matrix.entries == tuple(tuple(e.pullback(change) for e in row) for row in a.matrix.entries)
+    assert len(calls) == 4
 
 
 def rand_matrix_form(rng, chart, n=2):
@@ -202,8 +208,9 @@ def test_trace_examples_and_graded_cyclicity():
 
 
 def test_pullback_vanishing_denominator_rejected():
-    with pytest.raises(ZeroDivisionError):
-        fn("1/w", Chart("W", ("w",))).pullback(Z, {"w": parse_expr("z - z", ["z"])})
+    # a map that would pull 1/w back to a pole is refused when it is built
+    with pytest.raises(ValueError, match="is degenerate"):
+        ChangeMap({"w": parse_expr("z - z", ["z"])}, Chart("W", ("w",)), Z)
 
 
 def test_apply_connection_shape_and_chart_mismatch():
@@ -233,3 +240,73 @@ def test_matrix_form_of_functions_roundtrip():
     with pytest.raises(ValueError):
         dz.inverse()
     assert not (MatrixForm.identity(Z, 1) + dz).is_identity
+
+
+def _laurent_text(rng, names, terms):
+    """A random Laurent polynomial with Gaussian-rational coefficients."""
+    out = []
+    for _ in range(terms):
+        coeff = f"({rng.randint(-3, 3) or 1} + {rng.randint(-2, 2)}*i)/{rng.randint(1, 3)}"
+        out.append("*".join([coeff] + [f"{v}^{rng.randint(-3, 3)}" for v in names]))
+    return " + ".join(out)
+
+
+def _monomial_map(rng, source, target):
+    """Images c*x^K of source's coordinates in target's, with K an integer
+    matrix of nonzero determinant and c a Gaussian rational, 1 half the time."""
+    n = len(source.coordinates)
+    while True:
+        k = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if not linalg.det([[RationalFunction.const(x) for x in row] for row in k]).is_zero:
+            break
+    images = {}
+    for u, row in zip(source.coordinates, k):
+        coeff = "1" if rng.random() < 0.5 else f"({rng.randint(1, 3)} - {rng.randint(0, 2)}*i)/{rng.randint(1, 3)}"
+        images[u] = parse_expr("*".join([coeff] + [f"{y}^{e}" for y, e in zip(target.coordinates, row)]),
+                               target.coordinates)
+    return images
+
+
+def test_change_map_routes_agree_with_substitution(monkeypatch):
+    # ChangeMap.pull equals RationalFunction.substitute on every route; the
+    # monomial route substitutes nothing, the other maps and functions whose
+    # denominator is not a monomial take the general route, and the identity
+    # returns its argument
+    rng = random.Random(26)
+    substitute = RationalFunction.substitute
+    calls = []
+    monkeypatch.setattr(RationalFunction, "substitute", lambda f, m: calls.append(f) or substitute(f, m))
+    for n in (1, 2, 3):
+        source = Chart("S", ("a", "b", "c")[:n])
+        # a renaming: the target's coordinates sort in another order
+        target = Chart("T", ("z", "y", "x")[:n])
+        for _ in range(12):
+            change = ChangeMap(_monomial_map(rng, source, target), source, target)
+            for text in (_laurent_text(rng, source.coordinates, rng.randint(1, 5)), "0", "1", "(2 + i)/3"):
+                f = parse_expr(text, source.coordinates)
+                calls.clear()
+                assert str(change.pull(f)) == str(substitute(f, change.images)), (text, change.images)
+                assert change.pull(f) == substitute(f, change.images)
+                assert not calls, text
+            # a denominator that is not a monomial takes the general route
+            f = parse_expr(f"1/(1 + {source.coordinates[0]})", source.coordinates)
+            calls.clear()
+            assert change.pull(f) == substitute(f, change.images) and len(calls) == 1
+        # so does every function under a map with an image that is not a monomial
+        images = {u: parse_expr(f"{y} + 1", target.coordinates) for u, y in zip(source.coordinates, target.coordinates)}
+        change = ChangeMap(images, source, target)
+        f = parse_expr(_laurent_text(rng, source.coordinates, 3), source.coordinates)
+        calls.clear()
+        assert change.pull(f) == substitute(f, images) and len(calls) == 1
+        # the identity map returns its argument, whatever its denominator
+        identity = ChangeMap.identity(source)
+        for text in ("a^-2 + 3", "1/(a + 1)"):
+            f = parse_expr(text, source.coordinates)
+            assert identity.pull(f) is f
+    # the examples: (2+i)/(3*z^2) under z -> 1/w, and the map z -> z^2,
+    # which no inverse monomial map undoes
+    W = Chart("W", ("w",))
+    for image, text in (("1/w", "(2 + i)/(3*z^2)"), ("w^2", "z^-1 + (2 + i)/(3*z^2) + i*z^3"), ("i*w^-2", "z - 1/z")):
+        change = ChangeMap({"z": parse_expr(image, ["w"])}, Z, W)
+        f = parse_expr(text, ["z"])
+        assert change.pull(f) == substitute(f, change.images)

@@ -140,6 +140,10 @@ def test_cells_refuse_malformed_input():
         ((0, 1, 0), (0, 1, 2), "nondecreasing"),
         ((0, 1, 2), (1, 0, 1), "nondecreasing"),
         ((0, 1, 1), (0, 1, 1), "degenerate"),
+        # a staircase must stay inside both ambient simplices
+        ((0, 5), (0, 0), "out of range"),
+        ((-1, 0), (0, 1), "out of range"),
+        ((0, 0), (1, 3), "out of range"),
     ):
         with pytest.raises(ValueError, match=message):
             ProductGenerator(left, right, 2, 2)
