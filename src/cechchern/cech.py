@@ -167,8 +167,8 @@ class Cover(_CoverBase):
         maps = sorted(self.change_maps.items())
         bad = [(a, b, c) for (a, b), m in maps for (b2, c), m2 in maps
                if b2 == b and (a == c or (a, c) in self.change_maps)
-               and (direct := self.change_map(a, c).images)
-               and any(direct[v] != m2.pull(f) for v, f in m.images.items())]
+               and any(m2.pull(f) != (RationalFunction.variable(v) if a == c else self.change_maps[(a, c)].images[v])
+                       for v, f in m.images.items())]
         if bad:
             raise CoverError(f"inconsistent triples {bad}")
 

@@ -194,11 +194,6 @@ class HoloForm(Value):
 
     def pullback(self, change_map: "ChangeMap") -> "HoloForm":
         """Pull back along a change map from its target chart to this form's."""
-        return self._pulled(change_map)
-
-    def _pulled(self, change_map: "ChangeMap") -> "HoloForm":
-        # the pullback of a form, alone or in a matrix; the benchmark's
-        # tracer times `pullback`, the entry point for a form alone
         if self.chart != change_map.source:
             raise ChartMismatchError(f"form on {self.chart.name} pulled back from {change_map.source.name}")
         target = change_map.target
@@ -410,7 +405,7 @@ class MatrixForm(Value):
         return MatrixForm(self.chart, [[e.d() for e in row] for row in self.entries])
 
     def pullback(self, change_map: ChangeMap) -> "MatrixForm":
-        return MatrixForm(change_map.target, [[e._pulled(change_map) for e in row] for row in self.entries])
+        return MatrixForm(change_map.target, [[e.pullback(change_map) for e in row] for row in self.entries])
 
     def trace(self, other: Optional["MatrixForm"] = None) -> HoloForm:
         """tr(self), or tr(self * other) = sum_ij self_ij ^ other_ji, which
