@@ -237,6 +237,8 @@ class ChangeMap(Value):
     a pole."""
 
     __slots__ = ("source", "target", "images", "d_images", "_identity", "_laurent")
+    # unhashable, as its images dict is
+    __hash__ = None
 
     def __init__(self, images: Mapping[str, RationalFunction], source: Chart, target: Chart):
         src, dst = source.coordinates, target.coordinates

@@ -41,10 +41,19 @@ which takes the first shape that fits:
   mapped to F_P[x] (i to a square root of -1, every other variable to a
   fixed point) keep a's degree in x and have a gcd of degree 0, which
   proves g = 1, and the quotients are the operands;
+- heuristic, when both numerators are real (`heugcd`, loaded when first
+  reached): the numerators are set to integer points one variable at a
+  time, the integer gcd of the two values is interpolated from its
+  balanced digits into a candidate G, and the quotients are interpolated
+  from the two integer quotients.  G is taken only when G times each
+  quotient is the numerator exactly and the images prove the quotients
+  coprime, so the gcd rests on that algebra, not on the heuristic.  A
+  constant candidate, a failed check or running out of points falls
+  through to
 - otherwise a subresultant pseudo-remainder sequence (PRS), whose
   contents are gcds through the same dispatch.
 
-The zero, constant, divisor and image shapes form the quotients
+The zero, constant, divisor, image and heuristic shapes form the quotients
 themselves; after the others `cofactors` divides each operand by g once.
 """
 
@@ -781,6 +790,14 @@ def _gcd(a: Polynomial, b: Polynomial):
             return _divisor_shape(flip, b, a_over_g)
     if _proven_coprime(a, b, vs):
         return (_ONE, b, a) if flip else (_ONE, a, b)
+    if not a.im and not b.im:
+        # imported when first reached, so that a run whose gcds never get
+        # this far does not load it
+        from .heugcd import heu_gcd
+
+        found = heu_gcd(b, a, vs) if flip else heu_gcd(a, b, vs)
+        if found:
+            return found
     return _prs_gcd(a, b, vs), None, None
 
 

@@ -337,32 +337,47 @@ def oracle_cases():
         yield a * g, b * g
 
 
+def real_oracle_cases():
+    """10 pairs (a*g, b*g) in (w, z) and 10 in (u, w, z) with a planted
+    common factor g, all with real rational coefficients: the operands of
+    the heuristic gcd."""
+    rng = random.Random(13)
+
+    def real_poly(variables):
+        return Polynomial.make(variables, {
+            tuple(rng.randint(0, 2) for _ in variables):
+                GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+            for _ in range(3)})
+
+    for variables in (("w", "z"), ("u", "w", "z")):
+        for _ in range(10):
+            a, b, g = (real_poly(variables) for _ in range(3))
+            yield a * g, b * g
+
+
 def test_gcd_matches_sympy_oracle():
+    # exact equality of the monic gcds as polynomials over Q(i); sympy's
+    # monic divides by the lex-leading coefficient on both sides
     sympy = pytest.importorskip("sympy")
-    zs, ws = sympy.symbols("z w")
+    gens = sympy.symbols("u w z")
 
     def to_sympy(p):
-        expr = sympy.Integer(0)
-        symmap = {"z": zs, "w": ws}
+        terms = {}
         for e, c in p.terms.items():
-            term = sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
-                c.im.numerator, c.im.denominator
-            )
-            for v, k in zip(p.variables, e):
-                term *= symmap[v] ** k
-            expr += term
-        return sympy.expand(expr)
+            exponents = dict(zip(p.variables, e))
+            terms[tuple(exponents.get(str(x), 0) for x in gens)] = (
+                sympy.Rational(c.re.numerator, c.re.denominator)
+                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+        return sympy.Poly.from_dict(terms, *gens, domain="QQ_I")
 
-    for ag, bg in oracle_cases():
-        mine = poly_gcd(ag, bg)
-        theirs = sympy.gcd(to_sympy(ag), to_sympy(bg), zs, ws, extension=[sympy.I])
-        # Compare up to units: both sides must divide each other.
-        mine_s = to_sympy(mine)
-        if theirs == 0:
+    cases = list(oracle_cases()) + list(real_oracle_cases())
+    assert sum(ag.im == {} and bg.im == {} for ag, bg in cases) >= 20
+    for ag, bg in cases:
+        mine, theirs = to_sympy(poly_gcd(ag, bg)), to_sympy(ag).gcd(to_sympy(bg))
+        if theirs.is_zero:
             assert mine.is_zero
             continue
-        q1 = sympy.simplify(mine_s / theirs)
-        assert q1.is_constant(zs, ws), (mine_s, theirs)
+        assert mine.monic() == theirs.monic(), (ag, bg, mine, theirs)
 
 
 def test_cofactors_are_the_gcd_and_its_quotients():
@@ -548,6 +563,101 @@ def test_prem_is_the_full_pseudo_remainder():
     # powers of lc(q) = w that no step took are still multiplied in
     p, q = rf("z^3*w + z^2 + 1").num, rf("z*w + 1").num
     assert check(p, q, "z") == rf("w^3").num
+
+
+def _heu_spy(monkeypatch):
+    """The (a, b, result) of every call to the heuristic shape."""
+    import cechchern.heugcd
+
+    calls = []
+    real = cechchern.heugcd.heu_gcd
+
+    def spy(a, b, vs):
+        calls.append((a, b, real(a, b, vs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(cechchern.heugcd, "heu_gcd", spy)
+    return calls
+
+
+# gcd z: the operands are z*w(w + 1)(1 - z) and z(w - 2)(z + 1), and one
+# Kronecker substitution w = x^3, z = x would share x + 1 | x^3 + 1 as well
+HEU_A, HEU_B = "-w^2*z^2 + w^2*z - w*z^2 + w*z", "w*z^2 + w*z - 2*z^2 - 2*z"
+
+
+def test_heuristic_gcd_finds_z_without_a_prs(monkeypatch):
+    import cechchern.poly
+
+    a, b, z = rf(HEU_A).num, rf(HEU_B).num, rf("z").num
+    heu, prs = _heu_spy(monkeypatch), _spy(monkeypatch, cechchern.poly, "_prs_gcd")
+    assert cofactors(a, b) == (z, divexact(a, z), divexact(b, z))
+    assert cofactors(b, a) == (z, divexact(b, z), divexact(a, z))
+    assert len(heu) == 2 and all(result for _, _, result in heu) and not prs
+
+
+def test_heuristic_cofactors_multiply_back(monkeypatch):
+    # real planted pairs in 2 and 3 variables, with rational coefficients:
+    # the shape settles almost all of them, and its quotients are exact
+    heu = _heu_spy(monkeypatch)
+    for ag, bg in real_oracle_cases():
+        g, ag_over, bg_over = cofactors(ag, bg)
+        assert g * ag_over == ag and g * bg_over == bg, (ag, bg)
+    found = [(a, b, result) for a, b, result in heu if result]
+    assert len(found) >= 18
+    for a, b, (g, a_over, b_over) in found:
+        assert g == g.monic() and g * a_over == a and g * b_over == b
+
+
+def test_gaussian_operands_never_enter_the_heuristic(monkeypatch):
+    import cechchern.poly
+
+    heu, prs = _heu_spy(monkeypatch), _spy(monkeypatch, cechchern.poly, "_prs_gcd")
+    ag, bg, g = _gcd_bench().planted_pair(4)
+    assert poly_gcd(ag, bg) == g.monic() and prs
+    for ag, bg in oracle_cases():
+        poly_gcd(ag, bg)
+    assert len(prs) > 1
+    assert all(not a.im and not b.im for a, b, _ in heu)
+
+
+def test_heuristic_refuses_without_the_coprimality_proof(monkeypatch):
+    # the candidate z passes both products, but with no proof that the
+    # quotients are coprime the shape gives way to the PRS
+    import cechchern.heugcd
+    import cechchern.poly
+
+    a, b = rf(HEU_A).num, rf(HEU_B).num
+    expected = cofactors(a, b)
+    heu, prs = _heu_spy(monkeypatch), _spy(monkeypatch, cechchern.poly, "_prs_gcd")
+    monkeypatch.setattr(cechchern.heugcd, "_proven_coprime", lambda *args: False)
+    assert cofactors(a, b) == expected
+    assert heu[0][:2] == (a, b) and all(result is None for _, _, result in heu)
+    assert prs[0][:2] == (a, b)
+
+
+def test_heuristic_refuses_a_proper_common_factor(monkeypatch):
+    # a candidate that divides both operands exactly but is not their gcd
+    # leaves quotients with the common factor w + 1, which the images do
+    # not prove coprime
+    import cechchern.heugcd
+    import cechchern.poly
+
+    z, w1 = rf("z").num, rf("w + 1").num
+    a, b = z * w1 * rf("w - z + 3").num, z * w1 * rf("w*z + 2").num
+    vs = Polynomial._union_vars(a, b)
+
+    def offer(a_num, b_num, n):
+        yield z._embedded(vs)[0], divexact(a, z).re, divexact(b, z).re
+
+    monkeypatch.setattr(cechchern.heugcd, "_candidates", offer)
+    proofs = []
+    real_proof = cechchern.heugcd._proven_coprime
+    monkeypatch.setattr(cechchern.heugcd, "_proven_coprime",
+                        lambda *args: proofs.append(args[:2]) or real_proof(*args))
+    assert cechchern.heugcd.heu_gcd(a, b, vs) is None
+    assert proofs == [(divexact(a, z), divexact(b, z))]
+    prs = _spy(monkeypatch, cechchern.poly, "_prs_gcd")
+    assert poly_gcd(a, b) == z * w1 and len(prs) == 1
 
 
 def test_planted_bivariate_gcd_takes_three_contents(monkeypatch):

@@ -66,6 +66,15 @@ def test_cli_import_loads_no_dataclasses():
     assert not {"dataclasses", "inspect", "dis", "tokenize", "ast"} & set(loaded)
 
 
+def test_cli_import_leaves_the_heuristic_gcd_unloaded():
+    # only gcds of real numerators that no earlier shape settles load it,
+    # so a run that takes none does not compile it
+    code = f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import cechchern.cli; print(*sys.modules)"
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "cechchern.poly" in loaded and "cechchern.heugcd" not in loaded
+
+
 def test_one_immutability_guard():
     # value types subclass value.Value for their immutability instead of
     # each writing its own guard

@@ -5,10 +5,11 @@ import pytest
 
 from cechchern import parse_expr
 from cechchern.cech import FormalSection
-from cechchern.forms import Chart, ConnectionMatrix, HoloForm, MatrixForm
+from cechchern.forms import ChangeMap, Chart, ConnectionMatrix, HoloForm, MatrixForm
 from cechchern.report import CheckItem
 from cechchern.scalars import GaussianRational
 from cechchern.simplicial import Chain, Generator, ProductGenerator
+from cechchern.value import Value
 
 U = Chart("U", ("z",))
 
@@ -58,3 +59,24 @@ def test_connection_matrix_is_an_unhashable_record():
     assert zero != ConnectionMatrix(U, dz) and zero != zero.matrix
     with pytest.raises(TypeError, match="unhashable"):
         hash(zero)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_values_with_a_dict_slot_hash_on_purpose():
+    # the record of a dict slot cannot hash, so every value type holding a
+    # dict defines its own __hash__ or sets it to None; one instance of
+    # each Value subclass is checked
+    values = _values() + [ChangeMap.identity(Chart("U", ("u",)))]
+    assert {type(v) for v in values} == set(_subclasses(Value))
+    with_dicts = [type(v) for v in values
+                  if any(isinstance(getattr(v, name, None), dict) for name in type(v).__slots__)]
+    assert ChangeMap in with_dicts
+    for cls in with_dicts:
+        assert "__hash__" in vars(cls), cls.__name__
+    with pytest.raises(TypeError, match="unhashable type: 'ChangeMap'"):
+        hash(values[-1])

@@ -9,6 +9,10 @@ Cases:
   (w, z).  Each polynomial keeps each monomial of its total degree bound
   with probability 0.6, with Gaussian integer coefficients whose parts lie
   in [-9, 9]; the draw for each d comes from its own `random.Random(7)`.
+- `planted-zz-d<d>` for d = 4 .. 8: the same recipe with integer
+  coefficients in [-9, 9], one draw per kept monomial, g, a and b again
+  from a `random.Random(7)` of their own.  Only real operands reach the
+  heuristic gcd shape of `poly._gcd`; the Gaussian cases never do.
 - `univariate-d61`: the gcd of a*g and b*g in z, for a planted g of degree
   2 and cofactors a, b of degree 61 and 60, each coefficient a Gaussian
   integer with parts in [-9, 9], drawn in the order g, a, b from
@@ -58,20 +62,23 @@ PRODUCT_REPEATS = 20
 POWERS = {"power-ab139": (("a", "b"), 139), "power-x256": (("x",), 256)}
 
 
-def random_poly(rng: random.Random, degree: int) -> Polynomial:
-    """A random polynomial in (w, z) of total degree at most degree."""
+def random_poly(rng: random.Random, degree: int, real: bool = False) -> Polynomial:
+    """A random polynomial in (w, z) of total degree at most degree, with
+    Gaussian integer coefficients, or with integer ones if real."""
     terms = {}
     for i in range(degree + 1):
         for j in range(degree + 1 - i):
             if rng.random() < 0.6:
-                terms[(i, j)] = GaussianRational(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
+                re = Fraction(rng.randint(-9, 9))
+                terms[(i, j)] = GaussianRational(re) if real else GaussianRational(re, Fraction(rng.randint(-9, 9)))
     return Polynomial.make(("w", "z"), terms)
 
 
-def planted_pair(d: int):
-    """(a*g, b*g, g) for the planted case of degree d."""
+def planted_pair(d: int, real: bool = False):
+    """(a*g, b*g, g) for the planted case of degree d, or with real, for
+    the planted-zz case."""
     rng = random.Random(7)
-    g, a, b = random_poly(rng, 2), random_poly(rng, d), random_poly(rng, d)
+    g, a, b = (random_poly(rng, degree, real) for degree in (2, d, d))
     return a * g, b * g, g
 
 
@@ -140,6 +147,9 @@ def cases(quick: bool):
         ag, bg, _ = planted_pair(d)
         yield f"planted-d{d}", lambda ag=ag, bg=bg: poly_gcd(ag, bg)
     if not quick:
+        for d in PLANTED_DEGREES:
+            ag, bg, _ = planted_pair(d, real=True)
+            yield f"planted-zz-d{d}", lambda ag=ag, bg=bg: poly_gcd(ag, bg)
         ag, bg, _ = univariate_planted_pair(61)
         yield "univariate-d61", lambda ag=ag, bg=bg: poly_gcd(ag, bg)
         a, b = univariate_coprime_pair(60)
