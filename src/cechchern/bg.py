@@ -222,8 +222,10 @@ class EquivariantBundleData:
     coordinates (charts are assumed action-stable), built once into a
     ChangeMap from the chart to itself, checked like a change map;
     lifts[(g, chart)] is the frame matrix of the action on fibers over
-    that chart, a degree-0 MatrixForm on it.  Each pullback along the action
-    is taken once: pulled_lifts[(h, g, i)] is the lift of g pulled back by h,
+    that chart, a degree-0 MatrixForm on it.  The identity element may go
+    without either: it then acts by ChangeMap.identity and lifts to the
+    identity matrix.  Each pullback along the action is taken once:
+    pulled_lifts[(h, g, i)] is the lift of g pulled back by h,
     pulled_connections[(g, i)] the connection pulled back by g.  The nabla of
     each word letter (h, g, i) is taken once too, in the data's own memo.
     """
@@ -249,14 +251,14 @@ class EquivariantBundleData:
         for g in group.elements:
             for i, chart in enumerate(cover.charts):
                 if g == group.identity:
-                    default_map = {c: RationalFunction.variable(c) for c in chart.coordinates}
-                    images = action.get((g, i), default_map)
+                    images = action.get((g, i))
                     self.lifts[(g, i)] = lifts.get((g, i), MatrixForm.identity(chart, rank))
                 else:
                     images = action[(g, i)]
                     self.lifts[(g, i)] = lifts[(g, i)]
                 try:
-                    self.action[(g, i)] = ChangeMap(images, chart, chart)
+                    self.action[(g, i)] = (ChangeMap.identity(chart) if images is None
+                                           else ChangeMap(images, chart, chart))
                 except ValueError as err:
                     raise ValueError(f"action of {g} on chart {i} {err}") from err
                 lift = self.lifts[(g, i)]
@@ -316,9 +318,10 @@ class EquivariantBundleData:
 
 
 def equivariant_check(data: EquivariantBundleData, word_bound: Optional[int] = None) -> Report:
-    """Report the invariance defects and the vanishing of all
-    positive-u-degree components when the connection is invariant.  data
-    must have passed data.validate(), whose report the caller keeps."""
+    """Report the invariance defects and, only when there are none, the
+    vanishing of all positive-u-degree components; no component is computed
+    for a connection that is not invariant.  data must have passed
+    data.validate(), whose report the caller keeps."""
     report = Report()
     nontrivial = [g for g in data.group.elements if g != data.group.identity]
     defects = []
@@ -336,6 +339,8 @@ def equivariant_check(data: EquivariantBundleData, word_bound: Optional[int] = N
         "; ".join(f"nabla(phi_{g}) on chart {i}: {w}" for g, i, w in defects),
         "{}",
     )
+    if defects:
+        return report
     if word_bound is None:
         word_bound = len(data.group.elements)
     # a word with an identity letter is a degenerate simplex: its component
@@ -350,14 +355,7 @@ def equivariant_check(data: EquivariantBundleData, word_bound: Optional[int] = N
                 form = data.word_component(w, i)
                 if not form.is_zero:
                     nonzero.append((w, i, str(form)))
-    if not defects:
-        report.check(
-            "equivariant.positive_components_zero", nonzero, "first: word {0[0][0]} chart {0[0][1]}: {0[0][2]}"
-        )
-    else:
-        report.add(
-            "equivariant.components_computed",
-            True,
-            f"{len(nonzero)} nonzero positive-degree components",
-        )
+    report.check(
+        "equivariant.positive_components_zero", nonzero, "first: word {0[0][0]} chart {0[0][1]}: {0[0][2]}"
+    )
     return report

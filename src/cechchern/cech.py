@@ -201,8 +201,6 @@ class Cover(_CoverBase):
         return self.charts[i]
 
     def change_map(self, a, b) -> ChangeMap:
-        if a == b:
-            return ChangeMap.identity(self.chart_of_index(a))
         key = (a, b)
         if key not in self.change_maps:
             raise CoverError(f"missing change map from chart {a} to chart {b}")

@@ -2,13 +2,12 @@
 
 Exit codes: 0 when every check passes, 1 on a failed verification, 2 on
 manifest or expression errors.  `run` reads the whole manifest, reports
-its mode's data.validate() and computes only when that passes.  The
-residue oracle lives here:
-`laurent_coefficient` reads a Laurent coefficient of a one-variable
-function by series division on constant polynomials, independently of the
-cochain machinery.  Vertex mode reports the residue of each rank-1 pair
-component with it, but compares it with no expected value yet.
-"""
+its mode's data.validate() and computes only when that passes.  Each line
+a mode adds then compares what it computed with something, so none can
+only pass: vertex and gamma mode report δ-closedness, simplex and iota
+the chain-map law, square the two routes' agreement and equivariant the
+invariance of the connection and, when it holds, the vanishing of every
+positive-degree component."""
 
 from __future__ import annotations
 
@@ -29,8 +28,6 @@ from .fiber import (
     verify_integration_identities,
 )
 from .manifest import Manifest, ManifestError, read_integer
-from .poly import Polynomial, divexact
-from .ratfunc import RationalFunction
 from .report import Report
 from .serde import cochain_to_text, table_to_text
 from .simplicial import (
@@ -47,33 +44,6 @@ from .simplicial import (
 )
 
 MODES = ("vertex", "simplex", "gamma", "iota", "square", "equivariant", "selftest")
-
-
-def laurent_coefficient(f: RationalFunction, var: str, power: int = -1) -> Polynomial:
-    """The coefficient of var^power in the Laurent expansion at 0, as a
-    constant polynomial.
-
-    Requires f to depend on at most the single variable var.
-    """
-    extra = set(f.variables) - {var}
-    if extra:
-        raise ValueError(f"function depends on extra variables {sorted(extra)}")
-    # power -> constant polynomial coefficient
-    num = {(e[0] if e else 0): c for e, c in f.num.monomials()}
-    den = {(e[0] if e else 0): c for e, c in f.den.monomials()}
-    pole = min(den)
-    shifted = {k - pole: c for k, c in den.items()}
-    target = power + pole
-    lead = min(num, default=target + 1)
-    # series division: s_j = (n_j - sum_{i<j} s_i d_{j-i}) / d_0
-    series = {}
-    for j in range(lead, target + 1):
-        acc = num.get(j, Polynomial.zero())
-        for i in range(lead, j):
-            if j - i in shifted:
-                acc = acc - series[i] * shifted[j - i]
-        series[j] = divexact(acc, shifted[0])
-    return series.get(target, Polynomial.zero())
 
 
 def _selftest() -> Report:
@@ -176,7 +146,6 @@ def run(
         if report.ok and mode == "vertex":
             cocycle = tot_ch_vertex(data, level)
             _delta_check(report, "vertex.delta_closed", cocycle)
-            _residue_check(data, cocycle, report)
             artifact = cochain_to_text, cocycle
         elif report.ok and mode == "gamma":
             closed = gamma(data)
@@ -211,26 +180,6 @@ def _delta_check(report, name, cochain):
     the witness of a failure."""
     delta = cochain.delta().items()
     report.add(name, not delta, component_witness(delta))
-
-
-def _residue_check(data, cocycle, report):
-    """Report the residue of each rank-1 pair component on a one-coordinate
-    chart; the line always passes, as no expected residue is known."""
-    cover = data.cover
-    if data.rank != 1:
-        return
-    for t in cover.tuples_of_length(2):
-        chart = cover.charts[t[0]]
-        if len(chart.coordinates) != 1:
-            continue
-        comp = cocycle.component(t)
-        var = chart.coordinates[0]
-        if comp is None:
-            residue = Polynomial.zero()
-        else:
-            coeff = comp.coefficient((0,))
-            residue = laurent_coefficient(coeff, var, -1)
-        report.add(f"vertex.residue{t}", True, f"residue at {var}=0: {residue}")
 
 
 def main(argv=None) -> int:

@@ -138,9 +138,6 @@ class HoloForm(Value):
             raise ValueError(f"mixed-degree form: degrees {sorted(ds)}")
         return ds.pop()
 
-    def coefficient(self, idx: IndexTuple) -> RationalFunction:
-        return self.terms.get(tuple(idx), RationalFunction.zero())
-
     # -- linear structure --------------------------------------------------------
 
     def _check_chart(self, other: "HoloForm"):
@@ -460,6 +457,8 @@ class ConnectionMatrix(Value):
     def __init__(self, chart: Chart, matrix: MatrixForm):
         if matrix.chart != chart:
             raise ChartMismatchError("connection matrix on the wrong chart")
+        if matrix.rows != matrix.cols:
+            raise ValueError(f"connection matrix must be square, found {matrix.rows}x{matrix.cols}")
         degs = matrix.degrees()
         if degs - {1}:
             raise ValueError(f"connection matrix must be pure degree 1, found degrees {sorted(degs)}")

@@ -24,6 +24,15 @@ from .forms import Chart, ConnectionMatrix, HoloForm, MatrixForm
 # and takes a few seconds).
 MAX_GROUP_WORDS = 4096
 
+# The largest bundle rank a manifest may declare.  Determinants and
+# adjugates expand by cofactors, so their cost grows factorially with the
+# rank: a dense integer transition given one way, inverted at load, takes
+# vertex mode 0.28 s at rank 6, 2.2 s at rank 7 and 17 s at rank 8 on an
+# Intel Xeon core.  A rank alone costs a rank x rank zero connection per
+# chart: rank 4000 on one chart took 6 s and 260 MB.  The shipped manifests
+# have rank at most 2, and the tangent bundle of CP^4 has rank 4.
+MAX_RANK = 6
+
 
 # The keys each object of a manifest may hold, by its place: a misspelt key
 # would otherwise be ignored and its default used.  A single-level bundle
@@ -202,7 +211,7 @@ class Manifest:
         bundle = self.raw.get("bundle")
         if not bundle:
             raise ManifestError("missing 'bundle' section")
-        return read_integer(bundle["rank"], "bundle rank", 1)
+        return read_integer(bundle["rank"], "bundle rank", 1, MAX_RANK)
 
     def _level_entries(self) -> list:
         """The raw levels of the bundle; a single-level bundle is its own

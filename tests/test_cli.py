@@ -12,34 +12,15 @@ from pathlib import Path
 import pytest
 
 from cechchern import Manifest, ManifestError, cli, fiber, parse_expr, simplicial
-from cechchern.cli import laurent_coefficient, main, run
-from cechchern.manifest import MAX_GROUP_WORDS
+from cechchern.cli import main, run
+from cechchern.manifest import MAX_GROUP_WORDS, MAX_RANK
 from cechchern.serde import cochain_to_text, text_to_cochain
+from cechchern.bg import EquivariantBundleData
 from cechchern.cech import CechCochain, CoverError
 from cechchern.chern import tot_ch_vertex
 from cechchern.forms import HoloForm
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def test_laurent_coefficient_oracle():
-    def coefficient(text, power):
-        return laurent_coefficient(parse_expr(text, ["z"]), "z", power)
-
-    def const(text):
-        return parse_expr(text, []).num
-
-    assert coefficient("3/z", -1) == const("3")
-    # (2 + z^2) / (z^3 (1 + z)) = 2 z^-3 - 2 z^-2 + 3 z^-1 - ...
-    g = "(z^2 + 2)/(z^3 + z^4)"
-    assert [coefficient(g, k) for k in (-3, -2, -1)] == [const("2"), const("-2"), const("3")]
-    assert coefficient("z^2", -1) == const("0")
-    # (1/2 + i z) / (3 z^2 (1 - 2i z/3)) = 1/6 z^-2 + 4i/9 z^-1 - 8/27 + ...
-    f = "(i*z + 1/2)/(z^2*(3 - 2*i*z))"
-    assert [coefficient(f, k) for k in (-3, -2, -1, 0)] == [const(c) for c in ("0", "1/6", "4*i/9", "-8/27")]
-    for text in ("w/z", "z/(z + w)"):
-        with pytest.raises(ValueError, match="extra variables"):
-            laurent_coefficient(parse_expr(text, ["z", "w"]), "z", -1)
 
 
 def test_manifest_loads_and_builds():
@@ -89,11 +70,12 @@ def test_run_vertex_mode_and_artifact(tmp_path):
     assert code == 0
     text = out.getvalue()
     assert "vertex.delta_closed: PASS" in text
-    assert "residue at z=0: 3" in text
+    # the pair component of O(3) is 3 dz/z: its residue is the 3
+    written = artifact.read_text()
+    assert "(0,1) | u^1 | ((3)/(z))*dz" in written.splitlines()
     # artifact round-trips bit-exactly
     man = Manifest.load(str(FIXTURES / "o3_cp1.json"))
     cocycle = tot_ch_vertex(man.vertex_data())
-    written = artifact.read_text()
     assert written == cochain_to_text(cocycle)
     assert text_to_cochain(written, man.cover) == cocycle
 
@@ -170,6 +152,23 @@ def test_run_equivariant_modes():
     assert "z^2" in out.getvalue()
 
 
+def test_non_invariant_connection_computes_no_component(monkeypatch):
+    # the run has failed at equivariant.connection_invariant, so no group
+    # word is evaluated; the invariant fixture shows the spy sees them
+    calls = []
+    component = EquivariantBundleData.word_component
+
+    def spy(self, word, i):
+        calls.append((word, i))
+        return component(self, word, i)
+
+    monkeypatch.setattr(EquivariantBundleData, "word_component", spy)
+    assert run("equivariant", str(FIXTURES / "z2_equivariant_control.json"), out=io.StringIO()) == 1
+    assert calls == []
+    assert run("equivariant", str(FIXTURES / "z2_equivariant.json"), out=io.StringIO()) == 0
+    assert calls
+
+
 def test_word_bound_zero_means_group_order():
     raw = json.loads((FIXTURES / "z2_equivariant.json").read_text())
     assert Manifest(raw).word_bound() is None
@@ -224,6 +223,32 @@ def test_unbounded_enumerations_exit_2_at_once(tmp_path, capsys):
         start = time.monotonic()
         assert main(["--mode", "equivariant", "--manifest", str(target)]) == 0
         assert time.monotonic() - start < 1
+
+
+def test_bundle_rank_is_bounded(tmp_path, capsys):
+    # cofactor determinants cost factorially in the rank and a connection
+    # quadratically: a dense rank-7 transition given one way, inverted at
+    # load, and a bare rank of 40 000 on one chart are refused before
+    # either is built
+    def dense(rank):
+        raw = json.loads((FIXTURES / "o3_cp1.json").read_text())
+        grid = [["2" if r == c else "1" for c in range(rank)] for r in range(rank)]
+        return dict(raw, bundle={"rank": rank, "transitions": {"0,1": grid}})
+
+    bare = {"charts": [{"name": "U", "coordinates": ["z"]}], "bundle": {"rank": 40000}}
+    target = tmp_path / "rank.json"
+    for raw in (dense(7), bare):
+        target.write_text(json.dumps(raw))
+        capsys.readouterr()
+        start = time.monotonic()
+        assert main(["--mode", "vertex", "--manifest", str(target)]) == 2
+        assert time.monotonic() - start < 1
+        err = capsys.readouterr().err
+        rank = raw["bundle"]["rank"]
+        assert str(target) in err and f"bundle rank {rank} outside 1..{MAX_RANK}" in err, err
+    # the same dense transition at rank 4 runs
+    target.write_text(json.dumps(dense(4)))
+    assert main(["--mode", "vertex", "--manifest", str(target)]) == 0
 
 
 def test_oversized_constant_power_exits_2_located(tmp_path, capsys):

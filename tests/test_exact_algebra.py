@@ -712,7 +712,16 @@ def test_gcd_bench_quick(capsys):
     assert time.perf_counter() - start < 2
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [line["case"] for line in lines] == ["planted-d4"]
-    assert lines[0]["seconds"] >= 0 and len(lines[0]["digest"]) == 16
+    assert 0 <= lines[0]["min_s"] <= lines[0]["median_s"] and len(lines[0]["digest"]) == 16
+
+
+def test_gcd_bench_fails_when_runs_disagree(monkeypatch, capsys):
+    # a case whose runs print different values makes the tool exit 1
+    bench = _gcd_bench()
+    runs = iter(range(bench.REPEATS))
+    monkeypatch.setattr(bench, "cases", lambda quick: [("drifting", lambda: next(runs))])
+    assert bench.main(["--quick"]) == 1
+    assert "drifting: its 5 runs gave the digests" in capsys.readouterr().err
 
 
 # -- rational functions ------------------------------------------------------------

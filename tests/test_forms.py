@@ -54,9 +54,9 @@ def test_wedge_antisymmetry_and_associativity():
     f = fn("z*w", ZW)
     g = fn("1/z", ZW)
     # (f dz) ^ (g dw) = (fg) dz^dw
-    lhs = dz.scale(f.coefficient(())).wedge(dw.scale(g.coefficient(())))
+    lhs = dz.scale(f.terms[()]).wedge(dw.scale(g.terms[()]))
     assert lhs == HoloForm(ZW, {(0, 1): parse_expr("w", ["z", "w"])})
-    a, b, c = dz.scale(f.coefficient(())), dw, fn("z", ZW)
+    a, b, c = dz.scale(f.terms[()]), dw, fn("z", ZW)
     assert a.wedge(b.wedge(c)) == (a.wedge(b)).wedge(c)
 
 
@@ -227,10 +227,19 @@ def test_apply_connection_shape_and_chart_mismatch():
         apply_connection(MatrixForm(Z, [[HoloForm.d_coord(Z, "z")]]), a2, a2)
 
 
+def test_connection_matrix_must_be_square():
+    # a 2 x 3 matrix is refused where the connection is built, not at its
+    # first use as a shape mismatch in apply_connection
+    dz = HoloForm.d_coord(Z, "z")
+    for matrix in (MatrixForm(Z, [[dz, dz, dz], [dz, dz, dz]]), MatrixForm.zero(Z, 2, 3)):
+        with pytest.raises(ValueError, match="must be square, found 2x3"):
+            ConnectionMatrix(Z, matrix)
+
+
 def test_matrix_form_of_functions_roundtrip():
     grid = [[parse_expr("z", ["z"]), parse_expr("1", [])], [parse_expr("0", []), parse_expr("1/z", ["z"])]]
     mf = MatrixForm.of_functions(Z, grid)
-    assert [[e.coefficient(()) for e in row] for row in mf.entries] == grid
+    assert [[e.terms.get((), RationalFunction.zero()) for e in row] for row in mf.entries] == grid
     assert mf.degrees() <= {0}
     # det, inverse and is_identity read a matrix of functions: a 1-form
     # entry is an error, and a matrix with one is never the identity

@@ -24,6 +24,20 @@ def test_no_assert_statements_in_library():
     assert not found, found
 
 
+def test_no_report_line_that_can_only_pass():
+    # a line whose ok is the constant True compares nothing: every
+    # Report.add of the library passes a computed verdict
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add"
+        and any(isinstance(arg, ast.Constant) and arg.value is True
+                for arg in node.args[1:2] + [k.value for k in node.keywords if k.arg == "ok"])
+    ]
+    assert not found, found
+
+
 def test_package_root_exports_resolve():
     for name in cechchern.__all__:
         assert getattr(cechchern, name) is not None, name

@@ -34,10 +34,14 @@ Cases:
   take within `MAX_TERMS`; the second, at `MAX_DEGREE`, is where repeated
   multiplication loses most to squaring.
 
-`--quick` runs `planted-d4` only.  Each line holds the case, the seconds
-it took and the first 16 hex digits of the SHA-256 of the printed gcd or
-form, so two trees can be compared case by case.  Uses the standard
-library only; writes nothing but stdout.
+`--quick` runs `planted-d4` only.  Each case runs `REPEATS` times in the
+one process, since a single timing moves by up to half between runs of
+the same tree.  Each line holds the case, the least and the median
+seconds of its runs and the first 16 hex digits of the SHA-256 of the
+printed gcd or form, so two trees can be compared case by case.  Exit
+status 1 when the runs of a case print different values, which stderr
+names.  The full run takes about 35 s on a 2-core Intel Xeon.  Uses the
+standard library only; writes nothing but stdout and stderr.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ import argparse
 import hashlib
 import json
 import random
+import statistics
+import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -58,6 +64,8 @@ PLANTED_DEGREES = (4, 5, 6, 7, 8)
 CHERN_CASES = ((1, 3), (3, 2), (2, 3))
 PRODUCT_TERMS = (40, 80)
 PRODUCT_REPEATS = 20
+# the runs of each case, of which the least and the median time are printed
+REPEATS = 5
 # case name -> (variables, exponent) of (1 + the sum of the variables)^exponent
 POWERS = {"power-ab139": (("a", "b"), 139), "power-x256": (("x",), 256)}
 
@@ -132,10 +140,17 @@ def _digest(value) -> str:
     return hashlib.sha256(str(value).encode()).hexdigest()[:16]
 
 
-def _timed(case: str, compute) -> dict:
-    start = time.perf_counter()
-    value = compute()
-    return {"case": case, "seconds": round(time.perf_counter() - start, 4), "digest": _digest(value)}
+def _timed(case: str, compute):
+    """The line of REPEATS runs of compute, and the digest of each run."""
+    seconds, digests = [], []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        value = compute()
+        seconds.append(time.perf_counter() - start)
+        digests.append(_digest(value))
+    line = {"case": case, "min_s": round(min(seconds), 4), "median_s": round(statistics.median(seconds), 4),
+            "digest": digests[0]}
+    return line, digests
 
 
 def _form_text(form) -> str:
@@ -168,9 +183,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="run planted-d4 only")
     args = parser.parse_args(argv)
+    status = 0
     for case, compute in cases(args.quick):
-        print(json.dumps(_timed(case, compute)), flush=True)
-    return 0
+        line, digests = _timed(case, compute)
+        print(json.dumps(line), flush=True)
+        if len(set(digests)) > 1:
+            print(f"{case}: its {REPEATS} runs gave the digests {digests}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
