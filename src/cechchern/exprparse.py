@@ -21,35 +21,42 @@ too, raised before it is built, and so is one whose numerator or
 denominator could have more than MAX_TERMS terms.  Every error reports
 the offending position.
 
-Integers, 'i', variables, their integer powers (negative ones included)
-and products of these are Laurent monomials: one Gaussian-integer
-coefficient and one packed key over the sorted declared variables, the
-sum of the keys of its factors (see `poly`), whose fields may be negative.
-A run of '+' and '-' of such monomials and of polynomials collects every
-term into one term dict, shifts each variable by its least exponent and
-puts the run over one monomial denominator, which leaves it coprime and
-monic without a gcd.  RationalFunction arithmetic starts only at '/', at a
-product with an operand that is not a monomial, at a power of a base that
-is not one, or at a negative power of a coefficient that is not a unit.
-The bounds read a monomial's degrees, bits and terms as those of the
-RationalFunction it stands for, so they raise the same errors at the same
-positions whichever way a run is built.
+One loop reads each run and folds every operand in as its tokens are
+read, the run's degree, term and bit bounds alongside as plain ints.
+Integers, 'i', variables, their integer powers and products of these are
+Laurent monomials (key, re, im): a Gaussian-integer coefficient and one
+packed key over the sorted variables, the sum of its factors' keys (see
+`poly`), whose fields may be negative.  A run of '*' multiplies its
+monomials into one as it reads them; a run of '+' and '-' adds each
+monomial and polynomial into one term dict, put over a monomial
+denominator, coprime and monic, without a gcd.  RationalFunction
+arithmetic starts only at '/', at a product with an operand that is not
+a monomial, at a power of a base that is not one, or at a negative power
+of a coefficient that is not a unit; such an operand waits, with its
+bounds, until its run has passed.  A run of '*' of nonzero polynomials,
+in parentheses or not, stays unbuilt with its degree, the sum of its
+factors': the run or power around it checks that degree before the
+product is formed, and reads its terms and bits off the built value.  A
+monomial's bounds are those of the RationalFunction it stands for, so the
+errors and positions are the same whichever way a run is built.
 """
 
 from __future__ import annotations
 
 import re
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb
-from operator import add, mul, sub, truediv
-from typing import List, Sequence, Tuple, Union
+from operator import mul, or_
+from typing import Sequence
 
-from .poly import FIELD, Polynomial, _gauss_pow, _sum_terms
+from .poly import FIELD, _gauss_pow, _sum_terms
 from .ratfunc import RationalFunction, _exponents, _fraction, _unit_keys
 
-# an integer, a name, an operator or, in the last group, any other character
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^])|(\S))")
-_KINDS = (None, "int", "name", "op")
+# an integer, a name or an operator, after any blanks
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/^])")
+_SIGNS, _PRODUCT = frozenset("+-"), frozenset("*/")
+# a character that starts no token
+_OTHER = re.compile(r"[^\s\dA-Za-z_()+\-*/^]")
 
 # Each parenthesis level costs a handful of interpreter frames; past this
 # depth the parser stops with an ExprError before Python's recursion limit.
@@ -91,340 +98,325 @@ class ExprError(ValueError):
         self.position = position
 
 
-class _Monomial:
-    """(re + i*im) * x^e for Gaussian-integer parts and integer exponents e,
-    packed into one key over the parser's sorted variables `names`, so that
-    the key of a product is the sum of its factors'.  Zero has the key 0,
-    and `laurent` says whether some exponent is negative."""
+class _Unbuilt:
+    """A power of a built base, or a product of two or more nonzero polynomials (n = 1)."""
 
-    __slots__ = ("key", "re", "im", "names", "laurent")
+    __slots__ = ("parts", "n", "negative")
 
-    def __init__(self, key: int, re: int, im: int, names: Tuple[str, ...], laurent: bool = False):
-        # laurent=True means that some exponent may be negative, and is checked
-        if not (re or im):
-            key, laurent = 0, False
-        elif laurent:
-            laurent = any(e < 0 for e in _exponents(key, len(names)))
-        self.key, self.re, self.im, self.names, self.laurent = key, re, im, names, laurent
+    def __init__(self, parts: list, n: int, negative: bool = False):
+        self.parts, self.n, self.negative = parts, n, negative
+
+    def __neg__(self) -> "_Unbuilt":
+        return _Unbuilt(self.parts, self.n, not self.negative)
 
     @property
     def is_zero(self) -> bool:
-        return not (self.re or self.im)
+        return len(self.parts) == 1 and self.n > 0 and self.parts[0].is_zero
 
-    @property
-    def variables(self) -> tuple:
-        return tuple(v for v, e in zip(self.names, _exponents(self.key, len(self.names))) if e)
-
-    def degrees(self) -> Tuple[int, int]:
-        """The degrees of the numerator and the denominator of its fraction."""
-        if not self.laurent:
-            return self.key >> FIELD * len(self.names), 0
-        e = _exponents(self.key, len(self.names))
-        return sum(x for x in e if x > 0), -sum(x for x in e if x < 0)
-
-    def __neg__(self) -> "_Monomial":
-        return _Monomial(self.key, -self.re, -self.im, self.names, self.laurent)
-
-    def __mul__(self, other: "_Monomial") -> "_Monomial":
-        re, im = self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
-        return _Monomial(self.key + other.key, re, im, self.names, self.laurent or other.laurent)
-
-    def __pow__(self, n: int) -> "_Monomial":
-        # a negative power is taken of a unit only, whose inverse is its conjugate
-        re, im = _gauss_pow(self.re, self.im if n >= 0 else -self.im, abs(n))
-        return _Monomial(self.key * n, re, im, self.names, self.laurent or n < 0)
+    def built(self) -> RationalFunction:
+        value = reduce(mul, [p.built() if type(p) is _Unbuilt else p for p in self.parts])
+        value = value ** self.n if len(self.parts) == 1 else value
+        return -value if self.negative else value
 
 
-def _rf(x: Union[RationalFunction, _Monomial]) -> RationalFunction:
-    """A built operand as a RationalFunction."""
-    if isinstance(x, _Monomial):
-        return _fraction(x.names, 1, {x.key: x.re}, {x.key: x.im}, x.laurent)
-    return x
+# An operand is read as (value, numerator and denominator degrees, their
+# term bounds, bit bound, whether it is a polynomial with Gaussian-integer
+# coefficients, a mask of its variables that may leave out a monomial's).
+# The value is a monomial (key, re, im), zero with the key 0, a
+# RationalFunction, measured (until then m is None) only when a run or a
+# power reads its bounds, or an _Unbuilt, a product's terms and bits None.
 
 
-class _Power:
-    """base^n for a built base, not yet multiplied out: an operand of a run
-    whose degrees, coefficient bits and terms are known before it is built.
-    A monomial base has a Gaussian-integer power: n >= 0, or it is a unit."""
-
-    __slots__ = ("base", "n", "bits", "terms", "negative")
-
-    def __init__(self, base, n: int, bits: int, terms, negative: bool = False):
-        self.base, self.n, self.bits, self.terms, self.negative = base, n, bits, terms, negative
-
-    def __neg__(self) -> "_Power":
-        return _Power(self.base, self.n, self.bits, self.terms, not self.negative)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.base.is_zero and self.n > 0
-
-
-_Operand = Union[RationalFunction, _Monomial, _Power]
-
-
-def _degrees(x: _Operand) -> Tuple[int, int]:
-    """The numerator and denominator degrees of an operand."""
-    if isinstance(x, _Monomial):
-        return x.degrees()
-    if isinstance(x, _Power):
-        k = abs(x.n)
-        num, den = _degrees(x.base)
-        return (num * k, den * k) if x.n >= 0 else (den * k, num * k)
-    return x.num.degree(), x.den.degree()
-
-
-def _bits(x: _Operand) -> int:
-    """A bound on the bit length of an operand's largest integer."""
-    if isinstance(x, _Monomial):
-        return max(1, x.re.bit_length(), x.im.bit_length())
-    if isinstance(x, _Power):
-        return x.bits
-    return x.num.coeff_bits() if x.den.is_one else max(x.num.coeff_bits(), x.den.coeff_bits())
-
-
-def _power_terms(p: Polynomial, n: int) -> int:
-    """A bound on the terms of p^n, n >= 0."""
+def _power_terms(p, n: int) -> int:
+    """A bound on the terms of the polynomial p^n, n >= 0."""
     t, v = p.term_count(), len(p.variables)
     return min(comb(n + t - 1, t - 1), comb(n * p.degree() + v, v)) if t > 1 else t
 
 
-def _terms(x: _Operand) -> Tuple[int, int]:
-    """Bounds on the terms of an operand's numerator and denominator."""
-    if isinstance(x, _Monomial):
-        return (0 if x.is_zero else 1), 1
-    return x.terms if isinstance(x, _Power) else (x.num.term_count(), x.den.term_count())
+def _zero(x) -> bool:
+    return not (x[1] or x[2]) if type(x) is tuple else x.is_zero
 
 
-def _variables(x: _Operand) -> tuple:
-    return (x.base if isinstance(x, _Power) else x).variables
-
-
-def _integral(x: _Operand) -> bool:
-    """Whether an operand is a polynomial with Gaussian-integer coefficients."""
-    if isinstance(x, _Monomial):
-        return not x.laurent
-    if isinstance(x, _Power):
-        return x.n >= 0 and _integral(x.base)
-    return x.den.is_one and x.num.den == 1
-
-
-def _built(x: _Operand) -> Union[RationalFunction, _Monomial]:
-    if isinstance(x, _Power):
-        value = x.base ** x.n
-        return -value if x.negative else value
-    return x
-
-
-def _integer(text: str, pos: int) -> int:
-    try:
-        return int(text)
-    except ValueError:  # longer than Python converts (sys.get_int_max_str_digits)
-        raise ExprError(f"integer literal of {len(text)} digits is too long", pos) from None
-
-
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastindex
-        if kind == 4:
-            raise ExprError(f"unexpected character {m.group(4)!r}", m.start(4))
-        tokens.append((_KINDS[kind], m.group(kind), m.start(kind)))
-    tokens.append(("end", "", len(text)))
-    return tokens
+@lru_cache(maxsize=64)
+def _tables(names: tuple) -> tuple:
+    """A bit of a variable mask for each variable, and the atom that each
+    token naming a variable, or 'i', stands for."""
+    keys, bit = _unit_keys(names), {v: 1 << j for j, v in enumerate(names)}
+    atoms = {v: ((keys[v], 1, 0), 1, bit[v]) for v in names if v.isascii() and v.isidentifier()}
+    atoms["i"] = ((0, 0, 1), 0, 0)
+    return bit, atoms
 
 
 class _Parser:
     def __init__(self, text: str, variables: Sequence[str]):
-        self.text = text
+        other = _OTHER.search(text)
+        if other:
+            raise ExprError(f"unexpected character {other.group()!r}", other.start())
+        self.text, self.tokens, self.k, self.depth = text, _TOKEN.findall(text) + [""], 0, 0
         self.names = tuple(sorted(set(variables)))
-        self.keys = _unit_keys(self.names)
-        self.tokens = _tokenize(text)
-        self.k = 0
-        self.depth = 0
+        self.bit, self.atoms = _tables(self.names)
 
-    def peek(self):
-        return self.tokens[self.k]
+    def error(self, message: str, k: int) -> ExprError:
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return ExprError(message, starts[k])
 
-    def advance(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
+    def integer(self, text: str, k: int) -> int:
+        try:
+            return int(text)
+        except ValueError:  # longer than Python converts (sys.get_int_max_str_digits)
+            raise self.error(f"integer literal of {len(text)} digits is too long", k) from None
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ExprError(f"expected {op!r}", pos)
-        self.advance()
+    def mask(self, x) -> int:
+        """The variables of a value, one bit each."""
+        if type(x) is tuple:
+            return sum(1 << j for j, e in enumerate(_exponents(x[0], len(self.names))) if e)
+        if type(x) is _Unbuilt:
+            return self.mask(x.parts[0]) if x.n else 0
+        return reduce(or_, (self.bit[v] for v in (*x.num.variables, *x.den.variables)), 0)
+
+    def measured(self, f: RationalFunction) -> tuple:
+        """A built value read as an operand."""
+        num, den = f.num, f.den
+        bits = num.coeff_bits() if den.is_one else max(num.coeff_bits(), den.coeff_bits())
+        return (f, num.degree(), den.degree(), num.term_count(), den.term_count(), bits,
+                den.is_one and num.den == 1, self.mask(f))
+
+    def rf(self, x, laurent: bool = True) -> RationalFunction:
+        if type(x) is tuple:
+            return _fraction(self.names, 1, {x[0]: x[1]}, {x[0]: x[2]}, laurent)
+        return x.built() if type(x) is _Unbuilt else x
+
+    def monomial(self, key: int, re: int, im: int, laurent: bool) -> tuple:
+        """A built monomial, laurent when some exponent may be negative."""
+        if not (re or im):
+            return (0, 0, 0), 0, 0, 0, 1, 1, True, 0
+        if laurent:
+            x = _exponents(key, len(self.names))
+            m, e = sum(v for v in x if v > 0), -sum(v for v in x if v < 0)
+        else:
+            m, e = key >> FIELD * len(self.names), 0
+        return (key, re, im), m, e, 1, 1, max(1, re.bit_length(), im.bit_length()), not e, 0
+
+    def cap(self, tn: int, td: int, n: int, d: int, mask: int, op: str, at: int) -> tuple:
+        """Term bounds capped by the monomials of degree n and d in the run's variables."""
+        v = mask.bit_count()
+        tn, td = min(tn, comb(n + v, v)), min(td, comb(d + v, v))
+        if max(tn, td) > MAX_TERMS:
+            raise self.error(f"up to {max(tn, td)} terms at {op!r} exceed {MAX_TERMS}", at)
+        return tn, td
 
     def parse(self) -> RationalFunction:
-        value = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ExprError(f"unexpected token {val!r}", pos)
-        return _rf(_built(value))
+        x, _, e = self.expr()[:3]
+        if self.tokens[self.k]:
+            raise self.error(f"unexpected token {self.tokens[self.k]!r}", self.k)
+        return self.rf(x, bool(e))
 
-    def expr(self) -> _Operand:
-        return self.chain("+-", self.term)
-
-    def term(self) -> _Operand:
-        return self.chain("*/", self.unary)
-
-    def chain(self, ops: str, operand) -> _Operand:
-        """operand (op operand)*, combined once the degree and coefficient
-        bounds of the whole run have passed at every operator: a run of '*'
-        of monomials into one monomial, a run of '+' and '-' of monomials and
-        polynomials into one term dict, and any other run left to right as
-        RationalFunctions; a lone operand is passed on unexpanded."""
-        first = operand()
-        bound = bits = top = integral = terms = None
-        rest = []
+    def expr(self) -> tuple:
+        """A run of '+' and '-' of runs of '*' and '/' of unaries, each run
+        checked at every operator before anything is built; a lone operand
+        is passed on unexpanded."""
+        toks, atoms = self.tokens, self.atoms
+        k, sop = self.k, None
         while True:
-            kind, val, pos = self.peek()
-            if kind != "op" or val not in ops:
-                break
-            self.advance()
-            rhs = operand()
-            if val == "/" and rhs.is_zero:
-                raise ExprError("division by identically-zero expression", pos)
-            bound = _OPERATORS[val][1](*(bound or _degrees(first)), *_degrees(rhs))
-            if max(bound) > MAX_DEGREE:
-                raise ExprError(f"degree up to {max(bound)} at {val!r} exceeds {MAX_DEGREE}", pos)
-            if bits is None:
-                bits = top = _bits(first)
-                integral = val in "+-" and _integral(first)
-            terms = _OPERATORS[val][2](*(terms or _terms(first)), *_terms(rhs))
-            if max(terms) > MAX_TERMS:
-                # the monomials of the degree bound in the run's variables cap it
-                v = len(set().union(*(_variables(x) for x in (first, rhs, *(x for _, x in rest)))))
-                terms = [min(n, comb(d + v, v)) for n, d in zip(terms, bound)]
-                if max(terms) > MAX_TERMS:
-                    raise ExprError(f"up to {max(terms)} terms at {val!r} exceed {MAX_TERMS}", pos)
-            rhs_bits = _bits(rhs)
-            bits, top, integral = bits + rhs_bits, max(top, rhs_bits), integral and _integral(rhs)
-            size = top if integral else bits
-            if size > MAX_POWER_BITS:
-                raise ExprError(f"coefficients of up to {size} bits at {val!r} exceed {MAX_POWER_BITS}", pos)
-            rest.append((val, rhs))
-        if not rest:
-            return first
-        built = [_built(first), *(_built(rhs) for _, rhs in rest)]
-        if ops == "+-":
-            if all(isinstance(b, _Monomial) or b.den.is_one for b in built):
-                return self.run_sum(built, [1, *(1 if val == "+" else -1 for val, _ in rest)])
-        elif all(isinstance(b, _Monomial) for b in built) and all(val == "*" for val, _ in rest):
-            return reduce(mul, built)
-        value = _rf(built[0])
-        for (val, _), b in zip(rest, built[1:]):
-            value = _OPERATORS[val][0](value, _rf(b))
-        return value
-
-    def run_sum(self, built: list, signs: List[int]) -> Union[RationalFunction, _Monomial]:
-        """The sum of signed monomials and polynomials, their terms collected
-        in one pass over the least common denominator of the polynomials; a
-        single Gaussian-integer term stays a monomial."""
-        den, re, im = _sum_terms(
-            (sign, 1, {b.key: b.re}, {b.key: b.im} if b.im else {}) if isinstance(b, _Monomial)
-            else (sign, b.num.den, *b.num._embedded(self.names))
-            for b, sign in zip(built, signs))
-        laurent = any(isinstance(b, _Monomial) and b.laurent for b in built)
-        if den == 1 and len(re) <= 1 and len(keys := re.keys() | im.keys()) <= 1:
-            (k,) = keys or (0,)
-            return _Monomial(k, re.get(k, 0), im.get(k, 0), self.names, laurent)
-        return _fraction(self.names, den, re, im, laurent)
-
-    def unary(self) -> _Operand:
-        sign = 1
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                if val == "-":
-                    sign = -sign
+            op = None
+            while True:
+                negative = False
+                while toks[k] in _SIGNS:
+                    negative ^= toks[k] == "-"
+                    k += 1
+                t, at = toks[k], k
+                k += 1
+                te, integral, named = 1, True, atoms.get(t)
+                if named:
+                    y, m, fv = named
+                    e, tm, b = 0, 1, 1
+                elif t.isdigit():
+                    c = self.integer(t, at)
+                    y, m, e, tm, b, fv = (0, c, 0), 0, 0, 1 if c else 0, c.bit_length() or 1, 0
+                elif t == "(":
+                    self.depth += 1
+                    if self.depth > MAX_NESTING:
+                        raise self.error(f"parentheses nested deeper than {MAX_NESTING}", at)
+                    self.k = k
+                    y, m, e, tm, te, b, integral, fv = self.expr()
+                    k = self.k
+                    if toks[k] != ")":
+                        raise self.error("expected ')'", k)
+                    k += 1
+                    self.depth -= 1
+                    if type(y) is tuple:
+                        fv |= self.mask(y)
+                elif t[:1].isalpha() or t[:1] == "_":
+                    raise self.error(f"unknown variable {t!r}", at)
+                else:
+                    raise self.error(f"unexpected token {t or 'end of input'!r}", at)
+                if toks[k] == "^":
+                    y, m, e, tm, te, b, integral, fv, k = self.power(y, m, e, b, fv, named, k)
+                if negative:
+                    y = (y[0], -y[1], -y[2]) if type(y) is tuple else -y
+                nxt = toks[k]
+                if op is None and nxt not in _PRODUCT:
+                    break
+                if m is None:
+                    y, m, e, tm, te, b, integral, fv = self.measured(y)
+                if op is None:
+                    n, d, tn, td, bits, mask = m, e, tm, te, b, fv
+                    (key, re, im), rest = (y, []) if type(y) is tuple else ((0, 1, 0), [("*", y)])
+                    laurent, product = e > 0 and not rest, not rest or (not e and not _zero(y))
+                else:
+                    if op == "/" and _zero(y):
+                        raise self.error("division by identically-zero expression", oat)
+                    n, d = (n + m, d + e) if op == "*" else (n + e, d + m)
+                    if n > MAX_DEGREE or d > MAX_DEGREE:
+                        raise self.error(f"degree up to {max(n, d)} at {op!r} exceeds {MAX_DEGREE}", oat)
+                    if tn is None:  # the first operand is an unbuilt product, its degree now checked
+                        rest[0] = ("*", rest[0][1].built())
+                        tn, td, bits = self.measured(rest[0][1])[3:6]
+                    if tm is None:
+                        y = y.built()
+                        tm, te, b = self.measured(y)[3:6]
+                    tn, td = (tn * tm, td * te) if op == "*" else (tn * te, td * tm)
+                    mask |= fv
+                    if tn > MAX_TERMS or td > MAX_TERMS:
+                        tn, td = self.cap(tn, td, n, d, mask, op, oat)
+                    bits += b
+                    if bits > MAX_POWER_BITS:
+                        raise self.error(f"coefficients of up to {bits} bits at {op!r} exceed {MAX_POWER_BITS}", oat)
+                    if op == "*" and type(y) is tuple:
+                        key += y[0]
+                        re, im = re * y[1] - im * y[2], re * y[2] + im * y[1]
+                        laurent = laurent or e > 0
+                    else:
+                        product = product and op == "*" and not e and not _zero(y)
+                        rest.append((op, y))
+                    if nxt not in _PRODUCT:
+                        break
+                op, oat = nxt, k
+                k += 1
+            if op is not None:
+                if not rest:
+                    y, m, e, tm, te, b, integral, fv = self.monomial(key, re, im, laurent)
+                elif product and not laurent and (re or im):
+                    # a product of nonzero polynomials: its degree is the sum of its factors'
+                    parts = [self.rf((key, re, im), False), *(x for _, x in rest)]
+                    fv = reduce(or_, map(self.mask, parts[1:]), self.mask((key, 1, 0)))
+                    y, m, e, tm, te, b, integral = _Unbuilt(parts, 1), n, 0, None, None, None, None
+                else:
+                    y, m = self.rf((key, re, im), laurent), None
+                    for op, x in rest:
+                        y = y * self.rf(x) if op == "*" else y / self.rf(x)
+            nxt = toks[k]
+            if sop is None and nxt not in _SIGNS:
+                self.k = k
+                return y, m, e, tm, te, b, integral, fv
+            if m is None:
+                y, m, e, tm, te, b, integral, fv = self.measured(y)
+            if sop is None:
+                first, sn, sd, stn, std, sbits, whole, smask = y, m, e, tm, te, b, integral, fv
+                later, slaurent = [], e > 0 and type(y) is tuple
             else:
+                sn, sd = max(sn + e, m + sd), sd + e
+                if sn > MAX_DEGREE or sd > MAX_DEGREE:
+                    raise self.error(f"degree up to {max(sn, sd)} at {sop!r} exceeds {MAX_DEGREE}", sat)
+                if first is not None:  # the first operand, its degree now checked
+                    if stn is None:
+                        first = first.built()
+                        stn, std, sbits, whole = self.measured(first)[3:7]
+                    sre, sim, top = {}, {}, sbits
+                    if type(first) is tuple:
+                        sre[first[0]] = first[1]
+                        if first[2]:
+                            sim[first[0]] = first[2]
+                    else:
+                        later.append((1, first))
+                    first = None
+                if tm is None:
+                    y = y.built()
+                    tm, te, b, integral = self.measured(y)[3:7]
+                stn, std = stn * te + tm * std, std * te
+                smask |= fv
+                if stn > MAX_TERMS or std > MAX_TERMS:
+                    keys = (sre.keys() | sim.keys()) | ({y[0]} if type(y) is tuple else set())
+                    smask = reduce(or_, (self.mask((x, 1, 0)) for x in keys), smask)
+                    stn, std = self.cap(stn, std, sn, sd, smask, sop, sat)
+                sbits, top, whole = sbits + b, max(top, b), whole and integral
+                size = top if whole else sbits
+                if size > MAX_POWER_BITS:
+                    raise self.error(f"coefficients of up to {size} bits at {sop!r} exceed {MAX_POWER_BITS}", sat)
+                if type(y) is tuple:
+                    key, f = y[0], 1 if sop == "+" else -1
+                    sre[key] = sre.get(key, 0) + f * y[1]
+                    if y[2]:
+                        sim[key] = sim.get(key, 0) + f * y[2]
+                    slaurent = slaurent or e > 0
+                else:
+                    later.append((1 if sop == "+" else -1, y))
+            if nxt not in _SIGNS:
                 break
-        value = self.power()
-        return -value if sign < 0 else value
+            sop, sat = nxt, k
+            k += 1
+        self.k = k
+        # the polynomials join the monomials over their least common denominator
+        polynomials, fractions, den = [], [], 1
+        for sign, y in later:
+            y = self.rf(y)
+            if y.den.is_one:
+                polynomials.append((sign, y.num.den, *y.num._embedded(self.names)))
+            else:
+                fractions.append((sign, y))
+        if polynomials:
+            den, sre, sim = _sum_terms([(1, 1, sre, sim), *polynomials])
+        if den == 1 and not fractions and len(sre) <= 1 and len(keys := sre.keys() | sim.keys()) <= 1:
+            (x,) = keys or (0,)
+            return self.monomial(x, sre.get(x, 0), sim.get(x, 0), slaurent)
+        value = _fraction(self.names, den, sre, sim, slaurent)
+        for sign, y in fractions:
+            value = value + y if sign > 0 else value - y
+        return value, None, None, None, None, None, None, None
 
-    def power(self) -> _Operand:
-        named = self.peek()[0] == "name"
-        value = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            n = self.exponent()
-            if n < 0 and value.is_zero:
-                raise ExprError("negative power of zero expression", pos)
-            degree = abs(n) * max(*_degrees(value), 1)
-            if degree > MAX_DEGREE:
-                raise ExprError(f"power of degree {degree} exceeds {MAX_DEGREE}", pos)
-            base, k = _built(value), abs(n)
-            if isinstance(base, _Monomial) and n < 0 and base.re ** 2 + base.im ** 2 != 1:
-                # only a unit has a Gaussian-integer inverse
-                base = _rf(base)
+    def power(self, x, m, e, b: int, fv: int, named, k: int) -> tuple:
+        """x^n from the '^' at token k, checked: a monomial's built, any other unbuilt."""
+        toks, at = self.tokens, k
+        parenthesized = toks[k + 1] == "("
+        k += 1 + parenthesized
+        sign = -1 if toks[k] == "-" else 1
+        k += toks[k] in _SIGNS
+        if not toks[k].isdigit():
+            raise self.error("expected integer exponent", k)
+        if parenthesized and toks[k + 1] != ")":
+            raise self.error("expected ')'", k + 1)
+        n, k = sign * self.integer(toks[k], k), k + 1 + parenthesized
+        if n < 0 and _zero(x):
+            raise self.error("negative power of zero expression", at)
+        if m is None:
+            m, e = x.num.degree(), x.den.degree()
+        a = abs(n)
+        if a * max(m, e, 1) > MAX_DEGREE:
+            raise self.error(f"power of degree {a * max(m, e, 1)} exceeds {MAX_DEGREE}", at)
+        if type(x) is _Unbuilt:
+            x = x.built()
+        if type(x) is tuple and n < 0 and x[1] ** 2 + x[2] ** 2 != 1:
+            # only a unit has a Gaussian-integer inverse
+            x = self.rf(x, e > 0)
+        if type(x) is tuple:
+            key, r, i = x
             # a power of a variable or of i has a 1-bit coefficient
-            bits = 1 if named else k * _bits(base)
-            if bits > MAX_POWER_BITS:
-                raise ExprError(f"power with coefficients of {bits} bits exceeds {MAX_POWER_BITS}", pos)
-            if isinstance(base, _Monomial):
-                # as many terms as the base: one, or none for zero
-                terms = _terms(base)
-            else:
-                terms = (_power_terms(base.num, k), _power_terms(base.den, k))[::1 if n >= 0 else -1]
-            if max(terms) > MAX_TERMS:
-                raise ExprError(f"power of up to {max(terms)} terms exceeds {MAX_TERMS}", pos)
-            return _Power(base, n, bits, terms)
-        return value
-
-    def exponent(self) -> int:
-        kind, val, pos = self.peek()
-        parenthesized = kind == "op" and val == "("
-        if parenthesized:
-            self.advance()
-            kind, val, pos = self.peek()
-        sign = 1
-        if kind == "op" and val in "+-":
-            self.advance()
-            if val == "-":
-                sign = -1
-            kind, val, pos = self.peek()
-        if kind != "int":
-            raise ExprError("expected integer exponent", pos)
-        self.advance()
-        if parenthesized:
-            self.expect_op(")")
-        return sign * _integer(val, pos)
-
-    def atom(self) -> _Operand:
-        kind, val, pos = self.advance()
-        if kind == "int":
-            return _Monomial(0, _integer(val, pos), 0, self.names)
-        if kind == "name":
-            if val == "i":
-                return _Monomial(0, 0, 1, self.names)
-            if val in self.keys:
-                return _Monomial(self.keys[val], 1, 0, self.names)
-            raise ExprError(f"unknown variable {val!r}", pos)
-        if kind == "op" and val == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ExprError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            value = self.expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return value
-        raise ExprError(f"unexpected token {val or 'end of input'!r}", pos)
-
-
-# Each operator with bounds on the numerator and denominator degrees of
-# a op b, from those of a (n, d) and of b (m, e), and then with bounds on
-# their term counts before cancellation, from those of a and of b.
-_OPERATORS = {
-    "+": (add, lambda n, d, m, e: (max(n + e, m + d), d + e), lambda n, d, m, e: (n * e + m * d, d * e)),
-    "-": (sub, lambda n, d, m, e: (max(n + e, m + d), d + e), lambda n, d, m, e: (n * e + m * d, d * e)),
-    "*": (mul, lambda n, d, m, e: (n + m, d + e), lambda n, d, m, e: (n * m, d * e)),
-    "/": (truediv, lambda n, d, m, e: (n + e, d + m), lambda n, d, m, e: (n * e, d * m)),
-}
+            b = 1 if named else a * max(1, r.bit_length(), i.bit_length())
+            tm, te, integral = 1 if r or i else 0, 1, n >= 0 and not e
+            if i or r != 1:
+                r, i = _gauss_pow(r, i if n >= 0 else -i, a)
+            x = (key * n, r, i)
+        else:
+            _, m, e, tm, te, b, whole, fv = self.measured(x)
+            terms = (_power_terms(x.num, a), _power_terms(x.den, a))
+            (tm, te), b = terms if n >= 0 else terms[::-1], a * b
+            x, integral = _Unbuilt([x], n), n >= 0 and whole
+        if b > MAX_POWER_BITS:
+            raise self.error(f"power with coefficients of {b} bits exceeds {MAX_POWER_BITS}", at)
+        if max(tm, te) > MAX_TERMS:
+            raise self.error(f"power of up to {max(tm, te)} terms exceeds {MAX_TERMS}", at)
+        m, e = (m * a, e * a) if n >= 0 else (e * a, m * a)
+        return x, m, e, tm, te, b, integral, fv, k
 
 
 def parse_expr(text: str, variables: Sequence[str]) -> RationalFunction:

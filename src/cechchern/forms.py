@@ -481,7 +481,8 @@ def apply_connection(f: MatrixForm, a_src: ConnectionMatrix, a_dst: ConnectionMa
     """Induced connection on Hom: nabla(f) = d(f) + A_dst f - f A_src.
 
     f must be a degree-0 matrix (a morphism in local frames); the result is
-    the degree-1 matrix of its covariant derivative.
+    the degree-1 matrix of its covariant derivative.  A zero connection
+    matrix forms no product.
     """
     if f.degrees() - {0}:
         raise ValueError("apply_connection expects a degree-0 matrix")
@@ -489,4 +490,9 @@ def apply_connection(f: MatrixForm, a_src: ConnectionMatrix, a_dst: ConnectionMa
         raise ValueError("connection rank does not match morphism shape")
     if a_src.chart != f.chart or a_dst.chart != f.chart:
         raise ChartMismatchError("connections and morphism must share a chart")
-    return f.d() + a_dst.matrix * f - f * a_src.matrix
+    out = f.d()
+    if not a_dst.matrix.is_zero:
+        out = out + a_dst.matrix * f
+    if not a_src.matrix.is_zero:
+        out = out - f * a_src.matrix
+    return out

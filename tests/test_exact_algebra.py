@@ -416,13 +416,14 @@ def test_divisor_pair_runs_no_prem(monkeypatch):
     assert poly_gcd(a, b * rf("z + w").num) == b and prems
 
 
-def _gcd_bench():
-    # the gcd layer's microbenchmark, loaded from tools/ for its seeded cases
+def _tool(name):
+    # a module of tools/, loaded for its seeded cases: the gcd layer's
+    # microbenchmark and the output comparison's expression trees
     import importlib.util
     from pathlib import Path
 
-    path = Path(__file__).resolve().parent.parent / "tools" / "gcd_bench.py"
-    spec = importlib.util.spec_from_file_location("gcd_bench", path)
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -444,7 +445,7 @@ def test_univariate_planted_gcd_takes_the_prs(monkeypatch):
 
     import cechchern.poly
 
-    ag, bg, g = _gcd_bench().univariate_planted_pair(61)
+    ag, bg, g = _tool("gcd_bench").univariate_planted_pair(61)
     prs = _spy(monkeypatch, cechchern.poly, "_prs_gcd")
     start = time.perf_counter()
     assert poly_gcd(ag, bg) == g.monic()
@@ -457,7 +458,7 @@ def test_coprime_univariate_pair_is_proven_by_images(monkeypatch):
     # once, without a PRS
     import cechchern.poly
 
-    a, b = _gcd_bench().univariate_coprime_pair(40)
+    a, b = _tool("gcd_bench").univariate_coprime_pair(40)
     assert (a.degree(), b.degree()) == (40, 39)
     proofs = []
     real_proof = cechchern.poly._proven_coprime
@@ -612,7 +613,7 @@ def test_gaussian_operands_never_enter_the_heuristic(monkeypatch):
     import cechchern.poly
 
     heu, prs = _heu_spy(monkeypatch), _spy(monkeypatch, cechchern.poly, "_prs_gcd")
-    ag, bg, g = _gcd_bench().planted_pair(4)
+    ag, bg, g = _tool("gcd_bench").planted_pair(4)
     assert poly_gcd(ag, bg) == g.monic() and prs
     for ag, bg in oracle_cases():
         poly_gcd(ag, bg)
@@ -665,7 +666,7 @@ def test_planted_bivariate_gcd_takes_three_contents(monkeypatch):
     # primitive part at the end; a primitive PRS took 9 at degree 6
     import cechchern.poly
 
-    ag, bg, g = _gcd_bench().planted_pair(6)
+    ag, bg, g = _tool("gcd_bench").planted_pair(6)
     contents = _spy(monkeypatch, cechchern.poly, "_content")
     assert poly_gcd(ag, bg) == g.monic()
     assert len(contents) <= 3
@@ -708,7 +709,7 @@ def test_gcd_bench_quick(capsys):
     import time
 
     start = time.perf_counter()
-    assert _gcd_bench().main(["--quick"]) == 0
+    assert _tool("gcd_bench").main(["--quick"]) == 0
     assert time.perf_counter() - start < 2
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [line["case"] for line in lines] == ["planted-d4"]
@@ -717,7 +718,7 @@ def test_gcd_bench_quick(capsys):
 
 def test_gcd_bench_fails_when_runs_disagree(monkeypatch, capsys):
     # a case whose runs print different values makes the tool exit 1
-    bench = _gcd_bench()
+    bench = _tool("gcd_bench")
     runs = iter(range(bench.REPEATS))
     monkeypatch.setattr(bench, "cases", lambda quick: [("drifting", lambda: next(runs))])
     assert bench.main(["--quick"]) == 1
@@ -1141,6 +1142,20 @@ def test_parse_run_bound_trips_before_any_power(monkeypatch):
     assert rf("-(1+z)^2*(-(1+z))^-2") == rf("-1") and powers[:2] == [2, -2]
 
 
+def test_parse_parenthesized_run_is_checked_before_it_is_built(monkeypatch):
+    # a parenthesized product of polynomials stays unbuilt with its degree,
+    # the sum of its factors', until the run or power around it has passed
+    spies = [_spy(monkeypatch, cls, name) for cls in (Polynomial, RationalFunction) for name in ("__mul__", "__pow__")]
+    for text, message, at in (("((1+z)^90*(1+w)^90)*(1+z)^90", "degree up to 270 at '\\*'", 19),
+                              ("((1+z)^90*(1+w)^90)^2", "power of degree 360", 19),
+                              ("(z*(1+z)^90*(1+w)^90)/(1+w)^-80", "degree up to 261 at '/'", 21)):
+        with pytest.raises(ExprError, match=message) as err:
+            rf(text)
+        assert err.value.position == at and not any(spies), text
+    monkeypatch.undo()
+    assert rf("((1+z)^2*(1+w))*(1-z)") == rf("(1+z)^2*(1+w)*(1-z)")
+
+
 def test_parse_serialize_roundtrip_random():
     rng = random.Random(17)
     for _ in range(60):
@@ -1192,6 +1207,36 @@ def test_parse_laurent_runs_match_built_values_random():
     rng = random.Random(23)
     for _ in range(400):
         text, value = _draw_laurent_run(rng)
+        assert parse_expr(text, ["w", "z"]) == value, text
+
+
+def _evaluate(tree):
+    """The value of a drawn expression tree by RationalFunction arithmetic."""
+    kind, *args = tree
+    if kind in ("int", "var"):
+        return (RationalFunction.const if kind == "int" else RationalFunction.variable)(args[0])
+    if kind == "i":
+        return RationalFunction.const(GaussianRational(0, 1))
+    if kind in ("neg", "^"):
+        return -_evaluate(args[0]) if kind == "neg" else _evaluate(args[0]) ** args[1]
+    a, b = map(_evaluate, args)
+    return {"+": a.__add__, "-": a.__sub__, "*": a.__mul__, "/": a.__truediv__}[kind](b)
+
+
+def test_parse_random_trees_match_built_values():
+    # seeded trees of + - * / ^ over w and z (negative and parenthesized
+    # exponents, i, Laurent monomials, nested parentheses), each parsed from
+    # its printed text and built by RationalFunction arithmetic
+    draw = _tool("compare_outputs").draw
+    rng = random.Random(41)
+    for _ in range(1000):
+        text, _, tree = draw(rng, rng.randint(2, 6))
+        try:
+            value = _evaluate(tree)
+        except ZeroDivisionError:
+            with pytest.raises(ExprError, match="zero"):
+                parse_expr(text, ["w", "z"])
+            continue
         assert parse_expr(text, ["w", "z"]) == value, text
 
 

@@ -166,6 +166,19 @@ def test_apply_connection_examples():
     assert apply_connection(ident, a, a).is_zero
 
 
+def test_zero_connections_form_no_products(monkeypatch):
+    # d(f) + A_dst f - f A_src forms only the products with a nonzero matrix
+    rng = random.Random(5)
+    f, a = rand_matrix_form(rng, Z), rand_connection(rng, Z)
+    zero = ConnectionMatrix.zero(Z, 2)
+    expected = [f.d(), f.d() + a.matrix * f, f.d() - f * a.matrix]
+    products = []
+    real_mul = MatrixForm.__mul__
+    monkeypatch.setattr(MatrixForm, "__mul__", lambda x, y: products.append((x, y)) or real_mul(x, y))
+    assert [apply_connection(f, zero, zero), apply_connection(f, zero, a), apply_connection(f, a, zero)] == expected
+    assert products == [(a.matrix, f), (f, a.matrix)]
+
+
 def test_apply_connection_leibniz():
     # nabla(g f) = nabla(g) f + g nabla(f), middle connection matching
     rng = random.Random(6)

@@ -193,8 +193,8 @@ KEPT_NAMES = {
     "boundary_sum": "acceptance 2's identity: the alternating face sum of a nerve instance",
     "text_to_cochain": "the README's promise that an artifact reads back to the cochain it prints",
     "d_coord": "the dz of a chart's coordinate, the form constructor that tests build forms with",
-    "universal_chern": "tools/gcd_bench.py's workload; ROADMAP item 2 decides its fate",
-    "matrix_group_chart": "tools/gcd_bench.py's workload; ROADMAP item 2 decides its fate",
+    "universal_chern": "tools/gcd_bench.py's workload; ROADMAP item 3 may call it, else item 10 moves it there",
+    "matrix_group_chart": "tools/gcd_bench.py's workload; ROADMAP item 3 may call it, else item 10 moves it there",
     "tot_ch_simplex_via_ez": "the independent EZ/shuffle route that perfbench and acceptance 7 compare with",
 }
 
